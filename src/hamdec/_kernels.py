@@ -1,52 +1,24 @@
-"""Hot inner loops: pair-probability scans and maximum bipartite matching.
-
-Two kernels dominate Monte Carlo runtime, so each has a numba ``@njit``
-version and a pure numpy/python fallback.  The active path is picked at
-import time: numba when importable, unless ``HAMDEC_NO_NUMBA=1`` is set.
-Both paths consume inputs in the same order and produce identical outputs
-(exact float comparisons, same adjacency order), so results never depend
-on which path ran.  ``benchmarks/bench_kernels.py`` times them against
-each other.
+"""Hot inner loops: the pair-probability scan and maximum bipartite matching.
 
 The exact-rational machinery (LP certificates, matrix rounding, partition
-refinement) is deliberately not here: it runs on ``fractions.Fraction``
-and cannot be jitted.
+refinement) is deliberately not here: it runs on ``fractions.Fraction``.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-
-def _numba_requested() -> bool:
-    flag = os.environ.get("HAMDEC_NO_NUMBA", "").strip().lower()
-    return flag not in {"1", "true", "yes", "on"}
-
-
-def _scan_pairs_loop(blocks, probs, u):
-    # Unordered pairs (i, j), i < j, in lexicographic order; u[k] is the
-    # uniform draw for the k-th pair in that order.
-    n = blocks.shape[0]
-    m = u.shape[0]
-    out_i = np.empty(m, np.int64)
-    out_j = np.empty(m, np.int64)
-    k = 0
-    cnt = 0
-    for i in range(n):
-        bi = blocks[i]
-        for j in range(i + 1, n):
-            if u[k] < probs[bi, blocks[j]]:
-                out_i[cnt] = i
-                out_j[cnt] = j
-                cnt += 1
-            k += 1
-    return out_i[:cnt].copy(), out_j[:cnt].copy()
+# There is no compiled path; the constant stays because benchmark reports
+# record it next to the library versions.
+NUMBA_ENABLED = False
 
 
-def scan_pairs_numpy(blocks, probs, u):
-    """Vectorized fallback for the pair scan; row-sliced to bound memory."""
+def scan_pairs(blocks, probs, u):
+    """Unordered pairs (i, j), i < j, with u[k] < probs[blocks[i], blocks[j]].
+
+    u[k] is the uniform draw for the k-th pair in lexicographic order; the
+    hits come out in that order.  Row-sliced to bound memory.
+    """
     n = blocks.shape[0]
     hits_i = []
     hits_j = []
@@ -65,86 +37,14 @@ def scan_pairs_numpy(blocks, probs, u):
     return np.concatenate(hits_i), np.concatenate(hits_j)
 
 
-def _hopcroft_karp_loop(nl, nr, indptr, indices):
-    # Layered BFS + shortest-path DFS; adjacency order fixed by the CSR
-    # layout, so the returned matching is deterministic.
-    inf = nl + 2
-    match_l = np.full(nl, -1, np.int64)
-    match_r = np.full(nr, -1, np.int64)
-    dist = np.empty(nl, np.int64)
-    queue = np.empty(nl, np.int64)
-    stack = np.empty(nl + 1, np.int64)
-    ptr = np.empty(nl + 1, np.int64)
-    vsel = np.empty(nl + 1, np.int64)
-    while True:
-        qt = 0
-        for s in range(nl):
-            if match_l[s] == -1:
-                dist[s] = 0
-                queue[qt] = s
-                qt += 1
-            else:
-                dist[s] = inf
-        dnil = inf
-        qh = 0
-        while qh < qt:
-            x = queue[qh]
-            qh += 1
-            if dist[x] >= dnil:
-                continue
-            for e in range(indptr[x], indptr[x + 1]):
-                w = match_r[indices[e]]
-                if w == -1:
-                    if dnil == inf:
-                        dnil = dist[x] + 1
-                elif dist[w] == inf:
-                    dist[w] = dist[x] + 1
-                    queue[qt] = w
-                    qt += 1
-        if dnil == inf:
-            break
-        for s in range(nl):
-            if match_l[s] != -1:
-                continue
-            top = 0
-            stack[0] = s
-            ptr[0] = indptr[s]
-            while top >= 0:
-                x = stack[top]
-                moved = False
-                while ptr[top] < indptr[x + 1]:
-                    e = ptr[top]
-                    ptr[top] += 1
-                    v = indices[e]
-                    w = match_r[v]
-                    if w == -1:
-                        if dist[x] + 1 == dnil:
-                            vsel[top] = v
-                            for t in range(top, -1, -1):
-                                xu = stack[t]
-                                xv = vsel[t]
-                                match_l[xu] = xv
-                                match_r[xv] = xu
-                            top = -1
-                            moved = True
-                            break
-                    elif dist[w] == dist[x] + 1:
-                        vsel[top] = v
-                        top += 1
-                        stack[top] = w
-                        ptr[top] = indptr[w]
-                        moved = True
-                        break
-                if not moved:
-                    dist[x] = inf
-                    top -= 1
-    return match_l, match_r
+def hopcroft_karp(nl, nr, indptr, indices):
+    """Maximum matching of the bipartite CSR graph (left rows, right columns).
 
-
-def hopcroft_karp_python(nl, nr, indptr, indices):
-    """List-based fallback, same algorithm and traversal order as the jit."""
-    indptr = list(indptr)
-    indices = list(indices)
+    Layered BFS plus shortest-path DFS; the traversal follows the CSR order,
+    so the returned (match_l, match_r) is deterministic.  Unmatched is -1.
+    """
+    indptr = np.asarray(indptr).tolist()
+    indices = np.asarray(indices).tolist()
     inf = nl + 2
     match_l = [-1] * nl
     match_r = [-1] * nr
@@ -210,21 +110,3 @@ def hopcroft_karp_python(nl, nr, indptr, indices):
                     ptrs.pop()
                     vsel.pop()
     return np.asarray(match_l, dtype=np.int64), np.asarray(match_r, dtype=np.int64)
-
-
-NUMBA_ENABLED = False
-scan_pairs_compiled = None
-hopcroft_karp_compiled = None
-
-if _numba_requested():
-    try:
-        from numba import njit
-    except ImportError:
-        pass
-    else:
-        NUMBA_ENABLED = True
-        scan_pairs_compiled = njit(cache=True)(_scan_pairs_loop)
-        hopcroft_karp_compiled = njit(cache=True)(_hopcroft_karp_loop)
-
-scan_pairs = scan_pairs_compiled if NUMBA_ENABLED else scan_pairs_numpy
-hopcroft_karp = hopcroft_karp_compiled if NUMBA_ENABLED else hopcroft_karp_python

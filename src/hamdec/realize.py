@@ -25,7 +25,7 @@ from . import _kernels
 from ._seeds import derive, generator
 from .construct import BlockCycle, HamDecomposition, canonical_blocks
 from .model import SkeletonGraph
-from .sampling import BalancedMatrix, SampledGraph, count_block_edges
+from .sampling import BalancedMatrix, SampledGraph, build_csr, count_block_edges
 
 
 class CycleEmbedError(Exception):
@@ -61,15 +61,9 @@ class RealizationOutcome:
         return self.status == "success"
 
 
-def _csr(nl: int, nr: int, edges) -> tuple[np.ndarray, np.ndarray]:
-    pairs = sorted(edges)
-    indptr = np.zeros(nl + 1, dtype=np.int64)
-    indices = np.empty(len(pairs), dtype=np.int64)
-    for k, (u, v) in enumerate(pairs):
-        indptr[u + 1] += 1
-        indices[k] = v
-    np.cumsum(indptr, out=indptr)
-    return indptr, indices
+def _has_perfect_matching(n: int, indptr, indices) -> bool:
+    match_l, _ = _kernels.hopcroft_karp(n, n, indptr, indices)
+    return bool(np.all(match_l >= 0))
 
 
 def max_bipartite_matching(left, right, edges) -> Matching:
@@ -82,12 +76,14 @@ def max_bipartite_matching(left, right, edges) -> Matching:
     right = list(right)
     lidx = {v: i for i, v in enumerate(left)}
     ridx = {v: i for i, v in enumerate(right)}
-    packed = set()
+    rows = []
+    cols = []
     for u, v in edges:
         if u not in lidx or v not in ridx:
             raise ValueError(f"edge ({u},{v}) does not connect left to right")
-        packed.add((lidx[u], ridx[v]))
-    indptr, indices = _csr(len(left), len(right), packed)
+        rows.append(lidx[u])
+        cols.append(ridx[v])
+    indptr, indices = build_csr(len(left), len(right), rows, cols)
     match_l, _ = _kernels.hopcroft_karp(len(left), len(right), indptr, indices)
     pairs = frozenset(
         (left[u], right[int(match_l[u])]) for u in range(len(left)) if match_l[u] != -1
@@ -101,27 +97,25 @@ def oracle_exists(n: int, arcs) -> bool:
 
     Decided by a perfect matching between out-copies and in-copies.
     """
-    arc_set = set()
+    arcs = [(int(u), int(v)) for u, v in arcs]
     for u, v in arcs:
         if u == v:
             raise ValueError("self-loops are not allowed")
         if not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"arc ({u},{v}) out of range")
-        arc_set.add((int(u), int(v)))
     if n == 0:
         return True
-    indptr, indices = _csr(n, n, arc_set)
-    match_l, _ = _kernels.hopcroft_karp(n, n, indptr, indices)
-    return bool(np.all(match_l >= 0))
+    csr = build_csr(n, n, [u for u, _ in arcs], [v for _, v in arcs])
+    return _has_perfect_matching(n, *csr)
 
 
 def graph_has_decomposition(g: SampledGraph) -> bool:
-    """Existence oracle on the directed version of a sampled graph."""
-    arcs = []
-    for i, j in g.edges:
-        arcs.append((int(i), int(j)))
-        arcs.append((int(j), int(i)))
-    return oracle_exists(g.n, arcs)
+    """Existence oracle on the directed version of a sampled graph.
+
+    Its arcs are both orientations of every edge, which is exactly the
+    graph's symmetric CSR adjacency.
+    """
+    return _has_perfect_matching(g.n, *g.adjacency())
 
 
 def embed_cycles(patterns, g: SampledGraph, seed: int, attempts: int = 32):
@@ -134,10 +128,7 @@ def embed_cycles(patterns, g: SampledGraph, seed: int, attempts: int = 32):
     raises `CycleEmbedError` with the failing pattern index.
     """
     rng = generator(derive(seed, "embed"))
-    adj = g.adjacency()
-    by_block: dict[int, set[int]] = {}
-    for v in range(g.n):
-        by_block.setdefault(int(g.blocks[v]), set()).add(v)
+    free = np.ones(g.n, dtype=bool)  # not taken by an earlier pattern
 
     cycles = []
     for p_idx, pattern in enumerate(patterns):
@@ -146,29 +137,30 @@ def embed_cycles(patterns, g: SampledGraph, seed: int, attempts: int = 32):
         done = None
         for _ in range(attempts):
             chosen: list[int] = []
-            used: set[int] = set()
+            avail = free.copy()  # also excludes this attempt's picks
             ok = True
             for t in range(k):
-                pool = by_block.get(bs[t], set())
                 if t == 0:
-                    cands = sorted(pool)
-                elif t < k - 1:
-                    cands = sorted((pool & adj[chosen[-1]]) - used)
+                    cands = np.flatnonzero(avail & (g.blocks == bs[0]))
                 else:
-                    cands = sorted((pool & adj[chosen[-1]] & adj[chosen[0]]) - used)
-                if not cands:
+                    row = g.neighbors(chosen[-1])
+                    cands = row[avail[row] & (g.blocks[row] == bs[t])]
+                    if t == k - 1:
+                        cands = np.intersect1d(
+                            cands, g.neighbors(chosen[0]), assume_unique=True
+                        )
+                if not cands.size:
                     ok = False
                     break
-                v = cands[int(rng.integers(len(cands)))]
+                v = int(cands[int(rng.integers(cands.size))])
                 chosen.append(v)
-                used.add(v)
+                avail[v] = False
             if ok:
                 done = chosen
                 break
         if done is None:
             raise CycleEmbedError(p_idx, attempts)
-        for v in done:
-            by_block[int(g.blocks[v])].discard(v)
+        free[done] = False
         cycles.append(tuple(done))
     return cycles
 
@@ -237,8 +229,8 @@ def realize(
     if need != [len(r) for r in remaining]:
         raise ValueError("pattern 2-cycle counts do not match the leftover nodes")
 
-    adj = g.adjacency()
     rng = generator(derive(seed, "phase2"))
+    in_rset = np.zeros(g.n, dtype=bool)
     keys = sorted(groups)
     pair_cycles: list[tuple[int, int]] | None = None
     for attempt in range(attempts):
@@ -264,7 +256,12 @@ def realize(
             else:
                 halves = (slice_of(i, c), slice_of(j, c))
             lset, rset = halves
-            edges = [(u, v) for u in lset for v in adj[u].intersection(rset)]
+            in_rset[rset] = True
+            edges = []
+            for u in lset:
+                row = g.neighbors(u)
+                edges.extend((u, v) for v in row[in_rset[row]].tolist())
+            in_rset[rset] = False
             m = max_bipartite_matching(lset, rset, edges)
             if m.size < c:
                 failed = {"pair": (i, j), "needed": c, "matched": m.size}

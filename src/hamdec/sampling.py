@@ -29,20 +29,30 @@ COORDS_STREAM = "coords"
 EDGES_STREAM = "edges"
 
 
+def build_csr(nrows: int, ncols: int, rows, cols) -> tuple[np.ndarray, np.ndarray]:
+    """CSR arrays (indptr, indices) of the distinct (row, col) pairs, with
+    each row's columns in ascending order."""
+    keys = np.sort(np.asarray(rows, np.int64) * ncols + np.asarray(cols, np.int64))
+    keys = keys[np.diff(keys, prepend=-1) != 0]
+    indptr = np.zeros(nrows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys // ncols, minlength=nrows), out=indptr[1:])
+    return indptr, keys % ncols
+
+
 @dataclass(eq=False)
 class SampledGraph:
     """An undirected sampled graph with its block assignment.
 
     `edges` is an (m, 2) int array with rows (i, j), i < j, sorted
-    lexicographically.  Adjacency sets are built lazily for membership
-    queries.
+    lexicographically.  The adjacency is a symmetric CSR built lazily from
+    it, each node's neighbours in ascending order.
     """
 
     n: int
     coords: np.ndarray
     blocks: np.ndarray
     edges: np.ndarray
-    _adj: list[set[int]] | None = field(default=None, repr=False)
+    _csr: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
 
     def __post_init__(self):
         self.coords = np.asarray(self.coords, dtype=np.float64)
@@ -50,22 +60,34 @@ class SampledGraph:
         self.edges = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
         if self.coords.shape != (self.n,) or self.blocks.shape != (self.n,):
             raise ValueError("coords and blocks must have length n")
+        if self.edges.size and (
+            self.edges.min() < 0
+            or self.edges.max() >= self.n
+            or np.any(self.edges[:, 0] == self.edges[:, 1])
+        ):
+            raise ValueError("edge endpoints must be distinct nodes in range")
 
     @property
     def edge_count(self) -> int:
         return self.edges.shape[0]
 
-    def adjacency(self) -> list[set[int]]:
-        if self._adj is None:
-            adj: list[set[int]] = [set() for _ in range(self.n)]
-            for i, j in self.edges:
-                adj[int(i)].add(int(j))
-                adj[int(j)].add(int(i))
-            self._adj = adj
-        return self._adj
+    def adjacency(self) -> tuple[np.ndarray, np.ndarray]:
+        """The symmetric CSR (indptr, indices) of the graph."""
+        if self._csr is None:
+            i, j = self.edges[:, 0], self.edges[:, 1]
+            self._csr = build_csr(
+                self.n, self.n, np.concatenate([i, j]), np.concatenate([j, i])
+            )
+        return self._csr
+
+    def neighbors(self, v: int) -> np.ndarray:
+        indptr, indices = self.adjacency()
+        return indices[indptr[v]:indptr[v + 1]]
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adjacency()[u]
+        row = self.neighbors(u)
+        k = int(np.searchsorted(row, v))
+        return k < row.size and int(row[k]) == v
 
     def pair_set(self) -> set[tuple[int, int]]:
         return {(int(i), int(j)) for i, j in self.edges}
@@ -137,8 +159,7 @@ def sample_graph(w: StepGraphon, n: int, seed: int) -> SampledGraph:
     m = n * (n - 1) // 2
     u = generator(derive(seed, EDGES_STREAM)).random(m)
     ei, ej = _kernels.scan_pairs(blocks, probs, u)
-    edges = np.column_stack([ei, ej]) if ei.size else np.empty((0, 2), np.int64)
-    return SampledGraph(n, coords, blocks, edges)
+    return SampledGraph(n, coords, blocks, np.column_stack([ei, ej]))
 
 
 def empirical_concentration(g: SampledGraph, q: int) -> tuple[Fraction, ...]:
@@ -153,26 +174,14 @@ def saturate_graph(g: SampledGraph, s: SkeletonGraph) -> SampledGraph:
     """All pairs whose block pair is supported: the complete multipartite
     graph over the skeleton, on this graph's nodes."""
     q = s.node_count
-    allowed = np.zeros((q, q), dtype=bool)
+    probs = np.zeros((q, q))
     for i in s.loops:
-        allowed[i, i] = True
+        probs[i, i] = 1.0
     for i, j in s.edges:
-        allowed[i, j] = True
-        allowed[j, i] = True
-    hits_i = []
-    hits_j = []
-    blocks = g.blocks
-    for i in range(g.n - 1):
-        mask = allowed[blocks[i], blocks[i + 1:]]
-        js = np.nonzero(mask)[0]
-        if js.size:
-            hits_i.append(np.full(js.size, i, dtype=np.int64))
-            hits_j.append(js.astype(np.int64) + i + 1)
-    if hits_i:
-        edges = np.column_stack([np.concatenate(hits_i), np.concatenate(hits_j)])
-    else:
-        edges = np.empty((0, 2), np.int64)
-    return SampledGraph(g.n, g.coords.copy(), g.blocks.copy(), edges)
+        probs[i, j] = probs[j, i] = 1.0
+    # all-zero draws against 0/1 probabilities hit exactly the supported pairs
+    ei, ej = _kernels.scan_pairs(g.blocks, probs, np.zeros(g.n * (g.n - 1) // 2))
+    return SampledGraph(g.n, g.coords.copy(), g.blocks.copy(), np.column_stack([ei, ej]))
 
 
 def count_block_edges(h, blocks, q: int, s: SkeletonGraph) -> BalancedMatrix:

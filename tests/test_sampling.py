@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction as F
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -115,6 +116,24 @@ class TestSaturate:
         sat = saturate_graph(g, skeleton(w))
         assert g.pair_set() <= sat.pair_set()
 
+    def test_matches_pair_enumeration(self):
+        w = step_graphon(
+            [0, F(1, 3), F(2, 3), 1],
+            [[F(1, 2), 0, F(1, 2)], [0, 0, F(1, 3)], [F(1, 2), F(1, 3), 0]],
+        )
+        s = skeleton(w)
+        for n in (1, 2, 40):
+            g = sample_graph(w, n, 3)
+            b = g.blocks
+            want = [
+                (i, j)
+                for i, j in combinations(range(n), 2)
+                if (b[i] == b[j] and b[i] in s.loops)
+                or (min(b[i], b[j]), max(b[i], b[j])) in s.edges
+            ]
+            sat = saturate_graph(g, s)
+            assert sat.edges.tolist() == [list(e) for e in want]
+
 
 class TestCountBlockEdges:
     def test_two_cycle(self):
@@ -153,3 +172,63 @@ class TestBalancedMatrix:
     def test_min_positive(self):
         bm = BalancedMatrix(4, ((2, 1), (1, 0)))
         assert bm.min_positive() == F(1, 4)
+
+
+def _reference_adjacency(g):
+    nbrs = [set() for _ in range(g.n)]
+    for i, j in g.edges.tolist():
+        nbrs[i].add(j)
+        nbrs[j].add(i)
+    return nbrs
+
+
+class TestAdjacency:
+    def _check(self, g):
+        ref = _reference_adjacency(g)
+        indptr, indices = g.adjacency()
+        assert indptr.shape == (g.n + 1,) and indptr[0] == 0
+        assert indptr[-1] == indices.size == 2 * g.edge_count
+        for v in range(g.n):
+            row = g.neighbors(v).tolist()
+            assert row == sorted(ref[v])  # ascending, same neighbours
+            for u in row:
+                assert v in g.neighbors(u)  # symmetric
+        if g.n <= 40:
+            for u in range(g.n):
+                for v in range(g.n):
+                    assert g.has_edge(u, v) == (v in ref[u])
+
+    def test_random_sampled_graphs(self):
+        w = step_graphon(
+            [0, F(1, 3), F(2, 3), 1],
+            [[F(1, 2), F(1, 5), 0], [F(1, 5), 0, F(3, 4)], [0, F(3, 4), F(1, 2)]],
+        )
+        for seed in range(6):
+            for n in (7, 40, 150):
+                self._check(sample_graph(w, n, seed))
+
+    def test_single_node(self):
+        g = sample_graph(er_graphon(1), 1, 0)
+        self._check(g)
+        assert g.adjacency()[0].tolist() == [0, 0]
+
+    def test_edgeless(self):
+        g = sample_graph(er_graphon(0), 12, 0)
+        self._check(g)
+        assert g.adjacency()[1].size == 0
+
+    def test_complete(self):
+        g = sample_graph(er_graphon(1), 25, 0)
+        self._check(g)
+        for v in range(25):
+            assert g.neighbors(v).tolist() == [u for u in range(25) if u != v]
+
+    def test_cached(self):
+        g = sample_graph(er_graphon(F(1, 2)), 30, 1)
+        assert g.adjacency() is g.adjacency()
+
+    def test_bad_edges_rejected(self):
+        coords, blocks = np.array([0.1, 0.5, 0.9]), np.array([0, 0, 0])
+        for edges in ([[0, 0]], [[0, 3]], [[-1, 2]]):
+            with pytest.raises(ValueError):
+                SampledGraph(3, coords, blocks, np.array(edges))
