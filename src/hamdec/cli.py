@@ -20,19 +20,11 @@ from fractions import Fraction
 
 from . import io
 from ._seeds import derive
-from .construct import ConstructionError, build_balanced_matrix, build_decomposition
-from .driver import Verdict, analyze, montecarlo
-from .model import DisconnectedSkeletonError, skeleton
+from .driver import Verdict, analyze, montecarlo, plan, run_pipeline
+from .model import skeleton
 from .polytope import Membership
-from .realize import realize
-from .refine import ensure_loopless_odd_cycle, refine_once
-from .sampling import (
-    SampledGraph,
-    assign_blocks,
-    empirical_concentration,
-    sample_graph,
-    saturate_graph,
-)
+from .refine import refine_once
+from .sampling import sample_graph, saturate_graph
 
 _VERDICT_TEXT = {
     Verdict.PREDICTS_H: "H-property predicted",
@@ -101,29 +93,15 @@ def _print_decomposition(tally, decomposition) -> None:
 def _cmd_decompose(args) -> int:
     w = io.load_graphon(args.file)
     g = sample_graph(w, args.n, args.seed)
-    seed = derive(args.seed, "decompose")
-    try:
-        wn = ensure_loopless_odd_cycle(w)
-    except (ValueError, DisconnectedSkeletonError) as exc:
-        print(f"cannot decompose: {exc}", file=sys.stderr)
-        return 1
-    sn = skeleton(wn)
-    blocks = assign_blocks(wn, g.coords)
-    gn = SampledGraph(g.n, g.coords, blocks, g.edges)
+    p = plan(w)
     if args.saturated:
-        gn = saturate_graph(gn, sn)
-    x = empirical_concentration(gn, sn.node_count)
-    try:
-        tally = build_balanced_matrix(x, gn.n, sn)
-    except ConstructionError as exc:
-        print(f"tally construction failed: {exc}", file=sys.stderr)
+        # refined block pairs keep their parent's support: same edges as after re-blocking
+        g = saturate_graph(g, p.skeleton)
+    out = run_pipeline(p, g, derive(args.seed, "decompose"), args.attempts)
+    if not out.ok:
+        print(out.failure, file=sys.stderr)
         return 1
-    pattern = build_decomposition(tally, tally.row_sums(), sn)
-    outcome = realize(tally, pattern, gn, sn, seed, args.attempts)
-    if not outcome.ok:
-        print(f"realization failed: {outcome.diagnostics}", file=sys.stderr)
-        return 1
-    _print_decomposition(tally, outcome.decomposition)
+    _print_decomposition(out.tally, out.decomposition)
     return 0
 
 
@@ -191,7 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--csv", help="write per-trial rows")
     p.add_argument("--attempts", type=int, default=32)
-    p.add_argument("--jobs", type=int, default=None, help="worker processes")
+    p.add_argument("--jobs", type=int, default=1, help="worker processes")
     p.set_defaults(func=_cmd_montecarlo)
 
     p = sub.add_parser("refine", help="insert a breakpoint into a graphon file")
@@ -208,10 +186,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (io.FormatError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, DisconnectedSkeletonError) as exc:
+    except (ValueError, FileNotFoundError) as exc:  # FormatError, DisconnectedSkeletonError too
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -13,30 +13,33 @@ combines them into a verdict:
 
 `montecarlo` estimates the decomposition probability at a fixed n: per
 trial it samples a graph, runs the exact existence oracle, and separately
-attempts the full constructive pipeline (interior check, loopless-odd
-normalization, tally build, decomposition, realization).  Constructive
-successes are witnesses, so they never exceed oracle successes.  Trials
-are independent with derived seeds; reports are deterministic.
+runs the constructive pipeline (`run_pipeline`, also behind `hamdec
+decompose`) when the empirical concentration vector is interior.
+Constructive successes are witnesses, so they never exceed oracle
+successes.  Trials are independent with derived seeds; reports are
+deterministic.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import lru_cache
 
 from ._seeds import derive
 from .construct import (
     ConstructionError,
+    HamDecomposition,
     build_balanced_matrix,
     build_decomposition,
 )
 from .model import (
-    DisconnectedSkeletonError,
+    IncidenceMatrix,
     Partition,
+    SkeletonGraph,
     StepGraphon,
     concentration,
     connected_components,
@@ -46,7 +49,7 @@ from .model import (
 )
 from .polytope import Membership, MembershipCertificate, positive_certificate
 from .realize import graph_has_decomposition, realize
-from .sampling import SampledGraph, assign_blocks, empirical_concentration, sample_graph
+from .sampling import BalancedMatrix, SampledGraph, assign_blocks, empirical_concentration, sample_graph
 from .refine import ensure_loopless_odd_cycle
 
 
@@ -161,49 +164,86 @@ def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054) -
     return max(0.0, center - half), min(1.0, center + half)
 
 
-def constructive_attempt(
-    w: StepGraphon, g: SampledGraph, seed: int, attempts: int = 32
-) -> tuple[bool, bool]:
-    """Run the full constructive pipeline on a sampled graph.
+@dataclass(frozen=True)
+class Plan:
+    """What the constructive pipeline needs of a graphon: its skeleton and
+    incidence matrix, and the loopless-odd normalization with its skeleton,
+    or (both None) the reason no normalization exists."""
 
-    Returns (succeeded, empirical_vector_was_interior).  Pipeline failures
-    of any stage count as False; they are expected at small n or for
-    graphons missing the conditions, not exceptional.
-    """
+    graphon: StepGraphon
+    skeleton: SkeletonGraph
+    incidence: IncidenceMatrix
+    normalized: StepGraphon | None
+    normalized_skeleton: SkeletonGraph | None
+    reason: str | None = None
+
+
+@lru_cache(maxsize=16)
+def plan(w: StepGraphon) -> Plan:
+    """The pipeline plan of a graphon, memoized per graphon value."""
     s = skeleton(w)
     try:
-        x = empirical_concentration(g, s.node_count)
-        cert = positive_certificate(incidence(s), x)
-    except (ValueError, DisconnectedSkeletonError):
-        return False, False
-    interior = cert.status is Membership.INTERIOR
-    if not interior:
-        return False, False
-    try:
         wn = ensure_loopless_odd_cycle(w)
-        sn = skeleton(wn)
-        blocks = assign_blocks(wn, g.coords)
-        gn = SampledGraph(g.n, g.coords, blocks, g.edges)
-        xn = empirical_concentration(gn, sn.node_count)
-        tally = build_balanced_matrix(xn, g.n, sn)
-        pattern = build_decomposition(tally, tally.row_sums(), sn)
-        outcome = realize(tally, pattern, gn, sn, derive(seed, "realize"), attempts)
-        return outcome.ok, True
-    except (ValueError, ConstructionError, DisconnectedSkeletonError):
-        return False, True
+    except ValueError as exc:  # no odd cycle, or a DisconnectedSkeletonError
+        return Plan(w, s, incidence(s), None, None, str(exc))
+    return Plan(w, s, incidence(s), wn, skeleton(wn))
+
+
+@dataclass(frozen=True)
+class PipelineOutcome:
+    """The tally and its realized decomposition, or why the pipeline stopped."""
+
+    tally: BalancedMatrix | None = None
+    decomposition: HamDecomposition | None = None
+    failure: str | None = None
+
+    @property
+    def ok(self) -> bool:
+        return self.failure is None
+
+
+def run_pipeline(p: Plan, g: SampledGraph, seed: int, attempts: int = 32) -> PipelineOutcome:
+    """Re-block g, sampled from `p.graphon`, under the normalized graphon,
+    build the tally and its decomposition, and realize it with `seed`.
+    Expected failures come back in the outcome; anything else raises."""
+    if p.reason is not None:
+        return PipelineOutcome(failure=f"cannot decompose: {p.reason}")
+    sn = p.normalized_skeleton
+    if p.normalized is not p.graphon:
+        g = replace(g, blocks=assign_blocks(p.normalized, g.coords))
+    x = empirical_concentration(g, sn.node_count)
+    try:
+        tally = build_balanced_matrix(x, g.n, sn)
+    except ConstructionError as exc:
+        return PipelineOutcome(failure=f"tally construction failed: {exc}")
+    pattern = build_decomposition(tally, tally.row_sums(), sn)
+    outcome = realize(tally, pattern, g, sn, seed, attempts)
+    if not outcome.ok:
+        return PipelineOutcome(failure=f"realization failed: {outcome.diagnostics}")
+    return PipelineOutcome(tally, outcome.decomposition)
+
+
+def constructive_attempt(
+    p: Plan, g: SampledGraph, seed: int, attempts: int = 32
+) -> tuple[bool, bool]:
+    """Run the constructive pipeline on a sampled graph whose empirical
+    concentration vector is interior.
+
+    Returns (succeeded, empirical_vector_was_interior).  Expected pipeline
+    failures count as not succeeded; a broken invariant raises.
+    """
+    x = empirical_concentration(g, p.skeleton.node_count)
+    if positive_certificate(p.incidence, x).status is not Membership.INTERIOR:
+        return False, False
+    return run_pipeline(p, g, derive(seed, "realize"), attempts).ok, True
 
 
 def run_trial(w: StepGraphon, n: int, master_seed: int, trial: int, attempts: int = 32) -> TrialResult:
     seed = derive(master_seed, "trial", trial)
     g = sample_graph(w, n, seed)
     oracle = graph_has_decomposition(g)
-    constructive, interior = constructive_attempt(w, g, seed, attempts)
+    constructive, interior = constructive_attempt(plan(w), g, seed, attempts)
     return TrialResult(trial, seed, oracle, constructive, interior)
-
-
-def _trial_args(job):
-    w, n, master_seed, trial, attempts = job
-    return run_trial(w, n, master_seed, trial, attempts)
 
 
 def montecarlo(
@@ -212,22 +252,21 @@ def montecarlo(
     trials: int,
     master_seed: int,
     attempts: int = 32,
-    jobs: int | None = None,
+    jobs: int = 1,
 ) -> MonteCarloReport:
     """Estimate the decomposition probability at size n over seeded trials.
 
     Each trial derives its own seed from (master_seed, trial index), so the
-    report is reproducible and trials can run in parallel (`jobs` processes,
-    or the HAMDEC_JOBS environment override).
+    report is reproducible and trials can run in `jobs` parallel processes.
     """
     if n < 1 or trials < 1:
         raise ValueError("n and trials must be positive")
-    if jobs is None:
-        jobs = int(os.environ.get("HAMDEC_JOBS", "1"))
+    if jobs < 1:
+        raise ValueError("jobs must be positive")
     args = [(w, n, master_seed, t, attempts) for t in range(trials)]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_trial_args, args, chunksize=max(1, trials // (4 * jobs))))
+            rows = list(pool.map(run_trial, *zip(*args), chunksize=max(1, trials // (4 * jobs))))
     else:
         rows = [run_trial(*a) for a in args]
     rows.sort(key=lambda r: r.trial)

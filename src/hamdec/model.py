@@ -24,8 +24,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-Rational = Fraction
-
 
 class DisconnectedSkeletonError(ValueError):
     """Raised when an analysis step requires a connected skeleton."""
@@ -173,6 +171,11 @@ class IncidenceMatrix:
 
     def column(self, j: int) -> tuple[Fraction, ...]:
         return tuple(row[j] for row in self.entries)
+
+    def apply(self, c) -> tuple[Fraction, ...]:
+        """Z c, exactly; c has one coefficient per column."""
+        c = tuple(c)
+        return tuple(sum(z * v for z, v in zip(row, c, strict=True)) for row in self.entries)
 
 
 def edge_order(s: SkeletonGraph) -> tuple[tuple[int, int], ...]:

@@ -216,9 +216,8 @@ def positive_certificate(z: IncidenceMatrix, x) -> MembershipCertificate:
         return MembershipCertificate(Membership.EXTERIOR)
     coeffs = tuple(v[j] + t for j in range(nf))
     # internal exactness checks, cheap at these sizes
-    for i in range(q):
-        assert sum(z.entries[i][j] * coeffs[j] for j in range(nf)) == xs[i]
-    assert sum(coeffs) == 1 and min(coeffs) == t
+    if z.apply(coeffs) != xs or sum(coeffs) != 1 or min(coeffs) != t:
+        raise RuntimeError("membership certificate fails Z c = x, sum c = 1 or min c = t")
     st = Membership.INTERIOR if t > 0 else Membership.BOUNDARY
     return MembershipCertificate(st, coeffs, t)
 

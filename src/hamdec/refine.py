@@ -100,11 +100,8 @@ def push_certificate(c, rec: RefinementRecord) -> tuple[Fraction, ...]:
     coeffs = tuple(Fraction(v) for v in c)
     if len(coeffs) != len(order_old):
         raise ValueError("coefficient vector does not match the original edge set")
-    x = concentration(rec.original.partition)
-    z = incidence(s_old)
-    for i in range(s_old.node_count):
-        if sum(z.entries[i][j] * coeffs[j] for j in range(len(coeffs))) != x[i]:
-            raise ValueError("coefficients do not solve the original system")
+    if incidence(s_old).apply(coeffs) != concentration(rec.original.partition):
+        raise ValueError("coefficients do not solve the original system")
 
     b = rec.split_block
     nb = b + 1
@@ -132,11 +129,8 @@ def push_certificate(c, rec: RefinementRecord) -> tuple[Fraction, ...]:
         out[(b, nb)] += 2 * eps
 
     result = tuple(out[e] for e in order_new)
-    xp = concentration(rec.refined.partition)
-    zp = incidence(s_new)
-    for i in range(s_new.node_count):
-        if sum(zp.entries[i][j] * result[j] for j in range(len(result))) != xp[i]:
-            raise RuntimeError("pushed certificate fails the refined system")
+    if incidence(s_new).apply(result) != concentration(rec.refined.partition):
+        raise RuntimeError("pushed certificate fails the refined system")
     return result
 
 
@@ -154,12 +148,9 @@ def pull_certificate(c_refined, rec: RefinementRecord) -> tuple[Fraction, ...]:
     coeffs = {e: Fraction(v) for e, v in zip(order_new, c_refined)}
     if len(c_refined) != len(order_new):
         raise ValueError("coefficient vector does not match the refined edge set")
-    xp = concentration(rec.refined.partition)
-    zp = incidence(s_new)
     vec = tuple(coeffs[e] for e in order_new)
-    for i in range(s_new.node_count):
-        if sum(zp.entries[i][j] * vec[j] for j in range(len(vec))) != xp[i]:
-            raise ValueError("coefficients do not solve the refined system")
+    if incidence(s_new).apply(vec) != concentration(rec.refined.partition):
+        raise ValueError("coefficients do not solve the refined system")
 
     b = rec.split_block
     nb = b + 1
@@ -177,11 +168,8 @@ def pull_certificate(c_refined, rec: RefinementRecord) -> tuple[Fraction, ...]:
             out.append(coeffs[(remap(i), remap(j))])
 
     result = tuple(out)
-    x = concentration(rec.original.partition)
-    z = incidence(s_old)
-    for i in range(s_old.node_count):
-        if sum(z.entries[i][j] * result[j] for j in range(len(result))) != x[i]:
-            raise RuntimeError("pulled certificate fails the original system")
+    if incidence(s_old).apply(result) != concentration(rec.original.partition):
+        raise RuntimeError("pulled certificate fails the original system")
     return result
 
 

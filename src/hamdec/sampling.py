@@ -128,11 +128,6 @@ class BalancedMatrix:
     def row_sums(self) -> tuple[int, ...]:
         return tuple(sum(row) for row in self.counts)
 
-    def as_fractions(self) -> tuple[tuple[Fraction, ...], ...]:
-        if self.scale == 0:
-            return tuple(tuple(Fraction(0) for _ in row) for row in self.counts)
-        return tuple(tuple(Fraction(v, self.scale) for v in row) for row in self.counts)
-
     def min_positive(self) -> Fraction | None:
         vals = [v for row in self.counts for v in row if v > 0]
         return Fraction(min(vals), self.scale) if vals else None

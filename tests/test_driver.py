@@ -4,11 +4,15 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+import hamdec.driver
+import hamdec.sampling
 from hamdec import cli, io
 from hamdec.driver import (
     Verdict,
     analyze,
     montecarlo,
+    plan,
+    run_pipeline,
     run_trial,
     wilson_interval,
 )
@@ -115,6 +119,61 @@ class TestMonteCarlo:
         seq = montecarlo(ER_HALF, 20, 8, 31, jobs=1)
         par = montecarlo(ER_HALF, 20, 8, 31, jobs=2)
         assert seq == par
+
+
+def _counting(monkeypatch, module, name):
+    calls = []
+    real = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+class TestPipeline:
+    def test_graphon_planned_once_per_run(self, monkeypatch):
+        calls = _counting(monkeypatch, hamdec.driver, "ensure_loopless_odd_cycle")
+        plan.cache_clear()
+        montecarlo(ER_HALF, 20, 8, 31, jobs=1)
+        plan.cache_clear()
+        assert len(calls) == 1
+
+    def test_invariant_break_raises_from_montecarlo(self, monkeypatch):
+        def broken(*args):
+            raise ValueError("injected invariant break")
+
+        monkeypatch.setattr(hamdec.driver, "build_decomposition", broken)
+        with pytest.raises(ValueError, match="injected"):
+            montecarlo(TRI_GRAPHON, 60, 4, 5)
+
+    def test_reblocking_reuses_the_adjacency(self, monkeypatch):
+        g = sample_graph(ER_HALF, 100, 3)
+        g.adjacency()
+        p = plan(ER_HALF)
+        assert p.normalized is not p.graphon  # ER-1/2 is refined twice
+        calls = _counting(monkeypatch, hamdec.sampling, "build_csr")
+        out = run_pipeline(p, g, 5)
+        assert out.ok and calls == []
+
+    def test_expected_failures_are_outcomes(self):
+        zero = step_graphon([0, 1], [[0]])
+        out = run_pipeline(plan(zero), sample_graph(zero, 10, 1), 1)
+        assert not out.ok and out.failure.startswith("cannot decompose: ")
+        out = run_pipeline(plan(TRI_GRAPHON), sample_graph(TRI_GRAPHON, 7, 1), 1)
+        assert not out.ok and out.failure.startswith("tally construction failed: ")
+
+    def test_jobs_must_be_positive(self, tmp_path):
+        for jobs in (0, -3):
+            with pytest.raises(ValueError, match="jobs"):
+                montecarlo(ER_HALF, 20, 2, 1, jobs=jobs)
+        path = tmp_path / "w.json"
+        io.dump_graphon(ER_HALF, path)
+        args = ["montecarlo", str(path), "--n", "20", "--trials", "2", "--seed", "1"]
+        assert cli.main(args + ["--jobs", "0"]) == 2
+        assert cli.main(args + ["--jobs", "-3"]) == 2
 
 
 class TestIO:

@@ -110,6 +110,18 @@ class TestIncidence:
             for j in range(nf):
                 assert sum(z.entries[i][j] for i in range(q)) == 1
 
+    def test_apply_is_exact_product(self):
+        rng = np.random.default_rng(17)
+        for _ in range(50):
+            z = incidence(skeleton(random_graphon(rng)))
+            q, nf = z.shape
+            c = [F(int(v), 7) for v in rng.integers(-5, 6, size=nf)]
+            assert z.apply(c) == tuple(
+                sum(z.entries[i][j] * c[j] for j in range(nf)) for i in range(q)
+            )
+        with pytest.raises(ValueError):
+            incidence(TRIANGLE).apply([F(1, 3)] * 2)
+
     def test_rank_matches_odd_cycle(self):
         # connected skeletons: full rank iff an odd cycle exists
         rng = np.random.default_rng(13)
