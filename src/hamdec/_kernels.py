@@ -1,4 +1,5 @@
-"""Hot inner loops: the pair-probability scan and maximum bipartite matching.
+"""Hot inner loops: the pair-probability scan, CSR row gathers and maximum
+bipartite matching.
 
 The exact-rational machinery (LP certificates, matrix rounding, partition
 refinement) is deliberately not here: it runs on ``fractions.Fraction``.
@@ -37,12 +38,109 @@ def scan_pairs(blocks, probs, u):
     return np.concatenate(hits_i), np.concatenate(hits_j)
 
 
+def gather_rows(indptr, indices, rows):
+    """Row lengths and the concatenated CSR rows `rows`, in the given order."""
+    rows = np.asarray(rows, dtype=np.int64)
+    starts = indptr[rows]
+    lengths = indptr[rows + 1] - starts
+    offsets = np.cumsum(lengths) - lengths  # where each row lands in the output
+    pos = np.arange(lengths.sum()) + np.repeat(starts - offsets, lengths)
+    return lengths, indices[pos]
+
+
+# Mean CSR row length from which `hopcroft_karp` scans rows with numpy.
+# Measured per call (best of 3) on a 2-CPU x86-64 host, numpy 2.4, random
+# square CSRs, lists vs rows: n=17, row 8: 0.08 vs 0.22 ms; n=200, row 19:
+# 1.3 vs 1.6 ms; n=300, row 38: 5.9 vs 5.1 ms; n=1000, row 5: 11 vs 22 ms;
+# n=1000, row 95: 38 vs 17 ms; the triangle-1/2 existence oracle at n=1000
+# (row ~333): 115-138 vs 16-20 ms.  The two break even at rows of ~20 (n=1000)
+# to ~40 (n <= 300); 48 leaves the doubtful middle to the list version.
+ROW_SCAN_MIN_ROW = 48
+
+
 def hopcroft_karp(nl, nr, indptr, indices):
     """Maximum matching of the bipartite CSR graph (left rows, right columns).
 
-    Layered BFS plus shortest-path DFS; the traversal follows the CSR order,
-    so the returned (match_l, match_r) is deterministic.  Unmatched is -1.
+    Layered BFS plus shortest-path DFS (Hopcroft and Karp, SIAM J. Comput.
+    2(4), 1973); the traversal follows the CSR order, so the returned
+    (match_l, match_r) is deterministic.  Unmatched is -1.  Two versions of
+    the same traversal return the same arrays: dense inputs scan rows with
+    numpy, sparse or small ones walk the edges in Python.
     """
+    indptr = np.asarray(indptr, dtype=np.int64)
+    indices = np.asarray(indices, dtype=np.int64)
+    if indices.size >= ROW_SCAN_MIN_ROW * nl:
+        return _hk_rows(nl, nr, indptr, indices)
+    return _hk_lists(nl, nr, indptr, indices)
+
+
+def _hk_rows(nl, nr, indptr, indices):
+    """`_hk_lists` with every row scan done by numpy.
+
+    A BFS layer is one gather over the frontier's rows.  A DFS step finds
+    the first usable entry of the rest of x's row in one vectorized test;
+    `dist[nl]` is the distance of the free (nil) right end, so the test
+    `dist[match_r[v]] == dist[x] + 1` covers free and matched v alike
+    (an unmatched v reads match_r[v] = -1, the last slot of `dist`).
+    """
+    inf = nl + 2
+    match_l = np.full(nl, -1, dtype=np.int64)
+    match_r = np.full(nr, -1, dtype=np.int64)
+    dist = np.empty(nl + 1, dtype=np.int64)
+    bounds = indptr.tolist()
+    while True:
+        free = np.flatnonzero(match_l == -1)
+        dist.fill(inf)
+        dist[free] = 0
+        dnil = inf
+        frontier, d = free, 0
+        while frontier.size:
+            w = match_r[gather_rows(indptr, indices, frontier)[1]]
+            if np.any(w == -1):
+                dnil = d + 1
+            w = w[w != -1]
+            w = w[dist[w] == inf]
+            d += 1
+            dist[w] = d
+            if dnil != inf:
+                break
+            frontier = np.flatnonzero(dist[:nl] == d)
+        if dnil == inf:
+            break
+        dist[nl] = dnil
+        for s in free.tolist():
+            stack = [s]
+            ptrs = [bounds[s]]
+            vsel = [-1]
+            while stack:
+                x = stack[-1]
+                p, end = ptrs[-1], bounds[x + 1]
+                if p < end:
+                    row = indices[p:end]
+                    usable = dist[match_r[row]] == dist[x] + 1
+                    k = int(usable.argmax())
+                    if usable[k]:
+                        ptrs[-1] = p + k + 1
+                        v = int(row[k])
+                        vsel[-1] = v
+                        w = int(match_r[v])
+                        if w == -1:
+                            match_l[stack] = vsel
+                            match_r[vsel] = stack
+                            break
+                        stack.append(w)
+                        ptrs.append(bounds[w])
+                        vsel.append(-1)
+                        continue
+                dist[x] = inf
+                stack.pop()
+                ptrs.pop()
+                vsel.pop()
+    return match_l, match_r
+
+
+def _hk_lists(nl, nr, indptr, indices):
+    """Reference version: the same traversal, one edge at a time on lists."""
     indptr = np.asarray(indptr).tolist()
     indices = np.asarray(indices).tolist()
     inf = nl + 2

@@ -70,12 +70,15 @@ def max_bipartite_matching(left, right, edges) -> Matching:
     """Maximum-cardinality matching between two labeled node sets.
 
     Edges must connect a left label to a right label; labels are arbitrary
-    hashables.  The matching is deterministic for a fixed input order.
+    hashables, distinct within each side.  The matching is deterministic for
+    a fixed input order.
     """
     left = list(left)
     right = list(right)
     lidx = {v: i for i, v in enumerate(left)}
     ridx = {v: i for i, v in enumerate(right)}
+    if len(lidx) != len(left) or len(ridx) != len(right):
+        raise ValueError("left and right labels must each be distinct")
     rows = []
     cols = []
     for u, v in edges:
@@ -230,7 +233,8 @@ def realize(
         raise ValueError("pattern 2-cycle counts do not match the leftover nodes")
 
     rng = generator(derive(seed, "phase2"))
-    in_rset = np.zeros(g.n, dtype=bool)
+    indptr, indices = g.adjacency()
+    pos = np.full(g.n, -1, dtype=np.int64)  # a node's index in the current rset
     keys = sorted(groups)
     pair_cycles: list[tuple[int, int]] | None = None
     for attempt in range(attempts):
@@ -256,17 +260,23 @@ def realize(
             else:
                 halves = (slice_of(i, c), slice_of(j, c))
             lset, rset = halves
-            in_rset[rset] = True
-            edges = []
-            for u in lset:
-                row = g.neighbors(u)
-                edges.extend((u, v) for v in row[in_rset[row]].tolist())
-            in_rset[rset] = False
-            m = max_bipartite_matching(lset, rset, edges)
-            if m.size < c:
-                failed = {"pair": (i, j), "needed": c, "matched": m.size}
+            pos[rset] = np.arange(len(rset))
+            lengths, cols = _kernels.gather_rows(indptr, indices, lset)
+            local = pos[cols]
+            keep = local >= 0
+            rows = np.repeat(np.arange(len(lset)), lengths)[keep]
+            pos[rset] = -1
+            csr = build_csr(len(lset), len(rset), rows, local[keep])
+            match_l, _ = _kernels.hopcroft_karp(len(lset), len(rset), *csr)
+            # the set's iteration order is the order of the 2-cycles in the
+            # realized decomposition, which `decompose` prints
+            matched = frozenset(
+                (lset[u], rset[v]) for u, v in enumerate(match_l.tolist()) if v != -1
+            )
+            if len(matched) < c:
+                failed = {"pair": (i, j), "needed": c, "matched": len(matched)}
                 break
-            trial.extend(m.pairs)
+            trial.extend(matched)
         if failed is None:
             pair_cycles = trial
             break

@@ -4,8 +4,10 @@ The Monte Carlo CSV only records success/failure bits, so it cannot see a
 change in which cycles realization picks.  These digests cover the full
 stdout, stderr and exit code of `decompose` on two graphons, four sizes
 (odd sizes need a long cycle, so they reach the cycle embedding), two
-seeds, with and without `--saturated`.  Regenerate them (only for a
-deliberate change of the realized decomposition) with
+seeds, with and without `--saturated`; and at n = 1000, 1001 for one seed,
+where the 2-cycle groups are dense enough for the row-scanned matching.
+Regenerate them (only for a deliberate change of the realized
+decomposition) with
 
     PYTHONPATH=src python tests/test_decompose_digests.py
 """
@@ -32,6 +34,11 @@ CASES = [
     for name in GRAPHONS
     for n in (60, 61, 200, 201)
     for seed in (3, 11)
+    for saturated in (False, True)
+] + [
+    (name, n, 3, saturated)
+    for name in GRAPHONS
+    for n in (1000, 1001)
     for saturated in (False, True)
 ]
 
@@ -68,6 +75,14 @@ DIGESTS = {
     ("er-half", 201, 3, True): "d9ae6125be0babc026c00d4faf098f066e7099f82f21e9a8cbec38ae5f395994",
     ("er-half", 201, 11, False): "87fed27c12ac646b9c76f575ff0d24bfd17e1c57060431f14e094cdbfd0849da",
     ("er-half", 201, 11, True): "eba6b9a2c36939f93152b2c5a9fb2b30236cb302d53e9ed61d3acb3a7b4d32f1",
+    ("triangle-half", 1000, 3, False): "ee9c23c9f3225b4a5d4e78c6bb41093b6fea8d4da0b55f92af8e12f8a7f1ac0a",
+    ("triangle-half", 1000, 3, True): "f0966059e9cc18bbbda736399ddff3a06874ab6cf4d336825d4e4472d147686e",
+    ("triangle-half", 1001, 3, False): "be73351bc42b2e796b006b0fb770fd60687917e6bc0a1093d8cffada0aac14e3",
+    ("triangle-half", 1001, 3, True): "8893e82d8a9ff411cf6cb39640d8f8926dbcc799d8c01020bed7a3d8474c51a1",
+    ("er-half", 1000, 3, False): "d145c10e01512023caec30e56f8be76cce0472527b6eaa3a86891e4cb1ddeb20",
+    ("er-half", 1000, 3, True): "fd15dc56734ec149bc3973a540d18840bd3d639e67dcc523e57c5a3d1e6887b9",
+    ("er-half", 1001, 3, False): "f7b8ddb28bd2882e3746f8ff2dcbb58925db972ebc6ad06a9304fc1a8f4a7865",
+    ("er-half", 1001, 3, True): "d28723f72f2de1e42831b15fbd88dcef6b9269a558de53b56d49b2e85b5749f1",
 }
 
 

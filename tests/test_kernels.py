@@ -50,3 +50,87 @@ class TestMatchingProperties:
             assert size == int(np.sum(mr >= 0))
             if nl + nr <= 10:  # brute force is exponential
                 assert size == brute_max_matching(nl, nr, edges)
+
+
+def _random_csr(rng, nl, nr, mean_degree, empty_rows=0.0, hall_violation=False):
+    """A seeded random bipartite CSR.  `empty_rows` is the share of rows left
+    empty; `hall_violation` squeezes nl//2 + 1 rows into nl//2 columns."""
+    m = int(mean_degree * nl) if nr else 0
+    rows = rng.integers(0, max(nl, 1), m)
+    cols = rng.integers(0, max(nr, 1), m)
+    if empty_rows:
+        keep = rng.random(nl) >= empty_rows
+        sel = keep[rows]
+        rows, cols = rows[sel], cols[sel]
+    if hall_violation:
+        k = nl // 2
+        squeezed = rows <= k
+        cols = np.where(squeezed, cols % max(k, 1), cols)
+    return build_csr(nl, nr, rows, cols)
+
+
+class TestRowScannedMatching:
+    """`_hk_rows` must return exactly `_hk_lists`'s matching."""
+
+    @staticmethod
+    def assert_same(nl, nr, indptr, indices):
+        ml_rows, mr_rows = _kernels._hk_rows(nl, nr, indptr, indices)
+        ml_lists, mr_lists = _kernels._hk_lists(nl, nr, indptr, indices)
+        np.testing.assert_array_equal(ml_rows, ml_lists)
+        np.testing.assert_array_equal(mr_rows, mr_lists)
+        return ml_lists
+
+    def test_random_shapes(self):
+        rng = np.random.default_rng(83)
+        for _ in range(400):
+            nl = int(rng.integers(0, 80))
+            nr = int(rng.integers(0, 80))
+            degree = float(rng.uniform(0, min(nr, 40))) if nr else 0.0
+            empty = float(rng.choice([0.0, 0.3]))
+            indptr, indices = _random_csr(rng, nl, nr, degree, empty_rows=empty)
+            self.assert_same(nl, nr, indptr, indices)
+
+    def test_empty_sides(self):
+        rng = np.random.default_rng(89)
+        for nl, nr in [(0, 0), (0, 7), (7, 0), (1, 0), (0, 1)]:
+            indptr, indices = _random_csr(rng, nl, nr, 3)
+            ml, mr = _kernels._hk_rows(nl, nr, indptr, indices)
+            assert ml.shape == (nl,) and mr.shape == (nr,)
+            assert np.all(ml == -1) and np.all(mr == -1)
+            self.assert_same(nl, nr, indptr, indices)
+
+    def test_large_with_and_without_perfect_matching(self):
+        rng = np.random.default_rng(97)
+        perfect = []
+        for n, degree in [(1000, 3), (1000, 30), (1000, 300), (300, 100), (600, 10)]:
+            for hall in (False, True):
+                indptr, indices = _random_csr(rng, n, n, degree, hall_violation=hall)
+                ml = self.assert_same(n, n, indptr, indices)
+                perfect.append(bool(np.all(ml >= 0)))
+        assert any(perfect) and not all(perfect)
+
+    def test_unequal_sides_dense(self):
+        rng = np.random.default_rng(101)
+        for nl, nr, degree in [(400, 250, 120), (250, 400, 120), (700, 500, 60)]:
+            indptr, indices = _random_csr(rng, nl, nr, degree, empty_rows=0.1)
+            self.assert_same(nl, nr, indptr, indices)
+
+    def test_dispatch_by_mean_row_length(self, monkeypatch):
+        calls = {"rows": 0, "lists": 0}
+        rows_impl, lists_impl = _kernels._hk_rows, _kernels._hk_lists
+
+        def counted(name, impl):
+            def wrapper(*args):
+                calls[name] += 1
+                return impl(*args)
+            return wrapper
+
+        monkeypatch.setattr(_kernels, "_hk_rows", counted("rows", rows_impl))
+        monkeypatch.setattr(_kernels, "_hk_lists", counted("lists", lists_impl))
+        n = 2 * _kernels.ROW_SCAN_MIN_ROW
+        complete = build_csr(n, n, np.repeat(np.arange(n), n), np.tile(np.arange(n), n))
+        _kernels.hopcroft_karp(n, n, *complete)
+        assert calls == {"rows": 1, "lists": 0}
+        small = build_csr(10, 10, np.repeat(np.arange(10), 10), np.tile(np.arange(10), 10))
+        _kernels.hopcroft_karp(10, 10, *small)
+        assert calls == {"rows": 1, "lists": 1}

@@ -54,6 +54,12 @@ class TestMatching:
         with pytest.raises(ValueError):
             max_bipartite_matching([0], [1], [(1, 0)])
 
+    def test_repeated_labels_rejected(self):
+        with pytest.raises(ValueError, match="distinct"):
+            max_bipartite_matching([0, 0], [1, 2], [(0, 1), (0, 2)])
+        with pytest.raises(ValueError, match="distinct"):
+            max_bipartite_matching([0, 1], ["a", "a"], [(0, "a"), (1, "a")])
+
     def test_agrees_with_brute_force(self):
         # every bipartite graph with <= 8 nodes in small shapes
         rng = np.random.default_rng(37)

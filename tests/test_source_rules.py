@@ -2,12 +2,18 @@
 
 Internal invariants are explicit checks that raise: `python -O` strips
 `assert` statements, so one in the package would silently stop checking.
+
+The package depends on numpy only.  Importing `scipy.sparse.csgraph` adds
+~33 MB of resident memory and ~0.4 s of start-up, more than the pipeline
+benchmark's bound on peak memory allows, and the package has no compiled
+(numba) path, so it imports neither.
 """
 
 import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "hamdec"
+FORBIDDEN_IMPORTS = {"scipy", "numba"}
 
 
 def test_no_assert_statements_in_package():
@@ -18,3 +24,29 @@ def test_no_assert_statements_in_package():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def _imported_roots(node):
+    if isinstance(node, ast.Import):
+        return {alias.name.split(".")[0] for alias in node.names}
+    if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+        return {node.module.split(".")[0]}
+    return set()
+
+
+def test_no_scipy_or_numba_imports_in_package():
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+        if _imported_roots(node) & FORBIDDEN_IMPORTS
+    ]
+    assert found == []
+
+
+def test_forbidden_import_detection():
+    for src in ("import scipy", "import scipy.sparse as sp", "from numba import njit",
+                "from scipy.sparse.csgraph import maximum_bipartite_matching"):
+        assert _imported_roots(ast.parse(src).body[0]) & FORBIDDEN_IMPORTS
+    for src in ("import numpy as np", "from . import _kernels", "from .scipy_like import x"):
+        assert not _imported_roots(ast.parse(src).body[0]) & FORBIDDEN_IMPORTS
