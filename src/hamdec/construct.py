@@ -1,17 +1,20 @@
 """Constructive pipeline: from an interior vector to a decomposition.
 
-Given a connected skeleton and an interior point x with n x integral, the
-pipeline builds a balanced integer tally matrix (the block-level plan) and
-then an explicit Hamiltonian decomposition of the complete multipartite
-graph over the skeleton:
+Given a connected skeleton, an interior point x with n x integral and the
+caller's strictly positive certificate for x, the pipeline builds a
+balanced integer tally matrix (the block-level plan) and reads block
+cycles off it:
 
-  1. split x into its loop-generator and pair-generator mass,
+  1. split x into its loop-generator and pair-generator mass along the
+     certificate,
   2. round the loop part to the nearest even-integer vector over n,
-  3. re-solve the pair part against the loopless incidence columns,
+  3. re-solve the pair part against the loopless incidence columns (the
+     certificate itself when the skeleton has no loops),
   4. round the resulting fractional pair matrix to integers while
      preserving row and column sums exactly (flow-based rounding),
-  5. pair off 2-cycles, peel the residual into simple block cycles, and
-     instantiate everything with concrete nodes.
+  5. pair off 2-cycles and peel the residual into simple block cycles
+     (`block_cycles`); `realize` embeds these in a sampled graph, and
+     `build_decomposition` instantiates them with canonical nodes.
 
 All steps are exact; failures at small n (where rounding can eat a block's
 mass or zero out a support entry) surface as `ConstructionError` with the
@@ -301,14 +304,18 @@ def _property_failures(counts, n, x, loop_part, s: SkeletonGraph) -> list[str]:
     return fails
 
 
-def build_balanced_matrix(x, n: int, s: SkeletonGraph) -> BalancedMatrix:
-    """Integer tally matrix over n for an interior x with n x integral.
+def build_balanced_matrix(
+    x, n: int, s: SkeletonGraph, cert: MembershipCertificate
+) -> BalancedMatrix:
+    """Integer tally matrix over n for an interior x with n x integral,
+    given `cert`, the membership certificate of x on s.
 
     The result A satisfies: A 1 = x; n A integer with even diagonal; the
     diagonal within 1/n of the loop mass; off-diagonal asymmetry at most
-    1/n; support exactly the skeleton.  Violations (possible when n is too
-    small for the rounding slack) raise `ConstructionError` naming every
-    failed property.
+    1/n; support exactly the skeleton.  A certificate that is not interior,
+    or violations (possible when n is too small for the rounding slack),
+    raise `ConstructionError` naming every failed property; a certificate
+    whose coefficients do not solve Z c = x raises ValueError.
     """
     xs = tuple(Fraction(v) for v in x)
     q = s.node_count
@@ -322,9 +329,10 @@ def build_balanced_matrix(x, n: int, s: SkeletonGraph) -> BalancedMatrix:
     if not is_connected(s):
         raise DisconnectedSkeletonError(connected_components(s))
 
-    cert = positive_certificate(incidence(s), xs)
     if cert.status is not Membership.INTERIOR:
         raise ConstructionError("membership", [f"x is {cert.status.value}, not interior"])
+    if incidence(s).apply(cert.coefficients) != xs:
+        raise ValueError("the certificate's coefficients do not solve Z c = x")
 
     split = split_mass(xs, cert, s)
     tau0p = round_even(split.loop_part, n)
@@ -347,7 +355,8 @@ def build_balanced_matrix(x, n: int, s: SkeletonGraph) -> BalancedMatrix:
             raise ConstructionError(
                 "loopless-membership", ["pair mass left but the skeleton has no pair edges"]
             )
-        cert1 = positive_certificate(z1, target)
+        # without loops the target is x and s1 is s: that LP is already solved
+        cert1 = positive_certificate(z1, target) if s.loops else cert
         if cert1.status is Membership.EXTERIOR:
             raise ConstructionError(
                 "loopless-membership",
@@ -417,6 +426,36 @@ def peel_cycles(residual: BalancedMatrix, s: SkeletonGraph) -> list[tuple[BlockC
     return out
 
 
+def block_cycles(
+    a: BalancedMatrix, s: SkeletonGraph
+) -> tuple[dict[tuple[int, int], int], list[BlockCycle]]:
+    """The block cycles of a tally: its 2-cycle counts and its longer cycles.
+
+    The pairwise minima become 2-cycles, counted per block pair (i, j),
+    i <= j, with (i, i) the within-block pairs of a looped block; the dict
+    holds the nonzero counts in sorted key order.  The residual is peeled
+    into simple block cycles, listed in peel order and repeated by
+    multiplicity.
+    """
+    q = a.q
+    counts = a.counts
+    _check_support(counts, s, "tally")
+    pairs = {}
+    for i in s.loops:
+        if counts[i][i] % 2:
+            raise ValueError(f"diagonal tally at {i} must be even")
+        pairs[(i, i)] = counts[i][i] // 2
+    for i, j in s.edges:
+        pairs[(i, j)] = min(counts[i][j], counts[j][i])
+    resid = [
+        [0 if i == j else counts[i][j] - min(counts[i][j], counts[j][i]) for j in range(q)]
+        for i in range(q)
+    ]
+    left = sum(sum(row) for row in resid)
+    longer = [c for c, mult in peel_cycles(BalancedMatrix(left, resid), s) for _ in range(mult)]
+    return {k: pairs[k] for k in sorted(pairs) if pairs[k]}, longer
+
+
 def canonical_blocks(block_sizes) -> list[int]:
     """Block label per node when blocks occupy consecutive index ranges."""
     blocks = []
@@ -430,9 +469,8 @@ def build_decomposition(a: BalancedMatrix, block_sizes, s: SkeletonGraph) -> Ham
     skeleton, with block-pair tallies exactly equal to the input.
 
     Nodes are numbered consecutively by block (see `canonical_blocks`) and
-    consumed in ascending order.  First the pairwise minima become 2-cycles
-    (within-block pairs on looped blocks, cross pairs per edge); the
-    residual is peeled into simple block cycles and instantiated.
+    consumed in ascending order by the tally's `block_cycles`: within-block
+    2-cycles first, then cross 2-cycles, then the peeled cycles.
     """
     q = s.node_count
     n = a.scale
@@ -443,8 +481,7 @@ def build_decomposition(a: BalancedMatrix, block_sizes, s: SkeletonGraph) -> Ham
         raise ValueError("block sizes must sum to the tally scale")
     if a.row_sums() != sizes:
         raise ValueError("tally row sums must equal the block sizes")
-    counts = a.counts
-    _check_support(counts, s, "tally")
+    pairs, longer = block_cycles(a, s)
 
     offsets = [0] * q
     for b in range(1, q):
@@ -459,28 +496,10 @@ def build_decomposition(a: BalancedMatrix, block_sizes, s: SkeletonGraph) -> Ham
         return v
 
     cycles: list[tuple[int, ...]] = []
-    for i in sorted(s.loops):
-        mii = counts[i][i]
-        if mii % 2:
-            raise ValueError(f"diagonal tally at {i} must be even")
-        for _ in range(mii // 2):
-            cycles.append((take(i), take(i)))
-    for i, j in sorted(s.edges):
-        mij = min(counts[i][j], counts[j][i])
-        for _ in range(mij):
-            cycles.append((take(i), take(j)))
-
-    resid = [
-        [
-            0 if i == j else counts[i][j] - min(counts[i][j], counts[j][i])
-            for j in range(q)
-        ]
-        for i in range(q)
-    ]
-    left = sum(sum(row) for row in resid)
-    for pattern, mult in peel_cycles(BalancedMatrix(left, resid), s):
-        for _ in range(mult):
-            cycles.append(tuple(take(b) for b in pattern.nodes))
+    for (i, j), c in sorted(pairs.items(), key=lambda kv: kv[0][0] != kv[0][1]):
+        cycles.extend((take(i), take(j)) for _ in range(c))
+    for pattern in longer:
+        cycles.append(tuple(take(b) for b in pattern.nodes))
 
     if cursor != [offsets[b] + sizes[b] for b in range(q)]:
         raise RuntimeError("node accounting failed while assembling")

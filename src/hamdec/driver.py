@@ -14,8 +14,11 @@ combines them into a verdict:
 `montecarlo` estimates the decomposition probability at a fixed n: per
 trial it samples a graph, runs the exact existence oracle, and separately
 runs the constructive pipeline (`run_pipeline`, also behind `hamdec
-decompose`) when the empirical concentration vector is interior.
-Constructive successes are witnesses, so they never exceed oracle
+decompose`).  The pipeline passes each object on once: one membership LP
+on the sampled graph's empirical concentration vector gives its interior
+bit and the certificate for the tally (a refined graphon adds the LP on
+its normalized blocks); the tally gives the block cycles realized in the
+graph.  Constructive successes are witnesses, so they never exceed oracle
 successes.  Trials are independent with derived seeds; reports are
 deterministic.
 """
@@ -24,18 +27,14 @@ from __future__ import annotations
 
 import enum
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
 
 from ._seeds import derive
-from .construct import (
-    ConstructionError,
-    HamDecomposition,
-    build_balanced_matrix,
-    build_decomposition,
-)
+from .construct import ConstructionError, HamDecomposition, build_balanced_matrix
 from .model import (
     IncidenceMatrix,
     Partition,
@@ -128,6 +127,7 @@ class TrialResult:
     oracle: bool
     constructive: bool
     x_interior: bool
+    failure: str | None = None  # why the pipeline stopped; not in the CSV
 
 
 @dataclass(frozen=True)
@@ -167,14 +167,16 @@ def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054) -
 @dataclass(frozen=True)
 class Plan:
     """What the constructive pipeline needs of a graphon: its skeleton and
-    incidence matrix, and the loopless-odd normalization with its skeleton,
-    or (both None) the reason no normalization exists."""
+    incidence matrix, and the loopless-odd normalization with its skeleton
+    and incidence matrix (the graphon's own when no refinement is needed),
+    or (all three None) the reason no normalization exists."""
 
     graphon: StepGraphon
     skeleton: SkeletonGraph
     incidence: IncidenceMatrix
     normalized: StepGraphon | None
     normalized_skeleton: SkeletonGraph | None
+    normalized_incidence: IncidenceMatrix | None
     reason: str | None = None
 
 
@@ -182,17 +184,24 @@ class Plan:
 def plan(w: StepGraphon) -> Plan:
     """The pipeline plan of a graphon, memoized per graphon value."""
     s = skeleton(w)
+    z = incidence(s)
     try:
         wn = ensure_loopless_odd_cycle(w)
     except ValueError as exc:  # no odd cycle, or a DisconnectedSkeletonError
-        return Plan(w, s, incidence(s), None, None, str(exc))
-    return Plan(w, s, incidence(s), wn, skeleton(wn))
+        return Plan(w, s, z, None, None, None, str(exc))
+    if wn is w:
+        return Plan(w, s, z, w, s, z)
+    sn = skeleton(wn)
+    return Plan(w, s, z, wn, sn, incidence(sn))
 
 
 @dataclass(frozen=True)
 class PipelineOutcome:
-    """The tally and its realized decomposition, or why the pipeline stopped."""
+    """Whether the sampled graph's empirical concentration vector is interior,
+    and the tally with its realized decomposition, or why the pipeline
+    stopped."""
 
+    interior: bool
     tally: BalancedMatrix | None = None
     decomposition: HamDecomposition | None = None
     failure: str | None = None
@@ -203,47 +212,47 @@ class PipelineOutcome:
 
 
 def run_pipeline(p: Plan, g: SampledGraph, seed: int, attempts: int = 32) -> PipelineOutcome:
-    """Re-block g, sampled from `p.graphon`, under the normalized graphon,
-    build the tally and its decomposition, and realize it with `seed`.
-    Expected failures come back in the outcome; anything else raises."""
+    """Decide whether g, sampled from `p.graphon`, has an interior empirical
+    vector; re-block it under the normalized graphon, build the tally and
+    realize its block cycles with `seed`.  Expected failures come back in
+    the outcome; anything else raises."""
+    if attempts < 1:
+        raise ValueError("attempts must be positive")
+    x = empirical_concentration(g, p.skeleton.node_count)
+    cert = positive_certificate(p.incidence, x)
+    interior = cert.status is Membership.INTERIOR
     if p.reason is not None:
-        return PipelineOutcome(failure=f"cannot decompose: {p.reason}")
+        return PipelineOutcome(interior, failure=f"cannot decompose: {p.reason}")
     sn = p.normalized_skeleton
     if p.normalized is not p.graphon:
         g = replace(g, blocks=assign_blocks(p.normalized, g.coords))
-    x = empirical_concentration(g, sn.node_count)
+        x = empirical_concentration(g, sn.node_count)
+        cert = positive_certificate(p.normalized_incidence, x)
     try:
-        tally = build_balanced_matrix(x, g.n, sn)
+        tally = build_balanced_matrix(x, g.n, sn, cert)
     except ConstructionError as exc:
-        return PipelineOutcome(failure=f"tally construction failed: {exc}")
-    pattern = build_decomposition(tally, tally.row_sums(), sn)
-    outcome = realize(tally, pattern, g, sn, seed, attempts)
+        return PipelineOutcome(interior, failure=f"tally construction failed: {exc}")
+    outcome = realize(tally, g, sn, seed, attempts)
     if not outcome.ok:
-        return PipelineOutcome(failure=f"realization failed: {outcome.diagnostics}")
-    return PipelineOutcome(tally, outcome.decomposition)
+        return PipelineOutcome(interior, failure=f"realization failed: {outcome.diagnostics}")
+    return PipelineOutcome(interior, tally, outcome.decomposition)
 
 
 def constructive_attempt(
     p: Plan, g: SampledGraph, seed: int, attempts: int = 32
-) -> tuple[bool, bool]:
-    """Run the constructive pipeline on a sampled graph whose empirical
-    concentration vector is interior.
-
-    Returns (succeeded, empirical_vector_was_interior).  Expected pipeline
-    failures count as not succeeded; a broken invariant raises.
-    """
-    x = empirical_concentration(g, p.skeleton.node_count)
-    if positive_certificate(p.incidence, x).status is not Membership.INTERIOR:
-        return False, False
-    return run_pipeline(p, g, derive(seed, "realize"), attempts).ok, True
+) -> PipelineOutcome:
+    """Run the constructive pipeline for the Monte Carlo trial with seed
+    `seed`.  A refined skeleton's interior vector aggregates to an interior
+    one, so the pipeline succeeds only if the trial's vector is interior."""
+    return run_pipeline(p, g, derive(seed, "realize"), attempts)
 
 
 def run_trial(w: StepGraphon, n: int, master_seed: int, trial: int, attempts: int = 32) -> TrialResult:
     seed = derive(master_seed, "trial", trial)
     g = sample_graph(w, n, seed)
     oracle = graph_has_decomposition(g)
-    constructive, interior = constructive_attempt(plan(w), g, seed, attempts)
-    return TrialResult(trial, seed, oracle, constructive, interior)
+    out = constructive_attempt(plan(w), g, seed, attempts)
+    return TrialResult(trial, seed, oracle, out.ok, out.interior, out.failure)
 
 
 def montecarlo(
@@ -257,16 +266,22 @@ def montecarlo(
     """Estimate the decomposition probability at size n over seeded trials.
 
     Each trial derives its own seed from (master_seed, trial index), so the
-    report is reproducible and trials can run in `jobs` parallel processes.
+    report is reproducible and trials can run in parallel processes: at most
+    `jobs`, one per trial and one per CPU.
     """
     if n < 1 or trials < 1:
         raise ValueError("n and trials must be positive")
     if jobs < 1:
         raise ValueError("jobs must be positive")
+    if attempts < 1:
+        raise ValueError("attempts must be positive")
     args = [(w, n, master_seed, t, attempts) for t in range(trials)]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(run_trial, *zip(*args), chunksize=max(1, trials // (4 * jobs))))
+    workers = min(jobs, trials, os.cpu_count() or 1)
+    if workers > 1:
+        # the pool starts all its workers at once
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            chunk = max(1, trials // (4 * workers))
+            rows = list(pool.map(run_trial, *zip(*args), chunksize=chunk))
     else:
         rows = [run_trial(*a) for a in args]
     rows.sort(key=lambda r: r.trial)

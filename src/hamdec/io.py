@@ -41,22 +41,26 @@ def _rational(value, where: str) -> Fraction:
     raise FormatError(f"{where}: expected a number or 'p/q' string, got {value!r}")
 
 
-def _load_json(path, **kwargs):
+def _load_object(path, keys, **kwargs) -> dict:
+    """The JSON object in a file, checked to have every field in `keys`."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return json.load(fh, **kwargs)
+            doc = json.load(fh, **kwargs)
         except json.JSONDecodeError as exc:
             raise FormatError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    if not isinstance(doc, dict):
+        raise FormatError(f"{path}: top level must be an object")
+    for key in keys:
+        if key not in doc:
+            raise FormatError(f"{path}: missing field '{key}'")
+    return doc
 
 
 def load_graphon(path) -> StepGraphon:
     # parse_float keeps the decimal text, so 0.3 arrives as Fraction("0.3")
-    doc = _load_json(path, parse_float=Fraction)
-    if not isinstance(doc, dict):
-        raise FormatError(f"{path}: top level must be an object")
-    for key in ("sigma", "values"):
-        if key not in doc:
-            raise FormatError(f"{path}: missing field '{key}'")
+    doc = _load_object(path, ("sigma", "values"), parse_float=Fraction)
+    if not isinstance(doc["sigma"], list):
+        raise FormatError(f"{path}: 'sigma' must be a list")
     sigma = [_rational(v, f"sigma[{i}]") for i, v in enumerate(doc["sigma"])]
     values = doc["values"]
     if not isinstance(values, list) or not all(isinstance(r, list) for r in values):
@@ -82,10 +86,7 @@ def dump_graphon(w: StepGraphon, path) -> None:
 
 
 def load_graph(path) -> SampledGraph:
-    doc = _load_json(path)
-    for key in ("n", "coords", "blocks", "edges"):
-        if key not in doc:
-            raise FormatError(f"{path}: missing field '{key}'")
+    doc = _load_object(path, ("n", "coords", "blocks", "edges"))
     n = doc["n"]
     if not isinstance(n, int) or n < 1:
         raise FormatError(f"{path}: 'n' must be a positive integer")

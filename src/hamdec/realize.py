@@ -1,13 +1,13 @@
 """Realizing a block-level decomposition inside an actual sampled graph.
 
-A decomposition built against the saturated (complete multipartite) graph
-is a pattern: its long cycles prescribe block sequences, its 2-cycles
-prescribe how many nodes of each block pair off with each block neighbor.
-Realization re-instantiates the pattern using only edges that were really
-sampled: long cycles by randomized greedy path growth with a closing node
-adjacent to both endpoints, 2-cycles by maximum bipartite matchings between
-the prescribed node groups (looped blocks are split into two halves and
-matched across).  Bounded randomized retries stand in for the almost-sure
+A balanced tally is a block-level plan: its block cycles (see
+`construct.block_cycles`) prescribe block sequences for the long cycles,
+and how many nodes of each block pair off with each block neighbor in
+2-cycles.  Realization instantiates the plan using only edges that were
+really sampled: long cycles by randomized greedy path growth with a closing
+node adjacent to both endpoints, 2-cycles by maximum bipartite matchings
+between the prescribed node groups (looped blocks are split into two halves
+and matched across).  Bounded randomized retries stand in for the almost-sure
 existence arguments; exhausting them is a reported Failure, not an error.
 
 Also here: an independent existence oracle.  A Hamiltonian decomposition of
@@ -18,12 +18,13 @@ a perfect matching question between out-copies and in-copies of the nodes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
 from . import _kernels
 from ._seeds import derive, generator
-from .construct import BlockCycle, HamDecomposition, canonical_blocks
+from .construct import HamDecomposition, block_cycles
 from .model import SkeletonGraph
 from .sampling import BalancedMatrix, SampledGraph, build_csr, count_block_edges
 
@@ -168,48 +169,26 @@ def embed_cycles(patterns, g: SampledGraph, seed: int, attempts: int = 32):
     return cycles
 
 
-def _pattern_groups(h: HamDecomposition, canon) -> dict[tuple[int, int], int]:
-    """The pattern's 2-cycle counts per block pair (within-block keyed (i,i))."""
-    sizes: dict[tuple[int, int], int] = {}
-    for cycle in h.cycles:
-        if len(cycle) != 2:
-            continue
-        a, b = canon[cycle[0]], canon[cycle[1]]
-        key = (min(a, b), max(a, b))
-        sizes[key] = sizes.get(key, 0) + 1
-    return sizes
-
-
 def realize(
-    a: BalancedMatrix,
-    h_pattern: HamDecomposition,
-    g: SampledGraph,
-    s: SkeletonGraph,
-    seed: int,
-    attempts: int = 32,
+    a: BalancedMatrix, g: SampledGraph, s: SkeletonGraph, seed: int, attempts: int = 32
 ) -> RealizationOutcome:
-    """Instantiate a saturated-graph decomposition pattern inside g.
+    """Instantiate the block cycles of tally `a` inside g.
 
-    Phase 1 embeds every cycle of length >= 3.  Phase 2 partitions the
-    remaining nodes of each block into groups sized by the pattern's
+    Phase 1 embeds every block cycle of length >= 3.  Phase 2 partitions
+    the remaining nodes of each block into groups sized by the tally's
     2-cycle counts and asks for perfect matchings within sampled edges
     (looped blocks: split the group into halves and match across); the
     whole grouping is re-randomized on failure, up to `attempts` times.
     On success the result's block tallies equal the input exactly.
     """
     q = s.node_count
-    sizes = a.row_sums()
     observed = tuple(int(c) for c in np.bincount(g.blocks, minlength=q))
-    if observed != sizes:
-        raise ValueError("pattern block sizes do not match the graph")
-    canon = canonical_blocks(sizes)
-    diagnostics: dict = {}
+    if observed != a.row_sums():
+        raise ValueError("tally block sizes do not match the graph")
+    groups, patterns = block_cycles(a, s)
+    diagnostics: dict = {"long_cycle_patterns": len(patterns)}
 
     # phase 1: cycles of length >= 3
-    patterns = [
-        BlockCycle(tuple(canon[v] for v in cyc)) for cyc in h_pattern.long_cycles()
-    ]
-    diagnostics["long_cycle_patterns"] = len(patterns)
     try:
         long_cycles = embed_cycles(patterns, g, derive(seed, "phase1"), attempts)
     except CycleEmbedError as err:
@@ -217,49 +196,29 @@ def realize(
         diagnostics["failed_pattern"] = err.pattern_index
         return RealizationOutcome("failure", None, diagnostics)
 
-    used = {v for cyc in long_cycles for v in cyc}
-    remaining: list[list[int]] = [[] for _ in range(q)]
-    for v in range(g.n):
-        if v not in used:
-            remaining[int(g.blocks[v])].append(v)
-
-    groups = _pattern_groups(h_pattern, canon)
+    free = np.ones(g.n, dtype=bool)
+    free[[v for cyc in long_cycles for v in cyc]] = False
+    remaining = [np.flatnonzero(free & (g.blocks == b)) for b in range(q)]
     need = [0] * q
-    for (i, j), c in groups.items():
-        need[i] += 2 * c if i == j else c
-        if i != j:
-            need[j] += c
+    for (i, j), c in groups.items():  # a looped block's key (i, i) counts twice
+        need[i] += c
+        need[j] += c
     if need != [len(r) for r in remaining]:
-        raise ValueError("pattern 2-cycle counts do not match the leftover nodes")
+        raise ValueError("tally 2-cycle counts do not match the leftover nodes")
 
     rng = generator(derive(seed, "phase2"))
     indptr, indices = g.adjacency()
     pos = np.full(g.n, -1, dtype=np.int64)  # a node's index in the current rset
-    keys = sorted(groups)
-    pair_cycles: list[tuple[int, int]] | None = None
     for attempt in range(attempts):
-        shuffled = []
-        for b in range(q):
-            order = np.array(remaining[b], dtype=np.int64)
-            rng.shuffle(order)
-            shuffled.append([int(v) for v in order])
-        cursor = [0] * q
-
-        def slice_of(block: int, count: int) -> list[int]:
-            lo = cursor[block]
-            cursor[block] += count
-            return shuffled[block][lo:lo + count]
-
-        trial: list[tuple[int, int]] = []
-        failed = None
-        for i, j in keys:
-            c = groups[(i, j)]
+        # each block's nodes in a fresh random order, handed out front to back
+        shuffled = [iter(rng.permutation(r).tolist()) for r in remaining]
+        pair_cycles: list[tuple[int, int]] = []
+        for (i, j), c in groups.items():
             if i == j:
-                group = slice_of(i, 2 * c)
-                halves = (group[:c], group[c:])
+                group = list(islice(shuffled[i], 2 * c))
+                lset, rset = group[:c], group[c:]
             else:
-                halves = (slice_of(i, c), slice_of(j, c))
-            lset, rset = halves
+                lset, rset = list(islice(shuffled[i], c)), list(islice(shuffled[j], c))
             pos[rset] = np.arange(len(rset))
             lengths, cols = _kernels.gather_rows(indptr, indices, lset)
             local = pos[cols]
@@ -274,16 +233,13 @@ def realize(
                 (lset[u], rset[v]) for u, v in enumerate(match_l.tolist()) if v != -1
             )
             if len(matched) < c:
-                failed = {"pair": (i, j), "needed": c, "matched": len(matched)}
+                diagnostics["last_failure"] = {"pair": (i, j), "needed": c, "matched": len(matched)}
+                diagnostics["failed_attempt"] = attempt
                 break
-            trial.extend(matched)
-        if failed is None:
-            pair_cycles = trial
+            pair_cycles.extend(matched)
+        else:  # every group matched
             break
-        diagnostics["last_failure"] = failed
-        diagnostics["failed_attempt"] = attempt
-
-    if pair_cycles is None:
+    else:  # no attempt matched every group
         diagnostics["phase"] = "two-cycles"
         return RealizationOutcome("failure", None, diagnostics)
 

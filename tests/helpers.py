@@ -3,7 +3,9 @@
 Everything here deliberately avoids the library's own algorithms: ranks by
 Gaussian elimination over Fractions, odd cycles by exhaustive enumeration,
 matchings and decompositions by brute force.  These are the reference
-implementations the fast code is checked against.
+implementations the fast code is checked against.  `tally` is only a call
+shorthand: the balanced tally of an instance, with the certificate the
+pipeline would pass.
 """
 
 from fractions import Fraction
@@ -11,6 +13,7 @@ from itertools import permutations
 
 import numpy as np
 
+from hamdec.construct import build_balanced_matrix
 from hamdec.model import Partition, SkeletonGraph, StepGraphon, incidence
 from hamdec.polytope import Membership, positive_certificate
 
@@ -172,3 +175,8 @@ def random_graphon(rng, q_max=5) -> StepGraphon:
                 v = Fraction(int(rng.integers(1, 9)), 9)
                 vals[i][j] = vals[j][i] = v
     return StepGraphon(Partition(tuple(bps)), tuple(tuple(r) for r in vals))
+
+
+def tally(x, n: int, s: SkeletonGraph):
+    """`build_balanced_matrix` given x's membership certificate on s."""
+    return build_balanced_matrix(x, n, s, positive_certificate(incidence(s), x))

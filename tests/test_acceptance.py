@@ -14,7 +14,6 @@ import pytest
 
 from hamdec.construct import (
     ConstructionError,
-    build_balanced_matrix,
     build_decomposition,
     canonical_blocks,
     matrix_round,
@@ -40,6 +39,7 @@ from helpers import (
     random_connected_skeleton,
     random_graphon,
     random_interior_instance,
+    tally,
 )
 
 TRIANGLE = SkeletonGraph(3, frozenset(), frozenset({(0, 1), (0, 2), (1, 2)}))
@@ -65,13 +65,13 @@ def _report(name: str, ok: bool, detail: str):
 
 def test_criterion_01_example_reproduction():
     t0 = time.perf_counter()
-    a = build_balanced_matrix((F(3, 12), F(4, 12), F(5, 12)), 12, TRIANGLE)
+    a = tally((F(3, 12), F(4, 12), F(5, 12)), 12, TRIANGLE)
     h = build_decomposition(a, (3, 4, 5), TRIANGLE)
     twos = sum(1 for c in h.cycles if len(c) == 2)
     longs = [len(c) for c in h.long_cycles()]
     ok_even = twos == 6 and longs == []
 
-    a2 = build_balanced_matrix((F(3, 13), F(4, 13), F(6, 13)), 13, TRIANGLE)
+    a2 = tally((F(3, 13), F(4, 13), F(6, 13)), 13, TRIANGLE)
     h2 = build_decomposition(a2, (3, 4, 6), TRIANGLE)
     twos2 = sum(1 for c in h2.cycles if len(c) == 2)
     longs2 = [len(c) for c in h2.long_cycles()]
@@ -108,7 +108,7 @@ def property_suite():
             continue
         made += 1
         try:
-            a = build_balanced_matrix(x, n, s)
+            a = tally(x, n, s)
         except ConstructionError as err:
             failures.append((s, n, x, err))
             continue

@@ -7,7 +7,7 @@ from hamdec.construct import (
     BlockCycle,
     ConstructionError,
     HamDecomposition,
-    build_balanced_matrix,
+    block_cycles,
     build_decomposition,
     canonical_blocks,
     matrix_round,
@@ -19,7 +19,7 @@ from hamdec.model import SkeletonGraph, incidence
 from hamdec.polytope import positive_certificate
 from hamdec.sampling import BalancedMatrix, count_block_edges
 
-from helpers import random_connected_skeleton, random_interior_instance
+from helpers import random_connected_skeleton, random_interior_instance, tally
 
 TRIANGLE = SkeletonGraph(3, frozenset(), frozenset({(0, 1), (0, 2), (1, 2)}))
 LOOP_EDGE = SkeletonGraph(2, frozenset({0}), frozenset({(0, 1)}))
@@ -138,12 +138,12 @@ class TestMatrixRound:
 
 class TestBuildBalancedMatrix:
     def test_triangle_case1_exact(self):
-        a = build_balanced_matrix((F(3, 12), F(4, 12), F(5, 12)), 12, TRIANGLE)
+        a = tally((F(3, 12), F(4, 12), F(5, 12)), 12, TRIANGLE)
         assert a.counts == ((0, 1, 2), (1, 0, 3), (2, 3, 0))
 
     def test_triangle_case2_properties(self):
         x = (F(3, 13), F(4, 13), F(6, 13))
-        a = build_balanced_matrix(x, 13, TRIANGLE)
+        a = tally(x, 13, TRIANGLE)
         c = a.counts
         for i in range(3):
             assert sum(c[i]) == 13 * x[i]
@@ -155,23 +155,23 @@ class TestBuildBalancedMatrix:
 
     def test_single_loop(self):
         s = SkeletonGraph(1, frozenset({0}), frozenset())
-        a = build_balanced_matrix((F(1),), 4, s)
+        a = tally((F(1),), 4, s)
         assert a.counts == ((4,),)
 
     def test_non_integral_rejected(self):
         with pytest.raises(ConstructionError):
-            build_balanced_matrix((F(1, 3), F(1, 3), F(1, 3)), 10, TRIANGLE)
+            tally((F(1, 3), F(1, 3), F(1, 3)), 10, TRIANGLE)
 
     def test_exterior_rejected(self):
         with pytest.raises(ConstructionError) as err:
-            build_balanced_matrix((F(6, 10), F(3, 10), F(1, 10)), 10, TRIANGLE)
+            tally((F(6, 10), F(3, 10), F(1, 10)), 10, TRIANGLE)
         assert err.value.stage == "membership"
 
     def test_tiny_n_failure_is_structured(self):
         s = SkeletonGraph(2, frozenset({0, 1}), frozenset({(0, 1)}))
         with pytest.raises(ConstructionError) as err:
             # n = 2 cannot carry loop mass on both blocks plus the edge
-            build_balanced_matrix((F(1, 2), F(1, 2)), 2, s)
+            tally((F(1, 2), F(1, 2)), 2, s)
         assert err.value.stage in ("postconditions", "even-rounding", "loopless-membership")
 
     def test_properties_hold_on_random_instances(self):
@@ -183,7 +183,7 @@ class TestBuildBalancedMatrix:
             x = random_interior_instance(rng, s, n)
             if x is None:
                 continue
-            a = build_balanced_matrix(x, n, s)
+            a = tally(x, n, s)
             c = a.counts
             q = s.node_count
             for i in range(q):
@@ -246,25 +246,25 @@ class TestPeel:
 
 class TestBuildDecomposition:
     def test_example_sizes_345(self):
-        a = build_balanced_matrix((F(3, 12), F(4, 12), F(5, 12)), 12, TRIANGLE)
+        a = tally((F(3, 12), F(4, 12), F(5, 12)), 12, TRIANGLE)
         h = build_decomposition(a, (3, 4, 5), TRIANGLE)
         assert sum(1 for c in h.cycles if len(c) == 2) == 6
         assert not h.long_cycles()
 
     def test_example_sizes_346(self):
-        a = build_balanced_matrix((F(3, 13), F(4, 13), F(6, 13)), 13, TRIANGLE)
+        a = tally((F(3, 13), F(4, 13), F(6, 13)), 13, TRIANGLE)
         h = build_decomposition(a, (3, 4, 6), TRIANGLE)
         assert sum(1 for c in h.cycles if len(c) == 2) == 5
         assert [len(c) for c in h.long_cycles()] == [3]
 
     def test_single_loop_pairs(self):
         s = SkeletonGraph(1, frozenset({0}), frozenset())
-        a = build_balanced_matrix((F(1),), 4, s)
+        a = tally((F(1),), 4, s)
         h = build_decomposition(a, (4,), s)
         assert h.cycles == ((0, 1), (2, 3))
 
     def test_size_mismatch_rejected(self):
-        a = build_balanced_matrix((F(3, 12), F(4, 12), F(5, 12)), 12, TRIANGLE)
+        a = tally((F(3, 12), F(4, 12), F(5, 12)), 12, TRIANGLE)
         with pytest.raises(ValueError):
             build_decomposition(a, (4, 3, 5), TRIANGLE)
 
@@ -278,7 +278,7 @@ class TestBuildDecomposition:
             if x is None:
                 continue
             try:
-                a = build_balanced_matrix(x, n, s)
+                a = tally(x, n, s)
             except ConstructionError:
                 continue
             sizes = a.row_sums()
@@ -312,6 +312,39 @@ class TestBuildDecomposition:
                 assert cross >= min(a.counts[i][j], a.counts[j][i])
             built += 1
         assert built >= 120
+
+
+class TestBlockCycles:
+    def test_equal_to_the_canonical_decomposition_decoded_random(self):
+        # reference: 2-cycle counts and long block cycles read back off the
+        # canonical-node decomposition, as realization once decoded them
+        rng = np.random.default_rng(307)
+        checked = with_long = 0
+        for _ in range(150):
+            s = random_connected_skeleton(rng, q_max=6, want_loopless_odd=True)
+            n = int(rng.integers(20, 600))
+            x = random_interior_instance(rng, s, n)
+            if x is None:
+                continue
+            try:
+                a = tally(x, n, s)
+            except ConstructionError:
+                continue
+            sizes = a.row_sums()
+            h = build_decomposition(a, sizes, s)
+            blocks = canonical_blocks(sizes)
+            pairs = {}
+            for c in h.cycles:
+                if len(c) == 2:
+                    key = (min(blocks[c[0]], blocks[c[1]]), max(blocks[c[0]], blocks[c[1]]))
+                    pairs[key] = pairs.get(key, 0) + 1
+            longer = [BlockCycle(tuple(blocks[v] for v in c)) for c in h.long_cycles()]
+            got_pairs, got_longer = block_cycles(a, s)
+            assert list(got_pairs.items()) == sorted(pairs.items())
+            assert got_longer == longer
+            checked += 1
+            with_long += bool(longer)
+        assert checked >= 100 and with_long >= 20
 
 
 class TestHamDecomposition:

@@ -5,7 +5,10 @@ change in which cycles realization picks.  These digests cover the full
 stdout, stderr and exit code of `decompose` on two graphons, four sizes
 (odd sizes need a long cycle, so they reach the cycle embedding), two
 seeds, with and without `--saturated`; and at n = 1000, 1001 for one seed,
-where the 2-cycle groups are dense enough for the row-scanned matching.
+where the 2-cycle groups are dense enough for the row-scanned matching;
+and at n = 2..7 for three seeds, where every stage fails somewhere: the
+membership check (boundary and exterior, with and without refinement), the
+tally's postconditions, the loopless membership and both realization phases.
 Regenerate them (only for a deliberate change of the realized
 decomposition) with
 
@@ -39,6 +42,12 @@ CASES = [
     (name, n, 3, saturated)
     for name in GRAPHONS
     for n in (1000, 1001)
+    for saturated in (False, True)
+] + [
+    (name, n, seed, saturated)
+    for name in GRAPHONS
+    for n in range(2, 8)
+    for seed in (1, 2, 3)
     for saturated in (False, True)
 ]
 
@@ -83,6 +92,78 @@ DIGESTS = {
     ("er-half", 1000, 3, True): "fd15dc56734ec149bc3973a540d18840bd3d639e67dcc523e57c5a3d1e6887b9",
     ("er-half", 1001, 3, False): "f7b8ddb28bd2882e3746f8ff2dcbb58925db972ebc6ad06a9304fc1a8f4a7865",
     ("er-half", 1001, 3, True): "d28723f72f2de1e42831b15fbd88dcef6b9269a558de53b56d49b2e85b5749f1",
+    ("triangle-half", 2, 1, False): "7e28e4b4866e87b7542dffeff97b69bcaccce1e973b4abfbd3845e8074aa9486",
+    ("triangle-half", 2, 1, True): "7e28e4b4866e87b7542dffeff97b69bcaccce1e973b4abfbd3845e8074aa9486",
+    ("triangle-half", 2, 2, False): "12e363cb191b5b6f1de7f494ed13be6a511c85b097c06fafea8c8637113a13d8",
+    ("triangle-half", 2, 2, True): "12e363cb191b5b6f1de7f494ed13be6a511c85b097c06fafea8c8637113a13d8",
+    ("triangle-half", 2, 3, False): "12e363cb191b5b6f1de7f494ed13be6a511c85b097c06fafea8c8637113a13d8",
+    ("triangle-half", 2, 3, True): "12e363cb191b5b6f1de7f494ed13be6a511c85b097c06fafea8c8637113a13d8",
+    ("triangle-half", 3, 1, False): "7e28e4b4866e87b7542dffeff97b69bcaccce1e973b4abfbd3845e8074aa9486",
+    ("triangle-half", 3, 1, True): "7e28e4b4866e87b7542dffeff97b69bcaccce1e973b4abfbd3845e8074aa9486",
+    ("triangle-half", 3, 2, False): "7e28e4b4866e87b7542dffeff97b69bcaccce1e973b4abfbd3845e8074aa9486",
+    ("triangle-half", 3, 2, True): "7e28e4b4866e87b7542dffeff97b69bcaccce1e973b4abfbd3845e8074aa9486",
+    ("triangle-half", 3, 3, False): "7e28e4b4866e87b7542dffeff97b69bcaccce1e973b4abfbd3845e8074aa9486",
+    ("triangle-half", 3, 3, True): "7e28e4b4866e87b7542dffeff97b69bcaccce1e973b4abfbd3845e8074aa9486",
+    ("triangle-half", 4, 1, False): "12e363cb191b5b6f1de7f494ed13be6a511c85b097c06fafea8c8637113a13d8",
+    ("triangle-half", 4, 1, True): "12e363cb191b5b6f1de7f494ed13be6a511c85b097c06fafea8c8637113a13d8",
+    ("triangle-half", 4, 2, False): "12e363cb191b5b6f1de7f494ed13be6a511c85b097c06fafea8c8637113a13d8",
+    ("triangle-half", 4, 2, True): "12e363cb191b5b6f1de7f494ed13be6a511c85b097c06fafea8c8637113a13d8",
+    ("triangle-half", 4, 3, False): "12e363cb191b5b6f1de7f494ed13be6a511c85b097c06fafea8c8637113a13d8",
+    ("triangle-half", 4, 3, True): "12e363cb191b5b6f1de7f494ed13be6a511c85b097c06fafea8c8637113a13d8",
+    ("triangle-half", 5, 1, False): "7e28e4b4866e87b7542dffeff97b69bcaccce1e973b4abfbd3845e8074aa9486",
+    ("triangle-half", 5, 1, True): "7e28e4b4866e87b7542dffeff97b69bcaccce1e973b4abfbd3845e8074aa9486",
+    ("triangle-half", 5, 2, False): "dbb755362e231698e1f1f14c11153232a561e46dcd94b768bda653ef8896191e",
+    ("triangle-half", 5, 2, True): "120c5c11e558ed12fa3355e8612ae90d088def676748a3094fdfd9891495934b",
+    ("triangle-half", 5, 3, False): "8a8374dce3ca009763c41c1b6538cb731f4c1112dbe73467dd8f68844bad3f09",
+    ("triangle-half", 5, 3, True): "ef393daecd0badc0f72c7936e0bc99e39b1cc739cddc03d3ffd043b75168ecac",
+    ("triangle-half", 6, 1, False): "12e363cb191b5b6f1de7f494ed13be6a511c85b097c06fafea8c8637113a13d8",
+    ("triangle-half", 6, 1, True): "12e363cb191b5b6f1de7f494ed13be6a511c85b097c06fafea8c8637113a13d8",
+    ("triangle-half", 6, 2, False): "12e363cb191b5b6f1de7f494ed13be6a511c85b097c06fafea8c8637113a13d8",
+    ("triangle-half", 6, 2, True): "12e363cb191b5b6f1de7f494ed13be6a511c85b097c06fafea8c8637113a13d8",
+    ("triangle-half", 6, 3, False): "a0f93c7eabd97f91d382e90a34424e7593f99a79d0a27cf3aab1ea29ab1bd9d8",
+    ("triangle-half", 6, 3, True): "efbcafa6431577b075a31cd5007b2a7f0681f45e1243a2feebd5d9a6f2877a93",
+    ("triangle-half", 7, 1, False): "7e28e4b4866e87b7542dffeff97b69bcaccce1e973b4abfbd3845e8074aa9486",
+    ("triangle-half", 7, 1, True): "7e28e4b4866e87b7542dffeff97b69bcaccce1e973b4abfbd3845e8074aa9486",
+    ("triangle-half", 7, 2, False): "dbb755362e231698e1f1f14c11153232a561e46dcd94b768bda653ef8896191e",
+    ("triangle-half", 7, 2, True): "4bbde0e74a31f666ca444bf71c1ecad3c5a04b7757420c9aeb8c71562f1c2067",
+    ("triangle-half", 7, 3, False): "74618aa84852c87991fe83f7b30f91c3da8caa646d2e3321046d656bd23a870e",
+    ("triangle-half", 7, 3, True): "8d28b60891f2d397342a85522a2ad984d5e7c693a44f9f787de49b0ebcdd47e8",
+    ("er-half", 2, 1, False): "12e363cb191b5b6f1de7f494ed13be6a511c85b097c06fafea8c8637113a13d8",
+    ("er-half", 2, 1, True): "12e363cb191b5b6f1de7f494ed13be6a511c85b097c06fafea8c8637113a13d8",
+    ("er-half", 2, 2, False): "12e363cb191b5b6f1de7f494ed13be6a511c85b097c06fafea8c8637113a13d8",
+    ("er-half", 2, 2, True): "12e363cb191b5b6f1de7f494ed13be6a511c85b097c06fafea8c8637113a13d8",
+    ("er-half", 2, 3, False): "12e363cb191b5b6f1de7f494ed13be6a511c85b097c06fafea8c8637113a13d8",
+    ("er-half", 2, 3, True): "12e363cb191b5b6f1de7f494ed13be6a511c85b097c06fafea8c8637113a13d8",
+    ("er-half", 3, 1, False): "12e363cb191b5b6f1de7f494ed13be6a511c85b097c06fafea8c8637113a13d8",
+    ("er-half", 3, 1, True): "12e363cb191b5b6f1de7f494ed13be6a511c85b097c06fafea8c8637113a13d8",
+    ("er-half", 3, 2, False): "56ab82ed3248cbb679fc0d352a90aea8a4fed49b52e32733d856d1010b836977",
+    ("er-half", 3, 2, True): "56ab82ed3248cbb679fc0d352a90aea8a4fed49b52e32733d856d1010b836977",
+    ("er-half", 3, 3, False): "56ab82ed3248cbb679fc0d352a90aea8a4fed49b52e32733d856d1010b836977",
+    ("er-half", 3, 3, True): "56ab82ed3248cbb679fc0d352a90aea8a4fed49b52e32733d856d1010b836977",
+    ("er-half", 4, 1, False): "12e363cb191b5b6f1de7f494ed13be6a511c85b097c06fafea8c8637113a13d8",
+    ("er-half", 4, 1, True): "12e363cb191b5b6f1de7f494ed13be6a511c85b097c06fafea8c8637113a13d8",
+    ("er-half", 4, 2, False): "d5580e96c99f8178d9482a06ddcf7cca50121e13a69f0f2e587b77d2c2e74f0c",
+    ("er-half", 4, 2, True): "d5580e96c99f8178d9482a06ddcf7cca50121e13a69f0f2e587b77d2c2e74f0c",
+    ("er-half", 4, 3, False): "d5580e96c99f8178d9482a06ddcf7cca50121e13a69f0f2e587b77d2c2e74f0c",
+    ("er-half", 4, 3, True): "d5580e96c99f8178d9482a06ddcf7cca50121e13a69f0f2e587b77d2c2e74f0c",
+    ("er-half", 5, 1, False): "12e363cb191b5b6f1de7f494ed13be6a511c85b097c06fafea8c8637113a13d8",
+    ("er-half", 5, 1, True): "12e363cb191b5b6f1de7f494ed13be6a511c85b097c06fafea8c8637113a13d8",
+    ("er-half", 5, 2, False): "e71e211257595d1a35fa30675abe4f74d00fb44b3872c6f666e8e241853aa736",
+    ("er-half", 5, 2, True): "e71e211257595d1a35fa30675abe4f74d00fb44b3872c6f666e8e241853aa736",
+    ("er-half", 5, 3, False): "d7cdc5ccee74099af027bc6e16b4955b45a6c1d881c36a6686da51a86c71f885",
+    ("er-half", 5, 3, True): "d7cdc5ccee74099af027bc6e16b4955b45a6c1d881c36a6686da51a86c71f885",
+    ("er-half", 6, 1, False): "7c4ef18989344a422c56f322aa14bfd3b5228e203dafae035277cc9f1413897a",
+    ("er-half", 6, 1, True): "7c4ef18989344a422c56f322aa14bfd3b5228e203dafae035277cc9f1413897a",
+    ("er-half", 6, 2, False): "7c4ef18989344a422c56f322aa14bfd3b5228e203dafae035277cc9f1413897a",
+    ("er-half", 6, 2, True): "7c4ef18989344a422c56f322aa14bfd3b5228e203dafae035277cc9f1413897a",
+    ("er-half", 6, 3, False): "59df51378bcc8b7fc7cdc4b2a274df2743a216f76566d4d9ea73c458641bbb48",
+    ("er-half", 6, 3, True): "59df51378bcc8b7fc7cdc4b2a274df2743a216f76566d4d9ea73c458641bbb48",
+    ("er-half", 7, 1, False): "75daf5ac33cca3457844cbdd4ecc9e7f37b8714268458f1c62d89e7ec33f41ea",
+    ("er-half", 7, 1, True): "75daf5ac33cca3457844cbdd4ecc9e7f37b8714268458f1c62d89e7ec33f41ea",
+    ("er-half", 7, 2, False): "d7cdc5ccee74099af027bc6e16b4955b45a6c1d881c36a6686da51a86c71f885",
+    ("er-half", 7, 2, True): "d7cdc5ccee74099af027bc6e16b4955b45a6c1d881c36a6686da51a86c71f885",
+    ("er-half", 7, 3, False): "d7cdc5ccee74099af027bc6e16b4955b45a6c1d881c36a6686da51a86c71f885",
+    ("er-half", 7, 3, True): "d7cdc5ccee74099af027bc6e16b4955b45a6c1d881c36a6686da51a86c71f885",
 }
 
 

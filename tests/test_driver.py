@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+import hamdec.construct
 import hamdec.driver
 import hamdec.sampling
 from hamdec import cli, io
@@ -120,6 +121,38 @@ class TestMonteCarlo:
         par = montecarlo(ER_HALF, 20, 8, 31, jobs=2)
         assert seq == par
 
+    def test_failure_reason_is_kept(self):
+        rows = montecarlo(ER_HALF, 20, 3, 3).rows
+        assert rows[0].failure.startswith("realization failed: ")
+        assert rows[1].constructive and rows[1].failure is None
+        assert rows[2].failure.startswith("tally construction failed: ")
+        assert not rows[0].constructive and not rows[2].constructive
+
+    def test_pool_is_bounded_by_trials_and_cpus(self, monkeypatch):
+        started = []
+
+        class FakePool:  # runs in this process, records the pool size
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables, chunksize=1):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(hamdec.driver, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(hamdec.driver.os, "cpu_count", lambda: 4)
+        serial = montecarlo(ER_HALF, 12, 3, 1)
+        assert montecarlo(ER_HALF, 12, 3, 1, jobs=5000) == serial
+        montecarlo(ER_HALF, 12, 10, 1, jobs=5000)
+        monkeypatch.setattr(hamdec.driver.os, "cpu_count", lambda: None)
+        montecarlo(ER_HALF, 12, 10, 1, jobs=8)
+        assert started == [3, 4]
+
 
 def _counting(monkeypatch, module, name):
     calls = []
@@ -145,9 +178,17 @@ class TestPipeline:
         def broken(*args):
             raise ValueError("injected invariant break")
 
-        monkeypatch.setattr(hamdec.driver, "build_decomposition", broken)
+        monkeypatch.setattr(hamdec.driver, "realize", broken)
         with pytest.raises(ValueError, match="injected"):
             montecarlo(TRI_GRAPHON, 60, 4, 5)
+
+    def test_one_lp_per_trial_without_refinement(self, monkeypatch):
+        lps = _counting(monkeypatch, hamdec.driver, "positive_certificate")
+        lps_tally = _counting(monkeypatch, hamdec.construct, "positive_certificate")
+        decompositions = _counting(monkeypatch, hamdec.construct, "build_decomposition")
+        r = montecarlo(TRI_GRAPHON, 60, 4, 5)
+        assert r.successes_constructive > 0
+        assert len(lps) + len(lps_tally) == 4 and decompositions == []
 
     def test_reblocking_reuses_the_adjacency(self, monkeypatch):
         g = sample_graph(ER_HALF, 100, 3)
@@ -174,6 +215,20 @@ class TestPipeline:
         args = ["montecarlo", str(path), "--n", "20", "--trials", "2", "--seed", "1"]
         assert cli.main(args + ["--jobs", "0"]) == 2
         assert cli.main(args + ["--jobs", "-3"]) == 2
+
+    def test_attempts_must_be_positive(self, tmp_path):
+        g = sample_graph(ER_HALF, 20, 1)
+        for attempts in (0, -3):
+            with pytest.raises(ValueError, match="attempts"):
+                montecarlo(ER_HALF, 20, 2, 1, attempts=attempts)
+            with pytest.raises(ValueError, match="attempts"):
+                run_pipeline(plan(ER_HALF), g, 1, attempts)
+        path = tmp_path / "w.json"
+        io.dump_graphon(ER_HALF, path)
+        args = ["montecarlo", str(path), "--n", "20", "--trials", "2", "--seed", "1"]
+        assert cli.main(args + ["--attempts", "0"]) == 2
+        args = ["decompose", str(path), "--n", "20", "--seed", "1"]
+        assert cli.main(args + ["--attempts", "-3"]) == 2
 
 
 class TestIO:
@@ -210,6 +265,19 @@ class TestIO:
         with pytest.raises(io.FormatError) as err:
             io.load_graphon(path)
         assert "sigma[1]" in str(err.value)
+
+    def test_non_list_sigma_is_a_format_error(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text('{"sigma": 5, "values": [[0.5]]}')
+        with pytest.raises(io.FormatError, match="sigma"):
+            io.load_graphon(path)
+        assert cli.main(["analyze", str(path)]) == 2
+
+    def test_graph_top_level_must_be_an_object(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text("5")
+        with pytest.raises(io.FormatError, match="top level"):
+            io.load_graph(path)
 
     def test_graph_round_trip(self, tmp_path):
         g = sample_graph(ER_HALF, 25, 3)

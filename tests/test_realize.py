@@ -4,11 +4,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from hamdec.construct import (
-    BlockCycle,
-    build_balanced_matrix,
-    build_decomposition,
-)
+from hamdec.construct import BlockCycle
 from hamdec.model import SkeletonGraph, skeleton, step_graphon
 from hamdec.realize import (
     CycleEmbedError,
@@ -26,7 +22,7 @@ from hamdec.sampling import (
     saturate_graph,
 )
 
-from helpers import brute_decomposition_exists, brute_max_matching
+from helpers import brute_decomposition_exists, brute_max_matching, tally
 
 TRIANGLE = SkeletonGraph(3, frozenset(), frozenset({(0, 1), (0, 2), (1, 2)}))
 
@@ -173,25 +169,23 @@ def _pipeline(w, n, seed, saturated=False, attempts=32):
     if saturated:
         g = saturate_graph(g, s)
     x = empirical_concentration(g, s.node_count)
-    a = build_balanced_matrix(x, n, s)
-    h = build_decomposition(a, a.row_sums(), s)
-    return a, h, g, s
+    return tally(x, n, s), g, s
 
 
 class TestRealize:
     def test_saturated_graph_success(self):
         w = step_graphon([0, F(1, 3), F(2, 3), 1], [[F(1, 2)] * 3] * 3)
-        a, h, g, s = _pipeline(w, 60, 4, saturated=True)
-        out = realize(a, h, g, s, seed=5)
+        a, g, s = _pipeline(w, 60, 4, saturated=True)
+        out = realize(a, g, s, seed=5)
         assert out.ok
         rho = count_block_edges(out.decomposition, g.blocks, 3, s)
         assert rho.counts == a.counts
 
     def test_empty_graph_failure(self):
         w = step_graphon([0, F(1, 3), F(2, 3), 1], [[F(1, 2)] * 3] * 3)
-        a, h, g, s = _pipeline(w, 60, 4, saturated=True)
+        a, g, s = _pipeline(w, 60, 4, saturated=True)
         empty = SampledGraph(g.n, g.coords, g.blocks, np.empty((0, 2)))
-        out = realize(a, h, empty, s, seed=5, attempts=2)
+        out = realize(a, empty, s, seed=5, attempts=2)
         assert not out.ok
         assert out.diagnostics["phase"] in ("long-cycles", "two-cycles")
 
@@ -201,9 +195,8 @@ class TestRealize:
             g = sample_graph(w, 120, seed)
             s = skeleton(w)
             x = empirical_concentration(g, 2)
-            a = build_balanced_matrix(x, g.n, s)
-            h = build_decomposition(a, a.row_sums(), s)
-            out = realize(a, h, g, s, seed=seed + 99)
+            a = tally(x, g.n, s)
+            out = realize(a, g, s, seed=seed + 99)
             assert out.ok
             pairs = g.pair_set()
             for c in out.decomposition.cycles:
@@ -221,8 +214,7 @@ class TestRealize:
         for seed in range(100):
             g = sample_graph(w, 200, seed)
             x = empirical_concentration(g, 2)
-            a = build_balanced_matrix(x, g.n, s)
-            h = build_decomposition(a, a.row_sums(), s)
-            out = realize(a, h, g, s, seed=seed)
+            a = tally(x, g.n, s)
+            out = realize(a, g, s, seed=seed)
             wins += out.ok
         assert wins >= 95
