@@ -36,7 +36,6 @@ from .model import (
 from .polytope import (
     Membership,
     MembershipCertificate,
-    condition_b,
     extremal_generators,
     positive_certificate,
 )
@@ -63,7 +62,6 @@ from .sampling import (
     count_block_edges,
     empirical_concentration,
     sample_graph,
-    saturate_graph,
 )
 
 __version__ = "0.1.0"

@@ -21,10 +21,10 @@ from fractions import Fraction
 from . import io
 from ._seeds import derive
 from .driver import Verdict, analyze, montecarlo, plan, run_pipeline
-from .model import skeleton
+from .model import saturate, skeleton
 from .polytope import Membership
 from .refine import refine_once
-from .sampling import sample_graph, saturate_graph
+from .sampling import sample_graph
 
 _VERDICT_TEXT = {
     Verdict.PREDICTS_H: "H-property predicted",
@@ -92,12 +92,9 @@ def _print_decomposition(tally, decomposition) -> None:
 
 def _cmd_decompose(args) -> int:
     w = io.load_graphon(args.file)
-    g = sample_graph(w, args.n, args.seed)
-    p = plan(w)
-    if args.saturated:
-        # refined block pairs keep their parent's support: same edges as after re-blocking
-        g = saturate_graph(g, p.skeleton)
-    out = run_pipeline(p, g, derive(args.seed, "decompose"), args.attempts)
+    # saturate(w): w's blocks and coordinates, every supported pair an edge
+    g = sample_graph(saturate(w) if args.saturated else w, args.n, args.seed)
+    out = run_pipeline(plan(w), g, derive(args.seed, "decompose"), args.attempts)
     if not out.ok:
         print(out.failure, file=sys.stderr)
         return 1

@@ -81,38 +81,31 @@ class BlockCycle:
 
 @dataclass(frozen=True)
 class HamDecomposition:
-    """A permutation of the nodes split into directed cycles of length >= 2."""
+    """A permutation of range(n) split into directed cycles of length >= 2."""
 
-    successor: tuple[int, ...]
+    n: int
     cycles: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        n = len(self.successor)
-        seen = [False] * n
+        object.__setattr__(self, "cycles", tuple(tuple(int(v) for v in c) for c in self.cycles))
+        seen = [False] * self.n
         for cycle in self.cycles:
             if len(cycle) < 2:
                 raise ValueError("cycles must have length at least 2")
-            for t, v in enumerate(cycle):
-                if not 0 <= v < n or seen[v]:
+            for v in cycle:
+                if not 0 <= v < self.n or seen[v]:
                     raise ValueError("cycles must partition the node set")
                 seen[v] = True
-                if self.successor[v] != cycle[(t + 1) % len(cycle)]:
-                    raise ValueError("successor mapping inconsistent with cycles")
         if not all(seen):
             raise ValueError("cycles must cover every node")
 
     @property
-    def n(self) -> int:
-        return len(self.successor)
-
-    @classmethod
-    def from_cycles(cls, cycles, n: int) -> "HamDecomposition":
-        succ = [-1] * n
-        cyc = tuple(tuple(int(v) for v in c) for c in cycles)
-        for cycle in cyc:
+    def successor(self) -> tuple[int, ...]:
+        succ = [-1] * self.n
+        for cycle in self.cycles:
             for t, v in enumerate(cycle):
                 succ[v] = cycle[(t + 1) % len(cycle)]
-        return cls(tuple(succ), cyc)
+        return tuple(succ)
 
     def long_cycles(self) -> tuple[tuple[int, ...], ...]:
         return tuple(c for c in self.cycles if len(c) >= 3)
@@ -503,4 +496,4 @@ def build_decomposition(a: BalancedMatrix, block_sizes, s: SkeletonGraph) -> Ham
 
     if cursor != [offsets[b] + sizes[b] for b in range(q)]:
         raise RuntimeError("node accounting failed while assembling")
-    return HamDecomposition.from_cycles(cycles, n)
+    return HamDecomposition(n, cycles)

@@ -1,7 +1,9 @@
 """Analysis reports and the Monte Carlo engine.
 
-`analyze` decides the two geometric conditions for a step-graphon and
-combines them into a verdict:
+`analyze` decides the two geometric conditions for a step-graphon.  Its
+`AnalysisReport` keeps condition A and condition B's membership
+certificate (or one sub-report per skeleton component); the verdict, like
+the membership status, is read off them:
 
   * both hold (connected skeleton, odd cycle, interior concentration
     vector): sampled graphs admit Hamiltonian decompositions with
@@ -9,7 +11,8 @@ combines them into a verdict:
   * the odd-cycle condition fails or the vector is exterior: the property
     provably fails;
   * boundary membership with an odd cycle: inconclusive, the limit need
-    not be 0 or 1.
+    not be 0 or 1;
+  * a disconnected skeleton: inconclusive, whatever its components say.
 
 `montecarlo` estimates the decomposition probability at a fixed n: per
 trial it samples a graph, runs the exact existence oracle, and separately
@@ -20,7 +23,8 @@ bit and the certificate for the tally (a refined graphon adds the LP on
 its normalized blocks); the tally gives the block cycles realized in the
 graph.  Constructive successes are witnesses, so they never exceed oracle
 successes.  Trials are independent with derived seeds; reports are
-deterministic.
+deterministic.  A `MonteCarloReport` holds the rows in trial order, and
+its counts, estimate and Wilson interval are computed from them.
 """
 
 from __future__ import annotations
@@ -60,12 +64,33 @@ class Verdict(str, enum.Enum):
 
 @dataclass(frozen=True)
 class AnalysisReport:
-    connected: bool
+    """Condition A, and condition B's certificate or per-component reports."""
+
     condition_a: bool
-    condition_b_status: Membership | None
-    verdict: Verdict
     certificate: MembershipCertificate | None
     components: tuple["AnalysisReport", ...] = ()
+
+    def __post_init__(self):
+        if (self.certificate is None) == self.connected:
+            raise ValueError("a report has a certificate exactly when it has no components")
+
+    @property
+    def connected(self) -> bool:
+        return not self.components
+
+    @property
+    def condition_b_status(self) -> Membership | None:
+        return self.certificate.status if self.connected else None
+
+    @property
+    def verdict(self) -> Verdict:
+        """The rule in the module docstring."""
+        status = self.condition_b_status
+        if status is None or (self.condition_a and status is Membership.BOUNDARY):
+            return Verdict.INCONCLUSIVE
+        if self.condition_a and status is Membership.INTERIOR:
+            return Verdict.PREDICTS_H
+        return Verdict.PREDICTS_NOT_H
 
     def to_dict(self) -> dict:
         out = {
@@ -109,15 +134,8 @@ def analyze(w: StepGraphon) -> AnalysisReport:
     cond_a = has_odd_cycle(s)
     if len(comps) > 1:
         subs = tuple(analyze(_component_graphon(w, c)) for c in comps)
-        return AnalysisReport(False, cond_a, None, Verdict.INCONCLUSIVE, None, subs)
-    cert = positive_certificate(incidence(s), concentration(w.partition))
-    if not cond_a or cert.status is Membership.EXTERIOR:
-        verdict = Verdict.PREDICTS_NOT_H
-    elif cert.status is Membership.INTERIOR:
-        verdict = Verdict.PREDICTS_H
-    else:
-        verdict = Verdict.INCONCLUSIVE
-    return AnalysisReport(True, cond_a, cert.status, verdict, cert)
+        return AnalysisReport(cond_a, None, subs)
+    return AnalysisReport(cond_a, positive_certificate(incidence(s), concentration(w.partition)))
 
 
 @dataclass(frozen=True)
@@ -125,22 +143,45 @@ class TrialResult:
     trial: int
     seed: int
     oracle: bool
-    constructive: bool
     x_interior: bool
     failure: str | None = None  # why the pipeline stopped; not in the CSV
+
+    @property
+    def constructive(self) -> bool:
+        return self.failure is None
 
 
 @dataclass(frozen=True)
 class MonteCarloReport:
+    """The rows of a Monte Carlo run in trial order; the rest is counted."""
+
     n: int
-    trials: int
-    successes_oracle: int
-    successes_constructive: int
-    estimate: float
-    ci_low: float
-    ci_high: float
     master_seed: int
-    rows: tuple[TrialResult, ...] = field(repr=False, default=())
+    rows: tuple[TrialResult, ...] = field(repr=False)
+
+    @property
+    def trials(self) -> int:
+        return len(self.rows)
+
+    @property
+    def successes_oracle(self) -> int:
+        return sum(r.oracle for r in self.rows)
+
+    @property
+    def successes_constructive(self) -> int:
+        return sum(r.constructive for r in self.rows)
+
+    @property
+    def estimate(self) -> float:
+        return self.successes_oracle / self.trials if self.rows else 0.0
+
+    @property
+    def ci_low(self) -> float:
+        return wilson_interval(self.successes_oracle, self.trials)[0]
+
+    @property
+    def ci_high(self) -> float:
+        return wilson_interval(self.successes_oracle, self.trials)[1]
 
     def to_csv(self) -> str:
         lines = ["trial,seed,n,oracle,constructive,x_interior"]
@@ -165,18 +206,22 @@ def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054) -
 
 
 @dataclass(frozen=True)
-class Plan:
-    """What the constructive pipeline needs of a graphon: its skeleton and
-    incidence matrix, and the loopless-odd normalization with its skeleton
-    and incidence matrix (the graphon's own when no refinement is needed),
-    or (all three None) the reason no normalization exists."""
+class GraphonSkeleton:
+    """A graphon with its skeleton and the skeleton's incidence matrix."""
 
     graphon: StepGraphon
     skeleton: SkeletonGraph
     incidence: IncidenceMatrix
-    normalized: StepGraphon | None
-    normalized_skeleton: SkeletonGraph | None
-    normalized_incidence: IncidenceMatrix | None
+
+
+@dataclass(frozen=True)
+class Plan:
+    """What the constructive pipeline needs of a graphon: the graphon with its
+    skeleton, and its loopless-odd normalization (the same object when no
+    refinement is needed), or None and the reason there is none."""
+
+    base: GraphonSkeleton
+    normalized: GraphonSkeleton | None
     reason: str | None = None
 
 
@@ -184,15 +229,15 @@ class Plan:
 def plan(w: StepGraphon) -> Plan:
     """The pipeline plan of a graphon, memoized per graphon value."""
     s = skeleton(w)
-    z = incidence(s)
+    base = GraphonSkeleton(w, s, incidence(s))
     try:
         wn = ensure_loopless_odd_cycle(w)
     except ValueError as exc:  # no odd cycle, or a DisconnectedSkeletonError
-        return Plan(w, s, z, None, None, None, str(exc))
+        return Plan(base, None, str(exc))
     if wn is w:
-        return Plan(w, s, z, w, s, z)
+        return Plan(base, base)
     sn = skeleton(wn)
-    return Plan(w, s, z, wn, sn, incidence(sn))
+    return Plan(base, GraphonSkeleton(wn, sn, incidence(sn)))
 
 
 @dataclass(frozen=True)
@@ -212,22 +257,22 @@ class PipelineOutcome:
 
 
 def run_pipeline(p: Plan, g: SampledGraph, seed: int, attempts: int = 32) -> PipelineOutcome:
-    """Decide whether g, sampled from `p.graphon`, has an interior empirical
+    """Decide whether g, sampled from `p.base.graphon`, has an interior empirical
     vector; re-block it under the normalized graphon, build the tally and
     realize its block cycles with `seed`.  Expected failures come back in
     the outcome; anything else raises."""
     if attempts < 1:
         raise ValueError("attempts must be positive")
-    x = empirical_concentration(g, p.skeleton.node_count)
-    cert = positive_certificate(p.incidence, x)
+    x = empirical_concentration(g, p.base.skeleton.node_count)
+    cert = positive_certificate(p.base.incidence, x)
     interior = cert.status is Membership.INTERIOR
-    if p.reason is not None:
+    if p.normalized is None:
         return PipelineOutcome(interior, failure=f"cannot decompose: {p.reason}")
-    sn = p.normalized_skeleton
-    if p.normalized is not p.graphon:
-        g = replace(g, blocks=assign_blocks(p.normalized, g.coords))
+    sn = p.normalized.skeleton
+    if p.normalized is not p.base:
+        g = replace(g, blocks=assign_blocks(p.normalized.graphon, g.coords))
         x = empirical_concentration(g, sn.node_count)
-        cert = positive_certificate(p.normalized_incidence, x)
+        cert = positive_certificate(p.normalized.incidence, x)
     try:
         tally = build_balanced_matrix(x, g.n, sn, cert)
     except ConstructionError as exc:
@@ -252,7 +297,7 @@ def run_trial(w: StepGraphon, n: int, master_seed: int, trial: int, attempts: in
     g = sample_graph(w, n, seed)
     oracle = graph_has_decomposition(g)
     out = constructive_attempt(plan(w), g, seed, attempts)
-    return TrialResult(trial, seed, oracle, out.ok, out.interior, out.failure)
+    return TrialResult(trial, seed, oracle, out.interior, out.failure)
 
 
 def montecarlo(
@@ -284,18 +329,4 @@ def montecarlo(
             rows = list(pool.map(run_trial, *zip(*args), chunksize=chunk))
     else:
         rows = [run_trial(*a) for a in args]
-    rows.sort(key=lambda r: r.trial)
-    oko = sum(r.oracle for r in rows)
-    okc = sum(r.constructive for r in rows)
-    lo, hi = wilson_interval(oko, trials)
-    return MonteCarloReport(
-        n=n,
-        trials=trials,
-        successes_oracle=oko,
-        successes_constructive=okc,
-        estimate=oko / trials,
-        ci_low=lo,
-        ci_high=hi,
-        master_seed=master_seed,
-        rows=tuple(rows),
-    )
+    return MonteCarloReport(n, master_seed, tuple(rows))

@@ -16,8 +16,6 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-import numpy as np
-
 from .model import Partition, StepGraphon
 from .sampling import SampledGraph
 
@@ -90,16 +88,9 @@ def load_graph(path) -> SampledGraph:
     n = doc["n"]
     if not isinstance(n, int) or n < 1:
         raise FormatError(f"{path}: 'n' must be a positive integer")
-    coords = np.asarray(doc["coords"], dtype=np.float64)
-    blocks = np.asarray(doc["blocks"], dtype=np.int64)
-    edges = np.asarray(doc["edges"], dtype=np.int64).reshape(-1, 2)
-    if coords.shape != (n,) or blocks.shape != (n,):
-        raise FormatError(f"{path}: coords/blocks must have length n")
-    if edges.size and (edges.min() < 0 or edges.max() >= n):
-        raise FormatError(f"{path}: edge endpoint out of range")
     try:
-        return SampledGraph(n, coords, blocks, edges)
-    except ValueError as exc:
+        return SampledGraph(n, doc["coords"], doc["blocks"], doc["edges"])
+    except (TypeError, ValueError) as exc:
         raise FormatError(f"{path}: {exc}") from exc
 
 

@@ -143,15 +143,6 @@ class SkeletonGraph:
     def edge_count(self) -> int:
         return len(self.loops) + len(self.edges)
 
-    def neighbors(self, i: int) -> frozenset[int]:
-        out = set()
-        for a, b in self.edges:
-            if a == i:
-                out.add(b)
-            elif b == i:
-                out.add(a)
-        return frozenset(out)
-
 
 @dataclass(frozen=True)
 class IncidenceMatrix:

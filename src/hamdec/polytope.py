@@ -9,11 +9,13 @@ We decide this with one exact-rational linear program per query:
 
     maximize t   subject to   Z c = x,  c >= t 1
 
-(the constraint sum(c) = 1 is implied because every column of Z sums to 1).
-The optimum t* is the certificate margin: t* > 0 interior, t* = 0 boundary,
-infeasible or t* < 0 exterior.  The LP is solved by a dense two-phase
-primal simplex over `fractions.Fraction` with Bland's rule; problem sizes
-here are tiny (q <= ~32, |F| <= ~500), so exactness beats speed.
+(the constraint sum(c) = 1 is implied because every column of Z sums to
+1).  The optimum t* is the certificate margin: t* > 0 interior, t* = 0
+boundary, infeasible or t* < 0 exterior, so a certificate's status is the
+sign of t*; condition B (`driver.analyze`) is this query for a graphon's
+concentration vector.  The LP is solved by a dense two-phase primal
+simplex over `fractions.Fraction` with Bland's rule; problem sizes here
+are tiny (q <= ~32, |F| <= ~500), so exactness beats speed.
 """
 
 from __future__ import annotations
@@ -22,17 +24,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .model import (
-    DisconnectedSkeletonError,
-    IncidenceMatrix,
-    SkeletonGraph,
-    StepGraphon,
-    concentration,
-    connected_components,
-    edge_order,
-    incidence,
-    skeleton,
-)
+from .model import IncidenceMatrix, SkeletonGraph, edge_order
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -49,24 +41,24 @@ class MembershipCertificate:
     """Outcome of a membership query.
 
     For interior/boundary points, `coefficients` is an exact solution of
-    Z c = x with sum 1 and min entry equal to `margin`.
+    Z c = x with sum 1 and min entry equal to `margin`; an exterior point
+    carries neither.  The status is the sign of the margin.
     """
 
-    status: Membership
     coefficients: tuple[Fraction, ...] | None = None
     margin: Fraction | None = None
 
     def __post_init__(self):
-        if self.status is Membership.EXTERIOR:
-            if self.coefficients is not None or self.margin is not None:
-                raise ValueError("exterior certificates carry no witness")
-        else:
-            if self.coefficients is None or self.margin is None:
-                raise ValueError("interior/boundary certificates need a witness")
-            if self.margin < 0:
-                raise ValueError("margin must be nonnegative")
-            if (self.margin > 0) != (self.status is Membership.INTERIOR):
-                raise ValueError("status must match sign of margin")
+        if (self.coefficients is None) != (self.margin is None):
+            raise ValueError("coefficients and margin come together")
+        if self.margin is not None and self.margin < 0:
+            raise ValueError("margin must be nonnegative")
+
+    @property
+    def status(self) -> Membership:
+        if self.margin is None:
+            return Membership.EXTERIOR
+        return Membership.INTERIOR if self.margin > 0 else Membership.BOUNDARY
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +191,7 @@ def positive_certificate(z: IncidenceMatrix, x) -> MembershipCertificate:
     if sum(xs) != 1:
         raise ValueError("x must sum to exactly 1")
     if nf == 0:
-        return MembershipCertificate(Membership.EXTERIOR)
+        return MembershipCertificate()
 
     rowsum = [sum(z.entries[i][j] for j in range(nf)) for i in range(q)]
     a_rows = []
@@ -208,18 +200,17 @@ def positive_certificate(z: IncidenceMatrix, x) -> MembershipCertificate:
     objective = [ZERO] * nf + [ONE, -ONE]
     status, v, value = solve_equality_lp(a_rows, xs, objective)
     if status == "infeasible":
-        return MembershipCertificate(Membership.EXTERIOR)
+        return MembershipCertificate()
     if status != "optimal":  # cannot happen: t <= 1/|F| bounds the objective
         raise RuntimeError("membership LP unbounded")
     t = value
     if t < 0:
-        return MembershipCertificate(Membership.EXTERIOR)
+        return MembershipCertificate()
     coeffs = tuple(v[j] + t for j in range(nf))
     # internal exactness checks, cheap at these sizes
     if z.apply(coeffs) != xs or sum(coeffs) != 1 or min(coeffs) != t:
         raise RuntimeError("membership certificate fails Z c = x, sum c = 1 or min c = t")
-    st = Membership.INTERIOR if t > 0 else Membership.BOUNDARY
-    return MembershipCertificate(st, coeffs, t)
+    return MembershipCertificate(coeffs, t)
 
 
 def extremal_generators(s: SkeletonGraph) -> tuple[int, ...]:
@@ -232,17 +223,3 @@ def extremal_generators(s: SkeletonGraph) -> tuple[int, ...]:
             out.append(idx)
     return tuple(out)
 
-
-def condition_b(w: StepGraphon) -> MembershipCertificate:
-    """Membership status of the concentration vector in the edge polytope.
-
-    Interior means the graphon passes the polytope condition.  Requires a
-    connected skeleton; a 0-dimensional hull (single generator) classifies
-    its own point as interior, the relative interior of a point being the
-    point itself.
-    """
-    s = skeleton(w)
-    comps = connected_components(s)
-    if len(comps) > 1:
-        raise DisconnectedSkeletonError(comps)
-    return positive_certificate(incidence(s), concentration(w.partition))

@@ -53,13 +53,14 @@ class Matching:
 
 @dataclass(frozen=True)
 class RealizationOutcome:
-    status: str  # "success" or "failure"
+    """The realized decomposition (None on failure) and how far it got."""
+
     decomposition: HamDecomposition | None = None
     diagnostics: dict = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
-        return self.status == "success"
+        return self.decomposition is not None
 
 
 def _has_perfect_matching(n: int, indptr, indices) -> bool:
@@ -194,7 +195,7 @@ def realize(
     except CycleEmbedError as err:
         diagnostics["phase"] = "long-cycles"
         diagnostics["failed_pattern"] = err.pattern_index
-        return RealizationOutcome("failure", None, diagnostics)
+        return RealizationOutcome(None, diagnostics)
 
     free = np.ones(g.n, dtype=bool)
     free[[v for cyc in long_cycles for v in cyc]] = False
@@ -241,11 +242,11 @@ def realize(
             break
     else:  # no attempt matched every group
         diagnostics["phase"] = "two-cycles"
-        return RealizationOutcome("failure", None, diagnostics)
+        return RealizationOutcome(None, diagnostics)
 
     cycles = list(long_cycles) + [tuple(p) for p in pair_cycles]
-    decomposition = HamDecomposition.from_cycles(cycles, g.n)
+    decomposition = HamDecomposition(g.n, cycles)
     realized = count_block_edges(decomposition, g.blocks, q, s)
     if realized.counts != a.counts:
         raise RuntimeError("realized decomposition does not reproduce the tally plan")
-    return RealizationOutcome("success", decomposition, diagnostics)
+    return RealizationOutcome(decomposition, diagnostics)

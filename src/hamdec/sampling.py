@@ -11,7 +11,9 @@ on every platform.  The master seed is split into a "coords" stream and an
 then one uniform per pair in lexicographic pair order.  Breakpoints are
 converted once to floats (correctly rounded); a coordinate exactly equal
 to a breakpoint float goes to the right block.  Coordinates live in [0,1)
-by generator convention, so the last breakpoint is never an issue.
+by generator convention, so the last breakpoint is never an issue, and
+`sample_graph(saturate(w), n, seed)` is the saturated graph (every pair of
+a supported block pair) on the nodes of `sample_graph(w, n, seed)`.
 """
 
 from __future__ import annotations
@@ -163,20 +165,6 @@ def empirical_concentration(g: SampledGraph, q: int) -> tuple[Fraction, ...]:
         raise ValueError("block index out of range")
     counts = np.bincount(g.blocks, minlength=q)
     return tuple(Fraction(int(c), g.n) for c in counts)
-
-
-def saturate_graph(g: SampledGraph, s: SkeletonGraph) -> SampledGraph:
-    """All pairs whose block pair is supported: the complete multipartite
-    graph over the skeleton, on this graph's nodes."""
-    q = s.node_count
-    probs = np.zeros((q, q))
-    for i in s.loops:
-        probs[i, i] = 1.0
-    for i, j in s.edges:
-        probs[i, j] = probs[j, i] = 1.0
-    # all-zero draws against 0/1 probabilities hit exactly the supported pairs
-    ei, ej = _kernels.scan_pairs(g.blocks, probs, np.zeros(g.n * (g.n - 1) // 2))
-    return SampledGraph(g.n, g.coords.copy(), g.blocks.copy(), np.column_stack([ei, ej]))
 
 
 def count_block_edges(h, blocks, q: int, s: SkeletonGraph) -> BalancedMatrix:

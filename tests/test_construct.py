@@ -350,12 +350,19 @@ class TestBlockCycles:
 class TestHamDecomposition:
     def test_partition_enforced(self):
         with pytest.raises(ValueError):
-            HamDecomposition.from_cycles([(0, 1), (1, 2)], 3)
+            HamDecomposition(3, [(0, 1), (1, 2)])
+        with pytest.raises(ValueError):
+            HamDecomposition(3, [(0, 1)])  # node 2 uncovered
+        with pytest.raises(ValueError):
+            HamDecomposition(2, [(0, 2)])  # node out of range
 
     def test_length_two_minimum(self):
         with pytest.raises(ValueError):
-            HamDecomposition.from_cycles([(0,), (1, 2)], 3)
+            HamDecomposition(3, [(0,), (1, 2)])
 
     def test_successor_consistency(self):
-        h = HamDecomposition.from_cycles([(0, 2), (1, 3)], 4)
+        h = HamDecomposition(4, [(0, 2), (1, 3)])
         assert h.successor == (2, 3, 0, 1)
+        h = HamDecomposition(5, [[4, 0, 2], [3, 1]])
+        assert h.cycles == ((4, 0, 2), (3, 1))
+        assert h.successor == (2, 3, 4, 1, 0)

@@ -9,6 +9,9 @@ import hamdec.driver
 import hamdec.sampling
 from hamdec import cli, io
 from hamdec.driver import (
+    AnalysisReport,
+    MonteCarloReport,
+    TrialResult,
     Verdict,
     analyze,
     montecarlo,
@@ -18,7 +21,7 @@ from hamdec.driver import (
     wilson_interval,
 )
 from hamdec.model import step_graphon
-from hamdec.polytope import Membership
+from hamdec.polytope import Membership, MembershipCertificate
 from hamdec.sampling import sample_graph
 
 ER_HALF = step_graphon([0, 1], [[F(1, 2)]])
@@ -70,6 +73,68 @@ class TestAnalyze:
         assert analyze(ER_HALF).verdict is Verdict.PREDICTS_H
         # condition A false + exterior: ruled out
         assert analyze(BIP_UNEVEN).verdict is Verdict.PREDICTS_NOT_H
+
+
+def _old_verdict(condition_a, status, disconnected):
+    """The verdict rule as `analyze` used to spell it out."""
+    if disconnected:
+        return Verdict.INCONCLUSIVE
+    if not condition_a or status is Membership.EXTERIOR:
+        return Verdict.PREDICTS_NOT_H
+    if status is Membership.INTERIOR:
+        return Verdict.PREDICTS_H
+    return Verdict.INCONCLUSIVE
+
+
+class TestAnalysisReport:
+    CERTS = {
+        Membership.INTERIOR: MembershipCertificate((F(1),), F(1)),
+        Membership.BOUNDARY: MembershipCertificate((F(1), F(0)), F(0)),
+        Membership.EXTERIOR: MembershipCertificate(),
+    }
+
+    def test_verdict_table_matches_the_old_rule(self):
+        sub = analyze(ER_HALF)
+        for condition_a in (False, True):
+            for status, cert in self.CERTS.items():
+                r = AnalysisReport(condition_a, cert)
+                assert r.connected and r.condition_b_status is status
+                assert r.verdict is _old_verdict(condition_a, status, False)
+            r = AnalysisReport(condition_a, None, (sub, sub))
+            assert not r.connected and r.condition_b_status is None
+            assert r.verdict is _old_verdict(condition_a, None, True)
+
+    def test_certificate_exactly_when_connected(self):
+        with pytest.raises(ValueError, match="certificate"):
+            AnalysisReport(True, None)
+        with pytest.raises(ValueError, match="certificate"):
+            AnalysisReport(True, self.CERTS[Membership.INTERIOR], (analyze(ER_HALF),))
+
+
+class TestMonteCarloReport:
+    def test_counts_are_read_off_the_rows(self):
+        rows = (
+            TrialResult(0, 10, True, True),
+            TrialResult(1, 11, True, False, "tally construction failed: x"),
+            TrialResult(2, 12, False, False, "realization failed: y"),
+            TrialResult(3, 13, True, True),
+        )
+        r = MonteCarloReport(7, 99, rows)
+        assert [row.constructive for row in rows] == [True, False, False, True]
+        assert (r.trials, r.successes_oracle, r.successes_constructive) == (4, 3, 2)
+        assert r.estimate == 0.75
+        assert (r.ci_low, r.ci_high) == wilson_interval(3, 4)
+        assert r.to_csv().splitlines()[1:] == [
+            "0,10,7,1,1,1", "1,11,7,1,0,0", "2,12,7,0,0,0", "3,13,7,1,1,1",
+        ]
+
+    def test_montecarlo_counts_match_a_hand_tally(self):
+        r = montecarlo(ER_HALF, 30, 12, 4)
+        assert [row.trial for row in r.rows] == list(range(12))
+        assert r.trials == 12 and r.n == 30 and r.master_seed == 4
+        assert r.successes_oracle == len([row for row in r.rows if row.oracle])
+        assert r.successes_constructive == len([row for row in r.rows if row.failure is None])
+        assert r.estimate == r.successes_oracle / 12
 
 
 class TestWilson:
@@ -194,7 +259,7 @@ class TestPipeline:
         g = sample_graph(ER_HALF, 100, 3)
         g.adjacency()
         p = plan(ER_HALF)
-        assert p.normalized is not p.graphon  # ER-1/2 is refined twice
+        assert p.normalized is not p.base  # ER-1/2 is refined twice
         calls = _counting(monkeypatch, hamdec.sampling, "build_csr")
         out = run_pipeline(p, g, 5)
         assert out.ok and calls == []
@@ -278,6 +343,27 @@ class TestIO:
         path.write_text("5")
         with pytest.raises(io.FormatError, match="top level"):
             io.load_graph(path)
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [("coords", {"a": 1}), ("edges", [[0, 1, 2]]), ("edges", [[0, "x"]])],
+    )
+    def test_malformed_graph_field_is_a_format_error(self, tmp_path, field, value):
+        doc = {"n": 2, "coords": [0.1, 0.7], "blocks": [0, 0], "edges": [[0, 1]]}
+        doc[field] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(io.FormatError, match="bad.json"):
+            io.load_graph(path)
+
+    def test_graph_shape_and_range_errors_are_format_errors(self, tmp_path):
+        for field, value in (("coords", [0.1]), ("blocks", [0, 0, 0]), ("edges", [[0, 2]])):
+            doc = {"n": 2, "coords": [0.1, 0.7], "blocks": [0, 0], "edges": [[0, 1]]}
+            doc[field] = value
+            path = tmp_path / "bad.json"
+            path.write_text(json.dumps(doc))
+            with pytest.raises(io.FormatError):
+                io.load_graph(path)
 
     def test_graph_round_trip(self, tmp_path):
         g = sample_graph(ER_HALF, 25, 3)

@@ -3,8 +3,8 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+from hamdec.driver import analyze
 from hamdec.model import (
-    DisconnectedSkeletonError,
     IncidenceMatrix,
     SkeletonGraph,
     edge_order,
@@ -14,7 +14,7 @@ from hamdec.model import (
 )
 from hamdec.polytope import (
     Membership,
-    condition_b,
+    MembershipCertificate,
     extremal_generators,
     positive_certificate,
     solve_equality_lp,
@@ -180,19 +180,21 @@ class TestExtremalGenerators:
 
 
 class TestConditionB:
+    """Condition B is `analyze`'s certificate for a connected skeleton."""
+
     def test_single_loop_interior(self):
         w = step_graphon([0, 1], [[F(1, 2)]])
-        assert condition_b(w).status is Membership.INTERIOR
+        assert analyze(w).certificate.status is Membership.INTERIOR
 
     def test_bipartite_uneven_exterior(self):
         w = step_graphon([0, F(3, 10), 1], [[0, F(1, 3)], [F(1, 3), 0]])
-        assert condition_b(w).status is Membership.EXTERIOR
+        assert analyze(w).certificate.status is Membership.EXTERIOR
 
     def test_bipartite_even_point_interior(self):
         # x equals the unique generator; the relative interior of a point
         # is the point itself
         w = step_graphon([0, F(1, 2), 1], [[0, F(1, 3)], [F(1, 3), 0]])
-        cert = condition_b(w)
+        cert = analyze(w).certificate
         assert cert.status is Membership.INTERIOR
         assert cert.coefficients == (F(1),)
 
@@ -200,6 +202,25 @@ class TestConditionB:
         w = step_graphon(
             [0, F(1, 2), 1], [[F(1, 2), 0], [0, F(1, 2)]]
         )
-        with pytest.raises(DisconnectedSkeletonError) as err:
-            condition_b(w)
-        assert err.value.components == (frozenset({0}), frozenset({1}))
+        report = analyze(w)
+        assert report.certificate is None and len(report.components) == 2
+        # each component is renormalized to a single looped block
+        for sub in report.components:
+            assert sub.certificate == MembershipCertificate((F(1),), F(1))
+
+
+class TestMembershipCertificate:
+    def test_status_is_the_sign_of_the_margin(self):
+        assert MembershipCertificate((F(1, 2), F(1, 2)), F(1, 2)).status is Membership.INTERIOR
+        assert MembershipCertificate((F(1), F(0)), F(0)).status is Membership.BOUNDARY
+        assert MembershipCertificate().status is Membership.EXTERIOR
+
+    def test_coefficients_and_margin_come_together(self):
+        with pytest.raises(ValueError, match="together"):
+            MembershipCertificate((F(1),))
+        with pytest.raises(ValueError, match="together"):
+            MembershipCertificate(margin=F(0))
+
+    def test_negative_margin_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            MembershipCertificate((F(2), F(-1)), F(-1))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from hamdec.construct import BlockCycle
-from hamdec.model import SkeletonGraph, skeleton, step_graphon
+from hamdec.model import SkeletonGraph, saturate, skeleton, step_graphon
 from hamdec.realize import (
     CycleEmbedError,
     embed_cycles,
@@ -19,7 +19,6 @@ from hamdec.sampling import (
     count_block_edges,
     empirical_concentration,
     sample_graph,
-    saturate_graph,
 )
 
 from helpers import brute_decomposition_exists, brute_max_matching, tally
@@ -116,13 +115,11 @@ class TestOracle:
 
 class TestEmbed:
     def test_saturated_always_succeeds(self):
-        g = SampledGraph(
-            6,
-            np.linspace(0, 0.9, 6),
-            np.array([0, 0, 1, 1, 2, 2]),
-            np.empty((0, 2)),
-        )
-        sat = saturate_graph(g, TRIANGLE)
+        p = F(1, 5)
+        w = step_graphon([0, F(1, 3), F(2, 3), 1], [[0, p, p], [p, 0, p], [p, p, 0]])
+        assert skeleton(w) == TRIANGLE
+        sat = sample_graph(saturate(w), 12, 2)
+        assert set(sat.blocks.tolist()) == {0, 1, 2}
         cycles = embed_cycles([BlockCycle((0, 1, 2))], sat, seed=1, attempts=1)
         assert len(cycles) == 1 and len(cycles[0]) == 3
         assert sorted(int(sat.blocks[v]) for v in cycles[0]) == [0, 1, 2]
@@ -164,10 +161,8 @@ class TestEmbed:
 
 
 def _pipeline(w, n, seed, saturated=False, attempts=32):
-    g = sample_graph(w, n, seed)
+    g = sample_graph(saturate(w) if saturated else w, n, seed)
     s = skeleton(w)
-    if saturated:
-        g = saturate_graph(g, s)
     x = empirical_concentration(g, s.node_count)
     return tally(x, n, s), g, s
 

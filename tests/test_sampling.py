@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from hamdec.construct import HamDecomposition
-from hamdec.model import SkeletonGraph, skeleton, step_graphon
+from hamdec.model import SkeletonGraph, saturate, skeleton, step_graphon
 from hamdec.sampling import (
     BalancedMatrix,
     SampledGraph,
@@ -14,7 +14,6 @@ from hamdec.sampling import (
     count_block_edges,
     empirical_concentration,
     sample_graph,
-    saturate_graph,
 )
 
 TRIANGLE = SkeletonGraph(3, frozenset(), frozenset({(0, 1), (0, 2), (1, 2)}))
@@ -92,28 +91,31 @@ class TestEmpiricalConcentration:
 
 
 class TestSaturate:
+    """The saturated graph is `sample_graph(saturate(w), n, seed)`."""
+
     def test_fills_triangle(self):
-        g = SampledGraph(3, np.array([0.1, 0.4, 0.8]), np.array([0, 1, 2]), np.empty((0, 2)))
-        sat = saturate_graph(g, TRIANGLE)
-        assert sat.pair_set() == {(0, 1), (0, 2), (1, 2)}
+        q = F(1, 4)
+        w = step_graphon([0, F(1, 3), F(2, 3), 1], [[0, q, q], [q, 0, q], [q, q, 0]])
+        sat = sample_graph(saturate(w), 30, 2)
+        b = sat.blocks
+        assert set(b.tolist()) == {0, 1, 2}
+        assert sat.pair_set() == {(i, j) for i, j in combinations(range(30), 2) if b[i] != b[j]}
 
     def test_idempotent(self):
         w = step_graphon([0, F(1, 2), 1], [[F(1, 2), F(1, 2)], [F(1, 2), F(1, 2)]])
-        g = sample_graph(w, 30, 5)
-        s = skeleton(w)
-        once = saturate_graph(g, s)
-        twice = saturate_graph(once, s)
-        assert once.pair_set() == twice.pair_set()
+        once = saturate(w)
+        assert saturate(once) == once
+        assert sample_graph(once, 30, 5).pair_set() == sample_graph(saturate(once), 30, 5).pair_set()
 
     def test_loopless_block_stays_empty(self):
-        s = SkeletonGraph(1, frozenset(), frozenset())
-        g = SampledGraph(2, np.array([0.1, 0.2]), np.array([0, 0]), np.empty((0, 2)))
-        assert saturate_graph(g, s).edge_count == 0
+        w = step_graphon([0, 1], [[0]])
+        assert sample_graph(saturate(w), 2, 1).edge_count == 0
 
     def test_subgraph_of_saturation(self):
         w = step_graphon([0, F(1, 2), 1], [[F(1, 3), F(2, 3)], [F(2, 3), F(1, 2)]])
         g = sample_graph(w, 50, 11)
-        sat = saturate_graph(g, skeleton(w))
+        sat = sample_graph(saturate(w), 50, 11)
+        assert np.array_equal(sat.coords, g.coords) and np.array_equal(sat.blocks, g.blocks)
         assert g.pair_set() <= sat.pair_set()
 
     def test_matches_pair_enumeration(self):
@@ -123,39 +125,38 @@ class TestSaturate:
         )
         s = skeleton(w)
         for n in (1, 2, 40):
-            g = sample_graph(w, n, 3)
-            b = g.blocks
+            sat = sample_graph(saturate(w), n, 3)
+            b = sat.blocks
             want = [
                 (i, j)
                 for i, j in combinations(range(n), 2)
                 if (b[i] == b[j] and b[i] in s.loops)
                 or (min(b[i], b[j]), max(b[i], b[j])) in s.edges
             ]
-            sat = saturate_graph(g, s)
             assert sat.edges.tolist() == [list(e) for e in want]
 
 
 class TestCountBlockEdges:
     def test_two_cycle(self):
         s = SkeletonGraph(2, frozenset(), frozenset({(0, 1)}))
-        h = HamDecomposition.from_cycles([(0, 1)], 2)
+        h = HamDecomposition(2, [(0, 1)])
         bm = count_block_edges(h, [0, 1], 2, s)
         assert bm.counts == ((0, 1), (1, 0)) and bm.scale == 2
 
     def test_three_cycle(self):
-        h = HamDecomposition.from_cycles([(0, 1, 2)], 3)
+        h = HamDecomposition(3, [(0, 1, 2)])
         bm = count_block_edges(h, [0, 1, 2], 3, TRIANGLE)
         assert bm.counts == ((0, 1, 0), (0, 0, 1), (1, 0, 0))
 
     def test_row_sums_are_block_sizes(self):
         s = SkeletonGraph(2, frozenset({0}), frozenset({(0, 1)}))
-        h = HamDecomposition.from_cycles([(0, 1), (2, 3)], 4)
+        h = HamDecomposition(4, [(0, 1), (2, 3)])
         bm = count_block_edges(h, [0, 0, 0, 1], 2, s)
         assert bm.row_sums() == (3, 1)
 
     def test_unsupported_edge_rejected(self):
         s = SkeletonGraph(2, frozenset(), frozenset({(0, 1)}))
-        h = HamDecomposition.from_cycles([(0, 1)], 2)
+        h = HamDecomposition(2, [(0, 1)])
         with pytest.raises(ValueError):
             count_block_edges(h, [0, 0], 2, s)  # within-block, no loop
 
