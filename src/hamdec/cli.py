@@ -8,7 +8,8 @@ Subcommands:
                                    estimate the decomposition probability
   refine FILE --block I --at T     insert a breakpoint, write the refined file
 
-Exit codes: 0 success, 1 a pipeline Failure outcome, 2 bad input.
+Exit codes: 0 success, 1 a pipeline Failure outcome, 2 bad input (including
+an unreadable input, an unwritable output path or refused memory).
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from ._seeds import derive
 from .driver import Verdict, analyze, montecarlo, plan, run_pipeline
 from .model import saturate, skeleton
 from .polytope import Membership
+from .realize import DEFAULT_ATTEMPTS
 from .refine import refine_once
 from .sampling import sample_graph
 
@@ -156,7 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--saturated", action="store_true", help="decompose the saturated graph")
-    p.add_argument("--attempts", type=int, default=32)
+    p.add_argument("--attempts", type=int, default=DEFAULT_ATTEMPTS)
     p.set_defaults(func=_cmd_decompose)
 
     p = sub.add_parser("montecarlo", help="estimate the decomposition probability")
@@ -165,7 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--csv", help="write per-trial rows")
-    p.add_argument("--attempts", type=int, default=32)
+    p.add_argument("--attempts", type=int, default=DEFAULT_ATTEMPTS)
     p.add_argument("--jobs", type=int, default=1, help="worker processes")
     p.set_defaults(func=_cmd_montecarlo)
 
@@ -183,7 +185,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, FileNotFoundError) as exc:  # FormatError, DisconnectedSkeletonError too
+    except (ValueError, OSError, MemoryError) as exc:  # FormatError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -200,12 +200,8 @@ def _check_support(matrix, s: SkeletonGraph, what: str):
     q = s.node_count
     for i in range(q):
         for j in range(q):
-            if matrix[i][j] == 0:
-                continue
-            if i == j and i not in s.loops:
-                raise ValueError(f"{what}[{i}][{i}] nonzero but block {i} has no loop")
-            if i != j and (min(i, j), max(i, j)) not in s.edges:
-                raise ValueError(f"{what}[{i}][{j}] nonzero but ({i},{j}) is not an edge")
+            if matrix[i][j] != 0 and not s.supports(i, j):
+                raise ValueError(f"{what}[{i}][{j}] nonzero: block pair ({i},{j}) not in skeleton")
 
 
 def matrix_round(matrix, support: SkeletonGraph) -> tuple[tuple[int, ...], ...]:
@@ -216,7 +212,7 @@ def matrix_round(matrix, support: SkeletonGraph) -> tuple[tuple[int, ...], ...]:
     the per-row deficits to the per-column deficits as an integral flow
     through the fractional cells (each of capacity one); the fractional
     parts themselves are a feasible flow, so a saturating integral flow
-    exists.
+    exists.  An integral matrix comes back unchanged.
     """
     rows = [[Fraction(v) for v in row] for row in matrix]
     q = len(rows)
@@ -287,12 +283,12 @@ def _property_failures(counts, n, x, loop_part, s: SkeletonGraph) -> list[str]:
     # support compared undirected: rounding may zero one direction of an
     # edge (the tolerated asymmetry), never both
     for i in range(q):
-        if (counts[i][i] > 0) != (i in s.loops):
+        if (counts[i][i] > 0) != s.supports(i, i):
             fails.append(f"diagonal support mismatch at {i}")
     for i in range(q):
         for j in range(i + 1, q):
             total = counts[i][j] + counts[j][i]
-            if (total > 0) != ((i, j) in s.edges):
+            if (total > 0) != s.supports(i, j):
                 fails.append(f"pair support mismatch at ({i},{j})")
     return fails
 
@@ -337,9 +333,6 @@ def build_balanced_matrix(
     n1 = n - int(n * sum(tau0p))
 
     counts = [[0] * q for _ in range(q)]
-    for i in range(q):
-        counts[i][i] = int(n * tau0p[i])
-
     if n1 > 0:
         target = tuple(t * n / n1 for t in tau1p)
         s1 = loopless(s)
@@ -360,14 +353,10 @@ def build_balanced_matrix(
             v = n1 * cert1.coefficients[idx] / 2
             scaled[i][j] = v
             scaled[j][i] = v
-        if all(v.denominator == 1 for row in scaled for v in row):
-            rounded = [[int(v) for v in row] for row in scaled]
-        else:
-            rounded = matrix_round(scaled, s1)
-        for i in range(q):
-            for j in range(q):
-                if i != j:
-                    counts[i][j] = rounded[i][j]
+        # the pair matrix has a zero diagonal, and so has its rounding
+        counts = [list(row) for row in matrix_round(scaled, s1)]
+    for i in range(q):
+        counts[i][i] = int(n * tau0p[i])
 
     fails = _property_failures(counts, n, xs, split.loop_part, s)
     if fails:

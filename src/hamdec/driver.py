@@ -51,7 +51,7 @@ from .model import (
     skeleton,
 )
 from .polytope import Membership, MembershipCertificate, positive_certificate
-from .realize import graph_has_decomposition, realize
+from .realize import DEFAULT_ATTEMPTS, graph_has_decomposition, realize
 from .sampling import BalancedMatrix, SampledGraph, assign_blocks, empirical_concentration, sample_graph
 from .refine import ensure_loopless_odd_cycle
 
@@ -256,7 +256,9 @@ class PipelineOutcome:
         return self.failure is None
 
 
-def run_pipeline(p: Plan, g: SampledGraph, seed: int, attempts: int = 32) -> PipelineOutcome:
+def run_pipeline(
+    p: Plan, g: SampledGraph, seed: int, attempts: int = DEFAULT_ATTEMPTS
+) -> PipelineOutcome:
     """Decide whether g, sampled from `p.base.graphon`, has an interior empirical
     vector; re-block it under the normalized graphon, build the tally and
     realize its block cycles with `seed`.  Expected failures come back in
@@ -284,7 +286,7 @@ def run_pipeline(p: Plan, g: SampledGraph, seed: int, attempts: int = 32) -> Pip
 
 
 def constructive_attempt(
-    p: Plan, g: SampledGraph, seed: int, attempts: int = 32
+    p: Plan, g: SampledGraph, seed: int, attempts: int = DEFAULT_ATTEMPTS
 ) -> PipelineOutcome:
     """Run the constructive pipeline for the Monte Carlo trial with seed
     `seed`.  A refined skeleton's interior vector aggregates to an interior
@@ -292,7 +294,9 @@ def constructive_attempt(
     return run_pipeline(p, g, derive(seed, "realize"), attempts)
 
 
-def run_trial(w: StepGraphon, n: int, master_seed: int, trial: int, attempts: int = 32) -> TrialResult:
+def run_trial(
+    w: StepGraphon, n: int, master_seed: int, trial: int, attempts: int = DEFAULT_ATTEMPTS
+) -> TrialResult:
     seed = derive(master_seed, "trial", trial)
     g = sample_graph(w, n, seed)
     oracle = graph_has_decomposition(g)
@@ -305,7 +309,7 @@ def montecarlo(
     n: int,
     trials: int,
     master_seed: int,
-    attempts: int = 32,
+    attempts: int = DEFAULT_ATTEMPTS,
     jobs: int = 1,
 ) -> MonteCarloReport:
     """Estimate the decomposition probability at size n over seeded trials.

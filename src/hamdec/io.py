@@ -85,11 +85,8 @@ def dump_graphon(w: StepGraphon, path) -> None:
 
 def load_graph(path) -> SampledGraph:
     doc = _load_object(path, ("n", "coords", "blocks", "edges"))
-    n = doc["n"]
-    if not isinstance(n, int) or n < 1:
-        raise FormatError(f"{path}: 'n' must be a positive integer")
     try:
-        return SampledGraph(n, doc["coords"], doc["blocks"], doc["edges"])
+        return SampledGraph(doc["n"], doc["coords"], doc["blocks"], doc["edges"])
     except (TypeError, ValueError) as exc:
         raise FormatError(f"{path}: {exc}") from exc
 

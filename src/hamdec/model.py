@@ -4,7 +4,9 @@ A step-graphon is a symmetric [0,1]-valued function that is constant on the
 rectangles of a grid partition of the unit square.  From it we derive the
 concentration vector (block interval lengths), the skeleton graph (support
 pattern, with self-loops), and the incidence matrix whose columns generate
-the edge polytope.
+the edge polytope.  `SkeletonGraph.supports` is the one test of whether a
+block pair is in the skeleton; one BFS 2-coloring of the pair edges gives
+both the connected components and the odd-cycle test.
 
 All breakpoint and block-value arithmetic is exact (`fractions.Fraction`):
 whether a vector sits on the boundary of a polytope is a measure-zero
@@ -19,7 +21,6 @@ edges: self-loops first in ascending node order, then distinct-node pairs
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -37,12 +38,7 @@ class DisconnectedSkeletonError(ValueError):
 def _as_fraction(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        return Fraction(value)
-    if isinstance(value, float):
-        # exact value of the binary float, not a decimal re-reading
+    if isinstance(value, (int, str, float)):  # a float: its exact binary value
         return Fraction(value)
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
@@ -143,6 +139,10 @@ class SkeletonGraph:
     def edge_count(self) -> int:
         return len(self.loops) + len(self.edges)
 
+    def supports(self, a: int, b: int) -> bool:
+        """Whether block pair (a, b) is in the skeleton (a loop when a == b)."""
+        return a in self.loops if a == b else (min(a, b), max(a, b)) in self.edges
+
 
 @dataclass(frozen=True)
 class IncidenceMatrix:
@@ -202,17 +202,11 @@ def saturate(graphon: StepGraphon) -> StepGraphon:
 
 def incidence(s: SkeletonGraph) -> IncidenceMatrix:
     order = edge_order(s)
-    half = Fraction(1, 2)
-    rows = []
-    for i in range(s.node_count):
-        row = []
-        for a, b in order:
-            if a == b:
-                row.append(Fraction(1) if a == i else Fraction(0))
-            else:
-                row.append(half if i in (a, b) else Fraction(0))
-        rows.append(tuple(row))
-    return IncidenceMatrix(tuple(rows), order)
+    weight = (Fraction(0), Fraction(1, 2), Fraction(1))  # by the edge's ends at the node
+    rows = tuple(
+        tuple(weight[(i == a) + (i == b)] for a, b in order) for i in range(s.node_count)
+    )
+    return IncidenceMatrix(rows, order)
 
 
 def loopless(s: SkeletonGraph) -> SkeletonGraph:
@@ -220,61 +214,39 @@ def loopless(s: SkeletonGraph) -> SkeletonGraph:
     return SkeletonGraph(s.node_count, frozenset(), s.edges)
 
 
-def _adjacency(s: SkeletonGraph) -> list[list[int]]:
+def _traverse(s: SkeletonGraph) -> tuple[list[frozenset[int]], bool]:
+    """BFS 2-coloring of the pair edges: the components, ordered by smallest
+    member, and whether some edge joins two nodes of one color (an odd
+    cycle among the pair edges; loops neither connect nor count)."""
     adj: list[list[int]] = [[] for _ in range(s.node_count)]
-    for i, j in sorted(s.edges):
+    for i, j in s.edges:
         adj[i].append(j)
         adj[j].append(i)
-    return adj
+    color = [-1] * s.node_count
+    comps, odd = [], False
+    for start in range(s.node_count):
+        if color[start] == -1:
+            color[start] = 0
+            comp = [start]
+            for u in comp:  # the component list is the BFS queue
+                for v in adj[u]:
+                    if color[v] == -1:
+                        color[v] = color[u] ^ 1
+                        comp.append(v)
+                    odd = odd or color[v] == color[u]
+            comps.append(frozenset(comp))
+    return comps, odd
 
 
 def has_odd_cycle(s: SkeletonGraph) -> bool:
-    """True iff the graph has a self-loop or a non-bipartite pair-edge part.
-
-    Self-loops count as odd cycles.  The loopless part is checked by BFS
-    2-coloring per component.
-    """
-    if s.loops:
-        return True
-    adj = _adjacency(s)
-    color = [-1] * s.node_count
-    for start in range(s.node_count):
-        if color[start] != -1:
-            continue
-        color[start] = 0
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for v in adj[u]:
-                if color[v] == -1:
-                    color[v] = color[u] ^ 1
-                    queue.append(v)
-                elif color[v] == color[u]:
-                    return True
-    return False
+    """True iff the graph has a self-loop or a non-bipartite pair-edge part."""
+    return bool(s.loops) or _traverse(s)[1]
 
 
 def connected_components(s: SkeletonGraph) -> list[frozenset[int]]:
     """Maximal connected node sets under pair edges (loops do not connect),
     ordered by smallest member."""
-    adj = _adjacency(s)
-    seen = [False] * s.node_count
-    comps = []
-    for start in range(s.node_count):
-        if seen[start]:
-            continue
-        seen[start] = True
-        comp = {start}
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for v in adj[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    comp.add(v)
-                    queue.append(v)
-        comps.append(frozenset(comp))
-    return comps
+    return _traverse(s)[0]
 
 
 def is_connected(s: SkeletonGraph) -> bool:

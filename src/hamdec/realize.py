@@ -28,6 +28,9 @@ from .construct import HamDecomposition, block_cycles
 from .model import SkeletonGraph
 from .sampling import BalancedMatrix, SampledGraph, build_csr, count_block_edges
 
+# the default retry budget: restarts per phase-1 pattern, phase-2 draws
+DEFAULT_ATTEMPTS = 32
+
 
 class CycleEmbedError(Exception):
     """Raised when a cycle pattern cannot be embedded within the retry budget."""
@@ -123,7 +126,7 @@ def graph_has_decomposition(g: SampledGraph) -> bool:
     return _has_perfect_matching(g.n, *g.adjacency())
 
 
-def embed_cycles(patterns, g: SampledGraph, seed: int, attempts: int = 32):
+def embed_cycles(patterns, g: SampledGraph, seed: int, attempts: int = DEFAULT_ATTEMPTS):
     """Find node-disjoint directed cycles in g, one per block pattern.
 
     Each cycle visits blocks in its pattern's order: a path is grown block
@@ -171,7 +174,7 @@ def embed_cycles(patterns, g: SampledGraph, seed: int, attempts: int = 32):
 
 
 def realize(
-    a: BalancedMatrix, g: SampledGraph, s: SkeletonGraph, seed: int, attempts: int = 32
+    a: BalancedMatrix, g: SampledGraph, s: SkeletonGraph, seed: int, attempts: int = DEFAULT_ATTEMPTS
 ) -> RealizationOutcome:
     """Instantiate the block cycles of tally `a` inside g.
 

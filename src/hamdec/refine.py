@@ -8,12 +8,14 @@ odd-cycle existence, and polytope membership status are all invariant
 under this operation, and membership certificates transport across it in
 both directions by exact coefficient bookkeeping.
 
-The push direction scales coefficients of edges at the split node by the
-two sub-interval length fractions; when the split node carries a loop, the
-connecting edge starts at zero and strict positivity is repaired by
-shifting mass from the two loop coefficients onto it (the connecting
-column is the average of the two loop columns, so the solution is
-preserved).  The pull direction merges coefficients back by summation.
+Both directions read one map from each original edge to the refined
+edges it becomes (`_edge_images`).  The push direction scatters each
+coefficient over them, scaled at the split node by the two sub-interval
+length fractions; when the split node carries a loop, the connecting edge
+starts at zero and strict positivity is repaired by shifting mass from the
+two loop coefficients onto it (the connecting column is the average of the
+two loop columns, so the solution is preserved).  The pull direction
+gathers each coefficient back as the sum over the same images.
 """
 
 from __future__ import annotations
@@ -75,15 +77,32 @@ def refine_once(w: StepGraphon, block: int, t) -> RefinementRecord:
     return RefinementRecord(block, point, w, refined)
 
 
-def _node_map(rec: RefinementRecord):
-    """Old node index -> new index of its (left) copy; the right copy of the
-    split block sits at split_block + 1."""
-    b = rec.split_block
+def _edge_images(rec: RefinementRecord) -> list[tuple]:
+    """Per original edge, in edge order: the refined edges it becomes, each
+    with its share of the edge's coefficient.
 
-    def remap(i: int) -> int:
+    An edge at the split block goes to its two copies with shares lambda and
+    1 - lambda (the sub-interval length fractions); a split loop also owns
+    the connecting edge, with share 0; any other edge moves whole to its
+    renumbered copy.
+    """
+    b, lam = rec.split_block, rec.left_fraction
+    nb = b + 1
+
+    def up(i: int) -> int:
         return i if i <= b else i + 1
 
-    return remap
+    images = []
+    for i, j in edge_order(skeleton(rec.original)):
+        if i == j == b:
+            images.append((((b, b), lam), ((nb, nb), 1 - lam), ((b, nb), Fraction(0))))
+        elif b in (i, j):
+            o = up(i + j - b)  # the other endpoint
+            left, right = ((o, b), (o, nb)) if o < b else ((b, o), (nb, o))
+            images.append(((left, lam), (right, 1 - lam)))
+        else:
+            images.append((((up(i), up(j)), Fraction(1)),))
+    return images
 
 
 def push_certificate(c, rec: RefinementRecord) -> tuple[Fraction, ...]:
@@ -95,40 +114,26 @@ def push_certificate(c, rec: RefinementRecord) -> tuple[Fraction, ...]:
     """
     s_old = skeleton(rec.original)
     s_new = skeleton(rec.refined)
-    order_old = edge_order(s_old)
-    order_new = edge_order(s_new)
     coeffs = tuple(Fraction(v) for v in c)
-    if len(coeffs) != len(order_old):
+    if len(coeffs) != s_old.edge_count:
         raise ValueError("coefficient vector does not match the original edge set")
     if incidence(s_old).apply(coeffs) != concentration(rec.original.partition):
         raise ValueError("coefficients do not solve the original system")
 
+    out: dict[tuple[int, int], Fraction] = {e: Fraction(0) for e in edge_order(s_new)}
+    for cf, images in zip(coeffs, _edge_images(rec)):
+        for e, share in images:
+            out[e] += share * cf
+
     b = rec.split_block
     nb = b + 1
-    lam = rec.left_fraction
-    remap = _node_map(rec)
-    out: dict[tuple[int, int], Fraction] = {e: Fraction(0) for e in order_new}
-    for idx, (i, j) in enumerate(order_old):
-        cf = coeffs[idx]
-        if i == b and j == b:
-            out[(b, b)] += lam * cf
-            out[(nb, nb)] += (1 - lam) * cf
-        elif b in (i, j):
-            other = remap(j if i == b else i)
-            lo, hi = min(other, b), max(other, b)
-            out[(lo, hi)] += lam * cf
-            lo, hi = min(other, nb), max(other, nb)
-            out[(lo, hi)] += (1 - lam) * cf
-        else:
-            out[(remap(i), remap(j))] += cf
-
     if b in s_old.loops:
         eps = min(out[(b, b)], out[(nb, nb)]) / 2
         out[(b, b)] -= eps
         out[(nb, nb)] -= eps
         out[(b, nb)] += 2 * eps
 
-    result = tuple(out[e] for e in order_new)
+    result = tuple(out.values())
     if incidence(s_new).apply(result) != concentration(rec.refined.partition):
         raise RuntimeError("pushed certificate fails the refined system")
     return result
@@ -137,37 +142,20 @@ def push_certificate(c, rec: RefinementRecord) -> tuple[Fraction, ...]:
 def pull_certificate(c_refined, rec: RefinementRecord) -> tuple[Fraction, ...]:
     """Transport coefficients back from the refined skeleton: Z c = x.
 
-    Coefficients of the two edge copies merge by summation; a split loop
-    collects both copy loops plus the connecting edge.  Positivity is
-    preserved.
+    Each coefficient is the sum over its edge images; a split loop's images
+    include the connecting edge.  Positivity is preserved.
     """
     s_old = skeleton(rec.original)
     s_new = skeleton(rec.refined)
-    order_old = edge_order(s_old)
     order_new = edge_order(s_new)
-    coeffs = {e: Fraction(v) for e, v in zip(order_new, c_refined)}
     if len(c_refined) != len(order_new):
         raise ValueError("coefficient vector does not match the refined edge set")
-    vec = tuple(coeffs[e] for e in order_new)
+    vec = tuple(Fraction(v) for v in c_refined)
     if incidence(s_new).apply(vec) != concentration(rec.refined.partition):
         raise ValueError("coefficients do not solve the refined system")
 
-    b = rec.split_block
-    nb = b + 1
-    remap = _node_map(rec)
-    out = []
-    for i, j in order_old:
-        if i == b and j == b:
-            out.append(coeffs[(b, b)] + coeffs[(nb, nb)] + coeffs[(b, nb)])
-        elif b in (i, j):
-            other = remap(j if i == b else i)
-            g = (min(other, b), max(other, b))
-            h = (min(other, nb), max(other, nb))
-            out.append(coeffs[g] + coeffs[h])
-        else:
-            out.append(coeffs[(remap(i), remap(j))])
-
-    result = tuple(out)
+    coeffs = dict(zip(order_new, vec))
+    result = tuple(sum(coeffs[e] for e, _ in images) for images in _edge_images(rec))
     if incidence(s_old).apply(result) != concentration(rec.original.partition):
         raise RuntimeError("pulled certificate fails the original system")
     return result

@@ -41,6 +41,14 @@ def build_csr(nrows: int, ncols: int, rows, cols) -> tuple[np.ndarray, np.ndarra
     return indptr, keys % ncols
 
 
+def _int_array(values, what: str) -> np.ndarray:
+    """int64 array of integer input; floats pass only if integral (or none)."""
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "iu" and not (arr.dtype.kind == "f" and np.all(arr % 1 == 0)):
+        raise ValueError(f"{what} must be integers")
+    return arr.astype(np.int64, copy=False)
+
+
 @dataclass(eq=False)
 class SampledGraph:
     """An undirected sampled graph with its block assignment.
@@ -57,11 +65,15 @@ class SampledGraph:
     _csr: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
 
     def __post_init__(self):
+        if isinstance(self.n, bool) or not isinstance(self.n, (int, np.integer)) or self.n < 1:
+            raise ValueError("n must be a positive integer")
         self.coords = np.asarray(self.coords, dtype=np.float64)
-        self.blocks = np.asarray(self.blocks, dtype=np.int64)
-        self.edges = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
+        self.blocks = _int_array(self.blocks, "block labels")
+        self.edges = _int_array(self.edges, "edge endpoints").reshape(-1, 2)
         if self.coords.shape != (self.n,) or self.blocks.shape != (self.n,):
             raise ValueError("coords and blocks must have length n")
+        if self.blocks.size and self.blocks.min() < 0:
+            raise ValueError("block labels must be nonnegative")
         if self.edges.size and (
             self.edges.min() < 0
             or self.edges.max() >= self.n
@@ -173,19 +185,10 @@ def count_block_edges(h, blocks, q: int, s: SkeletonGraph) -> BalancedMatrix:
     Every directed edge (v, successor(v)) must project to a supported block
     pair; the result is balanced with row sums equal to the block sizes.
     """
-    n = len(blocks)
     counts = [[0] * q for _ in range(q)]
-    for cycle in h.cycles:
-        k = len(cycle)
-        for t in range(k):
-            a = int(blocks[cycle[t]])
-            b = int(blocks[cycle[(t + 1) % k]])
-            if a == b:
-                if a not in s.loops:
-                    raise ValueError(
-                        f"edge within block {a} not supported (no loop in skeleton)"
-                    )
-            elif (min(a, b), max(a, b)) not in s.edges:
-                raise ValueError(f"edge between blocks {a},{b} not in skeleton")
-            counts[a][b] += 1
-    return BalancedMatrix(n, tuple(tuple(row) for row in counts))
+    for v, u in enumerate(h.successor):
+        a, b = int(blocks[v]), int(blocks[u])
+        if not s.supports(a, b):
+            raise ValueError(f"edge {v}->{u}: block pair ({a},{b}) not in skeleton")
+        counts[a][b] += 1
+    return BalancedMatrix(len(blocks), tuple(tuple(row) for row in counts))

@@ -14,8 +14,17 @@ from itertools import permutations
 import numpy as np
 
 from hamdec.construct import build_balanced_matrix
-from hamdec.model import Partition, SkeletonGraph, StepGraphon, incidence
+from hamdec.model import (
+    Partition,
+    SkeletonGraph,
+    StepGraphon,
+    concentration,
+    edge_order,
+    incidence,
+    skeleton,
+)
 from hamdec.polytope import Membership, positive_certificate
+from hamdec.refine import refine_once
 
 
 def rational_rank(rows) -> int:
@@ -180,3 +189,62 @@ def random_graphon(rng, q_max=5) -> StepGraphon:
 def tally(x, n: int, s: SkeletonGraph):
     """`build_balanced_matrix` given x's membership certificate on s."""
     return build_balanced_matrix(x, n, s, positive_certificate(incidence(s), x))
+
+
+def closure_components(s: SkeletonGraph) -> list[frozenset[int]]:
+    """Pair-edge components by merging node sets until no edge joins two,
+    ordered by smallest member (loops join nothing)."""
+    comps = [{v} for v in range(s.node_count)]
+    merged = True
+    while merged:
+        merged = False
+        for i, j in s.edges:
+            a = next(c for c in comps if i in c)
+            b = next(c for c in comps if j in c)
+            if a is not b:
+                comps.remove(b)
+                a |= b
+                merged = True
+    return sorted((frozenset(c) for c in comps), key=min)
+
+
+def random_skeleton(rng, q_max=8) -> SkeletonGraph:
+    """Random skeleton with sparse pair edges, so isolated and loop-only
+    nodes are common."""
+    q = int(rng.integers(1, q_max + 1))
+    p = float(rng.uniform(0.05, 0.6))
+    edges = {(i, j) for i in range(q) for j in range(i + 1, q) if rng.random() < p}
+    loops = {v for v in range(q) if rng.random() < 0.3}
+    return SkeletonGraph(q, frozenset(loops), frozenset(edges))
+
+
+def random_split_instance(rng, q_max=5):
+    """A one-step refinement and an arbitrary nonnegative solution on the
+    refined skeleton, drawn without the LP.
+
+    Coefficients c' in {0..4} on the refined edges fix x' = Z' c' / sum(c');
+    the original partition merges the two copies of the split block, so
+    `concentration(rec.refined.partition) == x'`.  Returns (rec, c'), or
+    None when some refined block gets no mass.
+    """
+    w = random_graphon(rng, q_max)
+    b = int(rng.integers(0, w.q))
+    lo, hi = w.partition.interval(b)
+    s_new = skeleton(refine_once(w, b, (lo + hi) / 2).refined)
+    weights = [Fraction(int(rng.integers(0, 5))) for _ in edge_order(s_new)]
+    total = sum(weights)
+    if total == 0:
+        return None
+    c_new = tuple(v / total for v in weights)
+    x_new = incidence(s_new).apply(c_new)
+    if any(v == 0 for v in x_new):
+        return None
+    x_old = x_new[:b] + (x_new[b] + x_new[b + 1],) + x_new[b + 2:]
+    bps = [Fraction(0)]
+    for v in x_old:
+        bps.append(bps[-1] + v)
+    w_old = StepGraphon(Partition(tuple(bps)), w.values)
+    rec = refine_once(w_old, b, bps[b] + x_new[b])
+    if concentration(rec.refined.partition) != x_new:
+        raise AssertionError("split instance does not reproduce x'")
+    return rec, c_new

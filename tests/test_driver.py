@@ -365,6 +365,30 @@ class TestIO:
             with pytest.raises(io.FormatError):
                 io.load_graph(path)
 
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"blocks": [0.7, 1.2]},
+            {"edges": [[0, 1.9]]},
+            {"blocks": [0, -1]},
+            {"n": True, "coords": [0.1], "blocks": [0], "edges": []},
+        ],
+    )
+    def test_bad_graph_number_is_a_format_error(self, tmp_path, fields):
+        # non-integral labels and endpoints were truncated, a negative label
+        # and a boolean n were taken as they stood
+        doc = {"n": 2, "coords": [0.1, 0.7], "blocks": [0, 1], "edges": [[0, 1]], **fields}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(io.FormatError, match="bad.json"):
+            io.load_graph(path)
+
+    def test_integral_float_edges_load(self, tmp_path):
+        doc = {"n": 2, "coords": [0.1, 0.7], "blocks": [0, 1], "edges": [[0.0, 1.0]]}
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(doc))
+        assert io.load_graph(path).pair_set() == {(0, 1)}
+
     def test_graph_round_trip(self, tmp_path):
         g = sample_graph(ER_HALF, 25, 3)
         path = tmp_path / "g.json"
@@ -433,6 +457,28 @@ class TestCLI:
         bad = tmp_path / "bad.json"
         bad.write_text("{")
         assert cli.main(["analyze", str(bad)]) == 2
+
+    def test_unwritable_output_exit_two(self, tmp_path, capsys):
+        path = self._write(tmp_path)
+        capsys.readouterr()
+        for args in (
+            ["sample", path, "--n", "5", "--seed", "1", "--out", str(tmp_path)],
+            ["analyze", path, "--json", str(tmp_path)],
+        ):
+            assert cli.main(args) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_memory_error_exit_two(self, tmp_path, capsys, monkeypatch):
+        def refuse(w, n, seed):
+            raise MemoryError("cannot allocate the pair uniforms")
+
+        monkeypatch.setattr(cli, "sample_graph", refuse)
+        path = self._write(tmp_path)
+        capsys.readouterr()
+        out = str(tmp_path / "g.json")
+        assert cli.main(["sample", path, "--n", "5", "--seed", "1", "--out", out]) == 2
+        assert capsys.readouterr().err == "error: cannot allocate the pair uniforms\n"
 
     def test_refine_bad_point_exit_two(self, tmp_path):
         path = self._write(tmp_path)

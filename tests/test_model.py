@@ -17,7 +17,13 @@ from hamdec.model import (
     step_graphon,
 )
 
-from helpers import exhaustive_has_odd_cycle, random_graphon, rational_rank
+from helpers import (
+    closure_components,
+    exhaustive_has_odd_cycle,
+    random_graphon,
+    random_skeleton,
+    rational_rank,
+)
 
 TRIANGLE = SkeletonGraph(3, frozenset(), frozenset({(0, 1), (0, 2), (1, 2)}))
 
@@ -77,6 +83,15 @@ class TestSkeleton:
     def test_symmetry_required(self):
         with pytest.raises(ValueError):
             step_graphon([0, F(1, 2), 1], [[0, F(1, 3)], [F(1, 4), 0]])
+
+    def test_supports_matches_block_values(self):
+        rng = np.random.default_rng(73)
+        for _ in range(100):
+            w = random_graphon(rng, q_max=6)
+            s = skeleton(w)
+            for a in range(w.q):
+                for b in range(w.q):
+                    assert s.supports(a, b) == (w.values[a][b] > 0)
 
 
 class TestIncidence:
@@ -173,6 +188,13 @@ class TestComponents:
     def test_two_pairs(self):
         s = SkeletonGraph(4, frozenset(), frozenset({(0, 1), (2, 3)}))
         assert connected_components(s) == [frozenset({0, 1}), frozenset({2, 3})]
+
+    def test_agrees_with_closure(self):
+        rng = np.random.default_rng(71)
+        for _ in range(300):
+            s = random_skeleton(rng)
+            assert connected_components(s) == closure_components(s)
+            assert is_connected(s) == (len(closure_components(s)) == 1)
 
 
 class TestValueAt:

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction as F
 
 import numpy as np
@@ -21,7 +22,7 @@ from hamdec.refine import (
     refine_once,
 )
 
-from helpers import random_graphon
+from helpers import random_graphon, random_split_instance
 
 
 class TestRefineOnce:
@@ -124,6 +125,30 @@ class TestPushPull:
             push_certificate((F(1, 2),), rec)
         with pytest.raises(ValueError):
             pull_certificate((F(1), F(0), F(0)), rec)
+
+
+class TestTransportDigest:
+    # sha256 of the exact pulled and pushed coefficients, recorded before
+    # push and pull were rewritten over one edge map: any changed
+    # coefficient changes it, even one that still solves Z c = x
+    DIGEST = "b174569ad3646985bde4d13dc62a5f40397ab1e56109be1536e6cb57507dbdc6"
+
+    def test_pull_then_push_coefficients_pinned(self):
+        rng = np.random.default_rng(2206)
+        h = hashlib.sha256()
+        done = 0
+        while done < 400:
+            inst = random_split_instance(rng)
+            if inst is None:
+                continue
+            rec, c_refined = inst
+            pulled = pull_certificate(c_refined, rec)
+            pushed = push_certificate(pulled, rec)
+            for v in pulled + pushed:
+                h.update(f"{v.numerator}/{v.denominator},".encode())
+            h.update(b";")
+            done += 1
+        assert h.hexdigest() == self.DIGEST
 
 
 class TestInvariance:
