@@ -123,11 +123,7 @@ def _cmd_montecarlo(args) -> int:
 
 def _cmd_refine(args) -> int:
     w = io.load_graphon(args.file)
-    try:
-        rec = refine_once(w, args.block, Fraction(args.at))
-    except ValueError as exc:
-        print(f"refine: {exc}", file=sys.stderr)
-        return 2
+    rec = refine_once(w, args.block, Fraction(args.at))
     io.dump_graphon(rec.refined, args.out)
     print(f"split block {rec.split_block} at {rec.split_point} -> {args.out}")
     return 0

@@ -8,12 +8,14 @@ as probability.
 Determinism contract: identical (graphon, n, seed) produce identical graphs
 on every platform.  The master seed is split into a "coords" stream and an
 "edges" stream (see `_seeds`), both PCG64; coordinates are drawn first,
-then one uniform per pair in lexicographic pair order.  Breakpoints are
-converted once to floats (correctly rounded); a coordinate exactly equal
-to a breakpoint float goes to the right block.  Coordinates live in [0,1)
-by generator convention, so the last breakpoint is never an issue, and
-`sample_graph(saturate(w), n, seed)` is the saturated graph (every pair of
-a supported block pair) on the nodes of `sample_graph(w, n, seed)`.
+then one uniform per pair in lexicographic pair order, drawn in passes of
+whole rows (`_kernels.scan_pairs`) so that one pass's uniforms are held at
+a time.  Breakpoints are converted once to floats (correctly rounded); a
+coordinate exactly equal to a breakpoint float goes to the right block.
+Coordinates live in [0,1) by generator convention, so the last breakpoint
+is never an issue, and `sample_graph(saturate(w), n, seed)` is the
+saturated graph (every pair of a supported block pair) on the nodes of
+`sample_graph(w, n, seed)`.
 """
 
 from __future__ import annotations
@@ -41,6 +43,32 @@ def build_csr(nrows: int, ncols: int, rows, cols) -> tuple[np.ndarray, np.ndarra
     return indptr, keys % ncols
 
 
+def _canonical_edges(n: int, edges: np.ndarray) -> np.ndarray:
+    """The (m, 2) edges as distinct rows (i, j), i < j, in lexicographic order.
+
+    Sampled edges already are, which one O(m) pass confirms; other input is
+    oriented and sorted.  An endpoint out of range, a self-loop or a repeated
+    edge raises ValueError.
+    """
+    if edges.size == 0:
+        return edges
+    if edges.min() < 0 or edges.max() >= n:
+        raise ValueError("edge endpoints must be nodes in range")
+    i, j = edges[:, 0], edges[:, 1]
+    keys = i * n + j
+    if np.all(i < j) and np.all(keys[1:] > keys[:-1]):
+        return edges
+    lo, hi = np.minimum(i, j), np.maximum(i, j)
+    if np.any(lo == hi):
+        raise ValueError("edge endpoints must be distinct nodes")
+    keys = np.sort(lo * n + hi)
+    repeated = np.flatnonzero(keys[1:] == keys[:-1])
+    if repeated.size:
+        k = int(keys[repeated[0]])
+        raise ValueError(f"edge ({k // n}, {k % n}) appears more than once")
+    return np.column_stack([keys // n, keys % n])
+
+
 def _int_array(values, what: str) -> np.ndarray:
     """int64 array of integer input; floats pass only if integral (or none)."""
     arr = np.asarray(values)
@@ -54,8 +82,9 @@ class SampledGraph:
     """An undirected sampled graph with its block assignment.
 
     `edges` is an (m, 2) int array with rows (i, j), i < j, sorted
-    lexicographically.  The adjacency is a symmetric CSR built lazily from
-    it, each node's neighbours in ascending order.
+    lexicographically; edges given in another orientation or order are
+    stored that way.  The adjacency is a symmetric CSR built lazily from it,
+    each node's neighbours in ascending order.
     """
 
     n: int
@@ -69,29 +98,34 @@ class SampledGraph:
             raise ValueError("n must be a positive integer")
         self.coords = np.asarray(self.coords, dtype=np.float64)
         self.blocks = _int_array(self.blocks, "block labels")
-        self.edges = _int_array(self.edges, "edge endpoints").reshape(-1, 2)
+        self.edges = _canonical_edges(
+            self.n, _int_array(self.edges, "edge endpoints").reshape(-1, 2)
+        )
         if self.coords.shape != (self.n,) or self.blocks.shape != (self.n,):
             raise ValueError("coords and blocks must have length n")
         if self.blocks.size and self.blocks.min() < 0:
             raise ValueError("block labels must be nonnegative")
-        if self.edges.size and (
-            self.edges.min() < 0
-            or self.edges.max() >= self.n
-            or np.any(self.edges[:, 0] == self.edges[:, 1])
-        ):
-            raise ValueError("edge endpoints must be distinct nodes in range")
 
     @property
     def edge_count(self) -> int:
         return self.edges.shape[0]
 
     def adjacency(self) -> tuple[np.ndarray, np.ndarray]:
-        """The symmetric CSR (indptr, indices) of the graph."""
+        """The symmetric CSR (indptr, indices) of the graph.
+
+        The edges are canonical, so one stable sort of the entries (j, i) then
+        (i, j) by row leaves each node's lower neighbours first and ascending,
+        then its upper ones: every row is ascending and nothing repeats.  Rows
+        held in the smallest unsigned dtype that fits n - 1 let numpy
+        radix-sort them.
+        """
         if self._csr is None:
             i, j = self.edges[:, 0], self.edges[:, 1]
-            self._csr = build_csr(
-                self.n, self.n, np.concatenate([i, j]), np.concatenate([j, i])
-            )
+            rows = np.concatenate([j, i]).astype(np.min_scalar_type(self.n - 1))
+            indptr = np.zeros(self.n + 1, dtype=np.int64)
+            np.cumsum(np.bincount(rows, minlength=self.n), out=indptr[1:])
+            indices = np.concatenate([i, j])[np.argsort(rows, kind="stable")]
+            self._csr = (indptr, indices)
         return self._csr
 
     def neighbors(self, v: int) -> np.ndarray:
@@ -165,9 +199,7 @@ def sample_graph(w: StepGraphon, n: int, seed: int) -> SampledGraph:
     coords = generator(derive(seed, COORDS_STREAM)).random(n)
     blocks = assign_blocks(w, coords)
     probs = np.array([[float(v) for v in row] for row in w.values], dtype=np.float64)
-    m = n * (n - 1) // 2
-    u = generator(derive(seed, EDGES_STREAM)).random(m)
-    ei, ej = _kernels.scan_pairs(blocks, probs, u)
+    ei, ej = _kernels.scan_pairs(blocks, probs, generator(derive(seed, EDGES_STREAM)))
     return SampledGraph(n, coords, blocks, np.column_stack([ei, ej]))
 
 

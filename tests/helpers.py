@@ -3,7 +3,8 @@
 Everything here deliberately avoids the library's own algorithms: ranks by
 Gaussian elimination over Fractions, odd cycles by exhaustive enumeration,
 matchings and decompositions by brute force.  These are the reference
-implementations the fast code is checked against.  `tally` is only a call
+implementations the fast code is checked against, with `scan_pairs_rows`,
+the pair scan taken one row at a time.  `tally` is only a call
 shorthand: the balanced tally of an instance, with the certificate the
 pipeline would pass.
 """
@@ -94,6 +95,25 @@ def brute_decomposition_exists(n: int, arcs) -> bool:
     return any(
         all((v, perm[v]) in arc_set for v in range(n)) for perm in permutations(range(n))
     )
+
+
+def scan_pairs_rows(blocks, probs, u):
+    """Reference pair scan, one row at a time over all the uniforms `u`.
+
+    u[k] is the uniform for the k-th pair (i, j), i < j, in lexicographic
+    order; returns the hit rows and columns in that order.
+    """
+    n = blocks.shape[0]
+    hits_i = [np.empty(0, np.int64)]
+    hits_j = [np.empty(0, np.int64)]
+    k = 0
+    for i in range(n - 1):
+        span = n - 1 - i
+        js = np.nonzero(u[k:k + span] < probs[blocks[i], blocks[i + 1:]])[0]
+        k += span
+        hits_i.append(np.full(js.size, i, dtype=np.int64))
+        hits_j.append(js.astype(np.int64) + i + 1)
+    return np.concatenate(hits_i), np.concatenate(hits_j)
 
 
 def random_connected_skeleton(rng, q_max=8, q_min=2, want_loopless_odd=False) -> SkeletonGraph:

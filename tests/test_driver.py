@@ -357,7 +357,12 @@ class TestIO:
             io.load_graph(path)
 
     def test_graph_shape_and_range_errors_are_format_errors(self, tmp_path):
-        for field, value in (("coords", [0.1]), ("blocks", [0, 0, 0]), ("edges", [[0, 2]])):
+        for field, value in (
+            ("coords", [0.1]),
+            ("blocks", [0, 0, 0]),
+            ("edges", [[0, 2]]),
+            ("edges", [[0, 1], [1, 0]]),
+        ):
             doc = {"n": 2, "coords": [0.1, 0.7], "blocks": [0, 0], "edges": [[0, 1]]}
             doc[field] = value
             path = tmp_path / "bad.json"
@@ -388,6 +393,12 @@ class TestIO:
         path = tmp_path / "g.json"
         path.write_text(json.dumps(doc))
         assert io.load_graph(path).pair_set() == {(0, 1)}
+
+    def test_reversed_edges_load_canonical(self, tmp_path):
+        doc = {"n": 3, "coords": [0.1, 0.5, 0.7], "blocks": [0, 0, 0], "edges": [[2, 0], [1, 0]]}
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(doc))
+        assert io.load_graph(path).edges.tolist() == [[0, 1], [0, 2]]
 
     def test_graph_round_trip(self, tmp_path):
         g = sample_graph(ER_HALF, 25, 3)
@@ -480,6 +491,9 @@ class TestCLI:
         assert cli.main(["sample", path, "--n", "5", "--seed", "1", "--out", out]) == 2
         assert capsys.readouterr().err == "error: cannot allocate the pair uniforms\n"
 
-    def test_refine_bad_point_exit_two(self, tmp_path):
+    def test_refine_bad_point_exit_two(self, tmp_path, capsys):
         path = self._write(tmp_path)
         assert cli.main(["refine", path, "--block", "0", "--at", "1", "--out", "x"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert cli.main(["refine", path, "--block", "3", "--at", "0.5", "--out", "x"]) == 2
+        assert capsys.readouterr().err == "error: block 3 out of range\n"

@@ -1,12 +1,16 @@
-"""Seed derivation and the matching kernel."""
+"""Seed derivation, the pair scan and the matching kernel."""
+
+from fractions import Fraction as F
 
 import numpy as np
+import pytest
 
 from hamdec import _kernels
-from hamdec._seeds import derive, fnv1a64, splitmix64
+from hamdec._seeds import derive, fnv1a64, generator, splitmix64
+from hamdec.model import step_graphon
 from hamdec.sampling import build_csr
 
-from helpers import brute_max_matching
+from helpers import brute_max_matching, random_graphon, scan_pairs_rows
 
 
 class TestSeeds:
@@ -26,6 +30,41 @@ class TestSeeds:
     def test_derive_stable(self):
         # frozen: the documented scheme must never drift
         assert derive(12345, "coords") == 13173903763817068481
+
+
+def _probs(w):
+    return np.array([[float(v) for v in row] for row in w.values])
+
+
+class TestPairScan:
+    HALF = F(1, 2)
+    GRAPHONS = (
+        step_graphon([0, F(1, 3), F(2, 3), 1], [[0, HALF, HALF], [HALF, 0, HALF], [HALF, HALF, 0]]),
+        step_graphon([0, 1], [[HALF]]),
+        step_graphon([0, HALF, 1], [[0, F(3, 10)], [F(3, 10), 0]]),
+        random_graphon(np.random.default_rng(2)),
+    )
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 30, 200])
+    def test_matches_the_row_loop_across_chunk_seams(self, monkeypatch, n):
+        # one row per pass, passes cut far inside rows, a first pass of
+        # exactly row 0, and the default
+        for chunk in (1, 7, n - 1, _kernels.PAIR_CHUNK):
+            monkeypatch.setattr(_kernels, "PAIR_CHUNK", max(chunk, 1))
+            for w in self.GRAPHONS:
+                blocks = np.random.default_rng(n).integers(0, len(w.values), n)
+                for seed in range(3):
+                    got = _kernels.scan_pairs(blocks, _probs(w), generator(seed))
+                    u = generator(seed).random(n * (n - 1) // 2)
+                    want = scan_pairs_rows(blocks, _probs(w), u)
+                    for a, b in zip(got, want):
+                        assert a.dtype == np.int64 and np.array_equal(a, b)
+
+    def test_chunked_draws_equal_one_draw(self):
+        whole = generator(7).random(100_000)
+        rng = generator(7)
+        parts = [rng.random(k) for k in (0, 1, 6, 65_536, 33_000, 1_457)]
+        assert np.array_equal(np.concatenate(parts), whole)
 
 
 class TestMatchingProperties:

@@ -1,4 +1,6 @@
+import hashlib
 import math
+import tracemalloc
 from fractions import Fraction as F
 from itertools import combinations
 
@@ -11,10 +13,13 @@ from hamdec.sampling import (
     BalancedMatrix,
     SampledGraph,
     assign_blocks,
+    build_csr,
     count_block_edges,
     empirical_concentration,
     sample_graph,
 )
+
+from helpers import random_graphon
 
 TRIANGLE = SkeletonGraph(3, frozenset(), frozenset({(0, 1), (0, 2), (1, 2)}))
 
@@ -67,6 +72,40 @@ class TestSampleGraph:
         w = step_graphon([0, F(1, 2), 1], [[F(1, 2)] * 2] * 2)
         blocks = assign_blocks(w, np.array([0.0, 0.5, 0.4999999, 0.9]))
         assert list(blocks) == [0, 1, 0, 1]
+
+    def test_sampler_bytes_pinned(self):
+        # coords, blocks and edges of 90 samples: any change to the draws,
+        # the pair scan or the edge layout shows here
+        half = F(1, 2)
+        graphons = (
+            step_graphon([0, F(1, 3), F(2, 3), 1], [[0, half, half], [half, 0, half], [half, half, 0]]),
+            er_graphon(half),
+            step_graphon([0, half, 1], [[0, F(3, 10)], [F(3, 10), 0]]),
+            random_graphon(np.random.default_rng(1)),
+            random_graphon(np.random.default_rng(2)),
+        )
+        h = hashlib.sha256()
+        for w in graphons:
+            for n in (1, 2, 3, 7, 200, 1001):
+                for seed in (0, 1, 2):
+                    g = sample_graph(w, n, seed)
+                    for a in (g.coords, g.blocks, g.edges):
+                        h.update(a.dtype.str.encode())
+                        h.update(repr(a.shape).encode())
+                        h.update(a.tobytes())
+        assert h.hexdigest() == "b7e0986d708e2f864b43fd6c7215729ae77a08df86ef9c4a11dcf5df3a7002b4"
+
+    def test_memory_bounded_in_the_pair_count(self):
+        # n=4000 has ~8.0e6 pairs: 64 MB of uniforms if drawn at once
+        w = er_graphon(F(1, 100))
+        sample_graph(w, 10, 0)
+        tracemalloc.start()
+        try:
+            g = sample_graph(w, 4000, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g.edge_count > 0 and peak < 16e6
 
     def test_n_validation(self):
         with pytest.raises(ValueError):
@@ -230,6 +269,37 @@ class TestAdjacency:
 
     def test_bad_edges_rejected(self):
         coords, blocks = np.array([0.1, 0.5, 0.9]), np.array([0, 0, 0])
-        for edges in ([[0, 0]], [[0, 3]], [[-1, 2]]):
+        for edges in ([[0, 0]], [[0, 3]], [[-1, 2]], [[0, 1], [2, 2]]):
             with pytest.raises(ValueError):
                 SampledGraph(3, coords, blocks, np.array(edges))
+
+    def test_repeated_edge_rejected(self):
+        coords, blocks = np.array([0.1, 0.5, 0.9]), np.array([0, 0, 0])
+        for edges in ([[0, 1], [0, 1], [2, 1]], [[0, 1], [1, 0]], [[1, 2], [0, 2], [2, 1]]):
+            with pytest.raises(ValueError, match="more than once"):
+                SampledGraph(3, coords, blocks, edges)
+
+    def test_reversed_and_unsorted_edges_stored_canonical(self):
+        coords, blocks = np.linspace(0, 0.9, 5), np.zeros(5, dtype=np.int64)
+        g = SampledGraph(5, coords, blocks, [[3, 1], [0, 4], [2, 0], [1, 2]])
+        assert g.edges.tolist() == [[0, 2], [0, 4], [1, 2], [1, 3]]
+        assert g.edge_count == 4
+        self._check(g)
+
+    def test_matches_build_csr(self):
+        rng = np.random.default_rng(3)
+        cases = []
+        for n in (1, 2, 9, 300):
+            for seed in range(3):
+                g = sample_graph(random_graphon(rng), n, seed)
+                cases.append((g, g.edges.copy()))
+        for n in (2, 6, 40):  # hand-built: random orientation and order
+            pairs = [p for p in combinations(range(n), 2) if rng.random() < 0.4]
+            rows = np.array([p if rng.random() < 0.5 else p[::-1] for p in pairs], dtype=np.int64)
+            rows = rows.reshape(-1, 2)[rng.permutation(len(pairs))]
+            cases.append((SampledGraph(n, rng.random(n), np.zeros(n, dtype=np.int64), rows), rows))
+        for g, edges in cases:
+            i, j = edges[:, 0], edges[:, 1]
+            want = build_csr(g.n, g.n, np.concatenate([i, j]), np.concatenate([j, i]))
+            for a, b in zip(g.adjacency(), want):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
