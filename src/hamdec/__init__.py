@@ -41,7 +41,6 @@ from .polytope import (
 )
 from .realize import (
     CycleEmbedError,
-    Matching,
     RealizationOutcome,
     embed_cycles,
     graph_has_decomposition,

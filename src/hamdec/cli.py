@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from . import io
 from ._seeds import derive
@@ -123,7 +122,7 @@ def _cmd_montecarlo(args) -> int:
 
 def _cmd_refine(args) -> int:
     w = io.load_graphon(args.file)
-    rec = refine_once(w, args.block, Fraction(args.at))
+    rec = refine_once(w, args.block, args.at)
     io.dump_graphon(rec.refined, args.out)
     print(f"split block {rec.split_block} at {rec.split_point} -> {args.out}")
     return 0

@@ -33,7 +33,8 @@ import enum
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from copy import copy
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
@@ -272,7 +273,9 @@ def run_pipeline(
         return PipelineOutcome(interior, failure=f"cannot decompose: {p.reason}")
     sn = p.normalized.skeleton
     if p.normalized is not p.base:
-        g = replace(g, blocks=assign_blocks(p.normalized.graphon, g.coords))
+        # a copy with new blocks: the edges, and so the cached CSR, are g's
+        g = copy(g)
+        g.blocks = assign_blocks(p.normalized.graphon, g.coords)
         x = empirical_concentration(g, sn.node_count)
         cert = positive_certificate(p.normalized.incidence, x)
     try:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .model import Partition, StepGraphon
+from .model import Partition, StepGraphon, _as_fraction
 from .sampling import SampledGraph
 
 
@@ -25,18 +25,10 @@ class FormatError(ValueError):
 
 
 def _rational(value, where: str) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, bool):
-        raise FormatError(f"{where}: expected a number, got {value!r}")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise FormatError(f"{where}: cannot parse {value!r} as a rational") from exc
-    raise FormatError(f"{where}: expected a number or 'p/q' string, got {value!r}")
+    try:
+        return _as_fraction(value)
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"{where}: {exc}") from exc
 
 
 def _load_object(path, keys, **kwargs) -> dict:

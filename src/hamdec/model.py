@@ -36,11 +36,18 @@ class DisconnectedSkeletonError(ValueError):
 
 
 def _as_fraction(value) -> Fraction:
+    """The exact rational of a Fraction, an int, a float (its exact binary
+    value) or a decimal or "p/q" string.  Any other type, bool included,
+    raises TypeError; a string that is no rational, a zero denominator or a
+    non-finite float raises ValueError."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, (int, str, float)):  # a float: its exact binary value
+    if isinstance(value, bool) or not isinstance(value, (int, str, float)):
+        raise TypeError(f"cannot interpret {value!r} as an exact rational")
+    try:
         return Fraction(value)
-    raise TypeError(f"cannot interpret {value!r} as an exact rational")
+    except (ZeroDivisionError, OverflowError) as exc:
+        raise ValueError(f"{value!r} is not a finite rational") from exc
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,10 @@ between the prescribed node groups (looped blocks are split into two halves
 and matched across).  Bounded randomized retries stand in for the almost-sure
 existence arguments; exhausting them is a reported Failure, not an error.
 
+`max_bipartite_matching` is the one matching front end on a sampled graph:
+it restricts the graph's CSR adjacency to a left and a right node list and
+runs Hopcroft-Karp on the result, once per 2-cycle group.
+
 Also here: an independent existence oracle.  A Hamiltonian decomposition of
 a digraph is exactly a permutation supported on its arcs, so existence is
 a perfect matching question between out-copies and in-copies of the nodes.
@@ -44,17 +48,6 @@ class CycleEmbedError(Exception):
 
 
 @dataclass(frozen=True)
-class Matching:
-    """A set of disjoint (left, right) pairs, each an edge of the host graph."""
-
-    pairs: frozenset[tuple[int, int]]
-
-    @property
-    def size(self) -> int:
-        return len(self.pairs)
-
-
-@dataclass(frozen=True)
 class RealizationOutcome:
     """The realized decomposition (None on failure) and how far it got."""
 
@@ -71,32 +64,33 @@ def _has_perfect_matching(n: int, indptr, indices) -> bool:
     return bool(np.all(match_l >= 0))
 
 
-def max_bipartite_matching(left, right, edges) -> Matching:
-    """Maximum-cardinality matching between two labeled node sets.
+def max_bipartite_matching(g: SampledGraph, left, right) -> frozenset[tuple[int, int]]:
+    """Maximum matching between two disjoint node lists of g, within its edges.
 
-    Edges must connect a left label to a right label; labels are arbitrary
-    hashables, distinct within each side.  The matching is deterministic for
-    a fixed input order.
+    Returns (left node, right node) pairs, each an edge of g.  The set is
+    built in `left` order, so its iteration order is fixed by the input.  A
+    node out of range, repeated, or in both lists raises ValueError.
     """
-    left = list(left)
-    right = list(right)
-    lidx = {v: i for i, v in enumerate(left)}
-    ridx = {v: i for i, v in enumerate(right)}
-    if len(lidx) != len(left) or len(ridx) != len(right):
-        raise ValueError("left and right labels must each be distinct")
-    rows = []
-    cols = []
-    for u, v in edges:
-        if u not in lidx or v not in ridx:
-            raise ValueError(f"edge ({u},{v}) does not connect left to right")
-        rows.append(lidx[u])
-        cols.append(ridx[v])
-    indptr, indices = build_csr(len(left), len(right), rows, cols)
-    match_l, _ = _kernels.hopcroft_karp(len(left), len(right), indptr, indices)
-    pairs = frozenset(
-        (left[u], right[int(match_l[u])]) for u in range(len(left)) if match_l[u] != -1
+    left = np.asarray(left, dtype=np.int64)
+    right = np.asarray(right, dtype=np.int64)
+    nl, nr = left.size, right.size
+    nodes = np.concatenate([left, right])
+    if nodes.size and (nodes.min() < 0 or nodes.max() >= g.n):
+        raise ValueError("matching nodes must be nodes of the graph")
+    pos = np.full(g.n, -1, dtype=np.int64)  # index in `right`; -2 in `left`
+    pos[left] = -2
+    pos[right] = np.arange(nr)
+    if np.count_nonzero(pos != -1) != nl + nr:
+        raise ValueError("left and right nodes must be distinct and disjoint")
+    lengths, cols = _kernels.gather_rows(*g.adjacency(), left)
+    local = pos[cols]
+    keep = local >= 0
+    rows = np.repeat(np.arange(nl), lengths)[keep]
+    match_l, _ = _kernels.hopcroft_karp(nl, nr, *build_csr(nl, nr, rows, local[keep]))
+    lnodes, rnodes = left.tolist(), right.tolist()
+    return frozenset(
+        (lnodes[u], rnodes[v]) for u, v in enumerate(match_l.tolist()) if v != -1
     )
-    return Matching(pairs)
 
 
 def oracle_exists(n: int, arcs) -> bool:
@@ -211,8 +205,6 @@ def realize(
         raise ValueError("tally 2-cycle counts do not match the leftover nodes")
 
     rng = generator(derive(seed, "phase2"))
-    indptr, indices = g.adjacency()
-    pos = np.full(g.n, -1, dtype=np.int64)  # a node's index in the current rset
     for attempt in range(attempts):
         # each block's nodes in a fresh random order, handed out front to back
         shuffled = [iter(rng.permutation(r).tolist()) for r in remaining]
@@ -223,19 +215,9 @@ def realize(
                 lset, rset = group[:c], group[c:]
             else:
                 lset, rset = list(islice(shuffled[i], c)), list(islice(shuffled[j], c))
-            pos[rset] = np.arange(len(rset))
-            lengths, cols = _kernels.gather_rows(indptr, indices, lset)
-            local = pos[cols]
-            keep = local >= 0
-            rows = np.repeat(np.arange(len(lset)), lengths)[keep]
-            pos[rset] = -1
-            csr = build_csr(len(lset), len(rset), rows, local[keep])
-            match_l, _ = _kernels.hopcroft_karp(len(lset), len(rset), *csr)
             # the set's iteration order is the order of the 2-cycles in the
             # realized decomposition, which `decompose` prints
-            matched = frozenset(
-                (lset[u], rset[v]) for u, v in enumerate(match_l.tolist()) if v != -1
-            )
+            matched = max_bipartite_matching(g, lset, rset)
             if len(matched) < c:
                 diagnostics["last_failure"] = {"pair": (i, j), "needed": c, "matched": len(matched)}
                 diagnostics["failed_attempt"] = attempt

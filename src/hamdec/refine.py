@@ -27,6 +27,7 @@ from .model import (
     DisconnectedSkeletonError,
     Partition,
     StepGraphon,
+    _as_fraction,
     concentration,
     connected_components,
     edge_order,
@@ -60,7 +61,7 @@ def refine_once(w: StepGraphon, block: int, t) -> RefinementRecord:
     copying the split node's adjacencies (plus loop and connecting edge if
     the split node had a loop).
     """
-    point = Fraction(t)
+    point = _as_fraction(t)
     q = w.q
     if not 0 <= block < q:
         raise ValueError(f"block {block} out of range")

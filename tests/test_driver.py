@@ -256,6 +256,9 @@ class TestPipeline:
         assert len(lps) + len(lps_tally) == 4 and decompositions == []
 
     def test_reblocking_reuses_the_adjacency(self, monkeypatch):
+        # the re-blocked graph shares the sample's edges: they are checked
+        # once, when sampled, and the CSR is built once
+        checks = _counting(monkeypatch, hamdec.sampling, "_canonical_edges")
         g = sample_graph(ER_HALF, 100, 3)
         g.adjacency()
         p = plan(ER_HALF)
@@ -263,6 +266,7 @@ class TestPipeline:
         calls = _counting(monkeypatch, hamdec.sampling, "build_csr")
         out = run_pipeline(p, g, 5)
         assert out.ok and calls == []
+        assert len(checks) == 1
 
     def test_expected_failures_are_outcomes(self):
         zero = step_graphon([0, 1], [[0]])
@@ -497,3 +501,10 @@ class TestCLI:
         assert capsys.readouterr().err.startswith("error: ")
         assert cli.main(["refine", path, "--block", "3", "--at", "0.5", "--out", "x"]) == 2
         assert capsys.readouterr().err == "error: block 3 out of range\n"
+
+    def test_refine_zero_denominator_exit_two(self, tmp_path, capsys):
+        path = self._write(tmp_path)
+        out = tmp_path / "x.json"
+        assert cli.main(["refine", path, "--block", "0", "--at", "1/0", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()

@@ -37,6 +37,14 @@ class TestPartition:
         with pytest.raises(ValueError):
             Partition((F(1, 10), F(1)))
 
+    def test_rational_input_errors(self):
+        with pytest.raises(ValueError):
+            step_graphon([0, "1/0", 1], [[0, F(1, 2)], [F(1, 2), 0]])
+        with pytest.raises(ValueError):
+            Partition((0, float("inf"), 1))
+        with pytest.raises(TypeError):
+            Partition((0, True))
+
     def test_block_of_half_open(self):
         p = Partition((F(0), F(1, 2), F(1)))
         assert p.block_of(F(0)) == 0

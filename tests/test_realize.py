@@ -1,10 +1,11 @@
+import importlib
 from fractions import Fraction as F
 from itertools import combinations
 
 import numpy as np
 import pytest
 
-from hamdec.construct import BlockCycle
+from hamdec.construct import BlockCycle, block_cycles
 from hamdec.model import SkeletonGraph, saturate, skeleton, step_graphon
 from hamdec.realize import (
     CycleEmbedError,
@@ -23,37 +24,77 @@ from hamdec.sampling import (
 
 from helpers import brute_decomposition_exists, brute_max_matching, tally
 
+# the package attribute `realize` is the function of that name
+realize_module = importlib.import_module("hamdec.realize")
+
 TRIANGLE = SkeletonGraph(3, frozenset(), frozenset({(0, 1), (0, 2), (1, 2)}))
+
+
+def _host(nl, nr, edges):
+    """A graph with left nodes 0..nl-1, right nodes nl..nl+nr-1 and an edge
+    (u, nl + v) for every local pair (u, v)."""
+    n = nl + nr
+    pairs = np.array([(u, nl + v) for u, v in edges]).reshape(-1, 2)
+    return SampledGraph(n, np.zeros(n), np.zeros(n, dtype=int), pairs)
+
+
+def _match(nl, nr, edges):
+    g = _host(nl, nr, edges)
+    return g, max_bipartite_matching(g, range(nl), range(nl, nl + nr))
+
+
+def _check(g, nl, pairs):
+    assert len({u for u, _ in pairs}) == len({v for _, v in pairs}) == len(pairs)
+    for u, v in pairs:
+        assert 0 <= u < nl <= v < g.n and g.has_edge(u, v)
+        assert type(u) is int and type(v) is int
 
 
 class TestMatching:
     def test_complete_3x3(self):
-        edges = [(u, v) for u in range(3) for v in "abc"]
-        m = max_bipartite_matching(range(3), "abc", edges)
-        assert m.size == 3
+        g, m = _match(3, 3, [(u, v) for u in range(3) for v in range(3)])
+        assert len(m) == 3
+        _check(g, 3, m)
 
     def test_star(self):
-        m = max_bipartite_matching([0], ["a", "b", "c"], [(0, "a"), (0, "b"), (0, "c")])
-        assert m.size == 1
+        g, m = _match(1, 3, [(0, 0), (0, 1), (0, 2)])
+        assert len(m) == 1
+        _check(g, 1, m)
 
     def test_planted_left_perfect(self):
         # 4 left, 5 right, edges containing a planted left-perfect matching
-        left = list(range(4))
-        right = list(range(10, 15))
-        edges = [(i, 10 + i) for i in left] + [(0, 12), (2, 14), (3, 10)]
-        m = max_bipartite_matching(left, right, edges)
-        assert m.size == 4
-        assert len({u for u, _ in m.pairs}) == 4
+        edges = [(i, i) for i in range(4)] + [(0, 2), (2, 4), (3, 0)]
+        g, m = _match(4, 5, edges)
+        assert len(m) == 4
+        _check(g, 4, m)
 
     def test_edge_endpoint_validation(self):
-        with pytest.raises(ValueError):
-            max_bipartite_matching([0], [1], [(1, 0)])
+        # only edges from the left list to the right list are matched: edges
+        # within a side or to a node in neither list are not
+        edges = [(0, 2), (0, 1), (2, 3), (1, 4), (3, 4)]
+        g = SampledGraph(5, np.zeros(5), np.zeros(5, dtype=int), edges)
+        assert max_bipartite_matching(g, [0, 1], [2, 3]) == {(0, 2)}
+        assert max_bipartite_matching(g, [1], [0]) == {(1, 0)}
+        assert max_bipartite_matching(g, [], [0, 1]) == frozenset()
 
     def test_repeated_labels_rejected(self):
+        g = _host(2, 2, [(0, 0), (1, 1)])
         with pytest.raises(ValueError, match="distinct"):
-            max_bipartite_matching([0, 0], [1, 2], [(0, 1), (0, 2)])
+            max_bipartite_matching(g, [0, 0], [2, 3])
         with pytest.raises(ValueError, match="distinct"):
-            max_bipartite_matching([0, 1], ["a", "a"], [(0, "a"), (1, "a")])
+            max_bipartite_matching(g, [0, 1], [2, 2])
+
+    def test_node_in_both_lists_rejected(self):
+        g = _host(2, 2, [(0, 0), (1, 1)])
+        with pytest.raises(ValueError, match="disjoint"):
+            max_bipartite_matching(g, [0, 1], [1, 2])
+
+    def test_node_out_of_range_rejected(self):
+        # a negative node must not wrap around to the end of the graph
+        g = _host(2, 2, [(0, 0), (1, 1)])
+        for left, right in (([0, -1], [2]), ([0], [2, -1]), ([0, 4], [2]), ([0], [5])):
+            with pytest.raises(ValueError, match="nodes of the graph"):
+                max_bipartite_matching(g, left, right)
 
     def test_agrees_with_brute_force(self):
         # every bipartite graph with <= 8 nodes in small shapes
@@ -64,9 +105,9 @@ class TestMatching:
             all_pairs = [(u, v) for u in range(nl) for v in range(nr)]
             mask = rng.random(len(all_pairs)) < 0.45
             edges = [p for p, keep in zip(all_pairs, mask) if keep]
-            m = max_bipartite_matching(range(nl), range(nr), edges)
-            assert m.size == brute_max_matching(nl, nr, edges)
-            assert all((u, v) in set(edges) for u, v in m.pairs)
+            g, m = _match(nl, nr, edges)
+            assert len(m) == brute_max_matching(nl, nr, edges)
+            _check(g, nl, m)
 
     def test_exhaustive_small_shapes(self):
         # all edge subsets on 2x2 and 2x3: exact agreement
@@ -74,8 +115,9 @@ class TestMatching:
             cells = [(u, v) for u in range(nl) for v in range(nr)]
             for r in range(len(cells) + 1):
                 for chosen in combinations(cells, r):
-                    m = max_bipartite_matching(range(nl), range(nr), chosen)
-                    assert m.size == brute_max_matching(nl, nr, chosen)
+                    g, m = _match(nl, nr, chosen)
+                    assert len(m) == brute_max_matching(nl, nr, chosen)
+                    _check(g, nl, m)
 
 
 class TestOracle:
@@ -200,6 +242,24 @@ class TestRealize:
                     assert (min(u, v), max(u, v)) in pairs
             # a constructive success is an existence witness
             assert graph_has_decomposition(g)
+
+    def test_one_matching_per_two_cycle_group(self, monkeypatch):
+        # a saturated graph matches every group on the first draw
+        w = step_graphon([0, F(1, 3), F(2, 3), 1], [[F(1, 2)] * 3] * 3)
+        a, g, s = _pipeline(w, 60, 4, saturated=True)
+        groups, _ = block_cycles(a, s)
+        calls = []
+        real = realize_module.max_bipartite_matching
+
+        def counting(host, left, right):
+            calls.append((len(left), len(right)))
+            return real(host, left, right)
+
+        monkeypatch.setattr(realize_module, "max_bipartite_matching", counting)
+        out = realize(a, g, s, seed=5)
+        assert out.ok and "failed_attempt" not in out.diagnostics
+        assert calls == [(c, c) for c in groups.values()]
+        assert sum(len(c) == 2 for c in out.decomposition.cycles) == sum(groups.values())
 
     def test_two_loop_blocks_statistical(self):
         # within-block pairing plus cross matching at p = 1/2

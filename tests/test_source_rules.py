@@ -3,6 +3,11 @@
 Internal invariants are explicit checks that raise: `python -O` strips
 `assert` statements, so one in the package would silently stop checking.
 
+Maximum bipartite matching has one front end on a sampled graph,
+`realize.max_bipartite_matching`; the existence oracle's
+`realize._has_perfect_matching` is the only other place that runs
+`_kernels.hopcroft_karp`, so a second inline matching path cannot return.
+
 The package depends on numpy only.  Importing `scipy.sparse.csgraph` adds
 ~33 MB of resident memory and ~0.4 s of start-up, more than the pipeline
 benchmark's bound on peak memory allows, and the package has no compiled
@@ -50,3 +55,53 @@ def test_forbidden_import_detection():
         assert _imported_roots(ast.parse(src).body[0]) & FORBIDDEN_IMPORTS
     for src in ("import numpy as np", "from . import _kernels", "from .scipy_like import x"):
         assert not _imported_roots(ast.parse(src).body[0]) & FORBIDDEN_IMPORTS
+
+
+MATCHING_CALLERS = {
+    "realize._has_perfect_matching",
+    "realize.max_bipartite_matching",
+}
+
+
+def _hopcroft_karp_users(module: str, tree) -> set[str]:
+    """`module.function` of every function that names `hopcroft_karp`,
+    called or not; a name at module level counts as `module.<module>`."""
+    found = set()
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = f"{module}.{node.name}"
+        named = (isinstance(node, ast.Name) and node.id == "hopcroft_karp") or (
+            isinstance(node, ast.Attribute) and node.attr == "hopcroft_karp"
+        ) or (
+            isinstance(node, ast.alias) and node.name == "hopcroft_karp"
+        )
+        if named:
+            found.add(owner)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(tree, f"{module}.<module>")
+    return found
+
+
+def test_only_the_matching_front_ends_run_hopcroft_karp():
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        found |= _hopcroft_karp_users(path.stem, tree)
+    assert found == MATCHING_CALLERS
+
+
+def test_hopcroft_karp_user_detection():
+    src = """
+from ._kernels import hopcroft_karp as hk
+def f(g):
+    return _kernels.hopcroft_karp(1, 1, *g)
+def h():
+    def inner():
+        return hopcroft_karp
+    return inner
+"""
+    assert _hopcroft_karp_users("m", ast.parse(src)) == {"m.<module>", "m.f", "m.inner"}
+    assert _hopcroft_karp_users("m", ast.parse("def hopcroft_karp(): pass")) == set()
