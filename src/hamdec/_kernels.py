@@ -173,10 +173,7 @@ def _hk_lists(nl, nr, indptr, indices):
             else:
                 dist[s] = inf
         dnil = inf
-        qh = 0
-        while qh < len(queue):
-            x = queue[qh]
-            qh += 1
+        for x in queue:  # the loop also visits what it appends
             if dist[x] >= dnil:
                 continue
             for e in range(indptr[x], indptr[x + 1]):
@@ -197,7 +194,6 @@ def _hk_lists(nl, nr, indptr, indices):
             vsel = [-1]
             while stack:
                 x = stack[-1]
-                moved = False
                 while ptrs[-1] < indptr[x + 1]:
                     e = ptrs[-1]
                     ptrs[-1] += 1
@@ -206,20 +202,18 @@ def _hk_lists(nl, nr, indptr, indices):
                     if w == -1:
                         if dist[x] + 1 == dnil:
                             vsel[-1] = v
-                            for t in range(len(stack) - 1, -1, -1):
-                                match_l[stack[t]] = vsel[t]
-                                match_r[vsel[t]] = stack[t]
+                            for left, right in zip(stack, vsel):
+                                match_l[left] = right
+                                match_r[right] = left
                             stack = []
-                            moved = True
                             break
                     elif dist[w] == dist[x] + 1:
                         vsel[-1] = v
                         stack.append(w)
                         ptrs.append(indptr[w])
                         vsel.append(-1)
-                        moved = True
                         break
-                if not moved:
+                else:  # a dead end: no augmenting path through x
                     dist[x] = inf
                     stack.pop()
                     ptrs.pop()

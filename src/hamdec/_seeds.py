@@ -32,8 +32,10 @@ def fnv1a64(data: bytes) -> int:
 
 
 def derive(master: int, *tags: object) -> int:
-    """Derive a stream seed from a master seed and purpose tags."""
-    state = master & _MASK64
+    """Derive a stream seed from a master seed in [0, 2**64) and purpose tags."""
+    if not 0 <= master <= _MASK64:
+        raise ValueError(f"seed {master} is outside [0, 2**64)")
+    state = master
     for tag in tags:
         state = splitmix64(state ^ fnv1a64(str(tag).encode("utf-8")))
     return state

@@ -27,6 +27,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 from .model import (
     DisconnectedSkeletonError,
@@ -181,18 +182,15 @@ class _MaxFlow:
                         queue.append(v)
             if parent[dst] == -1:
                 return flow
-            aug = None
+            path = []
             v = dst
             while v != src:
-                ei = parent[v]
-                aug = self.cap[ei] if aug is None else min(aug, self.cap[ei])
-                v = self.to[ei ^ 1]
-            v = dst
-            while v != src:
-                ei = parent[v]
+                path.append(parent[v])
+                v = self.to[parent[v] ^ 1]
+            aug = min(self.cap[ei] for ei in path)
+            for ei in path:
                 self.cap[ei] -= aug
                 self.cap[ei ^ 1] += aug
-                v = self.to[ei ^ 1]
             flow += aug
 
 
@@ -383,28 +381,20 @@ def peel_cycles(residual: BalancedMatrix, s: SkeletonGraph) -> list[tuple[BlockC
             raise ValueError("residual tally must have a zero diagonal")
     _check_support(counts, s, "residual")
     out: list[tuple[BlockCycle, int]] = []
-    row_left = [sum(row) for row in counts]
-    total = sum(row_left)
-    while total > 0:
-        start = next(i for i in range(q) if row_left[i] > 0)
-        path = [start]
-        pos = {start: 0}
-        while True:
-            cur = path[-1]
-            nxt = next(j for j in range(q) if counts[cur][j] > 0)
-            if nxt in pos:
-                cycle = path[pos[nxt]:]
-                k = len(cycle)
-                mult = min(counts[cycle[t]][cycle[(t + 1) % k]] for t in range(k))
-                for t in range(k):
-                    a, b = cycle[t], cycle[(t + 1) % k]
-                    counts[a][b] -= mult
-                    row_left[a] -= mult
-                total -= mult * k
-                out.append((BlockCycle(tuple(cycle)), mult))
-                break
+    while any(map(any, counts)):
+        nxt = next(i for i in range(q) if any(counts[i]))
+        path: list[int] = []
+        pos: dict[int, int] = {}
+        while nxt not in pos:
             pos[nxt] = len(path)
             path.append(nxt)
+            nxt = next(j for j in range(q) if counts[nxt][j] > 0)
+        cycle = path[pos[nxt]:]
+        arcs = list(zip(cycle, cycle[1:] + cycle[:1]))
+        mult = min(counts[a][b] for a, b in arcs)
+        for a, b in arcs:
+            counts[a][b] -= mult
+        out.append((BlockCycle(tuple(cycle)), mult))
     return out
 
 
@@ -465,24 +455,14 @@ def build_decomposition(a: BalancedMatrix, block_sizes, s: SkeletonGraph) -> Ham
         raise ValueError("tally row sums must equal the block sizes")
     pairs, longer = block_cycles(a, s)
 
-    offsets = [0] * q
-    for b in range(1, q):
-        offsets[b] = offsets[b - 1] + sizes[b - 1]
-    cursor = list(offsets)
-
-    def take(block: int) -> int:
-        v = cursor[block]
-        if v >= offsets[block] + sizes[block]:
-            raise RuntimeError(f"block {block} exhausted while assembling")
-        cursor[block] += 1
-        return v
-
-    cycles: list[tuple[int, ...]] = []
-    for (i, j), c in sorted(pairs.items(), key=lambda kv: kv[0][0] != kv[0][1]):
-        cycles.extend((take(i), take(j)) for _ in range(c))
-    for pattern in longer:
-        cycles.append(tuple(take(b) for b in pattern.nodes))
-
-    if cursor != [offsets[b] + sizes[b] for b in range(q)]:
+    ends = accumulate(sizes)
+    nodes = [iter(range(end - size, end)) for size, end in zip(sizes, ends)]
+    twos = sorted(pairs.items(), key=lambda kv: kv[0][0] != kv[0][1])
+    patterns = [ij for ij, c in twos for _ in range(c)] + [p.nodes for p in longer]
+    try:
+        cycles = [tuple([next(nodes[b]) for b in pattern]) for pattern in patterns]
+    except StopIteration:
+        raise RuntimeError("a block ran out of nodes while assembling") from None
+    if any(next(it, None) is not None for it in nodes):
         raise RuntimeError("node accounting failed while assembling")
     return HamDecomposition(n, cycles)

@@ -83,24 +83,16 @@ def _run_simplex(tableau, basis, ncols):
     m = len(tableau) - 1
     while True:
         obj = tableau[m]
-        col = -1
-        for j in range(ncols):
-            if obj[j] < 0:
-                col = j
+        for col in range(ncols):
+            if obj[col] < 0:
                 break
-        if col == -1:
+        else:
             return True  # optimal
-        row = -1
-        best = None
-        for r in range(m):
-            a = tableau[r][col]
-            if a > 0:
-                ratio = tableau[r][-1] / a
-                if best is None or ratio < best or (ratio == best and basis[r] < basis[row]):
-                    best = ratio
-                    row = r
-        if row == -1:
+        rows = [r for r in range(m) if tableau[r][col] > 0]
+        if not rows:
             return False  # unbounded
+        # the least ratio, ties to the lowest-index basic variable
+        row = min(rows, key=lambda r: (tableau[r][-1] / tableau[r][col], basis[r]))
         _pivot(tableau, basis, row, col)
 
 
@@ -142,14 +134,12 @@ def solve_equality_lp(a_rows, b, objective):
     keep = []
     for r in range(m):
         if basis[r] >= n:
-            col = -1
-            for j in range(n):
-                if tableau[r][j] != 0:
-                    col = j
+            for col in range(n):
+                if tableau[r][col] != 0:
+                    _pivot(tableau, basis, r, col)
                     break
-            if col == -1:
+            else:
                 continue  # redundant constraint
-            _pivot(tableau, basis, r, col)
         keep.append(r)
 
     rows2 = [tableau[r][:n] + [tableau[r][-1]] for r in keep]

@@ -67,9 +67,10 @@ def _has_perfect_matching(n: int, indptr, indices) -> bool:
 def max_bipartite_matching(g: SampledGraph, left, right) -> frozenset[tuple[int, int]]:
     """Maximum matching between two disjoint node lists of g, within its edges.
 
-    Returns (left node, right node) pairs, each an edge of g.  The set is
-    built in `left` order, so its iteration order is fixed by the input.  A
-    node out of range, repeated, or in both lists raises ValueError.
+    Returns (left node, right node) pairs, each an edge of g.  The set's
+    iteration order is fixed by the input, because PYTHONHASHSEED does not
+    salt the hashes of tuples of ints.  A node out of range, repeated, or in
+    both lists raises ValueError.
     """
     left = np.asarray(left, dtype=np.int64)
     right = np.asarray(right, dtype=np.int64)
@@ -136,11 +137,9 @@ def embed_cycles(patterns, g: SampledGraph, seed: int, attempts: int = DEFAULT_A
     for p_idx, pattern in enumerate(patterns):
         bs = list(pattern.nodes)
         k = len(bs)
-        done = None
         for _ in range(attempts):
             chosen: list[int] = []
             avail = free.copy()  # also excludes this attempt's picks
-            ok = True
             for t in range(k):
                 if t == 0:
                     cands = np.flatnonzero(avail & (g.blocks == bs[0]))
@@ -152,18 +151,16 @@ def embed_cycles(patterns, g: SampledGraph, seed: int, attempts: int = DEFAULT_A
                             cands, g.neighbors(chosen[0]), assume_unique=True
                         )
                 if not cands.size:
-                    ok = False
                     break
                 v = int(cands[int(rng.integers(cands.size))])
                 chosen.append(v)
                 avail[v] = False
-            if ok:
-                done = chosen
+            else:  # every block of the pattern got a node
                 break
-        if done is None:
+        else:  # no attempt embedded the pattern
             raise CycleEmbedError(p_idx, attempts)
-        free[done] = False
-        cycles.append(tuple(done))
+        free[chosen] = False
+        cycles.append(tuple(chosen))
     return cycles
 
 
@@ -210,13 +207,11 @@ def realize(
         shuffled = [iter(rng.permutation(r).tolist()) for r in remaining]
         pair_cycles: list[tuple[int, int]] = []
         for (i, j), c in groups.items():
-            if i == j:
-                group = list(islice(shuffled[i], 2 * c))
-                lset, rset = group[:c], group[c:]
-            else:
-                lset, rset = list(islice(shuffled[i], c)), list(islice(shuffled[j], c))
+            # a looped block (i == j) hands its next c nodes, then the c after
+            lset, rset = list(islice(shuffled[i], c)), list(islice(shuffled[j], c))
             # the set's iteration order is the order of the 2-cycles in the
-            # realized decomposition, which `decompose` prints
+            # realized decomposition, which `decompose` prints; it is stable
+            # because PYTHONHASHSEED does not salt the hashes of int tuples
             matched = max_bipartite_matching(g, lset, rset)
             if len(matched) < c:
                 diagnostics["last_failure"] = {"pair": (i, j), "needed": c, "matched": len(matched)}

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+import hamdec.construct
 from hamdec.construct import (
     BlockCycle,
     ConstructionError,
@@ -262,6 +263,20 @@ class TestBuildDecomposition:
         a = tally((F(1),), 4, s)
         h = build_decomposition(a, (4,), s)
         assert h.cycles == ((0, 1), (2, 3))
+
+    @pytest.mark.parametrize("extra", [1, -1])
+    def test_inconsistent_plan_is_an_invariant_error(self, monkeypatch, extra):
+        # one 2-cycle too many exhausts a block; one too few leaves nodes over
+        a = BalancedMatrix(6, ((0, 1, 1), (1, 0, 1), (1, 1, 0)))
+        real = hamdec.construct.block_cycles
+
+        def skewed(a, s):
+            pairs, longer = real(a, s)
+            return {**pairs, (0, 1): pairs[(0, 1)] + extra}, longer
+
+        monkeypatch.setattr(hamdec.construct, "block_cycles", skewed)
+        with pytest.raises(RuntimeError, match="assembling"):
+            build_decomposition(a, (2, 2, 2), TRIANGLE)
 
     def test_size_mismatch_rejected(self):
         a = tally((F(3, 12), F(4, 12), F(5, 12)), 12, TRIANGLE)

@@ -450,6 +450,20 @@ class TestCLI:
         path = self._write(tmp_path, step_graphon([0, 1], [[0]]))
         assert cli.main(["decompose", path, "--n", "10", "--seed", "1"]) == 1
 
+    def test_seed_outside_64_bits_exit_two(self, tmp_path, capsys):
+        path = self._write(tmp_path)
+        out = str(tmp_path / "g.json")
+        commands = (
+            ["montecarlo", path, "--n", "40", "--trials", "2"],
+            ["sample", path, "--n", "40", "--out", out],
+            ["decompose", path, "--n", "40"],
+        )
+        for args in commands:
+            for seed in (-1, 2**64):
+                assert cli.main(args + ["--seed", str(seed)]) == 2
+                assert capsys.readouterr().err == f"error: seed {seed} is outside [0, 2**64)\n"
+            assert cli.main(args + ["--seed", str(2**64 - 1)]) == 0
+
     def test_montecarlo_csv_byte_identical(self, tmp_path):
         path = self._write(tmp_path)
         c1, c2 = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -31,6 +31,13 @@ class TestSeeds:
         # frozen: the documented scheme must never drift
         assert derive(12345, "coords") == 13173903763817068481
 
+    def test_derive_rejects_seeds_outside_64_bits(self):
+        # masking would alias -1 to 2**64 - 1 and 2**64 to 0
+        for master in (-1, 2**64):
+            with pytest.raises(ValueError, match="outside"):
+                derive(master, "trial", 0)
+        assert derive(2**64 - 1, "trial", 0) != derive(0, "trial", 0)
+
 
 def _probs(w):
     return np.array([[float(v) for v in row] for row in w.values])

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+import hamdec.polytope
 from hamdec.driver import analyze
 from hamdec.model import (
     IncidenceMatrix,
@@ -42,6 +43,21 @@ class TestSimplexCore:
     def test_redundant_constraint(self):
         status, v, val = solve_equality_lp([[1, 1], [2, 2]], [1, 2], [1, 0])
         assert status == "optimal" and val == 1
+
+    def test_artificial_driven_out_of_the_basis(self, monkeypatch):
+        # phase 1 ends with row 1's artificial basic at level zero; it is
+        # pivoted out at column 1, the first nonzero of its row
+        pivots = []
+        real = hamdec.polytope._pivot
+
+        def recording(tableau, basis, row, col):
+            pivots.append((row, col))
+            real(tableau, basis, row, col)
+
+        monkeypatch.setattr(hamdec.polytope, "_pivot", recording)
+        status, v, val = solve_equality_lp([[1, 1], [1, -1]], [0, 0], [1, 0])
+        assert (status, v, val) == ("optimal", [0, 0], 0)
+        assert pivots == [(0, 0), (1, 1)]
 
     def test_degenerate_no_cycling(self):
         rows = [[1, 1, 1, 0], [1, 1, 0, 1]]
