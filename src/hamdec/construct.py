@@ -16,9 +16,9 @@ cycles off it:
      (`block_cycles`); `realize` embeds these in a sampled graph, and
      `build_decomposition` instantiates them with canonical nodes.
 
-All steps are exact; failures at small n (where rounding can eat a block's
-mass or zero out a support entry) surface as `ConstructionError` with the
-violated properties named, never as silently wrong output.
+All steps are exact.  What small n can cost (pair mass outside the
+loopless polytope, a skeleton entry rounded to zero) surfaces as
+`ConstructionError` naming the failure; a broken guaranteed property raises.
 """
 
 from __future__ import annotations
@@ -75,9 +75,6 @@ class BlockCycle:
             raise ValueError("a block cycle visits at least two blocks")
         if len(set(nodes)) != len(nodes):
             raise ValueError("block cycle must not repeat blocks")
-
-    def __len__(self) -> int:
-        return len(self.nodes)
 
 
 @dataclass(frozen=True)
@@ -196,6 +193,8 @@ class _MaxFlow:
 
 def _check_support(matrix, s: SkeletonGraph, what: str):
     q = s.node_count
+    if len(matrix) != q:
+        raise ValueError(f"{what} has {len(matrix)} rows; the skeleton has {q} blocks")
     for i in range(q):
         for j in range(q):
             if matrix[i][j] != 0 and not s.supports(i, j):
@@ -216,8 +215,6 @@ def matrix_round(matrix, support: SkeletonGraph) -> tuple[tuple[int, ...], ...]:
     q = len(rows)
     if any(len(r) != q for r in rows):
         raise ValueError("matrix must be square")
-    if q != support.node_count:
-        raise ValueError("matrix size must match the support graph")
     if any(v < 0 for row in rows for v in row):
         raise ValueError("matrix entries must be nonnegative")
     _check_support(rows, support, "matrix")
@@ -234,8 +231,6 @@ def matrix_round(matrix, support: SkeletonGraph) -> tuple[tuple[int, ...], ...]:
     rdef = [int(row_sums[i]) - sum(floors[i]) for i in range(q)]
     cdef = [int(col_sums[j]) - sum(floors[i][j] for i in range(q)) for j in range(q)]
     need = sum(rdef)
-    if need == 0:
-        return tuple(tuple(row) for row in floors)
 
     src, dst = 2 * q, 2 * q + 1
     net = _MaxFlow(2 * q + 2)
@@ -263,23 +258,11 @@ def matrix_round(matrix, support: SkeletonGraph) -> tuple[tuple[int, ...], ...]:
 # the balanced tally matrix for an interior point
 # ---------------------------------------------------------------------------
 
-def _property_failures(counts, n, x, loop_part, s: SkeletonGraph) -> list[str]:
-    q = s.node_count
-    fails = []
-    for i in range(q):
-        if sum(counts[i]) != n * x[i]:
-            fails.append(f"row {i} sums to {sum(counts[i])}, expected {n * x[i]}")
-    for i in range(q):
-        if counts[i][i] % 2:
-            fails.append(f"diagonal entry {i} is odd")
-        if abs(counts[i][i] - n * loop_part[i]) > 1:
-            fails.append(f"diagonal entry {i} strays more than 1 from the loop mass")
-    for i in range(q):
-        for j in range(i + 1, q):
-            if abs(counts[i][j] - counts[j][i]) > 1:
-                fails.append(f"asymmetry above 1 at ({i},{j})")
+def _support_failures(counts, s: SkeletonGraph) -> list[str]:
     # support compared undirected: rounding may zero one direction of an
     # edge (the tolerated asymmetry), never both
+    q = s.node_count
+    fails = []
     for i in range(q):
         if (counts[i][i] > 0) != s.supports(i, i):
             fails.append(f"diagonal support mismatch at {i}")
@@ -299,15 +282,18 @@ def build_balanced_matrix(
 
     The result A satisfies: A 1 = x; n A integer with even diagonal; the
     diagonal within 1/n of the loop mass; off-diagonal asymmetry at most
-    1/n; support exactly the skeleton.  A certificate that is not interior,
-    or violations (possible when n is too small for the rounding slack),
-    raise `ConstructionError` naming every failed property; a certificate
-    whose coefficients do not solve Z c = x raises ValueError.
+    1/n; support exactly the skeleton.  Only the support can fail, when n
+    is too small; that, a certificate that is not interior, and pair mass
+    outside the loopless polytope raise `ConstructionError`, and a break of
+    the other properties raises RuntimeError.  An x not summing to 1, or a
+    certificate whose coefficients do not solve Z c = x, raises ValueError.
     """
     xs = tuple(Fraction(v) for v in x)
     q = s.node_count
     if len(xs) != q:
         raise ValueError("x must have one entry per block")
+    if sum(xs) != 1:
+        raise ValueError("x must sum to 1")
     if n < 1:
         raise ValueError("n must be positive")
     bad = [i for i, v in enumerate(xs) if (v * n).denominator != 1]
@@ -324,10 +310,8 @@ def build_balanced_matrix(
     split = split_mass(xs, cert, s)
     tau0p = round_even(split.loop_part, n)
     tau1p = tuple(xi - t for xi, t in zip(xs, tau0p))
-    if any(t < 0 for t in tau1p):
-        raise ConstructionError(
-            "even-rounding", ["even rounding exceeded x on some block; n too small"]
-        )
+    if any(t < 0 for t in tau1p):  # n l rounds to an even number <= n x, as l <= x
+        raise RuntimeError("even rounding exceeded x on some block")
     n1 = n - int(n * sum(tau0p))
 
     counts = [[0] * q for _ in range(q)]
@@ -356,10 +340,19 @@ def build_balanced_matrix(
     for i in range(q):
         counts[i][i] = int(n * tau0p[i])
 
-    fails = _property_failures(counts, n, xs, split.loop_part, s)
+    # guaranteed by construction, whatever n: a break is a bug
+    for i, row in enumerate(counts):
+        if (
+            sum(row) != n * xs[i]
+            or row[i] % 2
+            or abs(row[i] - n * split.loop_part[i]) > 1
+            or any(abs(v - counts[j][i]) > 1 for j, v in enumerate(row))
+        ):
+            raise RuntimeError(f"balanced tally row {i} breaks a guaranteed property")
+    fails = _support_failures(counts, s)
     if fails:
         raise ConstructionError("postconditions", fails)
-    return BalancedMatrix(n, tuple(tuple(row) for row in counts))
+    return BalancedMatrix(tuple(tuple(row) for row in counts))
 
 
 # ---------------------------------------------------------------------------
@@ -376,10 +369,10 @@ def peel_cycles(residual: BalancedMatrix, s: SkeletonGraph) -> list[tuple[BlockC
     """
     q = residual.q
     counts = [list(row) for row in residual.counts]
+    _check_support(counts, s, "residual")
     for i in range(q):
         if counts[i][i]:
             raise ValueError("residual tally must have a zero diagonal")
-    _check_support(counts, s, "residual")
     out: list[tuple[BlockCycle, int]] = []
     while any(map(any, counts)):
         nxt = next(i for i in range(q) if any(counts[i]))
@@ -423,8 +416,7 @@ def block_cycles(
         [0 if i == j else counts[i][j] - min(counts[i][j], counts[j][i]) for j in range(q)]
         for i in range(q)
     ]
-    left = sum(sum(row) for row in resid)
-    longer = [c for c, mult in peel_cycles(BalancedMatrix(left, resid), s) for _ in range(mult)]
+    longer = [c for c, mult in peel_cycles(BalancedMatrix(resid), s) for _ in range(mult)]
     return {k: pairs[k] for k in sorted(pairs) if pairs[k]}, longer
 
 
@@ -436,25 +428,17 @@ def canonical_blocks(block_sizes) -> list[int]:
     return blocks
 
 
-def build_decomposition(a: BalancedMatrix, block_sizes, s: SkeletonGraph) -> HamDecomposition:
+def build_decomposition(a: BalancedMatrix, s: SkeletonGraph) -> HamDecomposition:
     """Hamiltonian decomposition of the complete multipartite graph over the
-    skeleton, with block-pair tallies exactly equal to the input.
+    skeleton whose block sizes are the tally's row sums, with block-pair
+    tallies exactly equal to the input.
 
     Nodes are numbered consecutively by block (see `canonical_blocks`) and
     consumed in ascending order by the tally's `block_cycles`: within-block
     2-cycles first, then cross 2-cycles, then the peeled cycles.
     """
-    q = s.node_count
-    n = a.scale
-    sizes = tuple(int(v) for v in block_sizes)
-    if len(sizes) != q:
-        raise ValueError("block_sizes must have one entry per block")
-    if sum(sizes) != n:
-        raise ValueError("block sizes must sum to the tally scale")
-    if a.row_sums() != sizes:
-        raise ValueError("tally row sums must equal the block sizes")
     pairs, longer = block_cycles(a, s)
-
+    sizes = a.row_sums()
     ends = accumulate(sizes)
     nodes = [iter(range(end - size, end)) for size, end in zip(sizes, ends)]
     twos = sorted(pairs.items(), key=lambda kv: kv[0][0] != kv[0][1])
@@ -465,4 +449,4 @@ def build_decomposition(a: BalancedMatrix, block_sizes, s: SkeletonGraph) -> Ham
         raise RuntimeError("a block ran out of nodes while assembling") from None
     if any(next(it, None) is not None for it in nodes):
         raise RuntimeError("node accounting failed while assembling")
-    return HamDecomposition(n, cycles)
+    return HamDecomposition(a.scale, cycles)

@@ -56,6 +56,8 @@ from .realize import DEFAULT_ATTEMPTS, graph_has_decomposition, realize
 from .sampling import BalancedMatrix, SampledGraph, assign_blocks, empirical_concentration, sample_graph
 from .refine import ensure_loopless_odd_cycle
 
+WILSON_Z = 1.959963984540054  # the standard normal's 0.975 quantile
+
 
 class Verdict(str, enum.Enum):
     PREDICTS_H = "predicts-h"
@@ -194,15 +196,15 @@ class MonteCarloReport:
         return "\n".join(lines) + "\n"
 
 
-def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054) -> tuple[float, float]:
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     """95% Wilson score interval for a binomial proportion."""
     if trials == 0:
         return 0.0, 1.0
     p = successes / trials
-    z2 = z * z
+    z2 = WILSON_Z * WILSON_Z
     denom = 1 + z2 / trials
     center = (p + z2 / (2 * trials)) / denom
-    half = z * math.sqrt(p * (1 - p) / trials + z2 / (4 * trials * trials)) / denom
+    half = WILSON_Z * math.sqrt(p * (1 - p) / trials + z2 / (4 * trials * trials)) / denom
     return max(0.0, center - half), min(1.0, center + half)
 
 

@@ -198,8 +198,8 @@ def realize(
     for (i, j), c in groups.items():  # a looped block's key (i, i) counts twice
         need[i] += c
         need[j] += c
-    if need != [len(r) for r in remaining]:
-        raise ValueError("tally 2-cycle counts do not match the leftover nodes")
+    if need != [len(r) for r in remaining]:  # the block cycles use up the row sums
+        raise RuntimeError("tally 2-cycle counts do not match the leftover nodes")
 
     rng = generator(derive(seed, "phase2"))
     for attempt in range(attempts):
@@ -226,7 +226,7 @@ def realize(
 
     cycles = list(long_cycles) + [tuple(p) for p in pair_cycles]
     decomposition = HamDecomposition(g.n, cycles)
-    realized = count_block_edges(decomposition, g.blocks, q, s)
+    realized = count_block_edges(decomposition, g.blocks, s)
     if realized.counts != a.counts:
         raise RuntimeError("realized decomposition does not reproduce the tally plan")
     return RealizationOutcome(decomposition, diagnostics)

@@ -91,7 +91,7 @@ class SampledGraph:
     coords: np.ndarray
     blocks: np.ndarray
     edges: np.ndarray
-    _csr: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
+    _csr: tuple[np.ndarray, np.ndarray] | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if isinstance(self.n, bool) or not isinstance(self.n, (int, np.integer)) or self.n < 1:
@@ -143,22 +143,18 @@ class SampledGraph:
 
 @dataclass(frozen=True)
 class BalancedMatrix:
-    """Nonnegative integer block-pair tallies, balanced and of fixed total.
+    """Nonnegative integer block-pair tallies with row sums equal to column sums.
 
-    Represents the rational matrix counts/scale: row sums equal column sums
-    entrywise and the grand total equals the scale, so the rational matrix
-    has row sums matching column sums and total mass one.
+    Represents the rational matrix counts/scale, where the scale is the total
+    count: its row sums match its column sums and its total mass is one.
     """
 
-    scale: int
     counts: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
         counts = tuple(tuple(int(v) for v in row) for row in self.counts)
         object.__setattr__(self, "counts", counts)
         q = len(counts)
-        if self.scale < 0:
-            raise ValueError("scale must be nonnegative")
         if any(len(row) != q for row in counts):
             raise ValueError("counts must be square")
         if any(v < 0 for row in counts for v in row):
@@ -166,12 +162,14 @@ class BalancedMatrix:
         for i in range(q):
             if sum(counts[i]) != sum(counts[r][i] for r in range(q)):
                 raise ValueError(f"row/column sums differ at index {i}")
-        if sum(sum(row) for row in counts) != self.scale:
-            raise ValueError("total count must equal the scale")
 
     @property
     def q(self) -> int:
         return len(self.counts)
+
+    @property
+    def scale(self) -> int:
+        return sum(map(sum, self.counts))
 
     def row_sums(self) -> tuple[int, ...]:
         return tuple(sum(row) for row in self.counts)
@@ -211,16 +209,20 @@ def empirical_concentration(g: SampledGraph, q: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(int(c), g.n) for c in counts)
 
 
-def count_block_edges(h, blocks, q: int, s: SkeletonGraph) -> BalancedMatrix:
+def count_block_edges(h, blocks, s: SkeletonGraph) -> BalancedMatrix:
     """Tally the directed edges of a decomposition by block pair.
 
-    Every directed edge (v, successor(v)) must project to a supported block
-    pair; the result is balanced with row sums equal to the block sizes.
+    `blocks` labels each of h's nodes with a block of s.  Every directed edge
+    (v, successor(v)) must project to a supported block pair; the result is
+    balanced with row sums equal to the block sizes.
     """
+    if len(blocks) != h.n:
+        raise ValueError("need one block label per node of the decomposition")
+    q = s.node_count
     counts = [[0] * q for _ in range(q)]
     for v, u in enumerate(h.successor):
         a, b = int(blocks[v]), int(blocks[u])
         if not s.supports(a, b):
             raise ValueError(f"edge {v}->{u}: block pair ({a},{b}) not in skeleton")
         counts[a][b] += 1
-    return BalancedMatrix(len(blocks), tuple(tuple(row) for row in counts))
+    return BalancedMatrix(tuple(tuple(row) for row in counts))

@@ -66,13 +66,13 @@ def _report(name: str, ok: bool, detail: str):
 def test_criterion_01_example_reproduction():
     t0 = time.perf_counter()
     a = tally((F(3, 12), F(4, 12), F(5, 12)), 12, TRIANGLE)
-    h = build_decomposition(a, (3, 4, 5), TRIANGLE)
+    h = build_decomposition(a, TRIANGLE)
     twos = sum(1 for c in h.cycles if len(c) == 2)
     longs = [len(c) for c in h.long_cycles()]
     ok_even = twos == 6 and longs == []
 
     a2 = tally((F(3, 13), F(4, 13), F(6, 13)), 13, TRIANGLE)
-    h2 = build_decomposition(a2, (3, 4, 6), TRIANGLE)
+    h2 = build_decomposition(a2, TRIANGLE)
     twos2 = sum(1 for c in h2.cycles if len(c) == 2)
     longs2 = [len(c) for c in h2.long_cycles()]
     ok_odd = twos2 == 5 and longs2 == [3]
@@ -167,8 +167,8 @@ def test_criterion_03_round_trip(property_suite):
     bad = 0
     for s, n, x, a in property_suite["successes"]:
         sizes = a.row_sums()
-        h = build_decomposition(a, sizes, s)
-        rho = count_block_edges(h, canonical_blocks(sizes), s.node_count, s)
+        h = build_decomposition(a, s)
+        rho = count_block_edges(h, canonical_blocks(sizes), s)
         if rho.counts != a.counts:
             bad += 1
     _report(
@@ -182,7 +182,7 @@ def test_criterion_04_decomposition_bounds(property_suite):
     violations = 0
     for s, n, x, a in property_suite["successes"]:
         sizes = a.row_sums()
-        h = build_decomposition(a, sizes, s)
+        h = build_decomposition(a, s)
         blocks = canonical_blocks(sizes)
         nf = s.edge_count
         longs = h.long_cycles()

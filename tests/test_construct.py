@@ -9,6 +9,7 @@ from hamdec.construct import (
     ConstructionError,
     HamDecomposition,
     block_cycles,
+    build_balanced_matrix,
     build_decomposition,
     canonical_blocks,
     matrix_round,
@@ -16,8 +17,8 @@ from hamdec.construct import (
     round_even,
     split_mass,
 )
-from hamdec.model import SkeletonGraph, incidence
-from hamdec.polytope import positive_certificate
+from hamdec.model import DisconnectedSkeletonError, SkeletonGraph, incidence
+from hamdec.polytope import MembershipCertificate, positive_certificate
 from hamdec.sampling import BalancedMatrix, count_block_edges
 
 from helpers import random_connected_skeleton, random_interior_instance, tally
@@ -102,6 +103,20 @@ class TestMatrixRound:
         with pytest.raises(ValueError):
             matrix_round(m, s)
 
+    @pytest.mark.parametrize(
+        "m, s, message",
+        [
+            (((F(0), F(1)), (F(1),)), SkeletonGraph(2, frozenset(), frozenset({(0, 1)})), "square"),
+            (((F(0), F(-1)), (F(-1), F(0))), SkeletonGraph(2, frozenset(), frozenset({(0, 1)})),
+             "nonnegative"),
+            (((F(0), F(1)), (F(1), F(0))), TRIANGLE, "skeleton"),
+        ],
+        ids=["non-square", "negative", "size-other-than-the-skeleton"],
+    )
+    def test_malformed_matrix_rejected(self, m, s, message):
+        with pytest.raises(ValueError, match=message):
+            matrix_round(m, s)
+
     def test_support_violation_rejected(self):
         m = ((F(1), F(0)), (F(0), F(1)))
         s = SkeletonGraph(2, frozenset(), frozenset({(0, 1)}))
@@ -163,6 +178,22 @@ class TestBuildBalancedMatrix:
         with pytest.raises(ConstructionError):
             tally((F(1, 3), F(1, 3), F(1, 3)), 10, TRIANGLE)
 
+    def test_x_not_summing_to_one_rejected(self):
+        s = SkeletonGraph(1, frozenset({0}), frozenset())
+        cert = MembershipCertificate((F(2),), F(2))
+        with pytest.raises(ValueError, match="sum to 1"):
+            build_balanced_matrix((F(2),), 4, s, cert)
+
+    def test_disconnected_skeleton_rejected(self):
+        s = SkeletonGraph(2, frozenset({0, 1}), frozenset())
+        with pytest.raises(DisconnectedSkeletonError):
+            tally((F(1, 2), F(1, 2)), 4, s)
+
+    def test_certificate_of_another_x_rejected(self):
+        cert = positive_certificate(incidence(TRIANGLE), (F(1, 3), F(1, 3), F(1, 3)))
+        with pytest.raises(ValueError, match="Z c = x"):
+            build_balanced_matrix((F(1, 4), F(1, 4), F(1, 2)), 12, TRIANGLE, cert)
+
     def test_exterior_rejected(self):
         with pytest.raises(ConstructionError) as err:
             tally((F(6, 10), F(3, 10), F(1, 10)), 10, TRIANGLE)
@@ -201,24 +232,28 @@ class TestBuildBalancedMatrix:
 
 class TestPeel:
     def test_unique_three_cycle(self):
-        bm = BalancedMatrix(3, ((0, 1, 0), (0, 0, 1), (1, 0, 0)))
+        bm = BalancedMatrix(((0, 1, 0), (0, 0, 1), (1, 0, 0)))
         out = peel_cycles(bm, TRIANGLE)
         assert out == [(BlockCycle((0, 1, 2)), 1)]
 
     def test_two_cycle_multiplicity(self):
         s = SkeletonGraph(2, frozenset(), frozenset({(0, 1)}))
-        bm = BalancedMatrix(4, ((0, 2), (2, 0)))
+        bm = BalancedMatrix(((0, 2), (2, 0)))
         out = peel_cycles(bm, s)
         assert out == [(BlockCycle((0, 1)), 2)]
 
     def test_nonzero_diagonal_rejected(self):
         s = SkeletonGraph(1, frozenset({0}), frozenset())
         with pytest.raises(ValueError):
-            peel_cycles(BalancedMatrix(2, ((2,),)), s)
+            peel_cycles(BalancedMatrix(((2,),)), s)
+
+    def test_size_other_than_the_skeleton_rejected(self):
+        with pytest.raises(ValueError, match="skeleton"):
+            peel_cycles(BalancedMatrix(((0, 1), (1, 0))), TRIANGLE)
 
     def test_zero_matrix_empty(self):
         s = SkeletonGraph(2, frozenset(), frozenset({(0, 1)}))
-        assert peel_cycles(BalancedMatrix(0, ((0, 0), (0, 0))), s) == []
+        assert peel_cycles(BalancedMatrix(((0, 0), (0, 0))), s) == []
 
     def test_conservation_random(self):
         # peeled cycles, with multiplicity, reconstruct the tally exactly
@@ -235,7 +270,7 @@ class TestPeel:
                 for t in range(k):
                     counts[cyc[t]][cyc[(t + 1) % k]] += 1
             total = sum(map(sum, counts))
-            bm = BalancedMatrix(total, tuple(tuple(r) for r in counts))
+            bm = BalancedMatrix(tuple(tuple(r) for r in counts))
             rebuilt = [[0] * q for _ in range(q)]
             for cyc, mult in peel_cycles(bm, full):
                 nodes = cyc.nodes
@@ -248,26 +283,26 @@ class TestPeel:
 class TestBuildDecomposition:
     def test_example_sizes_345(self):
         a = tally((F(3, 12), F(4, 12), F(5, 12)), 12, TRIANGLE)
-        h = build_decomposition(a, (3, 4, 5), TRIANGLE)
+        h = build_decomposition(a, TRIANGLE)
         assert sum(1 for c in h.cycles if len(c) == 2) == 6
         assert not h.long_cycles()
 
     def test_example_sizes_346(self):
         a = tally((F(3, 13), F(4, 13), F(6, 13)), 13, TRIANGLE)
-        h = build_decomposition(a, (3, 4, 6), TRIANGLE)
+        h = build_decomposition(a, TRIANGLE)
         assert sum(1 for c in h.cycles if len(c) == 2) == 5
         assert [len(c) for c in h.long_cycles()] == [3]
 
     def test_single_loop_pairs(self):
         s = SkeletonGraph(1, frozenset({0}), frozenset())
         a = tally((F(1),), 4, s)
-        h = build_decomposition(a, (4,), s)
+        h = build_decomposition(a, s)
         assert h.cycles == ((0, 1), (2, 3))
 
     @pytest.mark.parametrize("extra", [1, -1])
     def test_inconsistent_plan_is_an_invariant_error(self, monkeypatch, extra):
         # one 2-cycle too many exhausts a block; one too few leaves nodes over
-        a = BalancedMatrix(6, ((0, 1, 1), (1, 0, 1), (1, 1, 0)))
+        a = BalancedMatrix(((0, 1, 1), (1, 0, 1), (1, 1, 0)))
         real = hamdec.construct.block_cycles
 
         def skewed(a, s):
@@ -276,12 +311,14 @@ class TestBuildDecomposition:
 
         monkeypatch.setattr(hamdec.construct, "block_cycles", skewed)
         with pytest.raises(RuntimeError, match="assembling"):
-            build_decomposition(a, (2, 2, 2), TRIANGLE)
+            build_decomposition(a, TRIANGLE)
 
-    def test_size_mismatch_rejected(self):
-        a = tally((F(3, 12), F(4, 12), F(5, 12)), 12, TRIANGLE)
-        with pytest.raises(ValueError):
-            build_decomposition(a, (4, 3, 5), TRIANGLE)
+    def test_size_other_than_the_skeleton_rejected(self):
+        a = BalancedMatrix(((0, 1), (1, 0)))
+        with pytest.raises(ValueError, match="skeleton"):
+            build_decomposition(a, TRIANGLE)
+        with pytest.raises(ValueError, match="skeleton"):
+            block_cycles(a, TRIANGLE)
 
     def test_round_trip_and_bounds_random(self):
         rng = np.random.default_rng(211)
@@ -297,8 +334,8 @@ class TestBuildDecomposition:
             except ConstructionError:
                 continue
             sizes = a.row_sums()
-            h = build_decomposition(a, sizes, s)
-            rho = count_block_edges(h, canonical_blocks(sizes), s.node_count, s)
+            h = build_decomposition(a, s)
+            rho = count_block_edges(h, canonical_blocks(sizes), s)
             assert rho.counts == a.counts
             nf = s.edge_count
             longs = h.long_cycles()
@@ -346,7 +383,7 @@ class TestBlockCycles:
             except ConstructionError:
                 continue
             sizes = a.row_sums()
-            h = build_decomposition(a, sizes, s)
+            h = build_decomposition(a, s)
             blocks = canonical_blocks(sizes)
             pairs = {}
             for c in h.cycles:

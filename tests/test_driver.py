@@ -1,3 +1,4 @@
+import importlib
 import json
 from fractions import Fraction as F
 
@@ -30,6 +31,24 @@ TRI_GRAPHON = step_graphon(
     [0, F(1, 3), F(2, 3), 1],
     [[0, F(1, 2), F(1, 2)], [F(1, 2), 0, F(1, 2)], [F(1, 2), F(1, 2), 0]],
 )
+
+REALIZE_MODULE = importlib.import_module("hamdec.realize")  # `hamdec.realize` is the function
+
+
+def _above_x(real):
+    return lambda vec, n: (F(2),) * len(vec)
+
+
+def _row_sums_lost(real):
+    return lambda m, s: tuple((0,) * len(row) for row in real(m, s))
+
+
+def _one_two_cycle_more(real):
+    def skewed(a, s):
+        pairs, longer = real(a, s)
+        return {k: c + 1 for k, c in pairs.items()}, longer
+
+    return skewed
 
 
 class TestAnalyze:
@@ -274,6 +293,22 @@ class TestPipeline:
         assert not out.ok and out.failure.startswith("cannot decompose: ")
         out = run_pipeline(plan(TRI_GRAPHON), sample_graph(TRI_GRAPHON, 7, 1), 1)
         assert not out.ok and out.failure.startswith("tally construction failed: ")
+
+    @pytest.mark.parametrize(
+        "module, name, break_it, message",
+        [
+            (hamdec.construct, "round_even", _above_x, "even rounding"),
+            (hamdec.construct, "matrix_round", _row_sums_lost, "guaranteed property"),
+            (REALIZE_MODULE, "block_cycles", _one_two_cycle_more, "leftover nodes"),
+        ],
+    )
+    def test_guaranteed_property_break_raises(self, monkeypatch, module, name, break_it, message):
+        # a broken invariant propagates; it is never a failure outcome
+        g = sample_graph(TRI_GRAPHON, 60, 5)
+        assert run_pipeline(plan(TRI_GRAPHON), g, 5).ok
+        monkeypatch.setattr(module, name, break_it(getattr(module, name)))
+        with pytest.raises(RuntimeError, match=message):
+            run_pipeline(plan(TRI_GRAPHON), g, 5)
 
     def test_jobs_must_be_positive(self, tmp_path):
         for jobs in (0, -3):

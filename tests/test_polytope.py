@@ -59,6 +59,10 @@ class TestSimplexCore:
         assert (status, v, val) == ("optimal", [0, 0], 0)
         assert pivots == [(0, 0), (1, 1)]
 
+    def test_negative_right_hand_side_row_flipped(self):
+        status, v, val = solve_equality_lp([[-1, -1]], [-2], [1, 0])
+        assert (status, v, val) == ("optimal", [2, 0], 2)
+
     def test_degenerate_no_cycling(self):
         rows = [[1, 1, 1, 0], [1, 1, 0, 1]]
         status, v, val = solve_equality_lp(rows, [1, 1], [1, 2, 0, 0])

@@ -215,8 +215,15 @@ class TestRealize:
         a, g, s = _pipeline(w, 60, 4, saturated=True)
         out = realize(a, g, s, seed=5)
         assert out.ok
-        rho = count_block_edges(out.decomposition, g.blocks, 3, s)
+        rho = count_block_edges(out.decomposition, g.blocks, s)
         assert rho.counts == a.counts
+
+    def test_size_other_than_the_skeleton_rejected(self):
+        w = step_graphon([0, F(1, 3), F(2, 3), 1], [[F(1, 2)] * 3] * 3)
+        a, g, s = _pipeline(w, 60, 4, saturated=True)
+        two = SkeletonGraph(2, frozenset({0, 1}), frozenset({(0, 1)}))
+        with pytest.raises(ValueError):
+            realize(a, g, two, seed=5)
 
     def test_empty_graph_failure(self):
         w = step_graphon([0, F(1, 3), F(2, 3), 1], [[F(1, 2)] * 3] * 3)

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import tracemalloc
+from copy import copy
 from fractions import Fraction as F
 from itertools import combinations
 
@@ -179,38 +180,41 @@ class TestCountBlockEdges:
     def test_two_cycle(self):
         s = SkeletonGraph(2, frozenset(), frozenset({(0, 1)}))
         h = HamDecomposition(2, [(0, 1)])
-        bm = count_block_edges(h, [0, 1], 2, s)
+        bm = count_block_edges(h, [0, 1], s)
         assert bm.counts == ((0, 1), (1, 0)) and bm.scale == 2
 
     def test_three_cycle(self):
         h = HamDecomposition(3, [(0, 1, 2)])
-        bm = count_block_edges(h, [0, 1, 2], 3, TRIANGLE)
+        bm = count_block_edges(h, [0, 1, 2], TRIANGLE)
         assert bm.counts == ((0, 1, 0), (0, 0, 1), (1, 0, 0))
 
     def test_row_sums_are_block_sizes(self):
         s = SkeletonGraph(2, frozenset({0}), frozenset({(0, 1)}))
         h = HamDecomposition(4, [(0, 1), (2, 3)])
-        bm = count_block_edges(h, [0, 0, 0, 1], 2, s)
+        bm = count_block_edges(h, [0, 0, 0, 1], s)
         assert bm.row_sums() == (3, 1)
+
+    @pytest.mark.parametrize("blocks", [[0], [0, 1, 1]])
+    def test_one_label_per_node_required(self, blocks):
+        s = SkeletonGraph(2, frozenset(), frozenset({(0, 1)}))
+        h = HamDecomposition(2, [(0, 1)])
+        with pytest.raises(ValueError, match="one block label per node"):
+            count_block_edges(h, blocks, s)
 
     def test_unsupported_edge_rejected(self):
         s = SkeletonGraph(2, frozenset(), frozenset({(0, 1)}))
         h = HamDecomposition(2, [(0, 1)])
         with pytest.raises(ValueError):
-            count_block_edges(h, [0, 0], 2, s)  # within-block, no loop
+            count_block_edges(h, [0, 0], s)  # within-block, no loop
 
 
 class TestBalancedMatrix:
     def test_balance_enforced(self):
         with pytest.raises(ValueError):
-            BalancedMatrix(2, ((0, 2), (0, 0)))
-
-    def test_total_enforced(self):
-        with pytest.raises(ValueError):
-            BalancedMatrix(3, ((0, 1), (1, 0)))
+            BalancedMatrix(((0, 2), (0, 0)))
 
     def test_min_positive(self):
-        bm = BalancedMatrix(4, ((2, 1), (1, 0)))
+        bm = BalancedMatrix(((2, 1), (1, 0)))
         assert bm.min_positive() == F(1, 4)
 
 
@@ -237,6 +241,14 @@ class TestAdjacency:
             for u in range(g.n):
                 for v in range(g.n):
                     assert g.has_edge(u, v) == (v in ref[u])
+
+    def test_cache_is_not_a_constructor_argument(self):
+        # a handed-in CSR could contradict the edges
+        with pytest.raises(TypeError):
+            SampledGraph(2, [0.1, 0.6], [0, 0], [[0, 1]], _csr=(np.zeros(3), np.zeros(0)))
+        g = SampledGraph(2, [0.1, 0.6], [0, 0], [[0, 1]])
+        indptr = g.adjacency()[0]
+        assert copy(g).adjacency()[0] is indptr  # copies share the cache
 
     def test_random_sampled_graphs(self):
         w = step_graphon(
