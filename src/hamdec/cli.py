@@ -23,7 +23,7 @@ from ._seeds import derive
 from .driver import Verdict, analyze, montecarlo, plan, run_pipeline
 from .model import saturate, skeleton
 from .polytope import Membership
-from .realize import DEFAULT_ATTEMPTS
+from .realize import DEFAULT_ATTEMPTS, graph_has_decomposition
 from .refine import refine_once
 from .sampling import sample_graph
 
@@ -99,6 +99,7 @@ def _cmd_decompose(args) -> int:
     if not out.ok:
         print(out.failure, file=sys.stderr)
         return 1
+    graph_has_decomposition(g, out.decomposition)  # raises on an arc that is not an edge
     _print_decomposition(out.tally, out.decomposition)
     return 0
 

@@ -27,6 +27,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import accumulate
 
 from .model import (
@@ -97,7 +98,7 @@ class HamDecomposition:
         if not all(seen):
             raise ValueError("cycles must cover every node")
 
-    @property
+    @cached_property
     def successor(self) -> tuple[int, ...]:
         succ = [-1] * self.n
         for cycle in self.cycles:

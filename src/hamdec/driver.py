@@ -15,16 +15,18 @@ the membership status, is read off them:
   * a disconnected skeleton: inconclusive, whatever its components say.
 
 `montecarlo` estimates the decomposition probability at a fixed n: per
-trial it samples a graph, runs the exact existence oracle, and separately
-runs the constructive pipeline (`run_pipeline`, also behind `hamdec
-decompose`).  The pipeline passes each object on once: one membership LP
-on the sampled graph's empirical concentration vector gives its interior
-bit and the certificate for the tally (a refined graphon adds the LP on
-its normalized blocks); the tally gives the block cycles realized in the
-graph.  Constructive successes are witnesses, so they never exceed oracle
-successes.  Trials are independent with derived seeds; reports are
-deterministic.  A `MonteCarloReport` holds the rows in trial order, and
-its counts, estimate and Wilson interval are computed from them.
+trial it samples a graph, runs the constructive pipeline (`run_pipeline`,
+also behind `hamdec decompose`), then the exact existence oracle.  The
+pipeline passes each object on once: one membership LP on the sampled
+graph's empirical concentration vector gives its interior bit and the
+certificate for the tally (a refined graphon adds the LP on its normalized
+blocks); the tally gives the block cycles realized in the graph.  A
+realized decomposition is the oracle's witness: checked arc by arc against
+the sample, it answers yes, and a perfect matching decides every trial
+without one.  So constructive successes never exceed oracle successes.
+Trials are independent with derived seeds; reports are deterministic.  A
+`MonteCarloReport` holds the rows in trial order, and its counts, estimate
+and Wilson interval are computed from them.
 """
 
 from __future__ import annotations
@@ -275,7 +277,9 @@ def run_pipeline(
         return PipelineOutcome(interior, failure=f"cannot decompose: {p.reason}")
     sn = p.normalized.skeleton
     if p.normalized is not p.base:
-        # a copy with new blocks: the edges, and so the cached CSR, are g's
+        # a copy with new blocks: the edges, and so the CSR built here, are
+        # g's, so a trial's oracle and realization share one adjacency
+        g.adjacency()
         g = copy(g)
         g.blocks = assign_blocks(p.normalized.graphon, g.coords)
         x = empirical_concentration(g, sn.node_count)
@@ -304,8 +308,8 @@ def run_trial(
 ) -> TrialResult:
     seed = derive(master_seed, "trial", trial)
     g = sample_graph(w, n, seed)
-    oracle = graph_has_decomposition(g)
     out = constructive_attempt(plan(w), g, seed, attempts)
+    oracle = graph_has_decomposition(g, out.decomposition)
     return TrialResult(trial, seed, oracle, out.interior, out.failure)
 
 

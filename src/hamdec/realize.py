@@ -14,9 +14,12 @@ existence arguments; exhausting them is a reported Failure, not an error.
 it restricts the graph's CSR adjacency to a left and a right node list and
 runs Hopcroft-Karp on the result, once per 2-cycle group.
 
-Also here: an independent existence oracle.  A Hamiltonian decomposition of
-a digraph is exactly a permutation supported on its arcs, so existence is
-a perfect matching question between out-copies and in-copies of the nodes.
+Also here: the exact existence oracle.  A Hamiltonian decomposition of a
+digraph is exactly a permutation supported on its arcs, so existence is a
+perfect matching question between out-copies and in-copies of the nodes.
+Given a decomposition as its witness, the oracle instead checks every arc
+of the witness against the graph's edges, and a verified witness answers
+yes without a matching.
 """
 
 from __future__ import annotations
@@ -112,13 +115,32 @@ def oracle_exists(n: int, arcs) -> bool:
     return _has_perfect_matching(n, *csr)
 
 
-def graph_has_decomposition(g: SampledGraph) -> bool:
+def graph_has_decomposition(g: SampledGraph, witness: HamDecomposition | None = None) -> bool:
     """Existence oracle on the directed version of a sampled graph.
 
-    Its arcs are both orientations of every edge, which is exactly the
-    graph's symmetric CSR adjacency.
+    Its arcs are both orientations of every edge.  Without a witness, a
+    perfect matching on the graph's symmetric CSR adjacency decides.  A
+    witness is a decomposition realized in g: it answers yes once each of
+    its arcs (v, successor(v)) is found among g's sorted edges.  A witness
+    for another n raises ValueError.  Realization uses only sampled edges,
+    so an arc that is not an edge is a broken invariant and raises
+    RuntimeError; it never falls back to the matching.
     """
-    return _has_perfect_matching(g.n, *g.adjacency())
+    if witness is None:
+        return _has_perfect_matching(g.n, *g.adjacency())
+    if witness.n != g.n:
+        raise ValueError(f"a witness on {witness.n} nodes for a graph on {g.n}")
+    succ = np.asarray(witness.successor, dtype=np.int64)
+    nodes = np.arange(g.n)
+    arcs = np.minimum(nodes, succ) * g.n + np.maximum(nodes, succ)
+    edges = g.edges[:, 0] * g.n + g.edges[:, 1]  # sorted: the edges are canonical
+    pos = np.searchsorted(edges, arcs)
+    found = pos < edges.size
+    found[found] = edges[pos[found]] == arcs[found]
+    if not found.all():
+        v = int(np.argmin(found))
+        raise RuntimeError(f"witness arc {v}->{int(succ[v])} is not an edge of the graph")
+    return True
 
 
 def embed_cycles(patterns, g: SampledGraph, seed: int, attempts: int = DEFAULT_ATTEMPTS):

@@ -213,16 +213,24 @@ def count_block_edges(h, blocks, s: SkeletonGraph) -> BalancedMatrix:
     """Tally the directed edges of a decomposition by block pair.
 
     `blocks` labels each of h's nodes with a block of s.  Every directed edge
-    (v, successor(v)) must project to a supported block pair; the result is
-    balanced with row sums equal to the block sizes.
+    (v, successor(v)) must project to a supported block pair, or ValueError
+    names the first node whose edge does not; the result is balanced with
+    row sums equal to the block sizes.
     """
     if len(blocks) != h.n:
         raise ValueError("need one block label per node of the decomposition")
     q = s.node_count
-    counts = [[0] * q for _ in range(q)]
-    for v, u in enumerate(h.successor):
-        a, b = int(blocks[v]), int(blocks[u])
-        if not s.supports(a, b):
-            raise ValueError(f"edge {v}->{u}: block pair ({a},{b}) not in skeleton")
-        counts[a][b] += 1
-    return BalancedMatrix(tuple(tuple(row) for row in counts))
+    succ = np.asarray(h.successor, dtype=np.int64)
+    a = np.asarray(blocks, dtype=np.int64)
+    b = a[succ]
+    support = np.array([[s.supports(i, j) for j in range(q)] for i in range(q)], dtype=bool)
+    inside = (a >= 0) & (a < q) & (b >= 0) & (b < q)
+    ok = np.zeros(h.n, dtype=bool)
+    ok[inside] = support[a[inside], b[inside]]
+    if not ok.all():
+        v = int(np.argmin(ok))
+        raise ValueError(
+            f"edge {v}->{int(succ[v])}: block pair ({int(a[v])},{int(b[v])}) not in skeleton"
+        )
+    counts = np.bincount(a * q + b, minlength=q * q).reshape(q, q)
+    return BalancedMatrix(tuple(map(tuple, counts.tolist())))

@@ -4,7 +4,8 @@ Everything here deliberately avoids the library's own algorithms: ranks by
 Gaussian elimination over Fractions, odd cycles by exhaustive enumeration,
 matchings and decompositions by brute force.  These are the reference
 implementations the fast code is checked against, with `scan_pairs_rows`,
-the pair scan taken one row at a time.  `tally` is only a call
+the pair scan taken one row at a time, and `count_block_edges_loop`, the
+block tally taken one node at a time.  `tally` is only a call
 shorthand: the balanced tally of an instance, with the certificate the
 pipeline would pass.
 """
@@ -14,7 +15,7 @@ from itertools import permutations
 
 import numpy as np
 
-from hamdec.construct import build_balanced_matrix
+from hamdec.construct import HamDecomposition, build_balanced_matrix
 from hamdec.model import (
     Partition,
     SkeletonGraph,
@@ -26,6 +27,7 @@ from hamdec.model import (
 )
 from hamdec.polytope import Membership, positive_certificate
 from hamdec.refine import refine_once
+from hamdec.sampling import BalancedMatrix
 
 
 def rational_rank(rows) -> int:
@@ -114,6 +116,31 @@ def scan_pairs_rows(blocks, probs, u):
         hits_i.append(np.full(js.size, i, dtype=np.int64))
         hits_j.append(js.astype(np.int64) + i + 1)
     return np.concatenate(hits_i), np.concatenate(hits_j)
+
+
+def count_block_edges_loop(h, blocks, s: SkeletonGraph) -> BalancedMatrix:
+    """Reference block tally of a decomposition's arcs, one node at a time."""
+    if len(blocks) != h.n:
+        raise ValueError("need one block label per node of the decomposition")
+    q = s.node_count
+    counts = [[0] * q for _ in range(q)]
+    for v, u in enumerate(h.successor):
+        a, b = int(blocks[v]), int(blocks[u])
+        if not s.supports(a, b):
+            raise ValueError(f"edge {v}->{u}: block pair ({a},{b}) not in skeleton")
+        counts[a][b] += 1
+    return BalancedMatrix(tuple(tuple(row) for row in counts))
+
+
+def random_decomposition(rng, n: int) -> HamDecomposition:
+    """A random permutation of range(n), n >= 2, cut into cycles of length >= 2."""
+    order = rng.permutation(n).tolist()
+    cuts, t = [0], 0
+    while n - t >= 4:
+        t += int(rng.integers(2, n - t - 1))
+        cuts.append(t)
+    cuts.append(n)
+    return HamDecomposition(n, [order[a:b] for a, b in zip(cuts, cuts[1:])])
 
 
 def random_connected_skeleton(rng, q_max=8, q_min=2, want_loopless_odd=False) -> SkeletonGraph:

@@ -418,3 +418,8 @@ class TestHamDecomposition:
         h = HamDecomposition(5, [[4, 0, 2], [3, 1]])
         assert h.cycles == ((4, 0, 2), (3, 1))
         assert h.successor == (2, 3, 4, 1, 0)
+
+    def test_successor_built_once(self):
+        h = HamDecomposition(5, [[4, 0, 2], [3, 1]])
+        assert h.successor is h.successor
+        assert h == HamDecomposition(5, [[4, 0, 2], [3, 1]])  # the cache is no field

@@ -1,5 +1,6 @@
 import importlib
 import json
+from dataclasses import replace
 from fractions import Fraction as F
 
 import numpy as np
@@ -9,6 +10,7 @@ import hamdec.construct
 import hamdec.driver
 import hamdec.sampling
 from hamdec import cli, io
+from hamdec.construct import HamDecomposition
 from hamdec.driver import (
     AnalysisReport,
     MonteCarloReport,
@@ -333,6 +335,69 @@ class TestPipeline:
         assert cli.main(args + ["--attempts", "0"]) == 2
         args = ["decompose", str(path), "--n", "20", "--seed", "1"]
         assert cli.main(args + ["--attempts", "-3"]) == 2
+
+
+def _shifted(real):
+    """`realize` whose decomposition is relabelled v -> v + 1 (mod n), which
+    at p = 1/2 routes some arc through a non-edge of the sample."""
+
+    def shifted(*args):
+        out = real(*args)
+        if not out.ok:
+            return out
+        h = out.decomposition
+        cycles = [tuple((v + 1) % h.n for v in c) for c in h.cycles]
+        return replace(out, decomposition=HamDecomposition(h.n, cycles))
+
+    return shifted
+
+
+class TestWitnessFirstOracle:
+    @pytest.mark.parametrize(
+        "w, n, trial, constructive, oracle, matchings",
+        [
+            (TRI_GRAPHON, 60, 1, True, True, 0),  # the realized decomposition answers
+            (TRI_GRAPHON, 60, 0, False, False, 1),  # no decomposition exists
+            (ER_HALF, 30, 3, False, True, 1),  # one exists, but realization failed
+            (BIP_UNEVEN, 60, 0, False, False, 1),  # no odd cycle: nothing to realize
+        ],
+    )
+    def test_matching_runs_only_without_a_witness(
+        self, monkeypatch, w, n, trial, constructive, oracle, matchings
+    ):
+        oracles = _counting(monkeypatch, hamdec.driver, "graph_has_decomposition")
+        hk = _counting(monkeypatch, REALIZE_MODULE, "_has_perfect_matching")
+        builds = []
+        adjacency = hamdec.sampling.SampledGraph.adjacency
+
+        def counting_builds(g):
+            if g._csr is None:
+                builds.append(g)
+            return adjacency(g)
+
+        monkeypatch.setattr(hamdec.sampling.SampledGraph, "adjacency", counting_builds)
+        tr = run_trial(w, n, 5, trial)
+        assert (tr.constructive, tr.oracle) == (constructive, oracle)
+        assert len(oracles) == 1 and len(hk) == matchings
+        # ER-1/2 realizes in a re-blocked copy; it shares the sample's CSR
+        assert len(builds) == 1
+
+    def test_witness_off_the_sample_raises_from_montecarlo(self, monkeypatch):
+        # an invariant break, never a failed trial and never a fallback
+        hk = _counting(monkeypatch, REALIZE_MODULE, "_has_perfect_matching")
+        monkeypatch.setattr(hamdec.driver, "realize", _shifted(hamdec.driver.realize))
+        with pytest.raises(RuntimeError, match="is not an edge of the graph"):
+            montecarlo(TRI_GRAPHON, 60, 4, 5)
+        assert len(hk) == 1  # trial 0 has no witness; trial 1 raises
+
+    def test_decompose_prints_no_arc_off_the_sample(self, monkeypatch, tmp_path, capsys):
+        path = tmp_path / "w.json"
+        io.dump_graphon(ER_HALF, path)
+        args = ["decompose", str(path), "--n", "60", "--seed", "4"]
+        monkeypatch.setattr(hamdec.driver, "realize", _shifted(hamdec.driver.realize))
+        with pytest.raises(RuntimeError, match="is not an edge of the graph"):
+            cli.main(args)
+        assert capsys.readouterr().out == ""
 
 
 class TestIO:

@@ -5,7 +5,8 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from hamdec.construct import BlockCycle, block_cycles
+from hamdec.construct import BlockCycle, HamDecomposition, block_cycles
+from hamdec.driver import plan, run_pipeline
 from hamdec.model import SkeletonGraph, saturate, skeleton, step_graphon
 from hamdec.realize import (
     CycleEmbedError,
@@ -22,12 +23,17 @@ from hamdec.sampling import (
     sample_graph,
 )
 
-from helpers import brute_decomposition_exists, brute_max_matching, tally
+from helpers import brute_decomposition_exists, brute_max_matching, random_graphon, tally
 
 # the package attribute `realize` is the function of that name
 realize_module = importlib.import_module("hamdec.realize")
 
 TRIANGLE = SkeletonGraph(3, frozenset(), frozenset({(0, 1), (0, 2), (1, 2)}))
+ER_HALF = step_graphon([0, 1], [[F(1, 2)]])
+TRI_HALF = step_graphon(
+    [0, F(1, 3), F(2, 3), 1],
+    [[0, F(1, 2), F(1, 2)], [F(1, 2), 0, F(1, 2)], [F(1, 2), F(1, 2), 0]],
+)
 
 
 def _host(nl, nr, edges):
@@ -153,6 +159,64 @@ class TestOracle:
             mask = rng.random(20) < rng.random()
             chosen = [a for a, keep in zip(arcs_all, mask) if keep]
             assert oracle_exists(5, chosen) == brute_decomposition_exists(5, chosen)
+
+
+def _realized(w, n, seed):
+    g = sample_graph(w, n, seed)
+    return g, run_pipeline(plan(w), g, seed).decomposition
+
+
+def _merged_through_a_non_edge(g, h):
+    """h with two of its cycles joined into one, so that at least one of the
+    two new arcs is not an edge of g."""
+    for a in h.cycles:
+        for b in h.cycles:
+            if a is not b and not (g.has_edge(a[-1], b[0]) and g.has_edge(b[-1], a[0])):
+                rest = [c for c in h.cycles if c is not a and c is not b]
+                return HamDecomposition(h.n, rest + [a + b])
+    raise AssertionError("every rerouting uses edges only")
+
+
+class TestOracleWitness:
+    # ER-1/2, triangle-1/2 and two random graphons whose pipeline succeeds at n=1000
+    PANEL = [ER_HALF, TRI_HALF] + [random_graphon(np.random.default_rng(k)) for k in (0, 1)]
+
+    def test_pipeline_witnesses_agree_with_the_matching(self):
+        witnessed = 0
+        for w in self.PANEL:
+            for n in (30, 61, 200, 1000):
+                for seed in range(3):
+                    g, h = _realized(w, n, seed)
+                    if h is None:
+                        continue
+                    witnessed += 1
+                    assert graph_has_decomposition(g, h)
+                    assert graph_has_decomposition(g)  # Hopcroft-Karp, no witness
+        assert witnessed >= 24
+
+    def test_witness_through_a_non_edge_raises(self):
+        g, h = _realized(TRI_HALF, 60, 1)
+        bad = _merged_through_a_non_edge(g, h)
+        with pytest.raises(RuntimeError, match="is not an edge of the graph"):
+            graph_has_decomposition(g, bad)
+
+    def test_witness_on_an_edgeless_graph_raises(self):
+        g = SampledGraph(4, np.zeros(4), np.zeros(4, dtype=int), np.empty((0, 2)))
+        with pytest.raises(RuntimeError, match="arc 0->1 is not an edge"):
+            graph_has_decomposition(g, HamDecomposition(4, [(0, 1), (2, 3)]))
+
+    def test_witness_for_another_n_raises(self):
+        g, h = _realized(TRI_HALF, 60, 1)
+        with pytest.raises(ValueError, match="witness on 62 nodes"):
+            graph_has_decomposition(g, HamDecomposition(62, h.cycles + ((60, 61),)))
+
+    def test_small_graph_witness(self):
+        # the undirected 4-cycle 0-1-2-3: two 2-cycles, or the 4-cycle either way
+        g = SampledGraph(4, np.zeros(4), np.zeros(4, dtype=int), [(0, 1), (1, 2), (2, 3), (0, 3)])
+        for cycles in ([(0, 1), (2, 3)], [(1, 2), (3, 0)], [(0, 1, 2, 3)], [(3, 2, 1, 0)]):
+            assert graph_has_decomposition(g, HamDecomposition(4, cycles))
+        with pytest.raises(RuntimeError, match="arc 0->2"):
+            graph_has_decomposition(g, HamDecomposition(4, [(0, 2), (1, 3)]))
 
 
 class TestEmbed:

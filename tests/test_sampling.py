@@ -20,7 +20,7 @@ from hamdec.sampling import (
     sample_graph,
 )
 
-from helpers import random_graphon
+from helpers import count_block_edges_loop, random_decomposition, random_graphon
 
 TRIANGLE = SkeletonGraph(3, frozenset(), frozenset({(0, 1), (0, 2), (1, 2)}))
 
@@ -206,6 +206,39 @@ class TestCountBlockEdges:
         h = HamDecomposition(2, [(0, 1)])
         with pytest.raises(ValueError):
             count_block_edges(h, [0, 0], s)  # within-block, no loop
+
+    def test_agrees_with_the_node_loop(self):
+        rng = np.random.default_rng(8)
+        for _ in range(60):
+            n, q = int(rng.integers(2, 40)), int(rng.integers(1, 5))
+            h = random_decomposition(rng, n)
+            blocks = rng.integers(0, q, size=n)
+            used = {(int(blocks[v]), int(blocks[u])) for v, u in enumerate(h.successor)}
+            loops = frozenset(a for a, b in used if a == b)
+            edges = frozenset((min(a, b), max(a, b)) for a, b in used if a != b)
+            s = SkeletonGraph(q, loops, edges)
+            assert count_block_edges(h, blocks, s) == count_block_edges_loop(h, blocks, s)
+            # drop one used pair: both name the same first node in node order
+            a, b = sorted(used)[int(rng.integers(len(used)))]
+            if a == b:
+                s = SkeletonGraph(q, loops - {a}, edges)
+            else:
+                s = SkeletonGraph(q, loops, edges - {(min(a, b), max(a, b))})
+            with pytest.raises(ValueError) as fast:
+                count_block_edges(h, blocks, s)
+            with pytest.raises(ValueError) as loop:
+                count_block_edges_loop(h, blocks, s)
+            assert str(fast.value) == str(loop.value)
+
+    @pytest.mark.parametrize("blocks", [[0, 2], [-1, 0]])
+    def test_label_outside_the_skeleton_rejected_like_the_node_loop(self, blocks):
+        s = SkeletonGraph(2, frozenset({0, 1}), frozenset({(0, 1)}))
+        h = HamDecomposition(2, [(0, 1)])
+        with pytest.raises(ValueError, match="not in skeleton") as fast:
+            count_block_edges(h, blocks, s)
+        with pytest.raises(ValueError) as loop:
+            count_block_edges_loop(h, blocks, s)
+        assert str(fast.value) == str(loop.value)
 
 
 class TestBalancedMatrix:
