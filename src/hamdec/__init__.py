@@ -37,6 +37,7 @@ from .polytope import (
     Membership,
     MembershipCertificate,
     extremal_generators,
+    hall_violator,
     positive_certificate,
 )
 from .realize import (

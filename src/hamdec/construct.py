@@ -24,12 +24,12 @@ loopless polytope, a skeleton entry rounded to zero) surfaces as
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
 
+from .flow import MaxFlow
 from .model import (
     DisconnectedSkeletonError,
     SkeletonGraph,
@@ -148,50 +148,6 @@ def round_even(vec, n: int) -> tuple[Fraction, ...]:
 # flow-based matrix rounding
 # ---------------------------------------------------------------------------
 
-class _MaxFlow:
-    def __init__(self, n: int):
-        self.adj: list[list[int]] = [[] for _ in range(n)]
-        self.to: list[int] = []
-        self.cap: list[int] = []
-
-    def add(self, u: int, v: int, c: int) -> int:
-        idx = len(self.to)
-        self.to.append(v)
-        self.cap.append(c)
-        self.adj[u].append(idx)
-        self.to.append(u)
-        self.cap.append(0)
-        self.adj[v].append(idx + 1)
-        return idx
-
-    def run(self, src: int, dst: int) -> int:
-        flow = 0
-        n = len(self.adj)
-        while True:
-            parent = [-1] * n
-            parent[src] = -2
-            queue = deque([src])
-            while queue and parent[dst] == -1:
-                u = queue.popleft()
-                for ei in self.adj[u]:
-                    v = self.to[ei]
-                    if parent[v] == -1 and self.cap[ei] > 0:
-                        parent[v] = ei
-                        queue.append(v)
-            if parent[dst] == -1:
-                return flow
-            path = []
-            v = dst
-            while v != src:
-                path.append(parent[v])
-                v = self.to[parent[v] ^ 1]
-            aug = min(self.cap[ei] for ei in path)
-            for ei in path:
-                self.cap[ei] -= aug
-                self.cap[ei ^ 1] += aug
-            flow += aug
-
-
 def _check_support(matrix, s: SkeletonGraph, what: str):
     q = s.node_count
     if len(matrix) != q:
@@ -234,7 +190,7 @@ def matrix_round(matrix, support: SkeletonGraph) -> tuple[tuple[int, ...], ...]:
     need = sum(rdef)
 
     src, dst = 2 * q, 2 * q + 1
-    net = _MaxFlow(2 * q + 2)
+    net = MaxFlow(2 * q + 2)
     for i in range(q):
         if rdef[i]:
             net.add(src, i, rdef[i])

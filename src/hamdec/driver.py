@@ -18,12 +18,18 @@ the membership status, is read off them:
 trial it samples a graph, runs the constructive pipeline (`run_pipeline`,
 also behind `hamdec decompose`), then the exact existence oracle.  The
 pipeline passes each object on once: one membership LP on the sampled
-graph's empirical concentration vector gives its interior bit and the
+graph's empirical concentration vector gives its membership status and the
 certificate for the tally (a refined graphon adds the LP on its normalized
-blocks); the tally gives the block cycles realized in the graph.  A
-realized decomposition is the oracle's witness: checked arc by arc against
-the sample, it answers yes, and a perfect matching decides every trial
-without one.  So constructive successes never exceed oracle successes.
+blocks); the tally gives the block cycles realized in the graph.  The
+oracle takes a witness where the trial has one.  A realized decomposition,
+checked arc by arc against the sample, answers yes.  An exterior empirical
+vector has a block set A whose neighbour blocks hold fewer nodes than A
+(Gale's theorem, found by `polytope.hall_violator`); sampled edges join only
+skeleton neighbours, so the nodes of A's blocks have fewer neighbours than
+members, and that Hall set, counted on the sample, answers no.  A perfect
+matching decides every trial with neither witness.  So constructive
+successes never exceed oracle successes, and every oracle value is the
+one the matching would give.
 Trials are independent with derived seeds; reports are deterministic.  A
 `MonteCarloReport` holds the rows in trial order, and its counts, estimate
 and Wilson interval are computed from them.
@@ -40,6 +46,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
+
 from ._seeds import derive
 from .construct import ConstructionError, HamDecomposition, build_balanced_matrix
 from .model import (
@@ -53,7 +61,7 @@ from .model import (
     incidence,
     skeleton,
 )
-from .polytope import Membership, MembershipCertificate, positive_certificate
+from .polytope import Membership, MembershipCertificate, hall_violator, positive_certificate
 from .realize import DEFAULT_ATTEMPTS, graph_has_decomposition, realize
 from .sampling import BalancedMatrix, SampledGraph, assign_blocks, empirical_concentration, sample_graph
 from .refine import ensure_loopless_odd_cycle
@@ -247,14 +255,18 @@ def plan(w: StepGraphon) -> Plan:
 
 @dataclass(frozen=True)
 class PipelineOutcome:
-    """Whether the sampled graph's empirical concentration vector is interior,
-    and the tally with its realized decomposition, or why the pipeline
-    stopped."""
+    """The membership status of the sampled graph's empirical concentration
+    vector, and the tally with its realized decomposition, or why the
+    pipeline stopped."""
 
-    interior: bool
+    status: Membership
     tally: BalancedMatrix | None = None
     decomposition: HamDecomposition | None = None
     failure: str | None = None
+
+    @property
+    def interior(self) -> bool:
+        return self.status is Membership.INTERIOR
 
     @property
     def ok(self) -> bool:
@@ -264,22 +276,25 @@ class PipelineOutcome:
 def run_pipeline(
     p: Plan, g: SampledGraph, seed: int, attempts: int = DEFAULT_ATTEMPTS
 ) -> PipelineOutcome:
-    """Decide whether g, sampled from `p.base.graphon`, has an interior empirical
-    vector; re-block it under the normalized graphon, build the tally and
-    realize its block cycles with `seed`.  Expected failures come back in
-    the outcome; anything else raises."""
+    """Decide the membership status of g's empirical vector, g sampled from
+    `p.base.graphon`; re-block g under the normalized graphon, build the
+    tally and realize its block cycles with `seed`.  Expected failures come
+    back in the outcome; anything else raises."""
     if attempts < 1:
         raise ValueError("attempts must be positive")
     x = empirical_concentration(g, p.base.skeleton.node_count)
     cert = positive_certificate(p.base.incidence, x)
-    interior = cert.status is Membership.INTERIOR
+    status = cert.status
     if p.normalized is None:
-        return PipelineOutcome(interior, failure=f"cannot decompose: {p.reason}")
+        return PipelineOutcome(status, failure=f"cannot decompose: {p.reason}")
     sn = p.normalized.skeleton
     if p.normalized is not p.base:
-        # a copy with new blocks: the edges, and so the CSR built here, are
-        # g's, so a trial's oracle and realization share one adjacency
-        g.adjacency()
+        # a copy with new blocks: the edges, and so a CSR built before the
+        # copy, are g's, so a trial's oracle and realization share one
+        # adjacency.  Only a refined interior vector reaches realization,
+        # and it aggregates to an interior one, so no other trial needs it.
+        if status is Membership.INTERIOR:
+            g.adjacency()
         g = copy(g)
         g.blocks = assign_blocks(p.normalized.graphon, g.coords)
         x = empirical_concentration(g, sn.node_count)
@@ -287,11 +302,11 @@ def run_pipeline(
     try:
         tally = build_balanced_matrix(x, g.n, sn, cert)
     except ConstructionError as exc:
-        return PipelineOutcome(interior, failure=f"tally construction failed: {exc}")
+        return PipelineOutcome(status, failure=f"tally construction failed: {exc}")
     outcome = realize(tally, g, sn, seed, attempts)
     if not outcome.ok:
-        return PipelineOutcome(interior, failure=f"realization failed: {outcome.diagnostics}")
-    return PipelineOutcome(interior, tally, outcome.decomposition)
+        return PipelineOutcome(status, failure=f"realization failed: {outcome.diagnostics}")
+    return PipelineOutcome(status, tally, outcome.decomposition)
 
 
 def constructive_attempt(
@@ -308,9 +323,26 @@ def run_trial(
 ) -> TrialResult:
     seed = derive(master_seed, "trial", trial)
     g = sample_graph(w, n, seed)
-    out = constructive_attempt(plan(w), g, seed, attempts)
-    oracle = graph_has_decomposition(g, out.decomposition)
+    p = plan(w)
+    out = constructive_attempt(p, g, seed, attempts)
+    witness = out.decomposition
+    if witness is None and out.status is Membership.EXTERIOR:
+        witness = hall_set(p.base.skeleton, g)
+    oracle = graph_has_decomposition(g, witness)
     return TrialResult(trial, seed, oracle, out.interior, out.failure)
+
+
+def hall_set(s: SkeletonGraph, g: SampledGraph) -> np.ndarray:
+    """The nodes of g in the blocks of a Hall violator of g's block counts.
+
+    Called when the membership LP has found g's empirical vector exterior
+    on s, so the flow must find a violator; if it does not, the simplex and
+    the flow disagree, which raises RuntimeError.
+    """
+    a = hall_violator(s, np.bincount(g.blocks, minlength=s.node_count).tolist())
+    if a is None:
+        raise RuntimeError("the membership LP says exterior, but the Hall flow saturates")
+    return np.flatnonzero(np.isin(g.blocks, list(a)))
 
 
 def montecarlo(

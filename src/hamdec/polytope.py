@@ -16,6 +16,13 @@ sign of t*; condition B (`driver.analyze`) is this query for a graphon's
 concentration vector.  The LP is solved by a dense two-phase primal
 simplex over `fractions.Fraction` with Bland's rule; problem sizes here
 are tiny (q <= ~32, |F| <= ~500), so exactness beats speed.
+
+Exterior points also have a combinatorial witness that trusts no simplex:
+x lies in the polytope exactly when x(N(A)) >= x(A) for every block set A,
+N(A) being A's neighbourhood in the skeleton with a looped block its own
+neighbour (Gale's supply-demand theorem).  `hall_violator` finds a set
+breaking that inequality, or shows there is none, with one integer
+max-flow.
 """
 
 from __future__ import annotations
@@ -24,6 +31,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .flow import MaxFlow
 from .model import IncidenceMatrix, SkeletonGraph, edge_order
 
 ZERO = Fraction(0)
@@ -213,3 +221,39 @@ def extremal_generators(s: SkeletonGraph) -> tuple[int, ...]:
             out.append(idx)
     return tuple(out)
 
+
+def hall_violator(s: SkeletonGraph, counts) -> frozenset[int] | None:
+    """A block set A with counts(N(A)) < counts(A), or None if there is none.
+
+    `counts` are nonnegative integers, one per block; N(A) is A's
+    neighbourhood in s, a looped block its own neighbour.  Such a set exists
+    exactly when counts / sum(counts) is exterior: a point of the polytope is
+    Z c = x with c >= 0; giving half of each pair edge's coefficient to
+    (i, j) and half to (j, i) makes a nonnegative matrix on s's support with
+    row and column sums x, and symmetrizing such a matrix gives c.  So one
+    integer max-flow on s's double cover decides it: source -> i with
+    capacity counts[i], i -> q+j uncapped when s supports (i, j), q+j -> sink
+    with capacity counts[j].  The flow saturates the source exactly when no
+    set violates; otherwise the blocks on a minimum cut's source side are
+    one (their neighbours' copies all lie on that side, and the cut is
+    smaller than the total).
+    """
+    q = s.node_count
+    counts = [int(c) for c in counts]
+    if len(counts) != q:
+        raise ValueError(f"{len(counts)} counts for a skeleton on {q} blocks")
+    if any(c < 0 for c in counts):
+        raise ValueError("counts must be nonnegative")
+    total = sum(counts)
+    src, dst = 2 * q, 2 * q + 1
+    net = MaxFlow(2 * q + 2)
+    for i in range(q):
+        net.add(src, i, counts[i])
+        net.add(q + i, dst, counts[i])
+        for j in range(q):
+            if s.supports(i, j):
+                net.add(i, q + j, total)  # uncapped: no arc carries more than the total
+    if net.run(src, dst) == total:
+        return None
+    side = net.source_side(src)
+    return frozenset(i for i in range(q) if side[i])

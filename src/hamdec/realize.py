@@ -17,9 +17,16 @@ runs Hopcroft-Karp on the result, once per 2-cycle group.
 Also here: the exact existence oracle.  A Hamiltonian decomposition of a
 digraph is exactly a permutation supported on its arcs, so existence is a
 perfect matching question between out-copies and in-copies of the nodes.
-Given a decomposition as its witness, the oracle instead checks every arc
-of the witness against the graph's edges, and a verified witness answers
-yes without a matching.
+Two witnesses settle it without a matching.  A decomposition answers yes
+once every one of its arcs is found among the graph's edges.  A Hall set,
+nodes S with fewer than |S| neighbours, answers no: by Hall's theorem the
+out-copies of S cannot all be matched.  The Monte Carlo trial gets one
+from the blocks: when the empirical concentration vector is exterior,
+Gale's theorem gives a block set A whose neighbour blocks hold fewer nodes
+than A does (`polytope.hall_violator`), and as sampled edges join only
+skeleton neighbours, the nodes of A's blocks form a Hall set.  The oracle
+verifies either witness on the graph itself and raises if it does not
+hold.
 """
 
 from __future__ import annotations
@@ -115,32 +122,58 @@ def oracle_exists(n: int, arcs) -> bool:
     return _has_perfect_matching(n, *csr)
 
 
-def graph_has_decomposition(g: SampledGraph, witness: HamDecomposition | None = None) -> bool:
+def graph_has_decomposition(
+    g: SampledGraph, witness: HamDecomposition | np.ndarray | None = None
+) -> bool:
     """Existence oracle on the directed version of a sampled graph.
 
     Its arcs are both orientations of every edge.  Without a witness, a
-    perfect matching on the graph's symmetric CSR adjacency decides.  A
-    witness is a decomposition realized in g: it answers yes once each of
-    its arcs (v, successor(v)) is found among g's sorted edges.  A witness
-    for another n raises ValueError.  Realization uses only sampled edges,
-    so an arc that is not an edge is a broken invariant and raises
-    RuntimeError; it never falls back to the matching.
+    perfect matching on the graph's symmetric CSR adjacency decides.  Two
+    witnesses answer without it:
+
+      * a decomposition realized in g answers yes once each of its arcs
+        (v, successor(v)) is found in g's CSR rows; one for another n
+        raises ValueError;
+      * an array of distinct nodes S answers no once one pass over g's
+        edges shows |N(S)| < |S|: the out-copies of S then have too few
+        in-copies to match into, so Hall's condition fails.
+
+    A witness that does not verify is a broken invariant of its maker: an
+    arc that is not an edge, or a node set with enough neighbours, raises
+    RuntimeError and never falls back to the matching.
     """
     if witness is None:
         return _has_perfect_matching(g.n, *g.adjacency())
+    if not isinstance(witness, HamDecomposition):
+        _check_hall_set(g, np.asarray(witness, dtype=np.int64))
+        return False
     if witness.n != g.n:
         raise ValueError(f"a witness on {witness.n} nodes for a graph on {g.n}")
     succ = np.asarray(witness.successor, dtype=np.int64)
-    nodes = np.arange(g.n)
-    arcs = np.minimum(nodes, succ) * g.n + np.maximum(nodes, succ)
-    edges = g.edges[:, 0] * g.n + g.edges[:, 1]  # sorted: the edges are canonical
-    pos = np.searchsorted(edges, arcs)
-    found = pos < edges.size
-    found[found] = edges[pos[found]] == arcs[found]
+    found = g.has_edges(np.arange(g.n), succ)
     if not found.all():
         v = int(np.argmin(found))
         raise RuntimeError(f"witness arc {v}->{int(succ[v])} is not an edge of the graph")
     return True
+
+
+def _check_hall_set(g: SampledGraph, nodes: np.ndarray) -> None:
+    """Raise unless the distinct nodes have fewer neighbours in g than members."""
+    inside = np.zeros(g.n, dtype=bool)
+    if nodes.size and (nodes.min() < 0 or nodes.max() >= g.n):
+        raise ValueError("a Hall set's nodes must be nodes of the graph")
+    inside[nodes] = True
+    if np.count_nonzero(inside) != nodes.size:
+        raise ValueError("a Hall set's nodes must be distinct")
+    i, j = g.edges[:, 0], g.edges[:, 1]
+    reached = np.zeros(g.n, dtype=bool)
+    reached[j[inside[i]]] = True
+    reached[i[inside[j]]] = True
+    found = np.count_nonzero(reached)
+    if found >= nodes.size:
+        raise RuntimeError(
+            f"Hall set of {nodes.size} nodes has {found} neighbours: it violates nothing"
+        )
 
 
 def embed_cycles(patterns, g: SampledGraph, seed: int, attempts: int = DEFAULT_ATTEMPTS):

@@ -133,9 +133,30 @@ class SampledGraph:
         return indices[indptr[v]:indptr[v + 1]]
 
     def has_edge(self, u: int, v: int) -> bool:
-        row = self.neighbors(u)
-        k = int(np.searchsorted(row, v))
-        return k < row.size and int(row[k]) == v
+        return bool(self.has_edges([u], [v])[0])
+
+    def has_edges(self, us, vs) -> np.ndarray:
+        """Whether each pair (us[k], vs[k]) is an edge, as a bool array.
+
+        One bisection of every pair's CSR row at once: as many numpy passes
+        as the longest row's length has bits, and no array the size of the
+        edge list.
+        """
+        indptr, indices = self.adjacency()
+        us = np.asarray(us, dtype=np.int64)
+        vs = np.asarray(vs, dtype=np.int64)
+        lo, end = indptr[us], indptr[us + 1]
+        hi = end
+        for _ in range(int(np.diff(indptr).max(initial=0)).bit_length()):
+            # the first position of each row whose neighbour is not below v;
+            # a finished search (lo == hi) stays put, whatever it probes
+            mid = (lo + hi) // 2
+            right = (lo < hi) & (indices[np.minimum(mid, indices.size - 1)] < vs)
+            lo = np.where(right, mid + 1, lo)
+            hi = np.where(right, hi, mid)
+        found = lo < end
+        found[found] = indices[lo[found]] == vs[found]
+        return found
 
     def pair_set(self) -> set[tuple[int, int]]:
         return {(int(i), int(j)) for i, j in self.edges}

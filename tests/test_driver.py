@@ -33,6 +33,12 @@ TRI_GRAPHON = step_graphon(
     [0, F(1, 3), F(2, 3), 1],
     [[0, F(1, 2), F(1, 2)], [F(1, 2), 0, F(1, 2)], [F(1, 2), F(1, 2), 0]],
 )
+TRI_EXTERIOR = step_graphon(
+    [0, F(3, 5), F(4, 5), 1],
+    [[0, F(1, 2), F(1, 2)], [F(1, 2), 0, F(1, 2)], [F(1, 2), F(1, 2), 0]],
+)
+# a looped block joined only to a loopless one three times its length
+LOOP_EXTERIOR = step_graphon([0, F(1, 4), 1], [[F(1, 2), F(1, 2)], [F(1, 2), 0]])
 
 REALIZE_MODULE = importlib.import_module("hamdec.realize")  # `hamdec.realize` is the function
 
@@ -354,16 +360,18 @@ def _shifted(real):
 
 class TestWitnessFirstOracle:
     @pytest.mark.parametrize(
-        "w, n, trial, constructive, oracle, matchings",
+        "w, n, trial, constructive, oracle, matchings, builds_expected",
         [
-            (TRI_GRAPHON, 60, 1, True, True, 0),  # the realized decomposition answers
-            (TRI_GRAPHON, 60, 0, False, False, 1),  # no decomposition exists
-            (ER_HALF, 30, 3, False, True, 1),  # one exists, but realization failed
-            (BIP_UNEVEN, 60, 0, False, False, 1),  # no odd cycle: nothing to realize
+            (TRI_GRAPHON, 60, 1, True, True, 0, 1),  # the realized decomposition answers
+            (TRI_GRAPHON, 60, 0, False, False, 0, 0),  # exterior: a Hall set answers
+            (ER_HALF, 30, 3, False, True, 1, 1),  # one exists, but realization failed
+            (BIP_UNEVEN, 60, 0, False, False, 0, 0),  # no odd cycle, and exterior
+            (TRI_EXTERIOR, 61, 2, False, False, 0, 0),  # an exterior graphon
+            (LOOP_EXTERIOR, 60, 0, False, False, 0, 0),  # exterior, and needs refinement
         ],
     )
     def test_matching_runs_only_without_a_witness(
-        self, monkeypatch, w, n, trial, constructive, oracle, matchings
+        self, monkeypatch, w, n, trial, constructive, oracle, matchings, builds_expected
     ):
         oracles = _counting(monkeypatch, hamdec.driver, "graph_has_decomposition")
         hk = _counting(monkeypatch, REALIZE_MODULE, "_has_perfect_matching")
@@ -380,7 +388,7 @@ class TestWitnessFirstOracle:
         assert (tr.constructive, tr.oracle) == (constructive, oracle)
         assert len(oracles) == 1 and len(hk) == matchings
         # ER-1/2 realizes in a re-blocked copy; it shares the sample's CSR
-        assert len(builds) == 1
+        assert len(builds) == builds_expected
 
     def test_witness_off_the_sample_raises_from_montecarlo(self, monkeypatch):
         # an invariant break, never a failed trial and never a fallback
@@ -388,7 +396,25 @@ class TestWitnessFirstOracle:
         monkeypatch.setattr(hamdec.driver, "realize", _shifted(hamdec.driver.realize))
         with pytest.raises(RuntimeError, match="is not an edge of the graph"):
             montecarlo(TRI_GRAPHON, 60, 4, 5)
-        assert len(hk) == 1  # trial 0 has no witness; trial 1 raises
+        assert hk == []  # trial 0's Hall set answers; trial 1 raises
+
+    def test_hall_set_that_violates_nothing_raises_from_montecarlo(self, monkeypatch):
+        # every block: as many neighbours as nodes, so Hall's condition holds
+        hk = _counting(monkeypatch, REALIZE_MODULE, "_has_perfect_matching")
+        monkeypatch.setattr(
+            hamdec.driver, "hall_violator", lambda s, counts: frozenset(range(s.node_count))
+        )
+        with pytest.raises(RuntimeError, match="violates nothing"):
+            montecarlo(TRI_GRAPHON, 60, 4, 5)  # trial 0 is exterior
+        assert hk == []
+
+    def test_lp_and_flow_disagreeing_raises_from_montecarlo(self, monkeypatch):
+        # an LP that calls every vector exterior; the flow finds trial 1's interior
+        hk = _counting(monkeypatch, REALIZE_MODULE, "_has_perfect_matching")
+        monkeypatch.setattr(hamdec.driver, "positive_certificate", lambda z, x: MembershipCertificate())
+        with pytest.raises(RuntimeError, match="Hall flow saturates"):
+            montecarlo(TRI_GRAPHON, 60, 4, 5)
+        assert hk == []
 
     def test_decompose_prints_no_arc_off_the_sample(self, monkeypatch, tmp_path, capsys):
         path = tmp_path / "w.json"

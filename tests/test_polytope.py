@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -17,11 +18,12 @@ from hamdec.polytope import (
     Membership,
     MembershipCertificate,
     extremal_generators,
+    hall_violator,
     positive_certificate,
     solve_equality_lp,
 )
 
-from helpers import random_graphon
+from helpers import random_graphon, random_skeleton
 
 TRIANGLE = SkeletonGraph(3, frozenset(), frozenset({(0, 1), (0, 2), (1, 2)}))
 
@@ -244,3 +246,68 @@ class TestMembershipCertificate:
     def test_negative_margin_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
             MembershipCertificate((F(2), F(-1)), F(-1))
+
+
+def _neighbourhood(s: SkeletonGraph, blocks) -> set[int]:
+    return {j for i in blocks for j in range(s.node_count) if s.supports(i, j)}
+
+
+def _violates(s: SkeletonGraph, counts, blocks) -> bool:
+    return sum(counts[j] for j in _neighbourhood(s, blocks)) < sum(counts[i] for i in blocks)
+
+
+def _random_bipartite(rng, q_max=8) -> SkeletonGraph:
+    """A loopless skeleton whose pair edges all cross one random 2-colouring."""
+    q = int(rng.integers(2, q_max + 1))
+    side = rng.integers(0, 2, q)
+    p = float(rng.uniform(0.2, 0.9))
+    edges = {
+        (i, j) for i in range(q) for j in range(i + 1, q) if side[i] != side[j] and rng.random() < p
+    }
+    return SkeletonGraph(q, frozenset(), frozenset(edges))
+
+
+class TestHallViolator:
+    """Gale's theorem on the double cover: a block set A with
+    count(N(A)) < count(A) exists exactly when the count vector is exterior."""
+
+    def test_against_subset_enumeration_and_the_lp(self):
+        rng = np.random.default_rng(20)
+        found = 0
+        for k in range(300):
+            # loops, disconnected and loop-only blocks; every third bipartite
+            s = _random_bipartite(rng) if k % 3 == 0 else random_skeleton(rng)
+            q = s.node_count
+            counts = rng.integers(0, 6, q) * (rng.random(q) < 0.8)  # zero counts too
+            if not counts.any():
+                counts[int(rng.integers(q))] = 1
+            counts = counts.tolist()
+            a = hall_violator(s, counts)
+            some = any(
+                _violates(s, counts, blocks)
+                for r in range(1, q + 1)
+                for blocks in combinations(range(q), r)
+            )
+            total = sum(counts)
+            cert = positive_certificate(incidence(s), [F(c, total) for c in counts])
+            assert (a is not None) == some == (cert.status is Membership.EXTERIOR)
+            if a is not None:
+                found += 1
+                assert _violates(s, counts, a)
+        assert 50 <= found <= 250
+
+    def test_triangle(self):
+        assert hall_violator(TRIANGLE, [1, 1, 1]) is None
+        assert hall_violator(TRIANGLE, [1, 1, 2]) is None  # boundary: x(N(2)) = x(2)
+        assert hall_violator(TRIANGLE, [1, 1, 3]) == frozenset({2})
+
+    def test_a_looped_block_is_its_own_neighbour(self):
+        s = SkeletonGraph(2, frozenset({0}), frozenset({(0, 1)}))
+        assert hall_violator(s, [1, 5]) == frozenset({1})
+        assert hall_violator(s, [5, 1]) is None
+
+    def test_bad_counts_rejected(self):
+        with pytest.raises(ValueError, match="3 blocks"):
+            hall_violator(TRIANGLE, [1, 1])
+        with pytest.raises(ValueError, match="nonnegative"):
+            hall_violator(TRIANGLE, [1, -1, 2])

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from hamdec.construct import BlockCycle, HamDecomposition, block_cycles
-from hamdec.driver import plan, run_pipeline
-from hamdec.model import SkeletonGraph, saturate, skeleton, step_graphon
+from hamdec.driver import hall_set, plan, run_pipeline
+from hamdec.model import SkeletonGraph, incidence, saturate, skeleton, step_graphon
+from hamdec.polytope import Membership, hall_violator, positive_certificate
 from hamdec.realize import (
     CycleEmbedError,
     embed_cycles,
@@ -217,6 +218,73 @@ class TestOracleWitness:
             assert graph_has_decomposition(g, HamDecomposition(4, cycles))
         with pytest.raises(RuntimeError, match="arc 0->2"):
             graph_has_decomposition(g, HamDecomposition(4, [(0, 2), (1, 3)]))
+
+
+def _arcs(g):
+    return [(int(u), int(v)) for i, j in g.edges for u, v in ((i, j), (j, i))]
+
+
+class TestHallWitness:
+    # bipartite-0.3, and the exterior-triangle and disconnected graphons of
+    # the CLI digest tests: their sampled vectors are mostly exterior
+    H = F(1, 2)
+    EXTERIOR_PANEL = [
+        step_graphon([0, F(3, 10), 1], [[0, H], [H, 0]]),
+        step_graphon([0, F(3, 5), F(4, 5), 1], [[0, H, H], [H, 0, H], [H, H, 0]]),
+        step_graphon([0, F(1, 4), F(1, 2), 1], [[H, 0, 0], [0, 0, H], [0, H, 0]]),
+    ]
+
+    def test_exterior_panel_agrees_with_the_matching(self):
+        exterior = 0
+        for w in self.EXTERIOR_PANEL:
+            s = skeleton(w)
+            for n in (30, 61, 200):
+                for seed in range(3):
+                    g = sample_graph(w, n, seed)
+                    x = empirical_concentration(g, s.node_count)
+                    if positive_certificate(incidence(s), x).status is not Membership.EXTERIOR:
+                        continue
+                    exterior += 1
+                    witness = hall_set(s, g)
+                    assert graph_has_decomposition(g, witness) is False
+                    assert graph_has_decomposition(g) is False  # Hopcroft-Karp
+        assert exterior >= 20
+
+    def test_a_hall_set_means_no_decomposition_at_small_n(self):
+        rng = np.random.default_rng(3)
+        verified = 0
+        for k in range(120):
+            w = random_graphon(rng, q_max=4)
+            s = skeleton(w)
+            g = sample_graph(w, int(rng.integers(2, 8)), k)
+            a = hall_violator(s, np.bincount(g.blocks, minlength=s.node_count))
+            if a is None:
+                continue
+            verified += 1
+            assert graph_has_decomposition(g, hall_set(s, g)) is False
+            assert not brute_decomposition_exists(g.n, _arcs(g))
+        assert verified >= 20
+
+    def test_small_graph_hall_set(self):
+        # the star with centre 0 and leaves 1, 2, 3: the leaves share one neighbour
+        g = SampledGraph(4, np.zeros(4), np.zeros(4, dtype=int), [(0, 1), (0, 2), (0, 3)])
+        assert graph_has_decomposition(g, [1, 2, 3]) is False
+        assert graph_has_decomposition(g, [2, 3]) is False
+        for nodes in ([0], [0, 1], [1], []):
+            with pytest.raises(RuntimeError, match="violates nothing"):
+                graph_has_decomposition(g, nodes)
+
+    def test_set_that_violates_nothing_raises(self):
+        g, _ = _realized(TRI_HALF, 60, 1)
+        with pytest.raises(RuntimeError, match="60 nodes has 60 neighbours"):
+            graph_has_decomposition(g, np.arange(60))
+
+    def test_hall_set_nodes_are_checked(self):
+        g = SampledGraph(4, np.zeros(4), np.zeros(4, dtype=int), [(0, 1)])
+        with pytest.raises(ValueError, match="nodes of the graph"):
+            graph_has_decomposition(g, [2, 4])
+        with pytest.raises(ValueError, match="distinct"):
+            graph_has_decomposition(g, [2, 2, 3])
 
 
 class TestEmbed:

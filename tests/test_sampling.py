@@ -274,6 +274,11 @@ class TestAdjacency:
             for u in range(g.n):
                 for v in range(g.n):
                     assert g.has_edge(u, v) == (v in ref[u])
+        # every pair at once, the out-of-range columns -1 and n included
+        us, vs = np.divmod(np.arange(g.n * (g.n + 2)), g.n + 2)
+        vs -= 1
+        want = [v in ref[u] for u, v in zip(us.tolist(), vs.tolist())]
+        assert g.has_edges(us, vs).tolist() == want
 
     def test_cache_is_not_a_constructor_argument(self):
         # a handed-in CSR could contradict the edges
