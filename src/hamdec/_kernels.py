@@ -1,5 +1,5 @@
-"""Hot inner loops: the pair-probability scan, CSR row gathers and maximum
-bipartite matching.
+"""Hot inner loops: the pair-probability scan and maximum bipartite matching
+on rows of a packed bit matrix.
 
 The exact-rational machinery (LP certificates, matrix rounding, partition
 refinement) is deliberately not here: it runs on ``fractions.Fraction``.
@@ -55,167 +55,99 @@ def scan_pairs(blocks, probs, rng):
     return np.concatenate(hits_i), np.concatenate(hits_j)
 
 
-def gather_rows(indptr, indices, rows):
-    """Row lengths and the concatenated CSR rows `rows`, in the given order."""
-    rows = np.asarray(rows, dtype=np.int64)
-    starts = indptr[rows]
-    lengths = indptr[rows + 1] - starts
-    offsets = np.cumsum(lengths) - lengths  # where each row lands in the output
-    pos = np.arange(lengths.sum()) + np.repeat(starts - offsets, lengths)
-    return lengths, indices[pos]
+def row_masks(bits):
+    """The rows of a packed bit matrix (`np.packbits(..., bitorder="little")`
+    along axis 1) as Python ints: bit k of row r's int is column k."""
+    width = bits.shape[1]
+    if width == 0:
+        return [0] * bits.shape[0]
+    raw = np.ascontiguousarray(bits).tobytes()
+    return [int.from_bytes(raw[k:k + width], "little") for k in range(0, len(raw), width)]
 
 
-# Mean CSR row length from which `hopcroft_karp` scans rows with numpy.
-# Measured per call (best of 3) on a 2-CPU x86-64 host, numpy 2.4, random
-# square CSRs, lists vs rows: n=17, row 8: 0.08 vs 0.22 ms; n=200, row 19:
-# 1.3 vs 1.6 ms; n=300, row 38: 5.9 vs 5.1 ms; n=1000, row 5: 11 vs 22 ms;
-# n=1000, row 95: 38 vs 17 ms; the triangle-1/2 existence oracle at n=1000
-# (row ~333): 115-138 vs 16-20 ms.  The two break even at rows of ~20 (n=1000)
-# to ~40 (n <= 300); 48 leaves the doubtful middle to the list version.
-ROW_SCAN_MIN_ROW = 48
+def _ones(x):
+    """The positions of the set bits of a nonnegative int, ascending."""
+    packed = np.frombuffer(x.to_bytes((x.bit_length() + 7) // 8, "little"), np.uint8)
+    return np.flatnonzero(np.unpackbits(packed, bitorder="little")).tolist()
 
 
-def hopcroft_karp(nl, nr, indptr, indices):
-    """Maximum matching of the bipartite CSR graph (left rows, right columns).
+def hopcroft_karp(rows, nr):
+    """Maximum matching of a bipartite graph given by left row masks.
 
-    Layered BFS plus shortest-path DFS (Hopcroft and Karp, SIAM J. Comput.
-    2(4), 1973); the traversal follows the CSR order, so the returned
-    (match_l, match_r) is deterministic.  Unmatched is -1.  Two versions of
-    the same traversal return the same arrays: dense inputs scan rows with
-    numpy, sparse or small ones walk the edges in Python.
+    `rows[x]` is an int whose bit v is set iff left node x is adjacent to
+    right node v < nr.  Layered BFS plus shortest-path DFS (Hopcroft and
+    Karp, SIAM J. Comput. 2(4), 1973), one word-parallel step at a time:
+
+      * a BFS layer is the OR of its nodes' rows;
+      * `layer[k]` holds the right nodes a DFS may cross from a left node
+        at distance k - 1: those matched to a left node at distance k, and
+        at the free end's distance also the unmatched ones;
+      * each DFS frame scans its row in ascending column order, taking the
+        lowest usable column past the one it took last, and a dead end or
+        an augmentation moves the columns whose partner or distance
+        changed.
+
+    Roots go in index order and each DFS frame starts at its row's first
+    column, so the returned (match_l, match_r) int64 arrays are those of
+    the same traversal walking ascending adjacency lists one edge at a
+    time.  Unmatched is -1.
     """
-    indptr = np.asarray(indptr, dtype=np.int64)
-    indices = np.asarray(indices, dtype=np.int64)
-    if indices.size >= ROW_SCAN_MIN_ROW * nl:
-        return _hk_rows(nl, nr, indptr, indices)
-    return _hk_lists(nl, nr, indptr, indices)
-
-
-def _hk_rows(nl, nr, indptr, indices):
-    """`_hk_lists` with every row scan done by numpy.
-
-    A BFS layer is one gather over the frontier's rows.  A DFS step finds
-    the first usable entry of the rest of x's row in one vectorized test;
-    `dist[nl]` is the distance of the free (nil) right end, so the test
-    `dist[match_r[v]] == dist[x] + 1` covers free and matched v alike
-    (an unmatched v reads match_r[v] = -1, the last slot of `dist`).
-    """
-    inf = nl + 2
-    match_l = np.full(nl, -1, dtype=np.int64)
-    match_r = np.full(nr, -1, dtype=np.int64)
-    dist = np.empty(nl + 1, dtype=np.int64)
-    bounds = indptr.tolist()
-    while True:
-        free = np.flatnonzero(match_l == -1)
-        dist.fill(inf)
-        dist[free] = 0
-        dnil = inf
-        frontier, d = free, 0
-        while frontier.size:
-            w = match_r[gather_rows(indptr, indices, frontier)[1]]
-            if np.any(w == -1):
-                dnil = d + 1
-            w = w[w != -1]
-            w = w[dist[w] == inf]
-            d += 1
-            dist[w] = d
-            if dnil != inf:
-                break
-            frontier = np.flatnonzero(dist[:nl] == d)
-        if dnil == inf:
-            break
-        dist[nl] = dnil
-        for s in free.tolist():
-            stack = [s]
-            ptrs = [bounds[s]]
-            vsel = [-1]
-            while stack:
-                x = stack[-1]
-                p, end = ptrs[-1], bounds[x + 1]
-                if p < end:
-                    row = indices[p:end]
-                    usable = dist[match_r[row]] == dist[x] + 1
-                    k = int(usable.argmax())
-                    if usable[k]:
-                        ptrs[-1] = p + k + 1
-                        v = int(row[k])
-                        vsel[-1] = v
-                        w = int(match_r[v])
-                        if w == -1:
-                            match_l[stack] = vsel
-                            match_r[vsel] = stack
-                            break
-                        stack.append(w)
-                        ptrs.append(bounds[w])
-                        vsel.append(-1)
-                        continue
-                dist[x] = inf
-                stack.pop()
-                ptrs.pop()
-                vsel.pop()
-    return match_l, match_r
-
-
-def _hk_lists(nl, nr, indptr, indices):
-    """Reference version: the same traversal, one edge at a time on lists."""
-    indptr = np.asarray(indptr).tolist()
-    indices = np.asarray(indices).tolist()
+    nl = len(rows)
     inf = nl + 2
     match_l = [-1] * nl
     match_r = [-1] * nr
-    dist = [0] * nl
+    free = (1 << nr) - 1  # right nodes without a partner
     while True:
-        queue = []
-        for s in range(nl):
-            if match_l[s] == -1:
-                dist[s] = 0
-                queue.append(s)
-            else:
-                dist[s] = inf
-        dnil = inf
-        for x in queue:  # the loop also visits what it appends
-            if dist[x] >= dnil:
-                continue
-            for e in range(indptr[x], indptr[x + 1]):
-                w = match_r[indices[e]]
-                if w == -1:
-                    if dnil == inf:
-                        dnil = dist[x] + 1
-                elif dist[w] == inf:
-                    dist[w] = dist[x] + 1
-                    queue.append(w)
-        if dnil == inf:
+        dist = [inf] * nl
+        frontier = [s for s in range(nl) if match_l[s] == -1]
+        for s in frontier:
+            dist[s] = 0
+        layer = [0]
+        reached = 0  # matched right nodes whose partner has a distance
+        while frontier:
+            reach = 0
+            for x in frontier:
+                reach |= rows[x]
+            new = reach & ~free & ~reached
+            reached |= new
+            layer.append(new)
+            frontier = [match_r[v] for v in _ones(new)]
+            for w in frontier:
+                dist[w] = len(layer) - 1
+            if reach & free:
+                break
+        else:  # no free right node is reachable: the matching is maximum
             break
+        layer[-1] |= free
+        layer.append(0)  # nodes at the free end's distance lead nowhere
         for s in range(nl):
             if match_l[s] != -1:
                 continue
-            stack = [s]
-            ptrs = [indptr[s]]
-            vsel = [-1]
+            # each frame's column taken last; the frame scans on past it
+            stack, vsel = [s], [-1]
             while stack:
                 x = stack[-1]
-                while ptrs[-1] < indptr[x + 1]:
-                    e = ptrs[-1]
-                    ptrs[-1] += 1
-                    v = indices[e]
-                    w = match_r[v]
-                    if w == -1:
-                        if dist[x] + 1 == dnil:
-                            vsel[-1] = v
-                            for left, right in zip(stack, vsel):
-                                match_l[left] = right
-                                match_r[right] = left
-                            stack = []
-                            break
-                    elif dist[w] == dist[x] + 1:
-                        vsel[-1] = v
-                        stack.append(w)
-                        ptrs.append(indptr[w])
-                        vsel.append(-1)
-                        break
-                else:  # a dead end: no augmenting path through x
+                usable = (rows[x] & layer[dist[x] + 1]) >> (vsel[-1] + 1)
+                if not usable:  # a dead end: no augmenting path through x
+                    if match_l[x] != -1:
+                        layer[dist[x]] ^= 1 << match_l[x]
                     dist[x] = inf
                     stack.pop()
-                    ptrs.pop()
                     vsel.pop()
+                    continue
+                v = vsel[-1] + (usable & -usable).bit_length()
+                vsel[-1] = v
+                w = match_r[v]
+                if w != -1:
+                    stack.append(w)
+                    vsel.append(-1)
+                    continue
+                free ^= 1 << v
+                for k, (left, right) in enumerate(zip(stack, vsel)):
+                    # its new partner sits at distance k, its old one at k + 1
+                    layer[k + 1] ^= 1 << right
+                    layer[k] |= 1 << right
+                    match_l[left] = right
+                    match_r[right] = left
+                break
     return np.asarray(match_l, dtype=np.int64), np.asarray(match_r, dtype=np.int64)

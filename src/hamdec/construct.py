@@ -55,6 +55,11 @@ class ConstructionError(Exception):
         super().__init__(f"{stage}: " + "; ".join(self.failures))
 
 
+def not_interior(status: Membership) -> ConstructionError:
+    """The tally's refusal of a vector whose membership status is `status`."""
+    return ConstructionError("membership", [f"x is {status.value}, not interior"])
+
+
 @dataclass(frozen=True)
 class MassSplit:
     """x decomposed as loop_part + edge_part along the certificate."""
@@ -260,7 +265,7 @@ def build_balanced_matrix(
         raise DisconnectedSkeletonError(connected_components(s))
 
     if cert.status is not Membership.INTERIOR:
-        raise ConstructionError("membership", [f"x is {cert.status.value}, not interior"])
+        raise not_interior(cert.status)
     if incidence(s).apply(cert.coefficients) != xs:
         raise ValueError("the certificate's coefficients do not solve Z c = x")
 

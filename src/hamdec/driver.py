@@ -49,7 +49,7 @@ from functools import lru_cache
 import numpy as np
 
 from ._seeds import derive
-from .construct import ConstructionError, HamDecomposition, build_balanced_matrix
+from .construct import ConstructionError, HamDecomposition, build_balanced_matrix, not_interior
 from .model import (
     IncidenceMatrix,
     Partition,
@@ -288,18 +288,24 @@ def run_pipeline(
     if p.normalized is None:
         return PipelineOutcome(status, failure=f"cannot decompose: {p.reason}")
     sn = p.normalized.skeleton
-    if p.normalized is not p.base:
-        # a copy with new blocks: the edges, and so a CSR built before the
-        # copy, are g's, so a trial's oracle and realization share one
-        # adjacency.  Only a refined interior vector reaches realization,
-        # and it aggregates to an interior one, so no other trial needs it.
-        if status is Membership.INTERIOR:
-            g.adjacency()
-        g = copy(g)
-        g.blocks = assign_blocks(p.normalized.graphon, g.coords)
-        x = empirical_concentration(g, sn.node_count)
-        cert = positive_certificate(p.normalized.incidence, x)
     try:
+        if p.normalized is not p.base:
+            if status is Membership.EXTERIOR:
+                # A Hall violator A of x lifts to its refined copies A': they
+                # inherit every adjacency, and a split looped block gives
+                # looped copies joined by an edge, so x'(N(A')) = x(N(A)) <
+                # x(A) = x'(A').  The refined vector is exterior too.
+                raise not_interior(status)
+            # a copy with new blocks: the edges, and so an adjacency built
+            # before the copy, are g's, so a trial's oracle and realization
+            # share one.  Only a refined interior vector reaches realization,
+            # and it aggregates to an interior one, so no other trial needs it.
+            if status is Membership.INTERIOR:
+                g.adjacency()
+            g = copy(g)
+            g.blocks = assign_blocks(p.normalized.graphon, g.coords)
+            x = empirical_concentration(g, sn.node_count)
+            cert = positive_certificate(p.normalized.incidence, x)
         tally = build_balanced_matrix(x, g.n, sn, cert)
     except ConstructionError as exc:
         return PipelineOutcome(status, failure=f"tally construction failed: {exc}")

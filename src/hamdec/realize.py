@@ -11,12 +11,14 @@ and matched across).  Bounded randomized retries stand in for the almost-sure
 existence arguments; exhausting them is a reported Failure, not an error.
 
 `max_bipartite_matching` is the one matching front end on a sampled graph:
-it restricts the graph's CSR adjacency to a left and a right node list and
-runs Hopcroft-Karp on the result, once per 2-cycle group.
+it restricts the graph's packed adjacency matrix to a left and a right
+node list and runs the word-parallel Hopcroft-Karp on the result's rows,
+once per 2-cycle group.
 
 Also here: the exact existence oracle.  A Hamiltonian decomposition of a
 digraph is exactly a permutation supported on its arcs, so existence is a
-perfect matching question between out-copies and in-copies of the nodes.
+perfect matching question between out-copies and in-copies of the nodes;
+on a sampled graph, out-copy v's row is row v of the adjacency matrix.
 Two witnesses settle it without a matching.  A decomposition answers yes
 once every one of its arcs is found among the graph's edges.  A Hall set,
 nodes S with fewer than |S| neighbours, answers no: by Hall's theorem the
@@ -40,7 +42,7 @@ from . import _kernels
 from ._seeds import derive, generator
 from .construct import HamDecomposition, block_cycles
 from .model import SkeletonGraph
-from .sampling import BalancedMatrix, SampledGraph, build_csr, count_block_edges
+from .sampling import BalancedMatrix, SampledGraph, count_block_edges
 
 # the default retry budget: restarts per phase-1 pattern, phase-2 draws
 DEFAULT_ATTEMPTS = 32
@@ -69,8 +71,8 @@ class RealizationOutcome:
         return self.decomposition is not None
 
 
-def _has_perfect_matching(n: int, indptr, indices) -> bool:
-    match_l, _ = _kernels.hopcroft_karp(n, n, indptr, indices)
+def _has_perfect_matching(rows, n: int) -> bool:
+    match_l, _ = _kernels.hopcroft_karp(rows, n)
     return bool(np.all(match_l >= 0))
 
 
@@ -84,20 +86,17 @@ def max_bipartite_matching(g: SampledGraph, left, right) -> frozenset[tuple[int,
     """
     left = np.asarray(left, dtype=np.int64)
     right = np.asarray(right, dtype=np.int64)
-    nl, nr = left.size, right.size
     nodes = np.concatenate([left, right])
     if nodes.size and (nodes.min() < 0 or nodes.max() >= g.n):
         raise ValueError("matching nodes must be nodes of the graph")
-    pos = np.full(g.n, -1, dtype=np.int64)  # index in `right`; -2 in `left`
-    pos[left] = -2
-    pos[right] = np.arange(nr)
-    if np.count_nonzero(pos != -1) != nl + nr:
+    taken = np.zeros(g.n, dtype=bool)
+    taken[nodes] = True
+    if np.count_nonzero(taken) != nodes.size:
         raise ValueError("left and right nodes must be distinct and disjoint")
-    lengths, cols = _kernels.gather_rows(*g.adjacency(), left)
-    local = pos[cols]
-    keep = local >= 0
-    rows = np.repeat(np.arange(nl), lengths)[keep]
-    match_l, _ = _kernels.hopcroft_karp(nl, nr, *build_csr(nl, nr, rows, local[keep]))
+    # left node k's row over `right`: bit t is the edge to right[t]
+    block = np.unpackbits(g.adjacency()[left], axis=1, bitorder="little")[:, right]
+    rows = _kernels.row_masks(np.packbits(block, axis=1, bitorder="little"))
+    match_l, _ = _kernels.hopcroft_karp(rows, right.size)
     lnodes, rnodes = left.tolist(), right.tolist()
     return frozenset(
         (lnodes[u], rnodes[v]) for u, v in enumerate(match_l.tolist()) if v != -1
@@ -110,16 +109,15 @@ def oracle_exists(n: int, arcs) -> bool:
 
     Decided by a perfect matching between out-copies and in-copies.
     """
-    arcs = [(int(u), int(v)) for u, v in arcs]
+    rows = [0] * n  # bit v of rows[u]: the arc (u, v)
     for u, v in arcs:
+        u, v = int(u), int(v)
         if u == v:
             raise ValueError("self-loops are not allowed")
         if not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"arc ({u},{v}) out of range")
-    if n == 0:
-        return True
-    csr = build_csr(n, n, [u for u, _ in arcs], [v for _, v in arcs])
-    return _has_perfect_matching(n, *csr)
+        rows[u] |= 1 << v
+    return _has_perfect_matching(rows, n)
 
 
 def graph_has_decomposition(
@@ -128,12 +126,12 @@ def graph_has_decomposition(
     """Existence oracle on the directed version of a sampled graph.
 
     Its arcs are both orientations of every edge.  Without a witness, a
-    perfect matching on the graph's symmetric CSR adjacency decides.  Two
+    perfect matching on the rows of g's adjacency matrix decides.  Two
     witnesses answer without it:
 
       * a decomposition realized in g answers yes once each of its arcs
-        (v, successor(v)) is found in g's CSR rows; one for another n
-        raises ValueError;
+        (v, successor(v)) is a set bit of g's adjacency matrix; one for
+        another n raises ValueError;
       * an array of distinct nodes S answers no once one pass over g's
         edges shows |N(S)| < |S|: the out-copies of S then have too few
         in-copies to match into, so Hall's condition fails.
@@ -143,7 +141,7 @@ def graph_has_decomposition(
     RuntimeError and never falls back to the matching.
     """
     if witness is None:
-        return _has_perfect_matching(g.n, *g.adjacency())
+        return _has_perfect_matching(_kernels.row_masks(g.adjacency()), g.n)
     if not isinstance(witness, HamDecomposition):
         _check_hall_set(g, np.asarray(witness, dtype=np.int64))
         return False

@@ -4,8 +4,9 @@ Everything here deliberately avoids the library's own algorithms: ranks by
 Gaussian elimination over Fractions, odd cycles by exhaustive enumeration,
 matchings and decompositions by brute force.  These are the reference
 implementations the fast code is checked against, with `scan_pairs_rows`,
-the pair scan taken one row at a time, and `count_block_edges_loop`, the
-block tally taken one node at a time.  `tally` is only a call
+the pair scan taken one row at a time, `count_block_edges_loop`, the
+block tally taken one node at a time, and `hopcroft_karp_lists`, the
+matching traversal taken one edge at a time on adjacency lists.  `tally` is only a call
 shorthand: the balanced tally of an instance, with the certificate the
 pipeline would pass.
 """
@@ -97,6 +98,81 @@ def brute_decomposition_exists(n: int, arcs) -> bool:
     return any(
         all((v, perm[v]) in arc_set for v in range(n)) for perm in permutations(range(n))
     )
+
+
+def adjacency_lists(nl: int, rows, cols) -> list[list[int]]:
+    """Each left node's distinct right neighbours, ascending."""
+    nbrs = [set() for _ in range(nl)]
+    for u, v in zip(np.asarray(rows).tolist(), np.asarray(cols).tolist()):
+        nbrs[u].add(v)
+    return [sorted(vs) for vs in nbrs]
+
+
+def hopcroft_karp_lists(nl: int, nr: int, adj) -> tuple[np.ndarray, np.ndarray]:
+    """Reference maximum matching: Hopcroft-Karp one edge at a time.
+
+    `adj[x]` lists left node x's right neighbours, ascending.  Roots are
+    taken in index order, each DFS frame scans its list from the start, and
+    a dead end leaves the phase's layering; unmatched is -1.
+    """
+    inf = nl + 2
+    match_l = [-1] * nl
+    match_r = [-1] * nr
+    dist = [0] * nl
+    while True:
+        queue = []
+        for s in range(nl):
+            if match_l[s] == -1:
+                dist[s] = 0
+                queue.append(s)
+            else:
+                dist[s] = inf
+        dnil = inf
+        for x in queue:  # the loop also visits what it appends
+            if dist[x] >= dnil:
+                continue
+            for v in adj[x]:
+                w = match_r[v]
+                if w == -1:
+                    if dnil == inf:
+                        dnil = dist[x] + 1
+                elif dist[w] == inf:
+                    dist[w] = dist[x] + 1
+                    queue.append(w)
+        if dnil == inf:
+            break
+        for s in range(nl):
+            if match_l[s] != -1:
+                continue
+            stack = [s]
+            ptrs = [0]
+            vsel = [-1]
+            while stack:
+                x = stack[-1]
+                while ptrs[-1] < len(adj[x]):
+                    v = adj[x][ptrs[-1]]
+                    ptrs[-1] += 1
+                    w = match_r[v]
+                    if w == -1:
+                        if dist[x] + 1 == dnil:
+                            vsel[-1] = v
+                            for left, right in zip(stack, vsel):
+                                match_l[left] = right
+                                match_r[right] = left
+                            stack = []
+                            break
+                    elif dist[w] == dist[x] + 1:
+                        vsel[-1] = v
+                        stack.append(w)
+                        ptrs.append(0)
+                        vsel.append(-1)
+                        break
+                else:  # a dead end: no augmenting path through x
+                    dist[x] = inf
+                    stack.pop()
+                    ptrs.pop()
+                    vsel.pop()
+    return np.asarray(match_l, dtype=np.int64), np.asarray(match_r, dtype=np.int64)
 
 
 def scan_pairs_rows(blocks, probs, u):

@@ -8,6 +8,7 @@ import pytest
 
 import hamdec.construct
 import hamdec.driver
+import hamdec.polytope
 import hamdec.sampling
 from hamdec import cli, io
 from hamdec.construct import HamDecomposition
@@ -25,7 +26,7 @@ from hamdec.driver import (
 )
 from hamdec.model import step_graphon
 from hamdec.polytope import Membership, MembershipCertificate
-from hamdec.sampling import sample_graph
+from hamdec.sampling import assign_blocks, empirical_concentration, sample_graph
 
 ER_HALF = step_graphon([0, 1], [[F(1, 2)]])
 BIP_UNEVEN = step_graphon([0, F(3, 10), 1], [[0, F(1, 2)], [F(1, 2), 0]])
@@ -284,16 +285,36 @@ class TestPipeline:
 
     def test_reblocking_reuses_the_adjacency(self, monkeypatch):
         # the re-blocked graph shares the sample's edges: they are checked
-        # once, when sampled, and the CSR is built once
+        # once, when sampled, and the adjacency matrix is built once
         checks = _counting(monkeypatch, hamdec.sampling, "_canonical_edges")
+        builds = _counting(monkeypatch, hamdec.sampling.SampledGraph, "_adjacency_band")
         g = sample_graph(ER_HALF, 100, 3)
         g.adjacency()
         p = plan(ER_HALF)
         assert p.normalized is not p.base  # ER-1/2 is refined twice
-        calls = _counting(monkeypatch, hamdec.sampling, "build_csr")
         out = run_pipeline(p, g, 5)
-        assert out.ok and calls == []
+        assert out.ok and len(builds) == 1  # n=100 is one band
         assert len(checks) == 1
+
+    def test_exterior_sample_skips_the_refined_lp(self, monkeypatch):
+        # an exterior x lifts to an exterior refined vector: one LP per trial,
+        # and the failure the refined tally would have reported
+        lps = _counting(monkeypatch, hamdec.driver, "positive_certificate")
+        lps_tally = _counting(monkeypatch, hamdec.construct, "positive_certificate")
+        tallies = _counting(monkeypatch, hamdec.driver, "build_balanced_matrix")
+        p = plan(LOOP_EXTERIOR)
+        assert p.normalized is not p.base
+        for seed in range(4):
+            g = sample_graph(LOOP_EXTERIOR, 60, seed)
+            out = run_pipeline(p, g, seed)
+            assert out.status is Membership.EXTERIOR
+            assert out.failure == "tally construction failed: membership: x is exterior, not interior"
+            # the refined vector is indeed exterior
+            refined = assign_blocks(p.normalized.graphon, g.coords)
+            x = empirical_concentration(replace(g, blocks=refined), p.normalized.skeleton.node_count)
+            status = hamdec.polytope.positive_certificate(p.normalized.incidence, x).status
+            assert status is Membership.EXTERIOR
+        assert len(lps) == 4 and lps_tally == [] and tallies == []
 
     def test_expected_failures_are_outcomes(self):
         zero = step_graphon([0, 1], [[0]])
@@ -379,7 +400,7 @@ class TestWitnessFirstOracle:
         adjacency = hamdec.sampling.SampledGraph.adjacency
 
         def counting_builds(g):
-            if g._csr is None:
+            if g._bits is None:
                 builds.append(g)
             return adjacency(g)
 
@@ -387,7 +408,7 @@ class TestWitnessFirstOracle:
         tr = run_trial(w, n, 5, trial)
         assert (tr.constructive, tr.oracle) == (constructive, oracle)
         assert len(oracles) == 1 and len(hk) == matchings
-        # ER-1/2 realizes in a re-blocked copy; it shares the sample's CSR
+        # ER-1/2 realizes in a re-blocked copy; it shares the sample's matrix
         assert len(builds) == builds_expected
 
     def test_witness_off_the_sample_raises_from_montecarlo(self, monkeypatch):

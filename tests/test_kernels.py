@@ -1,4 +1,4 @@
-"""Seed derivation, the pair scan and the matching kernel."""
+"""Seed derivation, the pair scan, row masks and the matching kernel."""
 
 from fractions import Fraction as F
 
@@ -8,9 +8,15 @@ import pytest
 from hamdec import _kernels
 from hamdec._seeds import derive, fnv1a64, generator, splitmix64
 from hamdec.model import step_graphon
-from hamdec.sampling import build_csr
+from hamdec.sampling import sample_graph
 
-from helpers import brute_max_matching, random_graphon, scan_pairs_rows
+from helpers import (
+    adjacency_lists,
+    brute_max_matching,
+    hopcroft_karp_lists,
+    random_graphon,
+    scan_pairs_rows,
+)
 
 
 class TestSeeds:
@@ -74,6 +80,22 @@ class TestPairScan:
         assert np.array_equal(np.concatenate(parts), whole)
 
 
+def _masks(nl, nr, rows, cols):
+    """Row masks of the bipartite graph with edges (rows[k], cols[k])."""
+    dense = np.zeros((nl, nr), dtype=bool)
+    dense[rows, cols] = True
+    return _kernels.row_masks(np.packbits(dense, axis=1, bitorder="little"))
+
+
+class TestRowMasks:
+    def test_bit_k_is_column_k(self):
+        rng = np.random.default_rng(5)
+        for nl, nr in [(0, 0), (0, 9), (3, 0), (1, 1), (4, 8), (5, 13), (7, 64), (2, 65)]:
+            dense = rng.random((nl, nr)) < 0.5
+            got = _kernels.row_masks(np.packbits(dense, axis=1, bitorder="little"))
+            assert got == [sum(1 << k for k in np.flatnonzero(r).tolist()) for r in dense]
+
+
 class TestMatchingProperties:
     def test_matching_is_valid(self):
         rng = np.random.default_rng(79)
@@ -86,8 +108,7 @@ class TestMatchingProperties:
             }
             rows = [u for u, _ in edges]
             cols = [v for _, v in edges]
-            indptr, indices = build_csr(nl, nr, rows, cols)
-            ml, mr = _kernels.hopcroft_karp(nl, nr, indptr, indices)
+            ml, mr = _kernels.hopcroft_karp(_masks(nl, nr, rows, cols), nr)
             for u in range(nl):
                 if ml[u] != -1:
                     assert (u, int(ml[u])) in edges
@@ -98,9 +119,10 @@ class TestMatchingProperties:
                 assert size == brute_max_matching(nl, nr, edges)
 
 
-def _random_csr(rng, nl, nr, mean_degree, empty_rows=0.0, hall_violation=False):
-    """A seeded random bipartite CSR.  `empty_rows` is the share of rows left
-    empty; `hall_violation` squeezes nl//2 + 1 rows into nl//2 columns."""
+def _random_edges(rng, nl, nr, mean_degree, empty_rows=0.0, hall_violation=False):
+    """Seeded random bipartite edges (rows, cols), repeats allowed.
+    `empty_rows` is the share of rows left empty; `hall_violation` squeezes
+    nl//2 + 1 rows into nl//2 columns."""
     m = int(mean_degree * nl) if nr else 0
     rows = rng.integers(0, max(nl, 1), m)
     cols = rng.integers(0, max(nr, 1), m)
@@ -112,19 +134,31 @@ def _random_csr(rng, nl, nr, mean_degree, empty_rows=0.0, hall_violation=False):
         k = nl // 2
         squeezed = rows <= k
         cols = np.where(squeezed, cols % max(k, 1), cols)
-    return build_csr(nl, nr, rows, cols)
+    return rows, cols
+
+
+HALF = F(1, 2)
+SAMPLED = {
+    "triangle-1/2": step_graphon(
+        [0, F(1, 3), F(2, 3), 1], [[0, HALF, HALF], [HALF, 0, HALF], [HALF, HALF, 0]]
+    ),
+    "er-1/2": step_graphon([0, 1], [[HALF]]),
+    "bipartite-0.3": step_graphon([0, F(3, 10), 1], [[0, HALF], [HALF, 0]]),
+    "er-1/100": step_graphon([0, 1], [[F(1, 100)]]),
+}
 
 
 class TestRowScannedMatching:
-    """`_hk_rows` must return exactly `_hk_lists`'s matching."""
+    """The word-parallel `hopcroft_karp` must return exactly the matching of
+    `helpers.hopcroft_karp_lists`, the same traversal one edge at a time."""
 
     @staticmethod
-    def assert_same(nl, nr, indptr, indices):
-        ml_rows, mr_rows = _kernels._hk_rows(nl, nr, indptr, indices)
-        ml_lists, mr_lists = _kernels._hk_lists(nl, nr, indptr, indices)
-        np.testing.assert_array_equal(ml_rows, ml_lists)
-        np.testing.assert_array_equal(mr_rows, mr_lists)
-        return ml_lists
+    def assert_same(nl, nr, rows, cols):
+        ml, mr = _kernels.hopcroft_karp(_masks(nl, nr, rows, cols), nr)
+        ml_ref, mr_ref = hopcroft_karp_lists(nl, nr, adjacency_lists(nl, rows, cols))
+        np.testing.assert_array_equal(ml, ml_ref)
+        np.testing.assert_array_equal(mr, mr_ref)
+        return ml
 
     def test_random_shapes(self):
         rng = np.random.default_rng(83)
@@ -133,50 +167,39 @@ class TestRowScannedMatching:
             nr = int(rng.integers(0, 80))
             degree = float(rng.uniform(0, min(nr, 40))) if nr else 0.0
             empty = float(rng.choice([0.0, 0.3]))
-            indptr, indices = _random_csr(rng, nl, nr, degree, empty_rows=empty)
-            self.assert_same(nl, nr, indptr, indices)
+            self.assert_same(nl, nr, *_random_edges(rng, nl, nr, degree, empty_rows=empty))
 
     def test_empty_sides(self):
         rng = np.random.default_rng(89)
         for nl, nr in [(0, 0), (0, 7), (7, 0), (1, 0), (0, 1)]:
-            indptr, indices = _random_csr(rng, nl, nr, 3)
-            ml, mr = _kernels._hk_rows(nl, nr, indptr, indices)
+            rows, cols = _random_edges(rng, nl, nr, 3)
+            ml, mr = _kernels.hopcroft_karp(_masks(nl, nr, rows, cols), nr)
             assert ml.shape == (nl,) and mr.shape == (nr,)
             assert np.all(ml == -1) and np.all(mr == -1)
-            self.assert_same(nl, nr, indptr, indices)
+            self.assert_same(nl, nr, rows, cols)
 
     def test_large_with_and_without_perfect_matching(self):
         rng = np.random.default_rng(97)
         perfect = []
         for n, degree in [(1000, 3), (1000, 30), (1000, 300), (300, 100), (600, 10)]:
             for hall in (False, True):
-                indptr, indices = _random_csr(rng, n, n, degree, hall_violation=hall)
-                ml = self.assert_same(n, n, indptr, indices)
-                perfect.append(bool(np.all(ml >= 0)))
+                rows, cols = _random_edges(rng, n, n, degree, hall_violation=hall)
+                perfect.append(bool(np.all(self.assert_same(n, n, rows, cols) >= 0)))
         assert any(perfect) and not all(perfect)
 
     def test_unequal_sides_dense(self):
         rng = np.random.default_rng(101)
         for nl, nr, degree in [(400, 250, 120), (250, 400, 120), (700, 500, 60)]:
-            indptr, indices = _random_csr(rng, nl, nr, degree, empty_rows=0.1)
-            self.assert_same(nl, nr, indptr, indices)
+            self.assert_same(nl, nr, *_random_edges(rng, nl, nr, degree, empty_rows=0.1))
 
-    def test_dispatch_by_mean_row_length(self, monkeypatch):
-        calls = {"rows": 0, "lists": 0}
-        rows_impl, lists_impl = _kernels._hk_rows, _kernels._hk_lists
-
-        def counted(name, impl):
-            def wrapper(*args):
-                calls[name] += 1
-                return impl(*args)
-            return wrapper
-
-        monkeypatch.setattr(_kernels, "_hk_rows", counted("rows", rows_impl))
-        monkeypatch.setattr(_kernels, "_hk_lists", counted("lists", lists_impl))
-        n = 2 * _kernels.ROW_SCAN_MIN_ROW
-        complete = build_csr(n, n, np.repeat(np.arange(n), n), np.tile(np.arange(n), n))
-        _kernels.hopcroft_karp(n, n, *complete)
-        assert calls == {"rows": 1, "lists": 0}
-        small = build_csr(10, 10, np.repeat(np.arange(10), 10), np.tile(np.arange(10), 10))
-        _kernels.hopcroft_karp(10, 10, *small)
-        assert calls == {"rows": 1, "lists": 1}
+    @pytest.mark.parametrize("name", sorted(SAMPLED))
+    @pytest.mark.parametrize("n", [200, 1000])
+    def test_full_adjacency_of_sampled_graphs(self, name, n):
+        # the existence oracle's input: every node on both sides
+        g = sample_graph(SAMPLED[name], n, 3)
+        i, j = g.edges[:, 0], g.edges[:, 1]
+        ml, mr = _kernels.hopcroft_karp(_kernels.row_masks(g.adjacency()), n)
+        adj = adjacency_lists(n, np.concatenate([i, j]), np.concatenate([j, i]))
+        ml_ref, mr_ref = hopcroft_karp_lists(n, n, adj)
+        np.testing.assert_array_equal(ml, ml_ref)
+        np.testing.assert_array_equal(mr, mr_ref)

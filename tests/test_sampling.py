@@ -8,13 +8,13 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from hamdec import sampling
 from hamdec.construct import HamDecomposition
 from hamdec.model import SkeletonGraph, saturate, skeleton, step_graphon
 from hamdec.sampling import (
     BalancedMatrix,
     SampledGraph,
     assign_blocks,
-    build_csr,
     count_block_edges,
     empirical_concentration,
     sample_graph,
@@ -27,6 +27,12 @@ TRIANGLE = SkeletonGraph(3, frozenset(), frozenset({(0, 1), (0, 2), (1, 2)}))
 
 def er_graphon(p):
     return step_graphon([0, 1], [[F(p)]])
+
+
+HALF = F(1, 2)
+TRIANGLE_HALF = step_graphon(
+    [0, F(1, 3), F(2, 3), 1], [[0, HALF, HALF], [HALF, 0, HALF], [HALF, HALF, 0]]
+)
 
 
 class TestSampleGraph:
@@ -251,42 +257,45 @@ class TestBalancedMatrix:
         assert bm.min_positive() == F(1, 4)
 
 
-def _reference_adjacency(g):
-    nbrs = [set() for _ in range(g.n)]
+def _pair_set(g):
+    """Reference adjacency: the set of ordered pairs (u, v) of g's edges."""
+    pairs = set()
     for i, j in g.edges.tolist():
-        nbrs[i].add(j)
-        nbrs[j].add(i)
-    return nbrs
+        pairs |= {(i, j), (j, i)}
+    return pairs
 
 
 class TestAdjacency:
     def _check(self, g):
-        ref = _reference_adjacency(g)
-        indptr, indices = g.adjacency()
-        assert indptr.shape == (g.n + 1,) and indptr[0] == 0
-        assert indptr[-1] == indices.size == 2 * g.edge_count
+        pairs = _pair_set(g)
+        bits = g.adjacency()
+        assert bits.dtype == np.uint8 and bits.shape == (g.n, (g.n + 7) // 8)
+        # row v, bit u (byte u // 8, bit u % 8) iff {u, v} is an edge; the
+        # padding bits past column n - 1 stay clear
+        dense = np.unpackbits(bits, axis=1, bitorder="little")
+        want = np.zeros_like(dense)
+        for u, v in pairs:
+            want[u, v] = 1
+        assert np.array_equal(dense, want)
         for v in range(g.n):
-            row = g.neighbors(v).tolist()
-            assert row == sorted(ref[v])  # ascending, same neighbours
-            for u in row:
-                assert v in g.neighbors(u)  # symmetric
+            assert g.neighbors(v).tolist() == sorted(u for u in range(g.n) if (v, u) in pairs)
         if g.n <= 40:
             for u in range(g.n):
                 for v in range(g.n):
-                    assert g.has_edge(u, v) == (v in ref[u])
+                    assert g.has_edge(u, v) == ((u, v) in pairs)
         # every pair at once, the out-of-range columns -1 and n included
         us, vs = np.divmod(np.arange(g.n * (g.n + 2)), g.n + 2)
         vs -= 1
-        want = [v in ref[u] for u, v in zip(us.tolist(), vs.tolist())]
+        want = [(u, v) in pairs for u, v in zip(us.tolist(), vs.tolist())]
         assert g.has_edges(us, vs).tolist() == want
 
     def test_cache_is_not_a_constructor_argument(self):
-        # a handed-in CSR could contradict the edges
+        # a handed-in matrix could contradict the edges
         with pytest.raises(TypeError):
-            SampledGraph(2, [0.1, 0.6], [0, 0], [[0, 1]], _csr=(np.zeros(3), np.zeros(0)))
+            SampledGraph(2, [0.1, 0.6], [0, 0], [[0, 1]], _bits=np.zeros((2, 1), np.uint8))
         g = SampledGraph(2, [0.1, 0.6], [0, 0], [[0, 1]])
-        indptr = g.adjacency()[0]
-        assert copy(g).adjacency()[0] is indptr  # copies share the cache
+        bits = g.adjacency()
+        assert copy(g).adjacency() is bits  # copies share the cache
 
     def test_random_sampled_graphs(self):
         w = step_graphon(
@@ -294,28 +303,44 @@ class TestAdjacency:
             [[F(1, 2), F(1, 5), 0], [F(1, 5), 0, F(3, 4)], [0, F(3, 4), F(1, 2)]],
         )
         for seed in range(6):
-            for n in (7, 40, 150):
+            for n in (7, 8, 9, 40, 150):
                 self._check(sample_graph(w, n, seed))
 
     def test_single_node(self):
         g = sample_graph(er_graphon(1), 1, 0)
         self._check(g)
-        assert g.adjacency()[0].tolist() == [0, 0]
+        assert g.adjacency().tolist() == [[0]]
 
     def test_edgeless(self):
-        g = sample_graph(er_graphon(0), 12, 0)
-        self._check(g)
-        assert g.adjacency()[1].size == 0
+        for n in (7, 8, 9, 12):
+            g = sample_graph(er_graphon(0), n, 0)
+            self._check(g)
+            assert not g.adjacency().any()
 
     def test_complete(self):
-        g = sample_graph(er_graphon(1), 25, 0)
-        self._check(g)
-        for v in range(25):
-            assert g.neighbors(v).tolist() == [u for u in range(25) if u != v]
+        for n in (7, 8, 9, 25):
+            g = sample_graph(er_graphon(1), n, 0)
+            self._check(g)
+            for v in range(n):
+                assert g.neighbors(v).tolist() == [u for u in range(n) if u != v]
 
     def test_cached(self):
         g = sample_graph(er_graphon(F(1, 2)), 30, 1)
         assert g.adjacency() is g.adjacency()
+
+    def test_build_memory_bounded(self):
+        # a dense sample: the packed matrix plus one band, not the 16 bytes
+        # per edge of adjacency lists (~10.7 MB here)
+        n = 2000
+        g = sample_graph(TRIANGLE_HALF, n, 1)
+        tracemalloc.start()
+        try:
+            bits = g.adjacency()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert bits.nbytes == n * n // 8
+        assert peak < n * n / 8 + (1 << 22) + bits.nbytes
 
     def test_bad_edges_rejected(self):
         coords, blocks = np.array([0.1, 0.5, 0.9]), np.array([0, 0, 0])
@@ -336,20 +361,19 @@ class TestAdjacency:
         assert g.edge_count == 4
         self._check(g)
 
-    def test_matches_build_csr(self):
+    def test_matches_the_pair_set_across_band_seams(self, monkeypatch):
+        # bands of one row, of rows that split a byte, and of all rows; one
+        # edge per pass, passes cut inside rows, and the default
         rng = np.random.default_rng(3)
-        cases = []
-        for n in (1, 2, 9, 300):
-            for seed in range(3):
-                g = sample_graph(random_graphon(rng), n, seed)
-                cases.append((g, g.edges.copy()))
+        graphs = [sample_graph(random_graphon(rng), n, seed) for n in (1, 2, 9, 61) for seed in range(2)]
         for n in (2, 6, 40):  # hand-built: random orientation and order
             pairs = [p for p in combinations(range(n), 2) if rng.random() < 0.4]
             rows = np.array([p if rng.random() < 0.5 else p[::-1] for p in pairs], dtype=np.int64)
             rows = rows.reshape(-1, 2)[rng.permutation(len(pairs))]
-            cases.append((SampledGraph(n, rng.random(n), np.zeros(n, dtype=np.int64), rows), rows))
-        for g, edges in cases:
-            i, j = edges[:, 0], edges[:, 1]
-            want = build_csr(g.n, g.n, np.concatenate([i, j]), np.concatenate([j, i]))
-            for a, b in zip(g.adjacency(), want):
-                assert a.dtype == b.dtype and np.array_equal(a, b)
+            graphs.append(SampledGraph(n, rng.random(n), np.zeros(n, dtype=np.int64), rows))
+        for cells in (1, 5 * 61, 13 * 61, sampling.ADJACENCY_BAND_CELLS):
+            for edge_pass in (1, 7, sampling.ADJACENCY_EDGE_PASS):
+                monkeypatch.setattr(sampling, "ADJACENCY_BAND_CELLS", cells)
+                monkeypatch.setattr(sampling, "ADJACENCY_EDGE_PASS", edge_pass)
+                for g in graphs:  # a fresh graph builds its own matrix
+                    self._check(SampledGraph(g.n, g.coords, g.blocks, g.edges))
