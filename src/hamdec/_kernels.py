@@ -1,5 +1,5 @@
-"""Hot inner loops: the pair-probability scan and maximum bipartite matching
-on rows of a packed bit matrix.
+"""Hot inner loops: maximum bipartite matching on rows of a packed bit
+matrix.
 
 The exact-rational machinery (LP certificates, matrix rounding, partition
 refinement) is deliberately not here: it runs on ``fractions.Fraction``.
@@ -12,47 +12,6 @@ import numpy as np
 # There is no compiled path; the constant stays because benchmark reports
 # record it next to the library versions.
 NUMBA_ENABLED = False
-
-
-# Pairs tested per pass of `scan_pairs` (whole rows, at least one).  Median
-# scan time with draws on a 2-CPU x86-64 host (2 MB L2 per core), numpy 2.4,
-# triangle-1/2, chunk 2^14 / 2^16 / 2^18 / 2^20: n=1000 2.6 / 2.4 / 3.9 /
-# 5.0 ms; n=3000 21 / 20 / 22 / 26 ms; n=200 is one pass (0.14 ms).  At 2^16
-# a pass's thresholds, uniforms and row labels (~1.6 MB) stay in L2.
-PAIR_CHUNK = 1 << 16
-
-
-def scan_pairs(blocks, probs, rng):
-    """Unordered pairs (i, j), i < j, with u < probs[blocks[i], blocks[j]].
-
-    The pairs are taken in lexicographic order, the k-th against the k-th
-    uniform of `rng.random`, and the hits come out in that order.  Whole rows
-    go through at a time, about `PAIR_CHUNK` pairs per pass, each pass drawing
-    its own uniforms: successive `Generator.random(k)` calls continue one
-    stream, so the draws are those of a single call while memory stays
-    O(n + PAIR_CHUNK).
-    """
-    n = blocks.shape[0]
-    # row a, column j: the probability of a pair of a block-a node with j
-    thresholds = probs[:, blocks]
-    labels = blocks.tolist()
-    lengths = np.arange(n - 1, 0, -1)  # row i holds the pairs (i, i+1..n-1)
-    ends = np.cumsum(lengths)  # pair offset one past each row
-    # a pair's column is its offset plus this, read at its row
-    shift = np.arange(1, n) - (ends - lengths)
-    hits_i = [np.empty(0, np.int64)]
-    hits_j = [np.empty(0, np.int64)]
-    i0 = 0
-    while i0 < n - 1:
-        start = int(ends[i0] - lengths[i0])
-        i1 = max(i0 + 1, int(np.searchsorted(ends, start + PAIR_CHUNK, side="right")))
-        row_t = np.concatenate([thresholds[labels[i], i + 1:] for i in range(i0, i1)])
-        hit = np.flatnonzero(rng.random(row_t.size) < row_t)
-        hi = np.repeat(np.arange(i0, i1), lengths[i0:i1])[hit]
-        hits_i.append(hi)
-        hits_j.append(hit + start + shift[hi])
-        i0 = i1
-    return np.concatenate(hits_i), np.concatenate(hits_j)
 
 
 def row_masks(bits):

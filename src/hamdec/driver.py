@@ -296,13 +296,7 @@ def run_pipeline(
                 # looped copies joined by an edge, so x'(N(A')) = x(N(A)) <
                 # x(A) = x'(A').  The refined vector is exterior too.
                 raise not_interior(status)
-            # a copy with new blocks: the edges, and so an adjacency built
-            # before the copy, are g's, so a trial's oracle and realization
-            # share one.  Only a refined interior vector reaches realization,
-            # and it aggregates to an interior one, so no other trial needs it.
-            if status is Membership.INTERIOR:
-                g.adjacency()
-            g = copy(g)
+            g = copy(g)  # new blocks on the sample's matrix
             g.blocks = assign_blocks(p.normalized.graphon, g.coords)
             x = empirical_concentration(g, sn.node_count)
             cert = positive_certificate(p.normalized.incidence, x)

@@ -78,7 +78,7 @@ def dump_graphon(w: StepGraphon, path) -> None:
 def load_graph(path) -> SampledGraph:
     doc = _load_object(path, ("n", "coords", "blocks", "edges"))
     try:
-        return SampledGraph(doc["n"], doc["coords"], doc["blocks"], doc["edges"])
+        return SampledGraph.from_edges(doc["n"], doc["coords"], doc["blocks"], doc["edges"])
     except (TypeError, ValueError) as exc:
         raise FormatError(f"{path}: {exc}") from exc
 

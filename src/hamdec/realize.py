@@ -132,9 +132,10 @@ def graph_has_decomposition(
       * a decomposition realized in g answers yes once each of its arcs
         (v, successor(v)) is a set bit of g's adjacency matrix; one for
         another n raises ValueError;
-      * an array of distinct nodes S answers no once one pass over g's
-        edges shows |N(S)| < |S|: the out-copies of S then have too few
-        in-copies to match into, so Hall's condition fails.
+      * an array of distinct nodes S answers no once the OR of their
+        rows of g's adjacency matrix shows |N(S)| < |S|: the out-copies
+        of S then have too few in-copies to match into, so Hall's
+        condition fails.
 
     A witness that does not verify is a broken invariant of its maker: an
     arc that is not an edge, or a node set with enough neighbours, raises
@@ -163,11 +164,8 @@ def _check_hall_set(g: SampledGraph, nodes: np.ndarray) -> None:
     inside[nodes] = True
     if np.count_nonzero(inside) != nodes.size:
         raise ValueError("a Hall set's nodes must be distinct")
-    i, j = g.edges[:, 0], g.edges[:, 1]
-    reached = np.zeros(g.n, dtype=bool)
-    reached[j[inside[i]]] = True
-    reached[i[inside[j]]] = True
-    found = np.count_nonzero(reached)
+    reached = np.bitwise_or.reduce(g.adjacency()[inside], axis=0)
+    found = np.count_nonzero(np.unpackbits(reached))
     if found >= nodes.size:
         raise RuntimeError(
             f"Hall set of {nodes.size} nodes has {found} neighbours: it violates nothing"

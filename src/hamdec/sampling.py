@@ -8,63 +8,44 @@ as probability.
 Determinism contract: identical (graphon, n, seed) produce identical graphs
 on every platform.  The master seed is split into a "coords" stream and an
 "edges" stream (see `_seeds`), both PCG64; coordinates are drawn first,
-then one uniform per pair in lexicographic pair order, drawn in passes of
-whole rows (`_kernels.scan_pairs`) so that one pass's uniforms are held at
-a time.  Breakpoints are converted once to floats (correctly rounded); a
-coordinate exactly equal to a breakpoint float goes to the right block.
-Coordinates live in [0,1) by generator convention, so the last breakpoint
-is never an issue, and `sample_graph(saturate(w), n, seed)` is the
-saturated graph (every pair of a supported block pair) on the nodes of
-`sample_graph(w, n, seed)`.
+then one uniform per pair in lexicographic pair order, drawn for one band
+of whole rows at a time (`sample_graph`) so that one band's uniforms are
+held at a time.  Breakpoints are converted once to floats (correctly
+rounded); a coordinate exactly equal to a breakpoint float goes to the
+right block.  Coordinates live in [0,1) by generator convention, so the
+last breakpoint never matters, and `sample_graph(saturate(w), n, seed)`
+is the saturated graph (every pair of a supported block pair) on the nodes
+of `sample_graph(w, n, seed)`.
 
-A graph keeps its edges canonical and builds one adjacency from them, on
-first use: a packed bit matrix of n * ceil(n/8) bytes.  Step-graphon
-samples are dense (m ~ p n^2 / 2 edges at edge density p), so this is ~64p
-times smaller than adjacency lists of 2m int64 entries: 12.5 MB against
-~267 MB at triangle-1/2 (p = 1/3), n=10^4.  The matching, the existence
-oracle and the cycle embedding all read it.
+A graph is stored as one packed bit matrix of n * ceil(n/8) bytes, which
+the sampler draws straight into.  Step-graphon samples are dense (m ~ p
+n^2 / 2 edges at edge density p), so this is ~64p times smaller than
+adjacency lists of 2m int64 entries: 12.5 MB against ~267 MB at
+triangle-1/2 (p = 1/3), n=10^4.  The matching, the existence oracle and the
+cycle embedding all read it; the edge list is a view derived from it.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from . import _kernels
 from ._seeds import derive, generator
 from .model import SkeletonGraph, StepGraphon
 
 COORDS_STREAM = "coords"
 EDGES_STREAM = "edges"
 
-
-def _canonical_edges(n: int, edges: np.ndarray) -> np.ndarray:
-    """The (m, 2) edges as distinct rows (i, j), i < j, in lexicographic order.
-
-    Sampled edges already are, which one O(m) pass confirms; other input is
-    oriented and sorted.  An endpoint out of range, a self-loop or a repeated
-    edge raises ValueError.
-    """
-    if edges.size == 0:
-        return edges
-    if edges.min() < 0 or edges.max() >= n:
-        raise ValueError("edge endpoints must be nodes in range")
-    i, j = edges[:, 0], edges[:, 1]
-    keys = i * n + j
-    if np.all(i < j) and np.all(keys[1:] > keys[:-1]):
-        return edges
-    lo, hi = np.minimum(i, j), np.maximum(i, j)
-    if np.any(lo == hi):
-        raise ValueError("edge endpoints must be distinct nodes")
-    keys = np.sort(lo * n + hi)
-    repeated = np.flatnonzero(keys[1:] == keys[:-1])
-    if repeated.size:
-        k = int(keys[repeated[0]])
-        raise ValueError(f"edge ({k // n}, {k % n}) appears more than once")
-    return np.column_stack([keys // n, keys % n])
+# Cells of the band of rows (whole rows, at least one) the sampler draws,
+# thresholds and packs at a time, and that the edge views unpack.  A drawn
+# band holds ~18 bytes per cell: uniforms, thresholds and masks.  Median
+# sample time on a 2-CPU x86-64 host, numpy 2.4, triangle-1/2, band 2^14 /
+# 2^15 / 2^16 / 2^17 / 2^18 / 2^20 cells: n=1000 7.5 / 6.5 / 6.4 / 7.3 /
+# 8.7 / 14.4 ms; n=3000 63 / 54 / 54 / 55 / 60 / 79 ms.  n=200 fits one
+# band of 2^16 (0.6-0.75 ms).
+BAND_CELLS = 1 << 16
 
 
 def _int_array(values, what: str) -> np.ndarray:
@@ -75,95 +56,97 @@ def _int_array(values, what: str) -> np.ndarray:
     return arr.astype(np.int64, copy=False)
 
 
-# Cells (one byte each) of the unpacked band of rows `SampledGraph.adjacency`
-# fills at a time, and edges placed per numpy pass.  Whatever n and m are,
-# the band and the strip it copies from finished rows hold ~2^22 bytes
-# together, and a pass's cell indices ~2^19.  At triangle-1/2 n=1000 (one
-# band) the build takes ~1.5 ms on a 2-CPU x86-64 host with numpy 2.4.
-ADJACENCY_BAND_CELLS = 1 << 21
-ADJACENCY_EDGE_PASS = 1 << 15
+def _nodes(n, coords, blocks) -> tuple[np.ndarray, np.ndarray]:
+    """The coordinates and block labels of n nodes, checked."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        raise ValueError("n must be a positive integer")
+    coords = np.asarray(coords, dtype=np.float64)
+    blocks = _int_array(blocks, "block labels")
+    if coords.shape != (n,) or blocks.shape != (n,):
+        raise ValueError("coords and blocks must have length n")
+    if blocks.size and blocks.min() < 0:
+        raise ValueError("block labels must be nonnegative")
+    return coords, blocks
 
 
 @dataclass(eq=False)
 class SampledGraph:
-    """An undirected sampled graph with its block assignment.
+    """An undirected graph on n nodes with its block assignment.
 
-    `edges` is an (m, 2) int array with rows (i, j), i < j, sorted
-    lexicographically; edges given in another orientation or order are
-    stored that way.  The adjacency is a packed bit matrix built lazily
-    from it.
+    `bits` is the (n, ceil(n/8)) uint8 adjacency matrix, packed
+    little-endian: bit u of row v (byte u // 8, bit u % 8) is set iff {u, v}
+    is an edge.  It is symmetric, with the diagonal and the padding bits
+    past column n - 1 clear; `sample_graph` and `from_edges` build it so.
+    `edges`, `edge_count` and `pair_set` are read off its upper triangle.
     """
 
     n: int
     coords: np.ndarray
     blocks: np.ndarray
-    edges: np.ndarray
-    _bits: np.ndarray | None = field(default=None, init=False, repr=False)
+    bits: np.ndarray
 
     def __post_init__(self):
-        if isinstance(self.n, bool) or not isinstance(self.n, (int, np.integer)) or self.n < 1:
-            raise ValueError("n must be a positive integer")
-        self.coords = np.asarray(self.coords, dtype=np.float64)
-        self.blocks = _int_array(self.blocks, "block labels")
-        self.edges = _canonical_edges(
-            self.n, _int_array(self.edges, "edge endpoints").reshape(-1, 2)
-        )
-        if self.coords.shape != (self.n,) or self.blocks.shape != (self.n,):
-            raise ValueError("coords and blocks must have length n")
-        if self.blocks.size and self.blocks.min() < 0:
-            raise ValueError("block labels must be nonnegative")
+        self.coords, self.blocks = _nodes(self.n, self.coords, self.blocks)
+        bits, shape = self.bits, (self.n, (self.n + 7) // 8)
+        if not (isinstance(bits, np.ndarray) and bits.dtype == np.uint8 and bits.shape == shape):
+            raise ValueError("bits must be an (n, ceil(n/8)) uint8 matrix")
+
+    @classmethod
+    def from_edges(cls, n, coords, blocks, edges) -> SampledGraph:
+        """The graph with the given (m, 2) edges, in any orientation and
+        order.  An endpoint out of range, a self-loop or a repeated edge
+        raises ValueError."""
+        coords, blocks = _nodes(n, coords, blocks)
+        edges = _int_array(edges, "edge endpoints").reshape(-1, 2)
+        if edges.size and (edges.min() < 0 or edges.max() >= n):
+            raise ValueError("edge endpoints must be nodes in range")
+        i, j = edges[:, 0], edges[:, 1]
+        if np.any(i == j):
+            raise ValueError("edge endpoints must be distinct nodes")
+        keys = np.sort(np.minimum(i, j) * n + np.maximum(i, j))
+        repeated = np.flatnonzero(keys[1:] == keys[:-1])
+        if repeated.size:
+            k = int(keys[repeated[0]])
+            raise ValueError(f"edge ({k // n}, {k % n}) appears more than once")
+        bits = np.zeros((n, (n + 7) // 8), dtype=np.uint8)
+        for u, v in ((i, j), (j, i)):
+            np.bitwise_or.at(bits, (u, v >> 3), np.uint8(1) << (v & 7).astype(np.uint8))
+        return cls(n, coords, blocks, bits)
+
+    def adjacency(self) -> np.ndarray:
+        """The packed adjacency matrix `bits`: every reader goes through here."""
+        return self.bits
+
+    def _upper_bands(self):
+        """(r0, band) for each band of rows from r0: the rows' upper-triangle
+        cells, one byte each."""
+        n = self.n
+        rows = max(1, BAND_CELLS // n)
+        for r0 in range(0, n, rows):
+            band = np.unpackbits(self.adjacency()[r0:r0 + rows], axis=1, count=n, bitorder="little")
+            yield r0, np.triu(band, r0 + 1)
 
     @property
     def edge_count(self) -> int:
-        return self.edges.shape[0]
+        return sum(int(np.count_nonzero(band)) for _, band in self._upper_bands())
 
-    def adjacency(self) -> np.ndarray:
-        """The (n, ceil(n/8)) uint8 adjacency matrix, packed little-endian:
-        bit u of row v (byte u // 8, bit u % 8) is set iff {u, v} is an edge.
-
-        Built on first use, one band of rows (at most `ADJACENCY_BAND_CELLS`
-        cells, unpacked) at a time.  A band takes its neighbours in earlier
-        bands from their finished rows (the band's columns, transposed), and
-        the rest from the edges (i, j) with i in the band, which canonical
-        edges hold in one slice: cell (i, j) always, cell (j, i) when j is
-        in the band too.
-        """
-        if self._bits is None:
-            n = self.n
-            bits = np.empty((n, (n + 7) // 8), dtype=np.uint8)
-            rows = max(1, ADJACENCY_BAND_CELLS // n)
-            for r0 in range(0, n, rows):
-                bits[r0:r0 + rows] = self._adjacency_band(bits, r0, min(n, r0 + rows))
-            self._bits = bits
-        return self._bits
-
-    def _adjacency_band(self, bits: np.ndarray, r0: int, r1: int) -> np.ndarray:
-        """Rows r0..r1-1 of the packed adjacency, given the rows before r0."""
-        n = self.n
-        band = np.zeros((r1 - r0, n), dtype=bool)
-        strip = np.unpackbits(bits[:r0, r0 >> 3:(r1 + 7) >> 3], axis=1, bitorder="little")
-        band[:, :r0] = strip[:, r0 & 7:(r0 & 7) + r1 - r0].T
-        del strip  # freed before the edge passes allocate
-        cells = band.reshape(-1)
-        # bisect, as np.searchsorted would copy the strided column
-        lo, hi = (bisect_left(self.edges[:, 0], r) for r in (r0, r1))
-        for e0 in range(lo, hi, ADJACENCY_EDGE_PASS):
-            chunk = self.edges[e0:min(hi, e0 + ADJACENCY_EDGE_PASS)]
-            i, j = chunk[:, 0], chunk[:, 1]
-            upper = i - r0  # cell (i, j) of the band
-            upper *= n
-            upper += j
-            cells[upper] = True
-            if r1 < n:  # (j, i) is a cell here only for j in the band; the last band has every j
-                i, j = i[j < r1], j[j < r1]
-            lower = j - r0  # cell (j, i)
-            lower *= n
-            lower += i
-            cells[lower] = True
-        return np.packbits(band, axis=1, bitorder="little")
+    @property
+    def edges(self) -> np.ndarray:
+        """The (m, 2) int64 edges (i, j), i < j, in lexicographic order,
+        read off the matrix on each access."""
+        out = np.empty((self.edge_count, 2), dtype=np.int64)
+        k = 0
+        for r0, band in self._upper_bands():
+            i, j = np.nonzero(band)
+            out[k:k + i.size, 0] = i + r0
+            out[k:k + i.size, 1] = j
+            k += i.size
+        return out
 
     def neighbors(self, v: int) -> np.ndarray:
         """v's neighbours, ascending."""
+        if not 0 <= v < self.n:
+            raise ValueError(f"node {v} is not a node of the graph")
         row = np.unpackbits(self.adjacency()[v], count=self.n, bitorder="little")
         return np.flatnonzero(row)
 
@@ -235,14 +218,38 @@ def assign_blocks(w: StepGraphon, coords: np.ndarray) -> np.ndarray:
 
 
 def sample_graph(w: StepGraphon, n: int, seed: int) -> SampledGraph:
-    """Draw a graph on n nodes from the step-graphon, deterministically."""
+    """Draw a graph on n nodes from the step-graphon, deterministically.
+
+    The matrix is drawn one band of at most `BAND_CELLS` cells (whole rows)
+    at a time.  A band's pairs (i, j), i < j, take the next uniforms of the
+    edges stream: boolean-mask assignment fills in row-major order, so the
+    k-th uniform meets the k-th pair in lexicographic order.  Its other
+    cells hold 1.0, which is below no probability, so they stay clear.  The
+    band then takes its neighbours in earlier rows from their finished
+    rows (its columns, transposed) and mirrors its own square.
+    """
     if n < 1:
         raise ValueError("n must be at least 1")
     coords = generator(derive(seed, COORDS_STREAM)).random(n)
     blocks = assign_blocks(w, coords)
     probs = np.array([[float(v) for v in row] for row in w.values], dtype=np.float64)
-    ei, ej = _kernels.scan_pairs(blocks, probs, generator(derive(seed, EDGES_STREAM)))
-    return SampledGraph(n, coords, blocks, np.column_stack([ei, ej]))
+    thresholds = probs[:, blocks]  # row a, column j: a block-a node's pair with j
+    rng = generator(derive(seed, EDGES_STREAM))
+    bits = np.empty((n, (n + 7) // 8), dtype=np.uint8)
+    rows = max(1, BAND_CELLS // n)
+    cols = np.arange(n)
+    for r0 in range(0, n, rows):
+        r1 = min(n, r0 + rows)
+        upper = cols > np.arange(r0, r1)[:, None]
+        u = np.ones((r1 - r0, n))
+        u[upper] = rng.random(np.count_nonzero(upper))
+        band = u < thresholds[blocks[r0:r1]]
+        strip = np.unpackbits(bits[:r0, r0 >> 3:(r1 + 7) >> 3], axis=1, bitorder="little")
+        band[:, :r0] = strip[:, r0 & 7:(r0 & 7) + r1 - r0].T
+        square = band[:, r0:r1]
+        square |= square.T
+        bits[r0:r1] = np.packbits(band, axis=1, bitorder="little")
+    return SampledGraph(n, coords, blocks, bits)
 
 
 def empirical_concentration(g: SampledGraph, q: int) -> tuple[Fraction, ...]:

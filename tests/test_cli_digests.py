@@ -1,8 +1,10 @@
-"""`hamdec analyze` and `hamdec montecarlo` output is pinned byte for byte.
+"""`hamdec analyze`, `hamdec montecarlo` and `hamdec sample` output is
+pinned byte for byte.
 
 Each digest covers stdout, stderr, the exit code and the written file:
-the `--json` report of `analyze`, the `--csv` rows of `montecarlo` (whose
-path, echoed on stdout, is replaced by a placeholder).  The graphons cover
+the `--json` report of `analyze`, the `--csv` rows of `montecarlo`, the
+`--out` graph of `sample` (whose path, echoed on stdout, is replaced by a
+placeholder).  The graphons cover
 every verdict branch: interior, boundary and exterior membership, no odd
 cycle, a disconnected skeleton, and a graphon that needs refinement before
 the constructive pipeline (ER-1/2).  Regenerate them (only for a deliberate
@@ -37,9 +39,12 @@ GRAPHONS = {
     "er-half": step_graphon([0, 1], [[H]]),
 }
 MC_RUNS = [(40, 6, 1, 1), (61, 4, 7, 1), (30, 5, 3, 2)]  # n, trials, seed, jobs
-CASES = [(name, "analyze", None) for name in GRAPHONS] + [
-    (name, "montecarlo", run) for name in GRAPHONS for run in MC_RUNS
-]
+SAMPLE_RUN = (97, 5)  # n, seed; n is not a multiple of 8
+CASES = (
+    [(name, "analyze", None) for name in GRAPHONS]
+    + [(name, "montecarlo", run) for name in GRAPHONS for run in MC_RUNS]
+    + [(name, "sample", SAMPLE_RUN) for name in GRAPHONS]
+)
 
 DIGESTS = {
     ("interior-triangle", "analyze", None): "18f6ab0718f31480186b7e64d7471fcb2f5ca18fb7011111cb1993e8f004e1bd",
@@ -70,6 +75,13 @@ DIGESTS = {
     ("er-half", "montecarlo", (40, 6, 1, 1)): "00241e67af992870dd80fdfc4821fbbfe88f1673bedd07c1e49ef66ea21cf087",
     ("er-half", "montecarlo", (61, 4, 7, 1)): "5a169778c00396f6a3313d551c80390c3cb031a66c9b1c4f097fefe2f4b7cb80",
     ("er-half", "montecarlo", (30, 5, 3, 2)): "eecb01f5f78a7deab4f9ffe2459e3fd2ebe70605879ef54ed91d7912a1cfe326",
+    ("interior-triangle", "sample", (97, 5)): "1f5ddeee67338f9122dcc390bd6b0f16688e6edaa0da0847d2692106d7c2d6ec",
+    ("boundary-triangle", "sample", (97, 5)): "f05411d3fb365419f26c4f54da76bcaea943835a49588929dbefad52702d9a4c",
+    ("exterior-triangle", "sample", (97, 5)): "8fda52e183ebfe6940ab5634d8aa54ccef965c22d1c6c88f74b143abeaf9ee59",
+    ("bipartite-even", "sample", (97, 5)): "662bb6537e8589df28eb3b65ec27a0d9b39bc5a9c9d34857e93dd40ecc198546",
+    ("bipartite-exterior", "sample", (97, 5)): "79005a63d1633bac9aee174fbfc4b9e4bfdfeaba2d08b99b73973c4c458d5633",
+    ("disconnected", "sample", (97, 5)): "4ee427754d82e791a45269f1403b6ad90dd60ba9fdff151c077b1b24105efa10",
+    ("er-half", "sample", (97, 5)): "2a6b79b660794544354f1f81b2759eac164a29f50ef83841785854a749c2be72",
 }
 
 
@@ -78,6 +90,9 @@ def cli_digest(tmp: Path, name: str, command: str, run) -> str:
     out_file = tmp / "out"
     if command == "analyze":
         args = ["analyze", str(graphon), "--json", str(out_file)]
+    elif command == "sample":
+        n, seed = run
+        args = ["sample", str(graphon), "--n", str(n), "--seed", str(seed), "--out", str(out_file)]
     else:
         n, trials, seed, jobs = run
         args = [

@@ -284,17 +284,17 @@ class TestPipeline:
         assert len(lps) + len(lps_tally) == 4 and decompositions == []
 
     def test_reblocking_reuses_the_adjacency(self, monkeypatch):
-        # the re-blocked graph shares the sample's edges: they are checked
-        # once, when sampled, and the adjacency matrix is built once
-        checks = _counting(monkeypatch, hamdec.sampling, "_canonical_edges")
-        builds = _counting(monkeypatch, hamdec.sampling.SampledGraph, "_adjacency_band")
+        # the re-blocked graph is a copy of the sample under new blocks: its
+        # matrix is the sample's matrix object, not a second one
+        realized = _counting(monkeypatch, hamdec.driver, "realize")
         g = sample_graph(ER_HALF, 100, 3)
-        g.adjacency()
         p = plan(ER_HALF)
         assert p.normalized is not p.base  # ER-1/2 is refined twice
         out = run_pipeline(p, g, 5)
-        assert out.ok and len(builds) == 1  # n=100 is one band
-        assert len(checks) == 1
+        assert out.ok and len(realized) == 1
+        reblocked = realized[0][1]
+        assert reblocked is not g and reblocked.adjacency() is g.adjacency()
+        assert reblocked.blocks.max() > g.blocks.max() == 0
 
     def test_exterior_sample_skips_the_refined_lp(self, monkeypatch):
         # an exterior x lifts to an exterior refined vector: one LP per trial,
@@ -381,35 +381,28 @@ def _shifted(real):
 
 class TestWitnessFirstOracle:
     @pytest.mark.parametrize(
-        "w, n, trial, constructive, oracle, matchings, builds_expected",
+        "w, n, trial, constructive, oracle, matchings, hall_checks",
         [
-            (TRI_GRAPHON, 60, 1, True, True, 0, 1),  # the realized decomposition answers
-            (TRI_GRAPHON, 60, 0, False, False, 0, 0),  # exterior: a Hall set answers
-            (ER_HALF, 30, 3, False, True, 1, 1),  # one exists, but realization failed
-            (BIP_UNEVEN, 60, 0, False, False, 0, 0),  # no odd cycle, and exterior
-            (TRI_EXTERIOR, 61, 2, False, False, 0, 0),  # an exterior graphon
-            (LOOP_EXTERIOR, 60, 0, False, False, 0, 0),  # exterior, and needs refinement
+            (TRI_GRAPHON, 60, 1, True, True, 0, 0),  # the realized decomposition answers
+            (TRI_GRAPHON, 60, 0, False, False, 0, 1),  # exterior: a Hall set answers
+            (ER_HALF, 30, 3, False, True, 1, 0),  # one exists, but realization failed
+            (BIP_UNEVEN, 60, 0, False, False, 0, 1),  # no odd cycle, and exterior
+            (TRI_EXTERIOR, 61, 2, False, False, 0, 1),  # an exterior graphon
+            (LOOP_EXTERIOR, 60, 0, False, False, 0, 1),  # exterior, and needs refinement
         ],
     )
     def test_matching_runs_only_without_a_witness(
-        self, monkeypatch, w, n, trial, constructive, oracle, matchings, builds_expected
+        self, monkeypatch, w, n, trial, constructive, oracle, matchings, hall_checks
     ):
         oracles = _counting(monkeypatch, hamdec.driver, "graph_has_decomposition")
         hk = _counting(monkeypatch, REALIZE_MODULE, "_has_perfect_matching")
-        builds = []
-        adjacency = hamdec.sampling.SampledGraph.adjacency
-
-        def counting_builds(g):
-            if g._bits is None:
-                builds.append(g)
-            return adjacency(g)
-
-        monkeypatch.setattr(hamdec.sampling.SampledGraph, "adjacency", counting_builds)
+        halls = _counting(monkeypatch, REALIZE_MODULE, "_check_hall_set")
+        matrices = _counting(monkeypatch, hamdec.sampling.SampledGraph, "adjacency")
         tr = run_trial(w, n, 5, trial)
         assert (tr.constructive, tr.oracle) == (constructive, oracle)
-        assert len(oracles) == 1 and len(hk) == matchings
-        # ER-1/2 realizes in a re-blocked copy; it shares the sample's matrix
-        assert len(builds) == builds_expected
+        assert len(oracles) == 1 and len(hk) == matchings and len(halls) == hall_checks
+        # ER-1/2 realizes in a re-blocked copy; it reads the sample's matrix
+        assert len({id(g.bits) for g, in matrices}) == 1
 
     def test_witness_off_the_sample_raises_from_montecarlo(self, monkeypatch):
         # an invariant break, never a failed trial and never a fallback
@@ -505,6 +498,14 @@ class TestIO:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
         with pytest.raises(io.FormatError, match="bad.json"):
+            io.load_graph(path)
+
+    def test_graph_length_checked_before_the_matrix(self, tmp_path):
+        # n = 10^7 would take 12.5 TB of matrix: the lengths refuse it first
+        doc = {"n": 10**7, "coords": [0.1], "blocks": [0], "edges": []}
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(io.FormatError, match="length n"):
             io.load_graph(path)
 
     def test_graph_shape_and_range_errors_are_format_errors(self, tmp_path):

@@ -1,11 +1,11 @@
-"""Seed derivation, the pair scan, row masks and the matching kernel."""
+"""Seed derivation, the sampler's pair draw, row masks and the matching kernel."""
 
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
-from hamdec import _kernels
+from hamdec import _kernels, sampling
 from hamdec._seeds import derive, fnv1a64, generator, splitmix64
 from hamdec.model import step_graphon
 from hamdec.sampling import sample_graph
@@ -60,18 +60,20 @@ class TestPairScan:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 30, 200])
     def test_matches_the_row_loop_across_chunk_seams(self, monkeypatch, n):
-        # one row per pass, passes cut far inside rows, a first pass of
-        # exactly row 0, and the default
-        for chunk in (1, 7, n - 1, _kernels.PAIR_CHUNK):
-            monkeypatch.setattr(_kernels, "PAIR_CHUNK", max(chunk, 1))
+        # the sampler's bands of one row, of five rows (seams that split a
+        # byte), of n - 1 rows, and the default: the matrix's upper triangle
+        # holds the hits of the row loop over the "edges" stream's uniforms
+        for cells in (1, 5 * n, (n - 1) * n, sampling.BAND_CELLS):
+            monkeypatch.setattr(sampling, "BAND_CELLS", cells)
             for w in self.GRAPHONS:
-                blocks = np.random.default_rng(n).integers(0, len(w.values), n)
                 for seed in range(3):
-                    got = _kernels.scan_pairs(blocks, _probs(w), generator(seed))
-                    u = generator(seed).random(n * (n - 1) // 2)
-                    want = scan_pairs_rows(blocks, _probs(w), u)
+                    g = sample_graph(w, n, seed)
+                    dense = np.unpackbits(g.adjacency(), axis=1, count=n, bitorder="little")
+                    got = np.nonzero(np.triu(dense, 1))
+                    u = generator(derive(seed, sampling.EDGES_STREAM)).random(n * (n - 1) // 2)
+                    want = scan_pairs_rows(g.blocks, _probs(w), u)
                     for a, b in zip(got, want):
-                        assert a.dtype == np.int64 and np.array_equal(a, b)
+                        assert np.array_equal(a, b)
 
     def test_chunked_draws_equal_one_draw(self):
         whole = generator(7).random(100_000)

@@ -42,7 +42,7 @@ def _host(nl, nr, edges):
     (u, nl + v) for every local pair (u, v)."""
     n = nl + nr
     pairs = np.array([(u, nl + v) for u, v in edges]).reshape(-1, 2)
-    return SampledGraph(n, np.zeros(n), np.zeros(n, dtype=int), pairs)
+    return SampledGraph.from_edges(n, np.zeros(n), np.zeros(n, dtype=int), pairs)
 
 
 def _match(nl, nr, edges):
@@ -79,7 +79,7 @@ class TestMatching:
         # only edges from the left list to the right list are matched: edges
         # within a side or to a node in neither list are not
         edges = [(0, 2), (0, 1), (2, 3), (1, 4), (3, 4)]
-        g = SampledGraph(5, np.zeros(5), np.zeros(5, dtype=int), edges)
+        g = SampledGraph.from_edges(5, np.zeros(5), np.zeros(5, dtype=int), edges)
         assert max_bipartite_matching(g, [0, 1], [2, 3]) == {(0, 2)}
         assert max_bipartite_matching(g, [1], [0]) == {(1, 0)}
         assert max_bipartite_matching(g, [], [0, 1]) == frozenset()
@@ -202,7 +202,7 @@ class TestOracleWitness:
             graph_has_decomposition(g, bad)
 
     def test_witness_on_an_edgeless_graph_raises(self):
-        g = SampledGraph(4, np.zeros(4), np.zeros(4, dtype=int), np.empty((0, 2)))
+        g = SampledGraph.from_edges(4, np.zeros(4), np.zeros(4, dtype=int), np.empty((0, 2)))
         with pytest.raises(RuntimeError, match="arc 0->1 is not an edge"):
             graph_has_decomposition(g, HamDecomposition(4, [(0, 1), (2, 3)]))
 
@@ -213,7 +213,7 @@ class TestOracleWitness:
 
     def test_small_graph_witness(self):
         # the undirected 4-cycle 0-1-2-3: two 2-cycles, or the 4-cycle either way
-        g = SampledGraph(4, np.zeros(4), np.zeros(4, dtype=int), [(0, 1), (1, 2), (2, 3), (0, 3)])
+        g = SampledGraph.from_edges(4, np.zeros(4), np.zeros(4, dtype=int), [(0, 1), (1, 2), (2, 3), (0, 3)])
         for cycles in ([(0, 1), (2, 3)], [(1, 2), (3, 0)], [(0, 1, 2, 3)], [(3, 2, 1, 0)]):
             assert graph_has_decomposition(g, HamDecomposition(4, cycles))
         with pytest.raises(RuntimeError, match="arc 0->2"):
@@ -267,7 +267,7 @@ class TestHallWitness:
 
     def test_small_graph_hall_set(self):
         # the star with centre 0 and leaves 1, 2, 3: the leaves share one neighbour
-        g = SampledGraph(4, np.zeros(4), np.zeros(4, dtype=int), [(0, 1), (0, 2), (0, 3)])
+        g = SampledGraph.from_edges(4, np.zeros(4), np.zeros(4, dtype=int), [(0, 1), (0, 2), (0, 3)])
         assert graph_has_decomposition(g, [1, 2, 3]) is False
         assert graph_has_decomposition(g, [2, 3]) is False
         for nodes in ([0], [0, 1], [1], []):
@@ -280,7 +280,7 @@ class TestHallWitness:
             graph_has_decomposition(g, np.arange(60))
 
     def test_hall_set_nodes_are_checked(self):
-        g = SampledGraph(4, np.zeros(4), np.zeros(4, dtype=int), [(0, 1)])
+        g = SampledGraph.from_edges(4, np.zeros(4), np.zeros(4, dtype=int), [(0, 1)])
         with pytest.raises(ValueError, match="nodes of the graph"):
             graph_has_decomposition(g, [2, 4])
         with pytest.raises(ValueError, match="distinct"):
@@ -299,7 +299,7 @@ class TestEmbed:
         assert sorted(int(sat.blocks[v]) for v in cycles[0]) == [0, 1, 2]
 
     def test_empty_graph_fails(self):
-        g = SampledGraph(4, np.linspace(0, 0.9, 4), np.array([0, 0, 1, 1]), np.empty((0, 2)))
+        g = SampledGraph.from_edges(4, np.linspace(0, 0.9, 4), np.array([0, 0, 1, 1]), np.empty((0, 2)))
         s = SkeletonGraph(2, frozenset(), frozenset({(0, 1)}))
         with pytest.raises(CycleEmbedError) as err:
             embed_cycles([BlockCycle((0, 1))], g, seed=3, attempts=4)
@@ -360,7 +360,7 @@ class TestRealize:
     def test_empty_graph_failure(self):
         w = step_graphon([0, F(1, 3), F(2, 3), 1], [[F(1, 2)] * 3] * 3)
         a, g, s = _pipeline(w, 60, 4, saturated=True)
-        empty = SampledGraph(g.n, g.coords, g.blocks, np.empty((0, 2)))
+        empty = SampledGraph.from_edges(g.n, g.coords, g.blocks, np.empty((0, 2)))
         out = realize(a, empty, s, seed=5, attempts=2)
         assert not out.ok
         assert out.diagnostics["phase"] in ("long-cycles", "two-cycles")

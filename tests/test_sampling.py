@@ -10,7 +10,7 @@ import pytest
 
 from hamdec import sampling
 from hamdec.construct import HamDecomposition
-from hamdec.model import SkeletonGraph, saturate, skeleton, step_graphon
+from hamdec.model import SkeletonGraph, StepGraphon, saturate, skeleton, step_graphon
 from hamdec.sampling import (
     BalancedMatrix,
     SampledGraph,
@@ -122,11 +122,11 @@ class TestSampleGraph:
 class TestEmpiricalConcentration:
     def test_counting(self):
         w = step_graphon([0, F(1, 2), 1], [[F(1, 2)] * 2] * 2)
-        g = SampledGraph(3, np.array([0.1, 0.6, 0.7]), assign_blocks(w, np.array([0.1, 0.6, 0.7])), np.empty((0, 2)))
+        g = SampledGraph.from_edges(3, np.array([0.1, 0.6, 0.7]), assign_blocks(w, np.array([0.1, 0.6, 0.7])), np.empty((0, 2)))
         assert empirical_concentration(g, 2) == (F(1, 3), F(2, 3))
 
     def test_single(self):
-        g = SampledGraph(1, np.array([0.2]), np.array([0]), np.empty((0, 2)))
+        g = SampledGraph.from_edges(1, np.array([0.2]), np.array([0]), np.empty((0, 2)))
         assert empirical_concentration(g, 1) == (F(1),)
 
     def test_sums_to_one(self):
@@ -290,12 +290,18 @@ class TestAdjacency:
         assert g.has_edges(us, vs).tolist() == want
 
     def test_cache_is_not_a_constructor_argument(self):
-        # a handed-in matrix could contradict the edges
+        # the matrix is the graph's one store: there is no cache beside it,
+        # a matrix of the wrong shape or type is refused, and copies share it
         with pytest.raises(TypeError):
-            SampledGraph(2, [0.1, 0.6], [0, 0], [[0, 1]], _bits=np.zeros((2, 1), np.uint8))
-        g = SampledGraph(2, [0.1, 0.6], [0, 0], [[0, 1]])
+            SampledGraph(2, [0.1, 0.6], [0, 0], np.zeros((2, 1), np.uint8), _bits=None)
+        wrong = (np.zeros((2, 2), np.uint8), np.zeros((2, 1), bool), np.zeros((3, 1), np.uint8), [[2], [1]])
+        for bits in wrong:
+            with pytest.raises(ValueError, match="uint8 matrix"):
+                SampledGraph(2, [0.1, 0.6], [0, 0], bits)
+        g = SampledGraph.from_edges(2, [0.1, 0.6], [0, 0], [[0, 1]])
         bits = g.adjacency()
-        assert copy(g).adjacency() is bits  # copies share the cache
+        assert bits is g.bits and bits.tolist() == [[2], [1]]
+        assert copy(g).adjacency() is bits
 
     def test_random_sampled_graphs(self):
         w = step_graphon(
@@ -329,51 +335,106 @@ class TestAdjacency:
         assert g.adjacency() is g.adjacency()
 
     def test_build_memory_bounded(self):
-        # a dense sample: the packed matrix plus one band, not the 16 bytes
-        # per edge of adjacency lists (~10.7 MB here)
-        n = 2000
-        g = sample_graph(TRIANGLE_HALF, n, 1)
+        # a dense sample drawn straight into bits: the packed matrix plus one
+        # band, not the 16 bytes per edge of an edge list (~24 MB here)
+        n = 3000
+        sample_graph(TRIANGLE_HALF, 10, 0)
         tracemalloc.start()
         try:
-            bits = g.adjacency()
+            g = sample_graph(TRIANGLE_HALF, n, 1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert bits.nbytes == n * n // 8
-        assert peak < n * n / 8 + (1 << 22) + bits.nbytes
+        assert g.adjacency().nbytes == n * ((n + 7) // 8)
+        assert peak < n * n / 8 + (4 << 20)
+
+    def test_node_out_of_range_rejected(self):
+        # -1 would read row n - 1 through numpy's negative indexing
+        g = SampledGraph.from_edges(3, np.zeros(3), np.zeros(3, dtype=int), [[1, 2]])
+        assert g.neighbors(2).tolist() == [1] and not g.has_edge(-1, 1)
+        for v in (-1, 3):
+            with pytest.raises(ValueError, match="not a node"):
+                g.neighbors(v)
 
     def test_bad_edges_rejected(self):
         coords, blocks = np.array([0.1, 0.5, 0.9]), np.array([0, 0, 0])
         for edges in ([[0, 0]], [[0, 3]], [[-1, 2]], [[0, 1], [2, 2]]):
             with pytest.raises(ValueError):
-                SampledGraph(3, coords, blocks, np.array(edges))
+                SampledGraph.from_edges(3, coords, blocks, np.array(edges))
 
     def test_repeated_edge_rejected(self):
         coords, blocks = np.array([0.1, 0.5, 0.9]), np.array([0, 0, 0])
         for edges in ([[0, 1], [0, 1], [2, 1]], [[0, 1], [1, 0]], [[1, 2], [0, 2], [2, 1]]):
             with pytest.raises(ValueError, match="more than once"):
-                SampledGraph(3, coords, blocks, edges)
+                SampledGraph.from_edges(3, coords, blocks, edges)
 
     def test_reversed_and_unsorted_edges_stored_canonical(self):
         coords, blocks = np.linspace(0, 0.9, 5), np.zeros(5, dtype=np.int64)
-        g = SampledGraph(5, coords, blocks, [[3, 1], [0, 4], [2, 0], [1, 2]])
+        g = SampledGraph.from_edges(5, coords, blocks, [[3, 1], [0, 4], [2, 0], [1, 2]])
         assert g.edges.tolist() == [[0, 2], [0, 4], [1, 2], [1, 3]]
         assert g.edge_count == 4
         self._check(g)
 
     def test_matches_the_pair_set_across_band_seams(self, monkeypatch):
-        # bands of one row, of rows that split a byte, and of all rows; one
-        # edge per pass, passes cut inside rows, and the default
+        # bands of one row, of rows that split a byte, and of all rows, and
+        # the default: the sampler draws the same matrix with each, and the
+        # edge views read it back across the band seams
         rng = np.random.default_rng(3)
-        graphs = [sample_graph(random_graphon(rng), n, seed) for n in (1, 2, 9, 61) for seed in range(2)]
-        for n in (2, 6, 40):  # hand-built: random orientation and order
+        draws = [(random_graphon(rng), n, seed) for n in (1, 2, 9, 61) for seed in range(2)]
+        want = [sample_graph(*draw) for draw in draws]
+        hand_built = []
+        for n in (2, 6, 40):  # random orientation and order
             pairs = [p for p in combinations(range(n), 2) if rng.random() < 0.4]
             rows = np.array([p if rng.random() < 0.5 else p[::-1] for p in pairs], dtype=np.int64)
             rows = rows.reshape(-1, 2)[rng.permutation(len(pairs))]
-            graphs.append(SampledGraph(n, rng.random(n), np.zeros(n, dtype=np.int64), rows))
-        for cells in (1, 5 * 61, 13 * 61, sampling.ADJACENCY_BAND_CELLS):
-            for edge_pass in (1, 7, sampling.ADJACENCY_EDGE_PASS):
-                monkeypatch.setattr(sampling, "ADJACENCY_BAND_CELLS", cells)
-                monkeypatch.setattr(sampling, "ADJACENCY_EDGE_PASS", edge_pass)
-                for g in graphs:  # a fresh graph builds its own matrix
-                    self._check(SampledGraph(g.n, g.coords, g.blocks, g.edges))
+            g = SampledGraph.from_edges(n, rng.random(n), np.zeros(n, dtype=np.int64), rows)
+            assert g.pair_set() == set(pairs)
+            hand_built.append(g)
+        for cells in (1, 5 * 61, 13 * 61, sampling.BAND_CELLS):
+            monkeypatch.setattr(sampling, "BAND_CELLS", cells)
+            for draw, g in zip(draws, want):
+                got = sample_graph(*draw)
+                assert np.array_equal(got.adjacency(), g.adjacency())
+                self._check(got)
+            for g in hand_built:
+                self._check(g)
+
+
+def _zero_one_graphon(rng):
+    """A random step-graphon whose block pairs take 0, 1, 1/2 or 2/7."""
+    w = random_graphon(rng)
+    q = len(w.values)
+    choices = (F(0), F(1), F(1, 2), F(2, 7))
+    vals = [[F(0)] * q for _ in range(q)]
+    for i in range(q):
+        for j in range(i, q):
+            vals[i][j] = vals[j][i] = choices[int(rng.integers(len(choices)))]
+    return StepGraphon(w.partition, tuple(map(tuple, vals)))
+
+
+class TestSamplerInvariants:
+    """Checked on the drawn matrix itself.  A verdict read off block counts
+    alone (a block-level Hall violator) rests on the probability-0 one."""
+
+    def test_matrix_invariants(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        zeros = ones = 0
+        for cells in (1, 3 * 37, sampling.BAND_CELLS):
+            monkeypatch.setattr(sampling, "BAND_CELLS", cells)
+            for _ in range(15):
+                w = _zero_one_graphon(rng)
+                n = int(rng.integers(1, 80))
+                g = sample_graph(w, n, int(rng.integers(2**32)))
+                dense = np.unpackbits(g.adjacency(), axis=1, bitorder="little").astype(bool)
+                assert not dense[:, n:].any()  # padding past column n - 1
+                a = dense[:, :n]
+                assert np.array_equal(a, a.T)
+                assert not a.diagonal().any()
+                probs = np.array([[float(v) for v in row] for row in w.values])
+                p = probs[np.ix_(g.blocks, g.blocks)]
+                pairs = ~np.eye(n, dtype=bool)
+                assert not a[p == 0].any()
+                assert a[(p == 1) & pairs].all()
+                zeros += np.count_nonzero((p == 0) & pairs)
+                ones += np.count_nonzero((p == 1) & pairs)
+        assert zeros > 1000 and ones > 1000

@@ -8,6 +8,10 @@ Maximum bipartite matching has one front end on a sampled graph,
 `realize._has_perfect_matching` is the only other place that runs
 `_kernels.hopcroft_karp`, so a second inline matching path cannot return.
 
+A sampled graph is its packed bit matrix: `SampledGraph` holds n, the
+coordinates, the block labels and the matrix, and nothing else, so no edge
+array or cache can come back beside the matrix.
+
 The package depends on numpy only.  Importing `scipy.sparse.csgraph` adds
 ~33 MB of resident memory and ~0.4 s of start-up, more than the pipeline
 benchmark's bound on peak memory allows, and the package has no compiled
@@ -15,7 +19,12 @@ benchmark's bound on peak memory allows, and the package has no compiled
 """
 
 import ast
+from dataclasses import fields
 from pathlib import Path
+
+import numpy as np
+
+from hamdec.sampling import SampledGraph
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "hamdec"
 FORBIDDEN_IMPORTS = {"scipy", "numba"}
@@ -105,3 +114,13 @@ def h():
 """
     assert _hopcroft_karp_users("m", ast.parse(src)) == {"m.<module>", "m.f", "m.inner"}
     assert _hopcroft_karp_users("m", ast.parse("def hopcroft_karp(): pass")) == set()
+
+
+SAMPLED_GRAPH_FIELDS = ["n", "coords", "blocks", "bits"]
+
+
+def test_sampled_graph_holds_only_the_matrix():
+    assert [f.name for f in fields(SampledGraph)] == SAMPLED_GRAPH_FIELDS
+    g = SampledGraph.from_edges(3, np.zeros(3), np.zeros(3, dtype=int), [[0, 2], [1, 2]])
+    g.adjacency(), g.edges, g.edge_count, g.pair_set(), g.neighbors(2), g.has_edges([0], [1])
+    assert sorted(vars(g)) == sorted(SAMPLED_GRAPH_FIELDS)  # nothing cached on use
