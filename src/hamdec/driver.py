@@ -17,19 +17,19 @@ the membership status, is read off them:
 `montecarlo` estimates the decomposition probability at a fixed n: per
 trial it samples a graph, runs the constructive pipeline (`run_pipeline`,
 also behind `hamdec decompose`), then the exact existence oracle.  The
-pipeline passes each object on once: one membership LP on the sampled
-graph's empirical concentration vector gives its membership status and the
-certificate for the tally (a refined graphon adds the LP on its normalized
-blocks); the tally gives the block cycles realized in the graph.  The
-oracle takes a witness where the trial has one.  A realized decomposition,
-checked arc by arc against the sample, answers yes.  An exterior empirical
-vector has a block set A whose neighbour blocks hold fewer nodes than A
-(Gale's theorem, found by `polytope.hall_violator`); sampled edges join only
-skeleton neighbours, so the nodes of A's blocks have fewer neighbours than
-members, and that Hall set, counted on the sample, answers no.  A perfect
-matching decides every trial with neither witness.  So constructive
-successes never exceed oracle successes, and every oracle value is the
-one the matching would give.
+pipeline passes each object on once: one membership query on the sampled
+graph's empirical concentration vector gives its certificate, kept in the
+outcome, from which the status and the tally's input are read (a refined
+graphon adds the query on its normalized blocks); the tally gives the
+block cycles realized in the graph.  The oracle takes a witness where the
+trial has one.  A realized decomposition, checked arc by arc against the
+sample, answers yes.  An exterior empirical vector's certificate is a
+block set A whose neighbour blocks hold fewer nodes than A (Gale's
+theorem); sampled edges join only skeleton neighbours, so the nodes of A's
+blocks have fewer neighbours than members, and that Hall set, counted on
+the sample, answers no.  A perfect matching decides every trial with
+neither witness.  So constructive successes never exceed oracle
+successes, and every oracle value is the one the matching would give.
 Trials are independent with derived seeds; reports are deterministic.  A
 `MonteCarloReport` holds the rows in trial order, and its counts, estimate
 and Wilson interval are computed from them.
@@ -61,7 +61,7 @@ from .model import (
     incidence,
     skeleton,
 )
-from .polytope import Membership, MembershipCertificate, hall_violator, positive_certificate
+from .polytope import Membership, MembershipCertificate, positive_certificate
 from .realize import DEFAULT_ATTEMPTS, graph_has_decomposition, realize
 from .sampling import BalancedMatrix, SampledGraph, assign_blocks, empirical_concentration, sample_graph
 from .refine import ensure_loopless_odd_cycle
@@ -255,14 +255,18 @@ def plan(w: StepGraphon) -> Plan:
 
 @dataclass(frozen=True)
 class PipelineOutcome:
-    """The membership status of the sampled graph's empirical concentration
-    vector, and the tally with its realized decomposition, or why the
-    pipeline stopped."""
+    """The membership certificate of the sampled graph's empirical
+    concentration vector on the graphon's skeleton, and the tally with its
+    realized decomposition, or why the pipeline stopped."""
 
-    status: Membership
+    certificate: MembershipCertificate
     tally: BalancedMatrix | None = None
     decomposition: HamDecomposition | None = None
     failure: str | None = None
+
+    @property
+    def status(self) -> Membership:
+        return self.certificate.status
 
     @property
     def interior(self) -> bool:
@@ -283,30 +287,29 @@ def run_pipeline(
     if attempts < 1:
         raise ValueError("attempts must be positive")
     x = empirical_concentration(g, p.base.skeleton.node_count)
-    cert = positive_certificate(p.base.incidence, x)
-    status = cert.status
+    base = cert = positive_certificate(p.base.incidence, x)
     if p.normalized is None:
-        return PipelineOutcome(status, failure=f"cannot decompose: {p.reason}")
+        return PipelineOutcome(base, failure=f"cannot decompose: {p.reason}")
     sn = p.normalized.skeleton
     try:
         if p.normalized is not p.base:
-            if status is Membership.EXTERIOR:
+            if base.status is Membership.EXTERIOR:
                 # A Hall violator A of x lifts to its refined copies A': they
                 # inherit every adjacency, and a split looped block gives
                 # looped copies joined by an edge, so x'(N(A')) = x(N(A)) <
                 # x(A) = x'(A').  The refined vector is exterior too.
-                raise not_interior(status)
+                raise not_interior(base.status)
             g = copy(g)  # new blocks on the sample's matrix
             g.blocks = assign_blocks(p.normalized.graphon, g.coords)
             x = empirical_concentration(g, sn.node_count)
             cert = positive_certificate(p.normalized.incidence, x)
         tally = build_balanced_matrix(x, g.n, sn, cert)
     except ConstructionError as exc:
-        return PipelineOutcome(status, failure=f"tally construction failed: {exc}")
+        return PipelineOutcome(base, failure=f"tally construction failed: {exc}")
     outcome = realize(tally, g, sn, seed, attempts)
     if not outcome.ok:
-        return PipelineOutcome(status, failure=f"realization failed: {outcome.diagnostics}")
-    return PipelineOutcome(status, tally, outcome.decomposition)
+        return PipelineOutcome(base, failure=f"realization failed: {outcome.diagnostics}")
+    return PipelineOutcome(base, tally, outcome.decomposition)
 
 
 def constructive_attempt(
@@ -323,26 +326,11 @@ def run_trial(
 ) -> TrialResult:
     seed = derive(master_seed, "trial", trial)
     g = sample_graph(w, n, seed)
-    p = plan(w)
-    out = constructive_attempt(p, g, seed, attempts)
-    witness = out.decomposition
-    if witness is None and out.status is Membership.EXTERIOR:
-        witness = hall_set(p.base.skeleton, g)
+    out = constructive_attempt(plan(w), g, seed, attempts)
+    a = out.certificate.violator  # exterior: its blocks' nodes are a Hall set
+    witness = out.decomposition if a is None else np.flatnonzero(np.isin(g.blocks, list(a)))
     oracle = graph_has_decomposition(g, witness)
     return TrialResult(trial, seed, oracle, out.interior, out.failure)
-
-
-def hall_set(s: SkeletonGraph, g: SampledGraph) -> np.ndarray:
-    """The nodes of g in the blocks of a Hall violator of g's block counts.
-
-    Called when the membership LP has found g's empirical vector exterior
-    on s, so the flow must find a violator; if it does not, the simplex and
-    the flow disagree, which raises RuntimeError.
-    """
-    a = hall_violator(s, np.bincount(g.blocks, minlength=s.node_count).tolist())
-    if a is None:
-        raise RuntimeError("the membership LP says exterior, but the Hall flow saturates")
-    return np.flatnonzero(np.isin(g.blocks, list(a)))
 
 
 def montecarlo(

@@ -4,30 +4,28 @@ The edge polytope of a skeleton graph is the convex hull of the incidence
 matrix columns.  A point x (summing to 1) lies in the relative interior of
 that hull iff it admits a representation Z c = x with c strictly positive;
 on the boundary iff the best achievable min-coefficient is exactly zero.
+`positive_certificate` decides this; condition B (`driver.analyze`) is
+that query for a graphon's concentration vector.
 
-We decide this with one exact-rational linear program per query:
-
-    maximize t   subject to   Z c = x,  c >= t 1
-
-(the constraint sum(c) = 1 is implied because every column of Z sums to
-1).  The optimum t* is the certificate margin: t* > 0 interior, t* = 0
-boundary, infeasible or t* < 0 exterior, so a certificate's status is the
-sign of t*; condition B (`driver.analyze`) is this query for a graphon's
-concentration vector.  The LP is solved by a dense two-phase primal
-simplex over `fractions.Fraction` with Bland's rule; problem sizes here
-are tiny (q <= ~32, |F| <= ~500), so exactness beats speed.
-
-Exterior points also have a combinatorial witness that trusts no simplex:
 x lies in the polytope exactly when x(N(A)) >= x(A) for every block set A,
 N(A) being A's neighbourhood in the skeleton with a looped block its own
 neighbour (Gale's supply-demand theorem).  `hall_violator` finds a set
 breaking that inequality, or shows there is none, with one integer
-max-flow.
+max-flow; a set it finds, checked in integers, certifies x exterior.  One
+exact-rational linear program measures the margin of the points inside:
+
+    maximize t   subject to   Z c = x,  c >= t 1
+
+(sum(c) = 1 follows, as every column of Z sums to 1); t* > 0 is interior
+and t* = 0 boundary.  It is solved by a dense two-phase primal simplex
+over `fractions.Fraction` with Bland's rule; problem sizes here are tiny
+(q <= ~32, |F| <= ~500), so exactness beats speed.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -48,23 +46,32 @@ class Membership(str, enum.Enum):
 class MembershipCertificate:
     """Outcome of a membership query.
 
-    For interior/boundary points, `coefficients` is an exact solution of
-    Z c = x with sum 1 and min entry equal to `margin`; an exterior point
-    carries neither.  The status is the sign of the margin.
+    An interior or boundary point carries `coefficients`, an exact solution
+    of Z c = x with sum 1 and min entry equal to `margin`; its status is the
+    sign of the margin.  An exterior point carries `violator` instead: a
+    block set A with x(N(A)) < x(A).
     """
 
     coefficients: tuple[Fraction, ...] | None = None
     margin: Fraction | None = None
+    violator: frozenset[int] | None = None
 
     def __post_init__(self):
         if (self.coefficients is None) != (self.margin is None):
             raise ValueError("coefficients and margin come together")
-        if self.margin is not None and self.margin < 0:
+        if (self.margin is None) == (self.violator is None):
+            raise ValueError("a certificate has coefficients and a margin, or a violator")
+        if self.violator is not None:
+            if not self.violator:
+                raise ValueError("a violator is a nonempty block set")
+        elif self.margin < 0:
             raise ValueError("margin must be nonnegative")
+        elif (low := min(self.coefficients, default=-1)) < 0 or (low > 0) != (self.margin > 0):
+            raise ValueError("the coefficients' minimum and the margin disagree in sign")
 
     @property
     def status(self) -> Membership:
-        if self.margin is None:
+        if self.violator is not None:
             return Membership.EXTERIOR
         return Membership.INTERIOR if self.margin > 0 else Membership.BOUNDARY
 
@@ -80,8 +87,8 @@ def _pivot(tableau, basis, row, col):
     for r in range(len(tableau)):
         if r != row and tableau[r][col] != 0:
             factor = tableau[r][col]
-            prow = tableau[row]
-            tableau[r] = [a - factor * p for a, p in zip(tableau[r], prow)]
+            prow = tableau[row]  # mostly zeros: skip their exact arithmetic
+            tableau[r] = [a - factor * p if p else a for a, p in zip(tableau[r], prow)]
     basis[row] = col
 
 
@@ -126,12 +133,9 @@ def solve_equality_lp(a_rows, b, objective):
         row = rows[i] + [ZERO] * m + [rhs[i]]
         row[n + i] = ONE
         tableau.append(row)
-    cost = [ZERO] * (ncols + 1)
-    for i in range(m):  # minimize sum of artificials == maximize -sum
-        for j in range(ncols + 1):
-            cost[j] -= tableau[i][j]
-    for i in range(m):
-        cost[n + i] = ZERO
+    # minimize sum of artificials == maximize -sum
+    cost = [-sum(row[j] for row in tableau) for j in range(ncols + 1)]
+    cost[n:ncols] = [ZERO] * m
     tableau.append(cost)
     basis = [n + i for i in range(m)]
     _run_simplex(tableau, basis, ncols)
@@ -177,10 +181,11 @@ def solve_equality_lp(a_rows, b, objective):
 def positive_certificate(z: IncidenceMatrix, x) -> MembershipCertificate:
     """Classify x against the convex hull of the columns of z.
 
-    Solves max t s.t. Z c = x, c >= t.  Writing c_j = s_j + t with s >= 0
-    and t = tp - tm puts the program in standard form.  A point admits an
-    all-positive coefficient vector iff it lies in the relative interior
-    of the hull.
+    The Hall flow on the counts D x (D the least common denominator of x)
+    over the skeleton of z's edge order decides whether x is exterior.
+    Inside, the simplex solves max t s.t. Z c = x, c >= t, put in standard
+    form by c_j = s_j + t with s >= 0 and t = tp - tm.  An x of the wrong
+    length, with a negative entry or not summing to 1 raises ValueError.
     """
     q, nf = z.shape
     xs = tuple(Fraction(v) for v in x)
@@ -188,22 +193,25 @@ def positive_certificate(z: IncidenceMatrix, x) -> MembershipCertificate:
         raise ValueError(f"x has {len(xs)} entries, incidence matrix has {q} rows")
     if sum(xs) != 1:
         raise ValueError("x must sum to exactly 1")
-    if nf == 0:
-        return MembershipCertificate()
+    if min(xs) < 0:
+        raise ValueError("x must be nonnegative")
+    loops = {i for i, j in z.edge_order if i == j}
+    s = SkeletonGraph(q, loops, {(i, j) for i, j in z.edge_order if i != j})
+    scale = math.lcm(*(v.denominator for v in xs))
+    counts = [int(v * scale) for v in xs]
+    a = hall_violator(s, counts)
+    if a is not None:
+        reached = {k for e in z.edge_order for i, k in (e, e[::-1]) if i in a}
+        if sum(counts[k] for k in reached) >= sum(counts[i] for i in a):
+            raise RuntimeError(f"Hall set {sorted(a)} violates nothing on counts {counts}")
+        return MembershipCertificate(violator=a)
 
-    rowsum = [sum(z.entries[i][j] for j in range(nf)) for i in range(q)]
-    a_rows = []
-    for i in range(q):
-        a_rows.append(list(z.entries[i]) + [rowsum[i], -rowsum[i]])
-    objective = [ZERO] * nf + [ONE, -ONE]
-    status, v, value = solve_equality_lp(a_rows, xs, objective)
-    if status == "infeasible":
-        return MembershipCertificate()
-    if status != "optimal":  # cannot happen: t <= 1/|F| bounds the objective
-        raise RuntimeError("membership LP unbounded")
-    t = value
-    if t < 0:
-        return MembershipCertificate()
+    rowsum = [sum(row) for row in z.entries]
+    a_rows = [list(row) + [d, -d] for row, d in zip(z.entries, rowsum)]
+    status, v, t = solve_equality_lp(a_rows, xs, [ZERO] * nf + [ONE, -ONE])
+    # the flow found some c >= 0, so t = min c >= 0 is feasible, and t <= 1/|F|
+    if status != "optimal" or t < 0:
+        raise RuntimeError(f"x is in the polytope, but the membership LP reads {status}, t* = {t}")
     coeffs = tuple(v[j] + t for j in range(nf))
     # internal exactness checks, cheap at these sizes
     if z.apply(coeffs) != xs or sum(coeffs) != 1 or min(coeffs) != t:
@@ -239,20 +247,21 @@ def hall_violator(s: SkeletonGraph, counts) -> frozenset[int] | None:
     smaller than the total).
     """
     q = s.node_count
-    counts = [int(c) for c in counts]
-    if len(counts) != q:
-        raise ValueError(f"{len(counts)} counts for a skeleton on {q} blocks")
-    if any(c < 0 for c in counts):
-        raise ValueError("counts must be nonnegative")
-    total = sum(counts)
+    ints = [int(c) for c in counts]
+    if len(ints) != q:
+        raise ValueError(f"{len(ints)} counts for a skeleton on {q} blocks")
+    if any(i != c or i < 0 for i, c in zip(ints, counts)):
+        raise ValueError("counts must be nonnegative integers")
+    counts, total = ints, sum(ints)
     src, dst = 2 * q, 2 * q + 1
     net = MaxFlow(2 * q + 2)
     for i in range(q):
         net.add(src, i, counts[i])
         net.add(q + i, dst, counts[i])
-        for j in range(q):
-            if s.supports(i, j):
-                net.add(i, q + j, total)  # uncapped: no arc carries more than the total
+    for i, j in edge_order(s):  # uncapped: no arc carries more than the total
+        net.add(i, q + j, total)
+        if i != j:
+            net.add(j, q + i, total)
     if net.run(src, dst) == total:
         return None
     side = net.source_side(src)

@@ -23,10 +23,10 @@ Two witnesses settle it without a matching.  A decomposition answers yes
 once every one of its arcs is found among the graph's edges.  A Hall set,
 nodes S with fewer than |S| neighbours, answers no: by Hall's theorem the
 out-copies of S cannot all be matched.  The Monte Carlo trial gets one
-from the blocks: when the empirical concentration vector is exterior,
-Gale's theorem gives a block set A whose neighbour blocks hold fewer nodes
-than A does (`polytope.hall_violator`), and as sampled edges join only
-skeleton neighbours, the nodes of A's blocks form a Hall set.  The oracle
+from the blocks: an exterior empirical concentration vector's certificate
+is a block set A whose neighbour blocks hold fewer nodes than A does
+(Gale's theorem), and as sampled edges join only skeleton neighbours, the
+nodes of A's blocks form a Hall set.  The oracle
 verifies either witness on the graph itself and raises if it does not
 hold.
 """

@@ -223,10 +223,10 @@ def sample_graph(w: StepGraphon, n: int, seed: int) -> SampledGraph:
     The matrix is drawn one band of at most `BAND_CELLS` cells (whole rows)
     at a time.  A band's pairs (i, j), i < j, take the next uniforms of the
     edges stream: boolean-mask assignment fills in row-major order, so the
-    k-th uniform meets the k-th pair in lexicographic order.  Its other
-    cells hold 1.0, which is below no probability, so they stay clear.  The
-    band then takes its neighbours in earlier rows from their finished
-    rows (its columns, transposed) and mirrors its own square.
+    k-th uniform meets the k-th pair in lexicographic order.  The band draws
+    only its columns from its first row on; its cells there not above the
+    diagonal hold 1.0, below no probability, so they stay clear.  Earlier
+    columns come from the finished rows, transposed; its square is mirrored.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -237,15 +237,15 @@ def sample_graph(w: StepGraphon, n: int, seed: int) -> SampledGraph:
     rng = generator(derive(seed, EDGES_STREAM))
     bits = np.empty((n, (n + 7) // 8), dtype=np.uint8)
     rows = max(1, BAND_CELLS // n)
-    cols = np.arange(n)
+    tri = np.arange(n) > np.arange(rows)[:, None]  # column r0 + c above row r0 + k iff c > k
     for r0 in range(0, n, rows):
         r1 = min(n, r0 + rows)
-        upper = cols > np.arange(r0, r1)[:, None]
-        u = np.ones((r1 - r0, n))
+        upper = tri[:r1 - r0, :n - r0]
+        u = np.ones(upper.shape)
         u[upper] = rng.random(np.count_nonzero(upper))
-        band = u < thresholds[blocks[r0:r1]]
         strip = np.unpackbits(bits[:r0, r0 >> 3:(r1 + 7) >> 3], axis=1, bitorder="little")
-        band[:, :r0] = strip[:, r0 & 7:(r0 & 7) + r1 - r0].T
+        left = strip[:, r0 & 7:(r0 & 7) + r1 - r0].T.view(bool)
+        band = np.hstack([left, u < thresholds[blocks[r0:r1], r0:]])
         square = band[:, r0:r1]
         square |= square.T
         bits[r0:r1] = np.packbits(band, axis=1, bitorder="little")

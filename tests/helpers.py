@@ -8,7 +8,9 @@ the pair scan taken one row at a time, `count_block_edges_loop`, the
 block tally taken one node at a time, and `hopcroft_karp_lists`, the
 matching traversal taken one edge at a time on adjacency lists.  `tally` is only a call
 shorthand: the balanced tally of an instance, with the certificate the
-pipeline would pass.
+pipeline would pass.  `lp_status` classifies a point by the membership LP
+alone, as the library did before its Hall flow decided exterior points:
+it is the reference the flow is checked against.
 """
 
 from fractions import Fraction
@@ -26,7 +28,7 @@ from hamdec.model import (
     incidence,
     skeleton,
 )
-from hamdec.polytope import Membership, positive_certificate
+from hamdec.polytope import Membership, positive_certificate, solve_equality_lp
 from hamdec.refine import refine_once
 from hamdec.sampling import BalancedMatrix
 
@@ -307,6 +309,17 @@ def random_graphon(rng, q_max=5) -> StepGraphon:
                 v = Fraction(int(rng.integers(1, 9)), 9)
                 vals[i][j] = vals[j][i] = v
     return StepGraphon(Partition(tuple(bps)), tuple(tuple(r) for r in vals))
+
+
+def lp_status(z, x) -> Membership:
+    """x's membership status by the LP max t s.t. Z c = x, c >= t alone:
+    infeasible or t* < 0 exterior, t* = 0 boundary, t* > 0 interior."""
+    q, nf = z.shape
+    rows = [list(z.entries[i]) + [sum(z.entries[i]), -sum(z.entries[i])] for i in range(q)]
+    status, _, t = solve_equality_lp(rows, x, [0] * nf + [1, -1])
+    if status == "infeasible" or t < 0:
+        return Membership.EXTERIOR
+    return Membership.INTERIOR if t > 0 else Membership.BOUNDARY
 
 
 def tally(x, n: int, s: SkeletonGraph):

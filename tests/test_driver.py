@@ -118,7 +118,7 @@ class TestAnalysisReport:
     CERTS = {
         Membership.INTERIOR: MembershipCertificate((F(1),), F(1)),
         Membership.BOUNDARY: MembershipCertificate((F(1), F(0)), F(0)),
-        Membership.EXTERIOR: MembershipCertificate(),
+        Membership.EXTERIOR: MembershipCertificate(violator=frozenset({0})),
     }
 
     def test_verdict_table_matches_the_old_rule(self):
@@ -416,17 +416,20 @@ class TestWitnessFirstOracle:
         # every block: as many neighbours as nodes, so Hall's condition holds
         hk = _counting(monkeypatch, REALIZE_MODULE, "_has_perfect_matching")
         monkeypatch.setattr(
-            hamdec.driver, "hall_violator", lambda s, counts: frozenset(range(s.node_count))
+            hamdec.polytope, "hall_violator", lambda s, counts: frozenset(range(s.node_count))
         )
-        with pytest.raises(RuntimeError, match="violates nothing"):
-            montecarlo(TRI_GRAPHON, 60, 4, 5)  # trial 0 is exterior
+        # the certificate's integer check refuses it before the sample's check
+        with pytest.raises(RuntimeError, match=r"Hall set \[0, 1, 2\] violates nothing on counts"):
+            montecarlo(TRI_GRAPHON, 60, 4, 5)
         assert hk == []
 
     def test_lp_and_flow_disagreeing_raises_from_montecarlo(self, monkeypatch):
-        # an LP that calls every vector exterior; the flow finds trial 1's interior
+        # an LP that finds no c >= 0 anywhere; the flow places trial 1's vector inside
         hk = _counting(monkeypatch, REALIZE_MODULE, "_has_perfect_matching")
-        monkeypatch.setattr(hamdec.driver, "positive_certificate", lambda z, x: MembershipCertificate())
-        with pytest.raises(RuntimeError, match="Hall flow saturates"):
+        monkeypatch.setattr(
+            hamdec.polytope, "solve_equality_lp", lambda a, b, objective: ("infeasible", None, None)
+        )
+        with pytest.raises(RuntimeError, match="in the polytope, but the membership LP reads infeasible"):
             montecarlo(TRI_GRAPHON, 60, 4, 5)
         assert hk == []
 

@@ -23,7 +23,7 @@ from hamdec.polytope import (
     solve_equality_lp,
 )
 
-from helpers import random_graphon, random_skeleton
+from helpers import lp_status, random_graphon, random_skeleton
 
 TRIANGLE = SkeletonGraph(3, frozenset(), frozenset({(0, 1), (0, 2), (1, 2)}))
 
@@ -88,6 +88,37 @@ class TestPositiveCertificate:
         cert = positive_certificate(incidence(TRIANGLE), (F(3, 5), F(3, 10), F(1, 10)))
         assert cert.status is Membership.EXTERIOR
         assert cert.coefficients is None and cert.margin is None
+        assert cert.violator == frozenset({0})  # 6 > 3 + 1 on the counts (6, 3, 1)
+
+    def test_negative_entry_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            positive_certificate(incidence(TRIANGLE), (F(3, 5), F(3, 5), F(-1, 5)))
+
+    def test_status_matches_the_lp_and_violators_check(self):
+        # the flow decides exterior, the simplex the rest: together they
+        # classify every point as the LP alone does
+        rng = np.random.default_rng(41)
+        seen = dict.fromkeys(Membership, 0)
+        for k in range(250):
+            s = random_skeleton(rng, q_max=6) if k % 2 else skeleton(random_graphon(rng, 6))
+            q = s.node_count
+            raw = rng.integers(0, 7, q) * (rng.random(q) < 0.85)
+            if not raw.any():
+                raw[int(rng.integers(q))] = 1
+            x = tuple(F(int(v), int(raw.sum())) for v in raw)
+            z = incidence(s)
+            cert = positive_certificate(z, x)
+            assert cert.status is lp_status(z, x), (s, x)
+            seen[cert.status] += 1
+            some = any(
+                _violates(s, x, blocks)
+                for r in range(1, q + 1)
+                for blocks in combinations(range(q), r)
+            )
+            assert (cert.violator is not None) == some
+            if cert.violator is not None:
+                assert _violates(s, x, cert.violator)
+        assert min(seen.values()) >= 20, seen
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -235,13 +266,33 @@ class TestMembershipCertificate:
     def test_status_is_the_sign_of_the_margin(self):
         assert MembershipCertificate((F(1, 2), F(1, 2)), F(1, 2)).status is Membership.INTERIOR
         assert MembershipCertificate((F(1), F(0)), F(0)).status is Membership.BOUNDARY
-        assert MembershipCertificate().status is Membership.EXTERIOR
+        assert MembershipCertificate(violator=frozenset({0})).status is Membership.EXTERIOR
 
     def test_coefficients_and_margin_come_together(self):
         with pytest.raises(ValueError, match="together"):
             MembershipCertificate((F(1),))
         with pytest.raises(ValueError, match="together"):
             MembershipCertificate(margin=F(0))
+
+    def test_either_coefficients_or_a_violator(self):
+        with pytest.raises(ValueError, match="or a violator"):
+            MembershipCertificate()
+        with pytest.raises(ValueError, match="or a violator"):
+            MembershipCertificate((F(1),), F(1), frozenset({0}))
+        with pytest.raises(ValueError, match="nonempty"):
+            MembershipCertificate(violator=frozenset())
+
+    def test_coefficients_must_agree_with_the_margin(self):
+        # a negative coefficient under a positive margin once read interior
+        for coefficients, margin in [
+            ((F(3, 2), F(-1, 2)), F(1, 2)),
+            ((F(3, 2), F(-1, 2)), F(0)),
+            ((F(1), F(0)), F(1, 2)),
+            ((F(1, 2), F(1, 2)), F(0)),
+            ((), F(0)),
+        ]:
+            with pytest.raises(ValueError, match="disagree"):
+                MembershipCertificate(coefficients, margin)
 
     def test_negative_margin_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
@@ -289,8 +340,8 @@ class TestHallViolator:
                 for blocks in combinations(range(q), r)
             )
             total = sum(counts)
-            cert = positive_certificate(incidence(s), [F(c, total) for c in counts])
-            assert (a is not None) == some == (cert.status is Membership.EXTERIOR)
+            status = lp_status(incidence(s), [F(c, total) for c in counts])
+            assert (a is not None) == some == (status is Membership.EXTERIOR)
             if a is not None:
                 found += 1
                 assert _violates(s, counts, a)
@@ -311,3 +362,10 @@ class TestHallViolator:
             hall_violator(TRIANGLE, [1, 1])
         with pytest.raises(ValueError, match="nonnegative"):
             hall_violator(TRIANGLE, [1, -1, 2])
+
+    def test_non_integral_counts_rejected(self):
+        # truncated, [1, 1, 2.9] read as the boundary counts [1, 1, 2]
+        for counts in ([1, 1, 2.9], [F(1, 2), 1, 1], np.array([1.0, 1.5, 1.0])):
+            with pytest.raises(ValueError, match="integers"):
+                hall_violator(TRIANGLE, counts)
+        assert hall_violator(TRIANGLE, [F(1), 1.0, np.int64(3)]) == frozenset({2})

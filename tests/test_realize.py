@@ -5,8 +5,9 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+import hamdec.polytope
 from hamdec.construct import BlockCycle, HamDecomposition, block_cycles
-from hamdec.driver import hall_set, plan, run_pipeline
+from hamdec.driver import analyze, plan, run_pipeline, run_trial
 from hamdec.model import SkeletonGraph, incidence, saturate, skeleton, step_graphon
 from hamdec.polytope import Membership, hall_violator, positive_certificate
 from hamdec.realize import (
@@ -31,10 +32,16 @@ realize_module = importlib.import_module("hamdec.realize")
 
 TRIANGLE = SkeletonGraph(3, frozenset(), frozenset({(0, 1), (0, 2), (1, 2)}))
 ER_HALF = step_graphon([0, 1], [[F(1, 2)]])
+BIP_UNEVEN = step_graphon([0, F(3, 10), 1], [[0, F(1, 2)], [F(1, 2), 0]])
 TRI_HALF = step_graphon(
     [0, F(1, 3), F(2, 3), 1],
     [[0, F(1, 2), F(1, 2)], [F(1, 2), 0, F(1, 2)], [F(1, 2), F(1, 2), 0]],
 )
+
+
+def _block_nodes(g, blocks):
+    """The nodes of g in the given blocks."""
+    return np.flatnonzero(np.isin(g.blocks, list(blocks)))
 
 
 def _host(nl, nr, edges):
@@ -242,10 +249,11 @@ class TestHallWitness:
                 for seed in range(3):
                     g = sample_graph(w, n, seed)
                     x = empirical_concentration(g, s.node_count)
-                    if positive_certificate(incidence(s), x).status is not Membership.EXTERIOR:
+                    cert = positive_certificate(incidence(s), x)
+                    if cert.status is not Membership.EXTERIOR:
                         continue
                     exterior += 1
-                    witness = hall_set(s, g)
+                    witness = _block_nodes(g, cert.violator)
                     assert graph_has_decomposition(g, witness) is False
                     assert graph_has_decomposition(g) is False  # Hopcroft-Karp
         assert exterior >= 20
@@ -261,9 +269,38 @@ class TestHallWitness:
             if a is None:
                 continue
             verified += 1
-            assert graph_has_decomposition(g, hall_set(s, g)) is False
+            assert graph_has_decomposition(g, _block_nodes(g, a)) is False
             assert not brute_decomposition_exists(g.n, _arcs(g))
         assert verified >= 20
+
+    def test_exterior_points_run_no_simplex(self, monkeypatch):
+        # the flow certifies every exterior point; the LP only measures
+        # points inside the polytope
+        lps = []
+        real = hamdec.polytope.solve_equality_lp
+
+        def counting(*args):
+            lps.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(hamdec.polytope, "solve_equality_lp", counting)
+        exterior = 0
+        for w in self.EXTERIOR_PANEL:
+            s = skeleton(w)
+            for n in (30, 61, 200):
+                for seed in range(3):
+                    x = empirical_concentration(sample_graph(w, n, seed), s.node_count)
+                    before = len(lps)
+                    cert = positive_certificate(incidence(s), x)
+                    exterior += cert.violator is not None
+                    assert (len(lps) == before) == (cert.violator is not None)
+        assert exterior >= 20
+        del lps[:]
+        assert analyze(BIP_UNEVEN).condition_b_status is Membership.EXTERIOR
+        assert lps == []
+        for trial in range(5):
+            assert run_trial(BIP_UNEVEN, 60, 5, trial).x_interior is False
+        assert lps == []
 
     def test_small_graph_hall_set(self):
         # the star with centre 0 and leaves 1, 2, 3: the leaves share one neighbour

@@ -7,6 +7,9 @@ Maximum bipartite matching has one front end on a sampled graph,
 `realize.max_bipartite_matching`; the existence oracle's
 `realize._has_perfect_matching` is the only other place that runs
 `_kernels.hopcroft_karp`, so a second inline matching path cannot return.
+Likewise `polytope.positive_certificate` is the one caller of the Hall flow
+`polytope.hall_violator` (the package root only re-exports it), so every
+exterior verdict comes with its checked violator from one engine.
 
 A sampled graph is its packed bit matrix: `SampledGraph` holds n, the
 coordinates, the block labels and the matrix, and nothing else, so no edge
@@ -72,18 +75,24 @@ MATCHING_CALLERS = {
 }
 
 
-def _hopcroft_karp_users(module: str, tree) -> set[str]:
-    """`module.function` of every function that names `hopcroft_karp`,
-    called or not; a name at module level counts as `module.<module>`."""
+HALL_FLOW_USERS = {
+    "__init__.<module>",
+    "polytope.positive_certificate",
+}
+
+
+def _users(name: str, module: str, tree) -> set[str]:
+    """`module.function` of every function that names `name`, called or
+    not; a name at module level counts as `module.<module>`."""
     found = set()
 
     def visit(node, owner):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             owner = f"{module}.{node.name}"
-        named = (isinstance(node, ast.Name) and node.id == "hopcroft_karp") or (
-            isinstance(node, ast.Attribute) and node.attr == "hopcroft_karp"
+        named = (isinstance(node, ast.Name) and node.id == name) or (
+            isinstance(node, ast.Attribute) and node.attr == name
         ) or (
-            isinstance(node, ast.alias) and node.name == "hopcroft_karp"
+            isinstance(node, ast.alias) and node.name == name
         )
         if named:
             found.add(owner)
@@ -94,12 +103,20 @@ def _hopcroft_karp_users(module: str, tree) -> set[str]:
     return found
 
 
-def test_only_the_matching_front_ends_run_hopcroft_karp():
+def _package_users(name: str) -> set[str]:
     found = set()
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
-        found |= _hopcroft_karp_users(path.stem, tree)
-    assert found == MATCHING_CALLERS
+        found |= _users(name, path.stem, tree)
+    return found
+
+
+def test_only_the_matching_front_ends_run_hopcroft_karp():
+    assert _package_users("hopcroft_karp") == MATCHING_CALLERS
+
+
+def test_only_positive_certificate_runs_the_hall_flow():
+    assert _package_users("hall_violator") == HALL_FLOW_USERS
 
 
 def test_hopcroft_karp_user_detection():
@@ -112,8 +129,8 @@ def h():
         return hopcroft_karp
     return inner
 """
-    assert _hopcroft_karp_users("m", ast.parse(src)) == {"m.<module>", "m.f", "m.inner"}
-    assert _hopcroft_karp_users("m", ast.parse("def hopcroft_karp(): pass")) == set()
+    assert _users("hopcroft_karp", "m", ast.parse(src)) == {"m.<module>", "m.f", "m.inner"}
+    assert _users("hopcroft_karp", "m", ast.parse("def hopcroft_karp(): pass")) == set()
 
 
 SAMPLED_GRAPH_FIELDS = ["n", "coords", "blocks", "bits"]
