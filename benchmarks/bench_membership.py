@@ -1,0 +1,103 @@
+#!/usr/bin/env python3
+"""Time the exact membership query `positive_certificate` on generated
+interior graphons, q in {8, 16, 24, 32}, seeds 0-3.
+
+    python3 benchmarks/bench_membership.py [--repeats 7] [--out benchmarks/BENCH_membership.json]
+
+Each graphon is `pipebench.graphons.interior_graphon(q, seed)`; its
+certificate must equal the one the `Fraction`-tableau reference simplex in
+`tests/helpers.py` gives, or the script exits 1 before writing anything.
+The JSON holds, per q, the median wall time of a call over all its seeds
+and repeats, the per-seed medians, the reference's time for one call and
+the number of timed calls; with them the host, Python and numpy versions.  The
+package is imported from `src/` beside this directory.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT)]
+
+import numpy as np  # noqa: E402
+
+import hamdec.polytope  # noqa: E402
+from hamdec.model import concentration, incidence, skeleton  # noqa: E402
+from helpers import reference_certificate  # noqa: E402
+from pipebench.graphons import interior_graphon  # noqa: E402
+
+QS = (8, 16, 24, 32)
+SEEDS = range(4)
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--repeats", type=int, default=7, help="timed calls per graphon")
+    parser.add_argument("--out", type=Path, default=ROOT / "benchmarks" / "BENCH_membership.json")
+    args = parser.parse_args()
+    if args.repeats < 1:
+        parser.error("--repeats must be positive")
+
+    rows = []
+    for q in QS:
+        times, per_seed, reference_ms, edges = [], [], [], []
+        for seed in SEEDS:
+            w = interior_graphon(q, seed).graphon
+            z, x = incidence(skeleton(w)), concentration(w.partition)
+            edges.append(z.shape[1])
+            t0 = time.perf_counter()
+            expected = reference_certificate(z, x)
+            reference_ms.append(1e3 * (time.perf_counter() - t0))
+            cert = hamdec.polytope.positive_certificate(z, x)
+            if (cert.status, cert.coefficients, cert.margin) != expected:
+                print(f"q={q} seed={seed}: certificate differs from the reference",
+                      file=sys.stderr)
+                return 1
+            runs = []
+            for _ in range(args.repeats):
+                t0 = time.perf_counter()
+                hamdec.polytope.positive_certificate(z, x)
+                runs.append(1e3 * (time.perf_counter() - t0))
+            times += runs
+            per_seed.append(round(statistics.median(runs), 3))
+        rows.append({
+            "q": q,
+            "edges": edges,
+            "median_ms": round(statistics.median(times), 3),
+            "seed_median_ms": per_seed,
+            "reference_ms": [round(v, 1) for v in reference_ms],
+            "timed_calls": len(times),
+        })
+        print(f"q={q:2d}  median {rows[-1]['median_ms']:8.3f} ms  "
+              f"reference {statistics.median(reference_ms):8.1f} ms", flush=True)
+
+    report = {
+        "benchmark": "membership",
+        "command": " ".join(["python3", "benchmarks/bench_membership.py", *sys.argv[1:]]),
+        "host": {
+            "platform": platform.platform(),
+            "machine": platform.machine(),
+            "cpu_count": os.cpu_count(),
+        },
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "repeats": args.repeats,
+        "seeds": list(SEEDS),
+        "timed_calls": sum(row["timed_calls"] for row in rows),
+        "results": rows,
+    }
+    args.out.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
+    print(f"wrote {args.out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -35,6 +35,7 @@ from .model import (
     SkeletonGraph,
     connected_components,
     edge_order,
+    edge_sum,
     incidence,
     is_connected,
     loopless,
@@ -266,7 +267,7 @@ def build_balanced_matrix(
 
     if cert.status is not Membership.INTERIOR:
         raise not_interior(cert.status)
-    if incidence(s).apply(cert.coefficients) != xs:
+    if edge_sum(q, edge_order(s), cert.coefficients) != xs:
         raise ValueError("the certificate's coefficients do not solve Z c = x")
 
     split = split_mass(xs, cert, s)
@@ -280,20 +281,20 @@ def build_balanced_matrix(
     if n1 > 0:
         target = tuple(t * n / n1 for t in tau1p)
         s1 = loopless(s)
-        z1 = incidence(s1)
-        if z1.shape[1] == 0:
+        order1 = edge_order(s1)
+        if not order1:
             raise ConstructionError(
                 "loopless-membership", ["pair mass left but the skeleton has no pair edges"]
             )
         # without loops the target is x and s1 is s: that LP is already solved
-        cert1 = positive_certificate(z1, target) if s.loops else cert
+        cert1 = positive_certificate(incidence(s1), target) if s.loops else cert
         if cert1.status is Membership.EXTERIOR:
             raise ConstructionError(
                 "loopless-membership",
                 ["normalized pair mass fell outside the loopless polytope; n too small"],
             )
         scaled = [[ZERO] * q for _ in range(q)]
-        for idx, (i, j) in enumerate(z1.edge_order):
+        for idx, (i, j) in enumerate(order1):
             v = n1 * cert1.coefficients[idx] / 2
             scaled[i][j] = v
             scaled[j][i] = v

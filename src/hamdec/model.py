@@ -13,6 +13,10 @@ whether a vector sits on the boundary of a polytope is a measure-zero
 distinction that floats would destroy.  Floats appear only in sampling
 (see `sampling`).  Blocks and skeleton nodes are 0-indexed.
 
+Per-call tuples are built from lists: CPython resizes a generator-built
+tuple, and its free lists then keep up to 2000 freed tuples of each size
+up to 20 until a full garbage collection, which integer code seldom runs.
+
 Edge ordering convention, used everywhere a coefficient vector refers to
 edges: self-loops first in ascending node order, then distinct-node pairs
 (i, j) with i < j in lexicographic order.
@@ -20,6 +24,7 @@ edges: self-loops first in ascending node order, then distinct-node pairs
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -172,13 +177,28 @@ class IncidenceMatrix:
 
     def apply(self, c) -> tuple[Fraction, ...]:
         """Z c, exactly; c has one coefficient per column."""
-        c = tuple(c)
-        return tuple(sum(z * v for z, v in zip(row, c, strict=True)) for row in self.entries)
+        return edge_sum(len(self.entries), self.edge_order, c)
+
+
+def edge_sum(q: int, order, c) -> tuple[Fraction, ...]:
+    """Z c on q blocks with edge order `order`, over one common denominator:
+    a loop adds its coefficient to its block, a pair edge half of it to each
+    end.  A c of the wrong length raises ValueError."""
+    c = [v if isinstance(v, Fraction) else Fraction(v) for v in c]
+    if len(c) != len(order):
+        raise ValueError(f"{len(c)} coefficients for {len(order)} edges")
+    lcm = math.lcm(*[v.denominator for v in c])
+    sums = [0] * q
+    for (i, j), v in zip(order, c):  # a loop takes both halves
+        half = v.numerator * (lcm // v.denominator)
+        sums[i] += half
+        sums[j] += half
+    return tuple([Fraction(t, 2 * lcm) for t in sums])
 
 
 def edge_order(s: SkeletonGraph) -> tuple[tuple[int, int], ...]:
     """Canonical edge index set: loops first, then pairs, lexicographic."""
-    loops = tuple((i, i) for i in sorted(s.loops))
+    loops = tuple([(i, i) for i in sorted(s.loops)])
     pairs = tuple(sorted(s.edges))
     return loops + pairs
 
@@ -186,7 +206,7 @@ def edge_order(s: SkeletonGraph) -> tuple[tuple[int, int], ...]:
 def concentration(partition: Partition) -> tuple[Fraction, ...]:
     """Interval lengths s_i - s_{i-1}; the expected block proportions."""
     bps = partition.breakpoints
-    return tuple(bps[i + 1] - bps[i] for i in range(partition.q))
+    return tuple([bps[i + 1] - bps[i] for i in range(partition.q)])
 
 
 def skeleton(graphon: StepGraphon) -> SkeletonGraph:
@@ -210,9 +230,8 @@ def saturate(graphon: StepGraphon) -> StepGraphon:
 def incidence(s: SkeletonGraph) -> IncidenceMatrix:
     order = edge_order(s)
     weight = (Fraction(0), Fraction(1, 2), Fraction(1))  # by the edge's ends at the node
-    rows = tuple(
-        tuple(weight[(i == a) + (i == b)] for a, b in order) for i in range(s.node_count)
-    )
+    rows = tuple([tuple([weight[(i == a) + (i == b)] for a, b in order])
+                  for i in range(s.node_count)])
     return IncidenceMatrix(rows, order)
 
 

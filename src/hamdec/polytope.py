@@ -17,9 +17,10 @@ exact-rational linear program measures the margin of the points inside:
     maximize t   subject to   Z c = x,  c >= t 1
 
 (sum(c) = 1 follows, as every column of Z sums to 1); t* > 0 is interior
-and t* = 0 boundary.  It is solved by a dense two-phase primal simplex
-over `fractions.Fraction` with Bland's rule; problem sizes here are tiny
-(q <= ~32, |F| <= ~500), so exactness beats speed.
+and t* = 0 boundary.  A dense two-phase primal simplex with Bland's rule
+solves it exactly on rows of Python ints, each over one denominator: they
+hold the rationals a `Fraction` tableau would, so the pivots and the
+certificate are the same, without `Fraction`'s per-entry normalization.
 """
 
 from __future__ import annotations
@@ -79,22 +80,51 @@ class MembershipCertificate:
 # ---------------------------------------------------------------------------
 # exact two-phase simplex, standard form: maximize c.v s.t. A v = b, v >= 0
 # ---------------------------------------------------------------------------
+# A row is a list of ints ending in a positive denominator: [a_0, ..., rhs,
+# den] reads a_j / den.  A pivot cross-multiplies two rows and divides out
+# their gcd (fraction-free pivoting: Edmonds 1967, Bareiss 1968).
+
+def _integer_row(values, sign=1):
+    """sign * values as ints over their least common denominator, appended."""
+    pairs = [(v if isinstance(v, (int, Fraction)) else Fraction(v)).as_integer_ratio()
+             for v in values]
+    den = math.lcm(*{d for _, d in pairs})
+    return [sign * p * (den // d) for p, d in pairs] + [den]
+
+
+def _reduced(row):
+    g = math.gcd(*row)
+    return [a // g for a in row] if g > 1 else row
+
+
+def _eliminate(row, prow, col):
+    """row - row[col] * prow, for a pivot row prow that reads 1 at col."""
+    pd, f = prow[-1], row[col]
+    out = [a * pd - f * p if p else a * pd for a, p in zip(row, prow)]
+    out[-1] = row[-1] * pd
+    return _reduced(out)
+
+
+def _priced(cost, rows, basis):
+    """The cost row reduced through the basis: zero on every basic column."""
+    for r, bcol in enumerate(basis):
+        if cost[bcol]:
+            cost = _eliminate(cost, rows[r], bcol)
+    return cost
+
 
 def _pivot(tableau, basis, row, col):
-    piv = tableau[row][col]
-    inv = ONE / piv
-    tableau[row] = [a * inv for a in tableau[row]]
-    for r in range(len(tableau)):
-        if r != row and tableau[r][col] != 0:
-            factor = tableau[r][col]
-            prow = tableau[row]  # mostly zeros: skip their exact arithmetic
-            tableau[r] = [a - factor * p if p else a for a, p in zip(tableau[r], prow)]
+    piv = tableau[row][col]  # the row over its pivot: the denominator cancels
+    tableau[row] = prow = _reduced([a if piv > 0 else -a for a in tableau[row][:-1]] + [abs(piv)])
+    for r, other in enumerate(tableau):
+        if r != row and other[col]:
+            tableau[r] = _eliminate(other, prow, col)
     basis[row] = col
 
 
 def _run_simplex(tableau, basis, ncols):
     """Bland's rule iteration on a tableau whose last row is the objective
-    (stored negated, maximization) and last column the rhs."""
+    (stored negated, maximization); each row ends in its rhs and denominator."""
     m = len(tableau) - 1
     while True:
         obj = tableau[m]
@@ -106,8 +136,12 @@ def _run_simplex(tableau, basis, ncols):
         rows = [r for r in range(m) if tableau[r][col] > 0]
         if not rows:
             return False  # unbounded
-        # the least ratio, ties to the lowest-index basic variable
-        row = min(rows, key=lambda r: (tableau[r][-1] / tableau[r][col], basis[r]))
+        # the least ratio rhs / a, cross-multiplied; ties to the lowest-index basic variable
+        row = rows[0]
+        for r in rows[1:]:
+            d = tableau[r][-2] * tableau[row][col] - tableau[row][-2] * tableau[r][col]
+            if d < 0 or d == 0 and basis[r] < basis[row]:
+                row = r
         _pivot(tableau, basis, row, col)
 
 
@@ -119,27 +153,20 @@ def solve_equality_lp(a_rows, b, objective):
     """
     m = len(a_rows)
     n = len(objective)
-    rows = [list(map(Fraction, r)) for r in a_rows]
-    rhs = list(map(Fraction, b))
-    for i in range(m):
-        if rhs[i] < 0:
-            rows[i] = [-a for a in rows[i]]
-            rhs[i] = -rhs[i]
-
-    # phase 1: artificial variable per row
     ncols = n + m
+    # phase 1: artificial variable per row, each row over the lcm of its
+    # denominators and flipped to a nonnegative rhs
     tableau = []
     for i in range(m):
-        row = rows[i] + [ZERO] * m + [rhs[i]]
-        row[n + i] = ONE
+        row = _integer_row([*a_rows[i], b[i]], -1 if b[i] < 0 else 1)
+        row[n:n] = [0] * m
+        row[n + i] = row[-1]
         tableau.append(row)
-    # minimize sum of artificials == maximize -sum
-    cost = [-sum(row[j] for row in tableau) for j in range(ncols + 1)]
-    cost[n:ncols] = [ZERO] * m
-    tableau.append(cost)
+    # minimize sum of artificials == maximize -sum: -(column sums), 0 on the artificials
     basis = [n + i for i in range(m)]
+    tableau.append(_priced([0] * n + [1] * m + [0, 1], tableau, basis))
     _run_simplex(tableau, basis, ncols)
-    if tableau[m][-1] != 0:
+    if tableau[m][-2] != 0:
         return "infeasible", None, None
 
     # drive leftover artificials out of the basis; drop redundant rows
@@ -154,24 +181,19 @@ def solve_equality_lp(a_rows, b, objective):
                 continue  # redundant constraint
         keep.append(r)
 
-    rows2 = [tableau[r][:n] + [tableau[r][-1]] for r in keep]
+    rows2 = [_reduced(tableau[r][:n] + tableau[r][-2:]) for r in keep]
     basis2 = [basis[r] for r in keep]
 
     # phase 2: restore the real objective, reduced through the basis
-    cost = [-Fraction(cj) for cj in objective] + [ZERO]
-    for r, bcol in enumerate(basis2):
-        if cost[bcol] != 0:
-            factor = cost[bcol]
-            cost = [a - factor * p for a, p in zip(cost, rows2[r])]
-    rows2.append(cost)
+    rows2.append(_priced(_integer_row([*objective, 0], -1), rows2, basis2))
     if not _run_simplex(rows2, basis2, n):
         return "unbounded", None, None
 
     v = [ZERO] * n
     m2 = len(rows2) - 1
     for r in range(m2):
-        v[basis2[r]] = rows2[r][-1]
-    return "optimal", v, rows2[m2][-1]
+        v[basis2[r]] = Fraction(rows2[r][-2], rows2[r][-1])
+    return "optimal", v, Fraction(rows2[m2][-2], rows2[m2][-1])
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +210,7 @@ def positive_certificate(z: IncidenceMatrix, x) -> MembershipCertificate:
     length, with a negative entry or not summing to 1 raises ValueError.
     """
     q, nf = z.shape
-    xs = tuple(Fraction(v) for v in x)
+    xs = tuple([Fraction(v) for v in x])  # from lists: see `model`
     if len(xs) != q:
         raise ValueError(f"x has {len(xs)} entries, incidence matrix has {q} rows")
     if sum(xs) != 1:
@@ -197,7 +219,7 @@ def positive_certificate(z: IncidenceMatrix, x) -> MembershipCertificate:
         raise ValueError("x must be nonnegative")
     loops = {i for i, j in z.edge_order if i == j}
     s = SkeletonGraph(q, loops, {(i, j) for i, j in z.edge_order if i != j})
-    scale = math.lcm(*(v.denominator for v in xs))
+    scale = math.lcm(*[v.denominator for v in xs])
     counts = [int(v * scale) for v in xs]
     a = hall_violator(s, counts)
     if a is not None:
@@ -206,13 +228,13 @@ def positive_certificate(z: IncidenceMatrix, x) -> MembershipCertificate:
             raise RuntimeError(f"Hall set {sorted(a)} violates nothing on counts {counts}")
         return MembershipCertificate(violator=a)
 
-    rowsum = [sum(row) for row in z.entries]
+    rowsum = z.apply((ONE,) * nf)  # d = Z 1: 1 on a looped block, plus half its pair degree
     a_rows = [list(row) + [d, -d] for row, d in zip(z.entries, rowsum)]
     status, v, t = solve_equality_lp(a_rows, xs, [ZERO] * nf + [ONE, -ONE])
     # the flow found some c >= 0, so t = min c >= 0 is feasible, and t <= 1/|F|
     if status != "optimal" or t < 0:
         raise RuntimeError(f"x is in the polytope, but the membership LP reads {status}, t* = {t}")
-    coeffs = tuple(v[j] + t for j in range(nf))
+    coeffs = tuple([v[j] + t for j in range(nf)])
     # internal exactness checks, cheap at these sizes
     if z.apply(coeffs) != xs or sum(coeffs) != 1 or min(coeffs) != t:
         raise RuntimeError("membership certificate fails Z c = x, sum c = 1 or min c = t")

@@ -28,7 +28,7 @@ from hamdec.model import (
     incidence,
     skeleton,
 )
-from hamdec.polytope import Membership, positive_certificate, solve_equality_lp
+from hamdec.polytope import Membership, positive_certificate
 from hamdec.refine import refine_once
 from hamdec.sampling import BalancedMatrix
 
@@ -311,15 +311,96 @@ def random_graphon(rng, q_max=5) -> StepGraphon:
     return StepGraphon(Partition(tuple(bps)), tuple(tuple(r) for r in vals))
 
 
-def lp_status(z, x) -> Membership:
-    """x's membership status by the LP max t s.t. Z c = x, c >= t alone:
-    infeasible or t* < 0 exterior, t* = 0 boundary, t* > 0 interior."""
+def _fraction_pivot(tableau, basis, row, col):
+    inv = 1 / tableau[row][col]
+    tableau[row] = [a * inv for a in tableau[row]]
+    for r in range(len(tableau)):
+        if r != row and tableau[r][col] != 0:
+            factor = tableau[r][col]
+            tableau[r] = [a - factor * p for a, p in zip(tableau[r], tableau[row])]
+    basis[row] = col
+
+
+def _fraction_run(tableau, basis, ncols, pivots):
+    """Bland's rule on a tableau whose last row is the negated objective
+    and last column the rhs; False when unbounded."""
+    m = len(tableau) - 1
+    while True:
+        col = next((j for j in range(ncols) if tableau[m][j] < 0), None)
+        if col is None:
+            return True
+        rows = [r for r in range(m) if tableau[r][col] > 0]
+        if not rows:
+            return False
+        # the least ratio, ties to the lowest-index basic variable
+        row = min(rows, key=lambda r: (tableau[r][-1] / tableau[r][col], basis[r]))
+        pivots.append((row, col))
+        _fraction_pivot(tableau, basis, row, col)
+
+
+def fraction_simplex(a_rows, b, objective, pivots=None):
+    """Reference `solve_equality_lp`: maximize objective . v subject to
+    a_rows v = b, v >= 0 by the two-phase Bland simplex on a Fraction
+    tableau.  Returns (status, v, value); `pivots`, if given, receives
+    each pivot's (row, col)."""
+    pivots = [] if pivots is None else pivots
+    m, n = len(a_rows), len(objective)
+    ncols = n + m
+    tableau = []
+    for i in range(m):
+        row = [Fraction(a) for a in a_rows[i]] + [Fraction(0)] * m + [Fraction(b[i])]
+        if row[-1] < 0:
+            row = [-a for a in row]
+        row[n + i] = Fraction(1)
+        tableau.append(row)
+    cost = [-sum(row[j] for row in tableau) for j in range(ncols + 1)]
+    cost[n:ncols] = [Fraction(0)] * m
+    tableau.append(cost)
+    basis = [n + i for i in range(m)]
+    _fraction_run(tableau, basis, ncols, pivots)
+    if tableau[m][-1] != 0:
+        return "infeasible", None, None
+    keep = []
+    for r in range(m):
+        if basis[r] >= n:
+            col = next((j for j in range(n) if tableau[r][j] != 0), None)
+            if col is None:
+                continue  # redundant constraint
+            pivots.append((r, col))
+            _fraction_pivot(tableau, basis, r, col)
+        keep.append(r)
+    rows = [tableau[r][:n] + [tableau[r][-1]] for r in keep]
+    basis2 = [basis[r] for r in keep]
+    cost = [-Fraction(cj) for cj in objective] + [Fraction(0)]
+    for r, bcol in enumerate(basis2):
+        factor = cost[bcol]
+        cost = [a - factor * p for a, p in zip(cost, rows[r])]
+    rows.append(cost)
+    if not _fraction_run(rows, basis2, n, pivots):
+        return "unbounded", None, None
+    v = [Fraction(0)] * n
+    for r, bcol in enumerate(basis2):
+        v[bcol] = rows[r][-1]
+    return "optimal", v, rows[-1][-1]
+
+
+def reference_certificate(z, x):
+    """(status, coefficients, margin) of x by the membership LP
+    max t s.t. Z c = x, c >= t on the dense rows of z, solved by the
+    reference simplex: infeasible or t* < 0 is exterior, with neither
+    coefficients nor margin."""
     q, nf = z.shape
     rows = [list(z.entries[i]) + [sum(z.entries[i]), -sum(z.entries[i])] for i in range(q)]
-    status, _, t = solve_equality_lp(rows, x, [0] * nf + [1, -1])
+    status, v, t = fraction_simplex(rows, x, [0] * nf + [1, -1])
     if status == "infeasible" or t < 0:
-        return Membership.EXTERIOR
-    return Membership.INTERIOR if t > 0 else Membership.BOUNDARY
+        return Membership.EXTERIOR, None, None
+    status = Membership.INTERIOR if t > 0 else Membership.BOUNDARY
+    return status, tuple(v[j] + t for j in range(nf)), t
+
+
+def lp_status(z, x) -> Membership:
+    """x's membership status by the reference LP alone."""
+    return reference_certificate(z, x)[0]
 
 
 def tally(x, n: int, s: SkeletonGraph):

@@ -135,15 +135,18 @@ class TestIncidence:
 
     def test_apply_is_exact_product(self):
         rng = np.random.default_rng(17)
-        for _ in range(50):
-            z = incidence(skeleton(random_graphon(rng)))
+        for k in range(250):
+            # isolated and loop-only blocks from every other skeleton
+            z = incidence(random_skeleton(rng) if k % 2 else skeleton(random_graphon(rng)))
             q, nf = z.shape
-            c = [F(int(v), 7) for v in rng.integers(-5, 6, size=nf)]
+            nums, dens = rng.integers(-9, 10, nf), rng.integers(1, 8, nf)
+            c = [F(int(v), int(d)) for v, d in zip(nums, dens)]
             assert z.apply(c) == tuple(
-                sum(z.entries[i][j] * c[j] for j in range(nf)) for i in range(q)
+                sum((z.entries[i][j] * c[j] for j in range(nf)), F(0)) for i in range(q)
             )
-        with pytest.raises(ValueError):
-            incidence(TRIANGLE).apply([F(1, 3)] * 2)
+        for wrong in ([F(1, 3)] * 2, [F(1, 3)] * 4):
+            with pytest.raises(ValueError, match="coefficients for 3 edges"):
+                incidence(TRIANGLE).apply(wrong)
 
     def test_rank_matches_odd_cycle(self):
         # connected skeletons: full rank iff an odd cycle exists

@@ -1,5 +1,8 @@
+import random
+import sys
 from fractions import Fraction as F
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +12,7 @@ from hamdec.driver import analyze
 from hamdec.model import (
     IncidenceMatrix,
     SkeletonGraph,
+    concentration,
     edge_order,
     incidence,
     skeleton,
@@ -23,7 +27,20 @@ from hamdec.polytope import (
     solve_equality_lp,
 )
 
-from helpers import lp_status, random_graphon, random_skeleton
+from helpers import (
+    fraction_simplex,
+    lp_status,
+    rational_rank,
+    random_graphon,
+    random_skeleton,
+    reference_certificate,
+)
+
+ROOT = Path(__file__).resolve().parents[1]
+if str(ROOT) not in sys.path:
+    sys.path.insert(0, str(ROOT))
+
+from pipebench.graphons import interior_graphon  # noqa: E402
 
 TRIANGLE = SkeletonGraph(3, frozenset(), frozenset({(0, 1), (0, 2), (1, 2)}))
 
@@ -69,6 +86,88 @@ class TestSimplexCore:
         rows = [[1, 1, 1, 0], [1, 1, 0, 1]]
         status, v, val = solve_equality_lp(rows, [1, 1], [1, 2, 0, 0])
         assert status == "optimal" and val == 2
+
+
+def _random_lp(rng: random.Random, kind: int):
+    """A small LP of one of four kinds: 0 arbitrary (mostly infeasible or
+    unbounded), 1 feasible, 2 feasible with a redundant row, 3 feasible at
+    a point with zero entries (degenerate bases)."""
+    m, n = rng.randint(1, 6), rng.randint(1, 8)
+    a = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)]
+    if kind == 0:
+        b = [F(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(m)]
+    else:
+        point = [F(rng.randint(0, 4), rng.randint(1, 3)) for _ in range(n)]
+        if kind == 3:
+            point = [v if rng.random() < 0.3 else F(0) for v in point]
+        if kind == 2:
+            u, w = rng.randint(-2, 2), rng.randint(-2, 2)
+            a.append([u * x + w * y for x, y in zip(a[0], a[-1])])
+        b = [sum(x * v for x, v in zip(row, point)) for row in a]
+    objective = [F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)]
+    return a, b, objective
+
+
+class TestIntegerSimplex:
+    """The integer-row simplex walks the Fraction tableau's pivots."""
+
+    def test_same_answers_and_pivots_as_the_fraction_tableau(self, monkeypatch):
+        pivots = []
+        real = hamdec.polytope._pivot
+
+        def recording(tableau, basis, row, col):
+            pivots.append((row, col))
+            real(tableau, basis, row, col)
+
+        monkeypatch.setattr(hamdec.polytope, "_pivot", recording)
+        rng = random.Random(18)
+        seen = dict.fromkeys(("optimal", "infeasible", "unbounded", "redundant", "degenerate"), 0)
+        for k in range(1600):
+            a, b, objective = _random_lp(rng, k % 4)
+            pivots.clear()
+            expected_pivots = []
+            got = solve_equality_lp(a, b, objective)
+            assert got == fraction_simplex(a, b, objective, expected_pivots), (a, b, objective)
+            assert pivots == expected_pivots, (a, b, objective)
+            status, v, _ = got
+            seen[status] += 1
+            rank = rational_rank(a)
+            if status == "optimal":
+                seen["redundant"] += rank < len(a)
+                seen["degenerate"] += sum(x > 0 for x in v) < rank
+        assert min(seen.values()) >= 100, seen
+
+    def test_rational_inputs_of_every_type(self):
+        # ints, Fractions, floats (their exact binary value) and numpy ints
+        expected = solve_equality_lp([[F(1, 2), 1]], [F(3, 4)], [1, 0])
+        assert expected == ("optimal", [F(3, 2), 0], F(3, 2))
+        assert solve_equality_lp([[0.5, np.int64(1)]], [0.75], [np.int64(1), 0]) == expected
+
+    def test_certificates_of_the_generated_interior_graphons(self):
+        for q in (3, 8, 16, 24, 32):
+            for seed in range(2 if q < 24 else 1):
+                w = interior_graphon(q, seed).graphon
+                z, x = incidence(skeleton(w)), concentration(w.partition)
+                cert = positive_certificate(z, x)
+                assert cert.status is Membership.INTERIOR
+                assert (cert.status, cert.coefficients, cert.margin) == reference_certificate(z, x)
+
+    def test_certificates_on_random_graphon_skeletons(self):
+        rng = np.random.default_rng(18)
+        seen = dict.fromkeys(Membership, 0)
+        for _ in range(200):
+            z = incidence(skeleton(random_graphon(rng, q_max=7)))
+            q = z.shape[0]
+            raw = rng.integers(0, 6, q)
+            raw[int(rng.integers(q))] += 1
+            x = tuple(F(int(v), int(raw.sum())) for v in raw)
+            cert, ref = positive_certificate(z, x), reference_certificate(z, x)
+            if cert.status is Membership.EXTERIOR:  # the flow's violator stands in for c
+                assert ref[0] is Membership.EXTERIOR
+            else:
+                assert (cert.status, cert.coefficients, cert.margin) == ref
+            seen[cert.status] += 1
+        assert min(seen.values()) >= 10, seen
 
 
 class TestPositiveCertificate:
