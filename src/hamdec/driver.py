@@ -53,7 +53,6 @@ from .construct import ConstructionError, HamDecomposition, build_balanced_matri
 from .model import (
     IncidenceMatrix,
     Partition,
-    SkeletonGraph,
     StepGraphon,
     concentration,
     connected_components,
@@ -220,10 +219,10 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class GraphonSkeleton:
-    """A graphon with its skeleton and the skeleton's incidence matrix."""
+    """A graphon with its skeleton's incidence matrix, which holds the
+    skeleton (`incidence.skeleton`)."""
 
     graphon: StepGraphon
-    skeleton: SkeletonGraph
     incidence: IncidenceMatrix
 
 
@@ -241,16 +240,14 @@ class Plan:
 @lru_cache(maxsize=16)
 def plan(w: StepGraphon) -> Plan:
     """The pipeline plan of a graphon, memoized per graphon value."""
-    s = skeleton(w)
-    base = GraphonSkeleton(w, s, incidence(s))
+    base = GraphonSkeleton(w, incidence(skeleton(w)))
     try:
         wn = ensure_loopless_odd_cycle(w)
     except ValueError as exc:  # no odd cycle, or a DisconnectedSkeletonError
         return Plan(base, None, str(exc))
     if wn is w:
         return Plan(base, base)
-    sn = skeleton(wn)
-    return Plan(base, GraphonSkeleton(wn, sn, incidence(sn)))
+    return Plan(base, GraphonSkeleton(wn, incidence(skeleton(wn))))
 
 
 @dataclass(frozen=True)
@@ -286,11 +283,11 @@ def run_pipeline(
     back in the outcome; anything else raises."""
     if attempts < 1:
         raise ValueError("attempts must be positive")
-    x = empirical_concentration(g, p.base.skeleton.node_count)
+    x = empirical_concentration(g, p.base.incidence.shape[0])
     base = cert = positive_certificate(p.base.incidence, x)
     if p.normalized is None:
         return PipelineOutcome(base, failure=f"cannot decompose: {p.reason}")
-    sn = p.normalized.skeleton
+    sn = p.normalized.incidence.skeleton
     try:
         if p.normalized is not p.base:
             if base.status is Membership.EXTERIOR:
@@ -345,7 +342,7 @@ def montecarlo(
 
     Each trial derives its own seed from (master_seed, trial index), so the
     report is reproducible and trials can run in parallel processes: at most
-    `jobs`, one per trial and one per CPU.
+    `jobs`, one per trial and one per CPU this process may run on.
     """
     if n < 1 or trials < 1:
         raise ValueError("n and trials must be positive")
@@ -354,7 +351,8 @@ def montecarlo(
     if attempts < 1:
         raise ValueError("attempts must be positive")
     args = [(w, n, master_seed, t, attempts) for t in range(trials)]
-    workers = min(jobs, trials, os.cpu_count() or 1)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(jobs, trials, cpus or 1)
     if workers > 1:
         # the pool starts all its workers at once
         with ProcessPoolExecutor(max_workers=workers) as pool:

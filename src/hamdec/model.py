@@ -6,7 +6,9 @@ concentration vector (block interval lengths), the skeleton graph (support
 pattern, with self-loops), and the incidence matrix whose columns generate
 the edge polytope.  `SkeletonGraph.supports` is the one test of whether a
 block pair is in the skeleton; one BFS 2-coloring of the pair edges gives
-both the connected components and the odd-cycle test.
+both the connected components and the odd-cycle test.  Z is laid out here
+alone: an `IncidenceMatrix` holds only its skeleton, and Z c and the
+integer rows of 2Z are read off the edge order, never stored.
 
 All breakpoint and block-value arithmetic is exact (`fractions.Fraction`):
 whether a vector sits on the boundary of a polytope is a measure-zero
@@ -163,21 +165,31 @@ class IncidenceMatrix:
     A loop column is the indicator of its node; a distinct-pair column puts
     1/2 on each endpoint.  `edge_order` fixes the column index set: entry
     (i, i) denotes the loop at i, entry (i, j) with i < j the pair edge.
+    Only the skeleton is held: Z is read off the edge order, never stored.
     """
 
-    entries: tuple[tuple[Fraction, ...], ...]
-    edge_order: tuple[tuple[int, int], ...]
+    skeleton: SkeletonGraph
+
+    @property
+    def edge_order(self) -> tuple[tuple[int, int], ...]:
+        return edge_order(self.skeleton)
 
     @property
     def shape(self) -> tuple[int, int]:
-        return len(self.entries), len(self.edge_order)
-
-    def column(self, j: int) -> tuple[Fraction, ...]:
-        return tuple(row[j] for row in self.entries)
+        return self.skeleton.node_count, self.skeleton.edge_count
 
     def apply(self, c) -> tuple[Fraction, ...]:
         """Z c, exactly; c has one coefficient per column."""
-        return edge_sum(len(self.entries), self.edge_order, c)
+        return edge_sum(self.skeleton.node_count, self.edge_order, c)
+
+    def doubled_rows(self) -> list[list[int]]:
+        """The integer rows of 2Z: a loop puts 2 in its block's row, a pair
+        edge 1 in each end's row."""
+        rows = [[0] * self.shape[1] for _ in range(self.shape[0])]
+        for k, (i, j) in enumerate(self.edge_order):  # a loop takes both ones
+            rows[i][k] += 1
+            rows[j][k] += 1
+        return rows
 
 
 def edge_sum(q: int, order, c) -> tuple[Fraction, ...]:
@@ -198,9 +210,7 @@ def edge_sum(q: int, order, c) -> tuple[Fraction, ...]:
 
 def edge_order(s: SkeletonGraph) -> tuple[tuple[int, int], ...]:
     """Canonical edge index set: loops first, then pairs, lexicographic."""
-    loops = tuple([(i, i) for i in sorted(s.loops)])
-    pairs = tuple(sorted(s.edges))
-    return loops + pairs
+    return tuple([(i, i) for i in sorted(s.loops)] + sorted(s.edges))
 
 
 def concentration(partition: Partition) -> tuple[Fraction, ...]:
@@ -228,11 +238,7 @@ def saturate(graphon: StepGraphon) -> StepGraphon:
 
 
 def incidence(s: SkeletonGraph) -> IncidenceMatrix:
-    order = edge_order(s)
-    weight = (Fraction(0), Fraction(1, 2), Fraction(1))  # by the edge's ends at the node
-    rows = tuple([tuple([weight[(i == a) + (i == b)] for a, b in order])
-                  for i in range(s.node_count)])
-    return IncidenceMatrix(rows, order)
+    return IncidenceMatrix(s)
 
 
 def loopless(s: SkeletonGraph) -> SkeletonGraph:

@@ -17,10 +17,11 @@ exact-rational linear program measures the margin of the points inside:
     maximize t   subject to   Z c = x,  c >= t 1
 
 (sum(c) = 1 follows, as every column of Z sums to 1); t* > 0 is interior
-and t* = 0 boundary.  A dense two-phase primal simplex with Bland's rule
-solves it exactly on rows of Python ints, each over one denominator: they
-hold the rationals a `Fraction` tableau would, so the pivots and the
-certificate are the same, without `Fraction`'s per-entry normalization.
+and t* = 0 boundary.  Its rows are 2Z's, read off the skeleton's edge
+order (`IncidenceMatrix.doubled_rows`).  A dense two-phase primal simplex
+with Bland's rule solves it exactly on rows of Python ints, each over one
+denominator: they hold the rationals a `Fraction` tableau would, so the
+pivots and the certificate are the same, without `Fraction`'s gcds.
 """
 
 from __future__ import annotations
@@ -32,9 +33,6 @@ from fractions import Fraction
 
 from .flow import MaxFlow
 from .model import IncidenceMatrix, SkeletonGraph, edge_order
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 class Membership(str, enum.Enum):
@@ -189,7 +187,7 @@ def solve_equality_lp(a_rows, b, objective):
     if not _run_simplex(rows2, basis2, n):
         return "unbounded", None, None
 
-    v = [ZERO] * n
+    v = [Fraction(0)] * n
     m2 = len(rows2) - 1
     for r in range(m2):
         v[basis2[r]] = Fraction(rows2[r][-2], rows2[r][-1])
@@ -204,10 +202,11 @@ def positive_certificate(z: IncidenceMatrix, x) -> MembershipCertificate:
     """Classify x against the convex hull of the columns of z.
 
     The Hall flow on the counts D x (D the least common denominator of x)
-    over the skeleton of z's edge order decides whether x is exterior.
-    Inside, the simplex solves max t s.t. Z c = x, c >= t, put in standard
-    form by c_j = s_j + t with s >= 0 and t = tp - tm.  An x of the wrong
-    length, with a negative entry or not summing to 1 raises ValueError.
+    over z's skeleton decides whether x is exterior.  Inside, the simplex
+    solves max t s.t. 2Z c = 2x, c >= t (doubling every row keeps Bland's
+    pivot path), put in standard form by c_j = s_j + t with s >= 0 and
+    t = tp - tm.  An x of the wrong length, with a negative entry or not
+    summing to 1 raises ValueError.
     """
     q, nf = z.shape
     xs = tuple([Fraction(v) for v in x])  # from lists: see `model`
@@ -217,20 +216,18 @@ def positive_certificate(z: IncidenceMatrix, x) -> MembershipCertificate:
         raise ValueError("x must sum to exactly 1")
     if min(xs) < 0:
         raise ValueError("x must be nonnegative")
-    loops = {i for i, j in z.edge_order if i == j}
-    s = SkeletonGraph(q, loops, {(i, j) for i, j in z.edge_order if i != j})
     scale = math.lcm(*[v.denominator for v in xs])
     counts = [int(v * scale) for v in xs]
-    a = hall_violator(s, counts)
+    a = hall_violator(z.skeleton, counts)
     if a is not None:
         reached = {k for e in z.edge_order for i, k in (e, e[::-1]) if i in a}
         if sum(counts[k] for k in reached) >= sum(counts[i] for i in a):
             raise RuntimeError(f"Hall set {sorted(a)} violates nothing on counts {counts}")
         return MembershipCertificate(violator=a)
 
-    rowsum = z.apply((ONE,) * nf)  # d = Z 1: 1 on a looped block, plus half its pair degree
-    a_rows = [list(row) + [d, -d] for row, d in zip(z.entries, rowsum)]
-    status, v, t = solve_equality_lp(a_rows, xs, [ZERO] * nf + [ONE, -ONE])
+    # t's columns are +-2Z 1: a block's pair degree, plus 2 if it is looped
+    a_rows = [row + [sum(row), -sum(row)] for row in z.doubled_rows()]
+    status, v, t = solve_equality_lp(a_rows, [2 * xi for xi in xs], [0] * nf + [1, -1])
     # the flow found some c >= 0, so t = min c >= 0 is feasible, and t <= 1/|F|
     if status != "optimal" or t < 0:
         raise RuntimeError(f"x is in the polytope, but the membership LP reads {status}, t* = {t}")
@@ -245,11 +242,7 @@ def extremal_generators(s: SkeletonGraph) -> tuple[int, ...]:
     """Column indices of the hull's extremal generators: all loops plus the
     pair edges not joining two looped nodes."""
     f2 = s.f2_edges
-    out = []
-    for idx, (a, b) in enumerate(edge_order(s)):
-        if a == b or (a, b) in f2:
-            out.append(idx)
-    return tuple(out)
+    return tuple([k for k, (a, b) in enumerate(edge_order(s)) if a == b or (a, b) in f2])
 
 
 def hall_violator(s: SkeletonGraph, counts) -> frozenset[int] | None:

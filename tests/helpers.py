@@ -10,7 +10,9 @@ matching traversal taken one edge at a time on adjacency lists.  `tally` is only
 shorthand: the balanced tally of an instance, with the certificate the
 pipeline would pass.  `lp_status` classifies a point by the membership LP
 alone, as the library did before its Hall flow decided exterior points:
-it is the reference the flow is checked against.
+it is the reference the flow is checked against.  `dense_rows` lays out
+the incidence matrix's entries from its edge order, independently of the
+library, which stores none.
 """
 
 from fractions import Fraction
@@ -269,6 +271,18 @@ def _two_color(q, edges):
     return color
 
 
+def dense_rows(z) -> list[list[Fraction]]:
+    """Z's rows as Fractions: a loop column is the indicator of its node,
+    a pair column puts 1/2 on each endpoint."""
+    rows = [[Fraction(0)] * len(z.edge_order) for _ in range(z.shape[0])]
+    for k, (a, b) in enumerate(z.edge_order):
+        if a == b:
+            rows[a][k] = Fraction(1)
+        else:
+            rows[a][k] = rows[b][k] = Fraction(1, 2)
+    return rows
+
+
 def random_interior_instance(rng, s: SkeletonGraph, n: int, tries: int = 50):
     """An interior point with denominator n, or None.
 
@@ -278,11 +292,12 @@ def random_interior_instance(rng, s: SkeletonGraph, n: int, tries: int = 50):
     """
     z = incidence(s)
     q, nf = z.shape
+    rows = dense_rows(z)
     for _ in range(tries):
         weights = [Fraction(int(rng.integers(5, 25))) for _ in range(nf)]
         total = sum(weights)
         coeffs = [wgt / total for wgt in weights]
-        x = [sum(z.entries[i][j] * coeffs[j] for j in range(nf)) for i in range(q)]
+        x = [sum(rows[i][j] * coeffs[j] for j in range(nf)) for i in range(q)]
         scaled = [v * n for v in x]
         counts = [int(v) for v in scaled]
         fracs = sorted(
@@ -389,8 +404,8 @@ def reference_certificate(z, x):
     max t s.t. Z c = x, c >= t on the dense rows of z, solved by the
     reference simplex: infeasible or t* < 0 is exterior, with neither
     coefficients nor margin."""
-    q, nf = z.shape
-    rows = [list(z.entries[i]) + [sum(z.entries[i]), -sum(z.entries[i])] for i in range(q)]
+    nf = z.shape[1]
+    rows = [row + [sum(row), -sum(row)] for row in dense_rows(z)]
     status, v, t = fraction_simplex(rows, x, [0] * nf + [1, -1])
     if status == "infeasible" or t < 0:
         return Membership.EXTERIOR, None, None

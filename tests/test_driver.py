@@ -238,13 +238,32 @@ class TestMonteCarlo:
                 return map(fn, *iterables)
 
         monkeypatch.setattr(hamdec.driver, "ProcessPoolExecutor", FakePool)
-        monkeypatch.setattr(hamdec.driver.os, "cpu_count", lambda: 4)
+
+        def four_cpus(pid):
+            return {0, 1, 2, 3}
+
+        monkeypatch.setattr(hamdec.driver.os, "sched_getaffinity", four_cpus, raising=False)
         serial = montecarlo(ER_HALF, 12, 3, 1)
         assert montecarlo(ER_HALF, 12, 3, 1, jobs=5000) == serial
         montecarlo(ER_HALF, 12, 10, 1, jobs=5000)
+        # without an affinity call, every CPU counts
+        monkeypatch.delattr(hamdec.driver.os, "sched_getaffinity")
+        monkeypatch.setattr(hamdec.driver.os, "cpu_count", lambda: 2)
+        montecarlo(ER_HALF, 12, 10, 1, jobs=8)
         monkeypatch.setattr(hamdec.driver.os, "cpu_count", lambda: None)
         montecarlo(ER_HALF, 12, 10, 1, jobs=8)
-        assert started == [3, 4]
+        assert started == [3, 4, 2]
+
+    def test_pool_is_bounded_by_the_usable_cpus(self, monkeypatch):
+        # a process pinned to one CPU of a larger host runs its trials serially
+        def no_pool(max_workers):
+            raise AssertionError(f"started a {max_workers}-worker pool")
+
+        monkeypatch.setattr(hamdec.driver, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(hamdec.driver.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(hamdec.driver.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        pinned = montecarlo(ER_HALF, 30, 4, 1, jobs=2)
+        assert pinned.to_csv() == montecarlo(ER_HALF, 30, 4, 1, jobs=1).to_csv()
 
 
 def _counting(monkeypatch, module, name):
@@ -311,7 +330,7 @@ class TestPipeline:
             assert out.failure == "tally construction failed: membership: x is exterior, not interior"
             # the refined vector is indeed exterior
             refined = assign_blocks(p.normalized.graphon, g.coords)
-            x = empirical_concentration(replace(g, blocks=refined), p.normalized.skeleton.node_count)
+            x = empirical_concentration(replace(g, blocks=refined), p.normalized.incidence.shape[0])
             status = hamdec.polytope.positive_certificate(p.normalized.incidence, x).status
             assert status is Membership.EXTERIOR
         assert len(lps) == 4 and lps_tally == [] and tallies == []

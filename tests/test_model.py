@@ -19,6 +19,7 @@ from hamdec.model import (
 
 from helpers import (
     closure_components,
+    dense_rows,
     exhaustive_has_odd_cycle,
     random_graphon,
     random_skeleton,
@@ -105,20 +106,22 @@ class TestSkeleton:
 class TestIncidence:
     def test_single_loop_column(self):
         z = incidence(SkeletonGraph(1, frozenset({0}), frozenset()))
-        assert z.entries == ((F(1),),)
+        assert dense_rows(z) == [[F(1)]] and z.doubled_rows() == [[2]]
 
     def test_single_edge_column(self):
         z = incidence(SkeletonGraph(2, frozenset(), frozenset({(0, 1)})))
-        assert z.entries == ((F(1, 2),), (F(1, 2),))
+        assert dense_rows(z) == [[F(1, 2)], [F(1, 2)]] and z.doubled_rows() == [[1], [1]]
 
     def test_triangle(self):
         z = incidence(TRIANGLE)
+        assert z.skeleton is TRIANGLE and z.shape == (3, 3)
         assert z.edge_order == ((0, 1), (0, 2), (1, 2))
-        assert z.entries == (
-            (F(1, 2), F(1, 2), F(0)),
-            (F(1, 2), F(0), F(1, 2)),
-            (F(0), F(1, 2), F(1, 2)),
-        )
+        assert dense_rows(z) == [
+            [F(1, 2), F(1, 2), F(0)],
+            [F(1, 2), F(0), F(1, 2)],
+            [F(0), F(1, 2), F(1, 2)],
+        ]
+        assert z.doubled_rows() == [[1, 1, 0], [1, 0, 1], [0, 1, 1]]
 
     def test_ordering_loops_first(self):
         s = SkeletonGraph(3, frozenset({2, 0}), frozenset({(1, 2), (0, 1)}))
@@ -129,20 +132,21 @@ class TestIncidence:
         for _ in range(100):
             s = skeleton(random_graphon(rng))
             z = incidence(s)
-            q, nf = z.shape
-            for j in range(nf):
-                assert sum(z.entries[i][j] for i in range(q)) == 1
+            rows = dense_rows(z)
+            assert z.doubled_rows() == [[2 * v for v in row] for row in rows]
+            for column in zip(*rows):
+                assert sum(column) == 1
 
     def test_apply_is_exact_product(self):
         rng = np.random.default_rng(17)
         for k in range(250):
             # isolated and loop-only blocks from every other skeleton
             z = incidence(random_skeleton(rng) if k % 2 else skeleton(random_graphon(rng)))
-            q, nf = z.shape
+            nf = z.shape[1]
             nums, dens = rng.integers(-9, 10, nf), rng.integers(1, 8, nf)
             c = [F(int(v), int(d)) for v, d in zip(nums, dens)]
             assert z.apply(c) == tuple(
-                sum((z.entries[i][j] * c[j] for j in range(nf)), F(0)) for i in range(q)
+                sum((a * cj for a, cj in zip(row, c)), F(0)) for row in dense_rows(z)
             )
         for wrong in ([F(1, 3)] * 2, [F(1, 3)] * 4):
             with pytest.raises(ValueError, match="coefficients for 3 edges"):
@@ -158,7 +162,7 @@ class TestIncidence:
                 continue
             z = incidence(s)
             expected = s.node_count if has_odd_cycle(s) else s.node_count - 1
-            assert rational_rank(z.entries) == expected
+            assert rational_rank(dense_rows(z)) == expected
             checked += 1
 
 

@@ -10,7 +10,6 @@ import pytest
 import hamdec.polytope
 from hamdec.driver import analyze
 from hamdec.model import (
-    IncidenceMatrix,
     SkeletonGraph,
     concentration,
     edge_order,
@@ -28,6 +27,7 @@ from hamdec.polytope import (
 )
 
 from helpers import (
+    dense_rows,
     fraction_simplex,
     lp_status,
     rational_rank,
@@ -237,6 +237,7 @@ class TestPositiveCertificate:
             q, nf = z.shape
             if nf == 0:
                 continue
+            rows = dense_rows(z)
             raw = [F(int(v)) for v in rng.integers(0, 8, size=q)]
             if sum(raw) == 0:
                 continue
@@ -247,7 +248,7 @@ class TestPositiveCertificate:
                 assert sum(c) == 1
                 assert min(c) == cert.margin
                 for i in range(q):
-                    assert sum(z.entries[i][j] * c[j] for j in range(nf)) == x[i]
+                    assert sum(rows[i][j] * c[j] for j in range(nf)) == x[i]
             checked += 1
 
     def test_grid_against_closed_form(self):
@@ -301,10 +302,10 @@ class TestExtremalGenerators:
         gens = extremal_generators(s)
         assert [order[g] for g in gens] == [(0, 0), (1, 1)]
         # the dropped edge column is the average of the two loop columns
-        z = incidence(s)
-        col_edge = z.column(order.index((0, 1)))
-        col_l0 = z.column(order.index((0, 0)))
-        col_l1 = z.column(order.index((1, 1)))
+        columns = list(zip(*dense_rows(incidence(s))))
+        col_edge = columns[order.index((0, 1))]
+        col_l0 = columns[order.index((0, 0))]
+        col_l1 = columns[order.index((1, 1))]
         assert all(e == (a + b) / 2 for e, a, b in zip(col_edge, col_l0, col_l1))
 
     def test_single_loop(self):
@@ -321,11 +322,9 @@ class TestExtremalGenerators:
             if z.shape[1] == 0:
                 continue
             gens = extremal_generators(s)
-            q = s.node_count
-            c = [F(1, z.shape[1])] * z.shape[1]
-            x = tuple(sum(z.entries[i][j] * c[j] for j in range(z.shape[1])) for i in range(q))
-            sub = tuple(tuple(z.entries[i][j] for j in gens) for i in range(q))
-            zsub = IncidenceMatrix(sub, tuple(z.edge_order[j] for j in gens))
+            x = z.apply([F(1, z.shape[1])] * z.shape[1])
+            zsub = incidence(SkeletonGraph(s.node_count, s.loops, s.f2_edges))
+            assert zsub.edge_order == tuple(z.edge_order[j] for j in gens)
             cert = positive_certificate(zsub, x)
             assert cert.status is not Membership.EXTERIOR
             checked += 1

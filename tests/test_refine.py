@@ -22,7 +22,7 @@ from hamdec.refine import (
     refine_once,
 )
 
-from helpers import random_graphon, random_split_instance
+from helpers import dense_rows, random_graphon, random_split_instance
 
 
 class TestRefineOnce:
@@ -102,20 +102,20 @@ class TestPushPull:
             t = lo + (hi - lo) * F(int(rng.integers(1, 8)), 8)
             rec = refine_once(w, b, t)
             pushed = push_certificate(cert.coefficients, rec)
-            zp = incidence(skeleton(rec.refined))
+            zp = dense_rows(incidence(skeleton(rec.refined)))
             xp = concentration(rec.refined.partition)
             nf = len(pushed)
             for i in range(rec.refined.q):
-                assert sum(zp.entries[i][j] * pushed[j] for j in range(nf)) == xp[i]
+                assert sum(zp[i][j] * pushed[j] for j in range(nf)) == xp[i]
             # positivity preserved for strictly positive input
             if all(v > 0 for v in cert.coefficients):
                 assert all(v > 0 for v in pushed)
             # pull back solves the original system (checked internally too)
             pulled = pull_certificate(pushed, rec)
-            z0 = incidence(s)
+            z0 = dense_rows(z)
             x0 = concentration(w.partition)
             for i in range(w.q):
-                assert sum(z0.entries[i][j] * pulled[j] for j in range(len(pulled))) == x0[i]
+                assert sum(z0[i][j] * pulled[j] for j in range(len(pulled))) == x0[i]
             done += 1
 
     def test_invalid_certificate_rejected(self):

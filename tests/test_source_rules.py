@@ -13,7 +13,10 @@ exterior verdict comes with its checked violator from one engine.
 
 A sampled graph is its packed bit matrix: `SampledGraph` holds n, the
 coordinates, the block labels and the matrix, and nothing else, so no edge
-array or cache can come back beside the matrix.
+array or cache can come back beside the matrix.  Likewise an incidence
+matrix is a view of its skeleton: `IncidenceMatrix` holds the skeleton and
+nothing else, and no package module reads an `.entries` attribute, so a
+dense copy of Z cannot come back beside the edge order it is read from.
 
 The package depends on numpy only.  Importing `scipy.sparse.csgraph` adds
 ~33 MB of resident memory and ~0.4 s of start-up, more than the pipeline
@@ -27,6 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
+from hamdec.model import IncidenceMatrix, SkeletonGraph, incidence
 from hamdec.sampling import SampledGraph
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "hamdec"
@@ -141,3 +145,21 @@ def test_sampled_graph_holds_only_the_matrix():
     g = SampledGraph.from_edges(3, np.zeros(3), np.zeros(3, dtype=int), [[0, 2], [1, 2]])
     g.adjacency(), g.edges, g.edge_count, g.pair_set(), g.neighbors(2), g.has_edges([0], [1])
     assert sorted(vars(g)) == sorted(SAMPLED_GRAPH_FIELDS)  # nothing cached on use
+
+
+def _attribute_reads(name: str) -> list[str]:
+    return [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+        if isinstance(node, ast.Attribute) and node.attr == name
+    ]
+
+
+def test_incidence_matrix_holds_only_its_skeleton():
+    assert [f.name for f in fields(IncidenceMatrix)] == ["skeleton"]
+    z = incidence(SkeletonGraph(3, {1}, {(0, 1), (1, 2)}))
+    z.edge_order, z.shape, z.apply([1, 1, 1]), z.doubled_rows()
+    assert list(vars(z)) == ["skeleton"]  # nothing cached on use
+    assert _attribute_reads("entries") == []
+    assert _attribute_reads("skeleton")  # the detection sees attribute reads
