@@ -11,6 +11,13 @@ The JSON holds, per q, the median wall time of a call over all its seeds
 and repeats, the per-seed medians, the reference's time for one call and
 the number of timed calls; with them the host, Python and numpy versions.  The
 package is imported from `src/` beside this directory.
+
+The raw medians follow the host's speed, which on a shared host drifts by
+up to ~1.9x within minutes, so they cannot compare two commits.  Each timed
+call therefore runs between `pipebench.yardstick.Yardstick.maybe()` calls,
+and `scaled_median_ms` is the median of the calls' `Yardstick.scale` times:
+what a call takes on a host where the yardstick takes its nominal time.
+Compare two commits by their scaled medians.
 """
 
 from __future__ import annotations
@@ -33,6 +40,7 @@ import hamdec.polytope  # noqa: E402
 from hamdec.model import concentration, incidence, skeleton  # noqa: E402
 from helpers import reference_certificate  # noqa: E402
 from pipebench.graphons import interior_graphon  # noqa: E402
+from pipebench.yardstick import NOMINAL_S, Yardstick  # noqa: E402
 
 QS = (8, 16, 24, 32)
 SEEDS = range(4)
@@ -46,9 +54,10 @@ def main() -> int:
     if args.repeats < 1:
         parser.error("--repeats must be positive")
 
+    yardstick = Yardstick()
     rows = []
     for q in QS:
-        times, per_seed, reference_ms, edges = [], [], [], []
+        spans, per_seed, reference_ms, edges = [], [], [], []  # spans: (t0, t1) per call
         for seed in SEEDS:
             w = interior_graphon(q, seed).graphon
             z, x = incidence(skeleton(w)), concentration(w.partition)
@@ -63,21 +72,31 @@ def main() -> int:
                 return 1
             runs = []
             for _ in range(args.repeats):
+                yardstick.maybe()
                 t0 = time.perf_counter()
                 hamdec.polytope.positive_certificate(z, x)
-                runs.append(1e3 * (time.perf_counter() - t0))
-            times += runs
+                t1 = time.perf_counter()
+                spans.append((t0, t1))
+                runs.append(1e3 * (t1 - t0))
             per_seed.append(round(statistics.median(runs), 3))
-        rows.append({
+        rows.append((q, edges, spans, per_seed, reference_ms))
+    yardstick.measure()  # one after the last call, so every call has one on each side
+    results = []
+    for q, edges, spans, per_seed, reference_ms in rows:
+        row = {
             "q": q,
             "edges": edges,
-            "median_ms": round(statistics.median(times), 3),
+            "median_ms": round(statistics.median(1e3 * (t1 - t0) for t0, t1 in spans), 3),
+            "scaled_median_ms": round(
+                statistics.median(1e3 * yardstick.scale(t0, t1) for t0, t1 in spans), 3),
             "seed_median_ms": per_seed,
             "reference_ms": [round(v, 1) for v in reference_ms],
-            "timed_calls": len(times),
-        })
-        print(f"q={q:2d}  median {rows[-1]['median_ms']:8.3f} ms  "
-              f"reference {statistics.median(reference_ms):8.1f} ms", flush=True)
+            "timed_calls": len(spans),
+        }
+        results.append(row)
+        print(f"q={row['q']:2d}  median {row['median_ms']:8.3f} ms  "
+              f"scaled {row['scaled_median_ms']:8.3f} ms  "
+              f"reference {statistics.median(row['reference_ms']):8.1f} ms", flush=True)
 
     report = {
         "benchmark": "membership",
@@ -91,8 +110,13 @@ def main() -> int:
         "numpy": np.__version__,
         "repeats": args.repeats,
         "seeds": list(SEEDS),
-        "timed_calls": sum(row["timed_calls"] for row in rows),
-        "results": rows,
+        "timed_calls": sum(row["timed_calls"] for row in results),
+        "yardstick": {
+            "nominal_ms": 1e3 * NOMINAL_S,
+            "runs": len(yardstick.durations),
+            "median_ms": round(1e3 * statistics.median(yardstick.durations), 3),
+        },
+        "results": results,
     }
     args.out.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
     print(f"wrote {args.out}")

@@ -92,6 +92,8 @@ class HamDecomposition:
     cycles: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        if self.n < 0:
+            raise ValueError(f"n must be nonnegative, got {self.n}")
         object.__setattr__(self, "cycles", tuple(tuple(int(v) for v in c) for c in self.cycles))
         seen = [False] * self.n
         for cycle in self.cycles:

@@ -12,16 +12,19 @@ N(A) being A's neighbourhood in the skeleton with a looped block its own
 neighbour (Gale's supply-demand theorem).  `hall_violator` finds a set
 breaking that inequality, or shows there is none, with one integer
 max-flow; a set it finds, checked in integers, certifies x exterior.  One
-exact-rational linear program measures the margin of the points inside:
+exact linear program measures the margin of the points inside:
 
     maximize t   subject to   Z c = x,  c >= t 1
 
 (sum(c) = 1 follows, as every column of Z sums to 1); t* > 0 is interior
-and t* = 0 boundary.  Its rows are 2Z's, read off the skeleton's edge
-order (`IncidenceMatrix.doubled_rows`).  A dense two-phase primal simplex
-with Bland's rule solves it exactly on rows of Python ints, each over one
-denominator: they hold the rationals a `Fraction` tableau would, so the
-pivots and the certificate are the same, without `Fraction`'s gcds.
+and t* = 0 boundary.  It is the only LP the package solves, and it reads
+the flow's integer counts D x (D the common denominator of x): its rows
+are 2Z's, read off the skeleton's edge order (`IncidenceMatrix.doubled_rows`),
+against the right-hand side 2 D x.  A dense two-phase primal simplex with
+Bland's rule solves it on rows of Python ints, each over one denominator:
+they hold the rationals a `Fraction` tableau would, so the pivots are the
+same, without `Fraction`'s gcds.  Scaling the rows by 2 and the right-hand
+side by D leaves every pivot choice unchanged; only v and t scale.
 """
 
 from __future__ import annotations
@@ -76,19 +79,11 @@ class MembershipCertificate:
 
 
 # ---------------------------------------------------------------------------
-# exact two-phase simplex, standard form: maximize c.v s.t. A v = b, v >= 0
+# exact two-phase simplex for the membership LP, standard form A v = b, v >= 0
 # ---------------------------------------------------------------------------
 # A row is a list of ints ending in a positive denominator: [a_0, ..., rhs,
 # den] reads a_j / den.  A pivot cross-multiplies two rows and divides out
 # their gcd (fraction-free pivoting: Edmonds 1967, Bareiss 1968).
-
-def _integer_row(values, sign=1):
-    """sign * values as ints over their least common denominator, appended."""
-    pairs = [(v if isinstance(v, (int, Fraction)) else Fraction(v)).as_integer_ratio()
-             for v in values]
-    den = math.lcm(*{d for _, d in pairs})
-    return [sign * p * (den // d) for p, d in pairs] + [den]
-
 
 def _reduced(row):
     g = math.gcd(*row)
@@ -121,8 +116,10 @@ def _pivot(tableau, basis, row, col):
 
 
 def _run_simplex(tableau, basis, ncols):
-    """Bland's rule iteration on a tableau whose last row is the objective
-    (stored negated, maximization); each row ends in its rhs and denominator."""
+    """Bland's rule iteration to the optimum on a tableau whose last row is
+    the objective (stored negated, maximization); each row ends in its rhs
+    and denominator.  An improving column with no positive entry raises:
+    neither phase of the membership LP is unbounded."""
     m = len(tableau) - 1
     while True:
         obj = tableau[m]
@@ -130,10 +127,10 @@ def _run_simplex(tableau, basis, ncols):
             if obj[col] < 0:
                 break
         else:
-            return True  # optimal
+            return
         rows = [r for r in range(m) if tableau[r][col] > 0]
         if not rows:
-            return False  # unbounded
+            raise RuntimeError(f"the membership LP is unbounded in column {col}")
         # the least ratio rhs / a, cross-multiplied; ties to the lowest-index basic variable
         row = rows[0]
         for r in rows[1:]:
@@ -143,29 +140,24 @@ def _run_simplex(tableau, basis, ncols):
         _pivot(tableau, basis, row, col)
 
 
-def solve_equality_lp(a_rows, b, objective):
-    """Maximize objective . v subject to a_rows v = b, v >= 0.
+def solve_equality_lp(rows):
+    """Maximize t = v[-2] - v[-1] subject to A v = b, v >= 0, exactly.
 
-    Returns (status, v, value) with status one of "optimal", "infeasible",
-    "unbounded".  All arithmetic is exact.
+    `rows` are the integer rows [*A_i, b_i] with b_i >= 0; returns (v, t)
+    as Fractions.  A v = b with no solution v >= 0 raises RuntimeError: the
+    Hall flow placed the point in the polytope, so the LP must be feasible.
     """
-    m = len(a_rows)
-    n = len(objective)
-    ncols = n + m
-    # phase 1: artificial variable per row, each row over the lcm of its
-    # denominators and flipped to a nonnegative rhs
-    tableau = []
-    for i in range(m):
-        row = _integer_row([*a_rows[i], b[i]], -1 if b[i] < 0 else 1)
-        row[n:n] = [0] * m
-        row[n + i] = row[-1]
-        tableau.append(row)
+    m, n = len(rows), len(rows[0]) - 1
+    # phase 1: one artificial variable per row, every row over denominator 1
+    tableau = [row[:n] + [int(k == i) for k in range(m)] + [row[n], 1]
+               for i, row in enumerate(rows)]
     # minimize sum of artificials == maximize -sum: -(column sums), 0 on the artificials
     basis = [n + i for i in range(m)]
     tableau.append(_priced([0] * n + [1] * m + [0, 1], tableau, basis))
-    _run_simplex(tableau, basis, ncols)
+    _run_simplex(tableau, basis, n + m)
     if tableau[m][-2] != 0:
-        return "infeasible", None, None
+        raise RuntimeError("the membership LP is infeasible, although the Hall flow "
+                           "placed the point in the polytope")
 
     # drive leftover artificials out of the basis; drop redundant rows
     keep = []
@@ -182,16 +174,14 @@ def solve_equality_lp(a_rows, b, objective):
     rows2 = [_reduced(tableau[r][:n] + tableau[r][-2:]) for r in keep]
     basis2 = [basis[r] for r in keep]
 
-    # phase 2: restore the real objective, reduced through the basis
-    rows2.append(_priced(_integer_row([*objective, 0], -1), rows2, basis2))
-    if not _run_simplex(rows2, basis2, n):
-        return "unbounded", None, None
+    # phase 2: maximize v[-2] - v[-1], stored negated and reduced through the basis
+    rows2.append(_priced([0] * (n - 2) + [-1, 1, 0, 1], rows2, basis2))
+    _run_simplex(rows2, basis2, n)
 
     v = [Fraction(0)] * n
-    m2 = len(rows2) - 1
-    for r in range(m2):
-        v[basis2[r]] = Fraction(rows2[r][-2], rows2[r][-1])
-    return "optimal", v, Fraction(rows2[m2][-2], rows2[m2][-1])
+    for r, bcol in enumerate(basis2):
+        v[bcol] = Fraction(rows2[r][-2], rows2[r][-1])
+    return v, Fraction(rows2[-1][-2], rows2[-1][-1])
 
 
 # ---------------------------------------------------------------------------
@@ -203,10 +193,10 @@ def positive_certificate(z: IncidenceMatrix, x) -> MembershipCertificate:
 
     The Hall flow on the counts D x (D the least common denominator of x)
     over z's skeleton decides whether x is exterior.  Inside, the simplex
-    solves max t s.t. 2Z c = 2x, c >= t (doubling every row keeps Bland's
-    pivot path), put in standard form by c_j = s_j + t with s >= 0 and
-    t = tp - tm.  An x of the wrong length, with a negative entry or not
-    summing to 1 raises ValueError.
+    solves max t s.t. 2Z c = 2 D x, c >= t on the same counts, put in
+    standard form by c_j = s_j + t with s >= 0 and t = tp - tm, and its
+    solution over D is the certificate.  An x of the wrong length, with a
+    negative entry or not summing to 1 raises ValueError.
     """
     q, nf = z.shape
     xs = tuple([Fraction(v) for v in x])  # from lists: see `model`
@@ -225,13 +215,15 @@ def positive_certificate(z: IncidenceMatrix, x) -> MembershipCertificate:
             raise RuntimeError(f"Hall set {sorted(a)} violates nothing on counts {counts}")
         return MembershipCertificate(violator=a)
 
-    # t's columns are +-2Z 1: a block's pair degree, plus 2 if it is looped
-    a_rows = [row + [sum(row), -sum(row)] for row in z.doubled_rows()]
-    status, v, t = solve_equality_lp(a_rows, [2 * xi for xi in xs], [0] * nf + [1, -1])
+    # t's columns are +-2Z 1 (a block's pair degree, plus 2 if it is looped)
+    # and the rhs 2 D x, so v and t are D times those of Z c = x
+    rows = [row + [sum(row), -sum(row), 2 * k] for row, k in zip(z.doubled_rows(), counts)]
+    v, t = solve_equality_lp(rows)
+    t /= scale
     # the flow found some c >= 0, so t = min c >= 0 is feasible, and t <= 1/|F|
-    if status != "optimal" or t < 0:
-        raise RuntimeError(f"x is in the polytope, but the membership LP reads {status}, t* = {t}")
-    coeffs = tuple([v[j] + t for j in range(nf)])
+    if t < 0:
+        raise RuntimeError(f"x is in the polytope, but the membership LP reads t* = {t}")
+    coeffs = tuple([v[j] / scale + t for j in range(nf)])
     # internal exactness checks, cheap at these sizes
     if z.apply(coeffs) != xs or sum(coeffs) != 1 or min(coeffs) != t:
         raise RuntimeError("membership certificate fails Z c = x, sum c = 1 or min c = t")

@@ -109,6 +109,8 @@ def oracle_exists(n: int, arcs) -> bool:
 
     Decided by a perfect matching between out-copies and in-copies.
     """
+    if n < 0:
+        raise ValueError(f"n must be nonnegative, got {n}")
     rows = [0] * n  # bit v of rows[u]: the arc (u, v)
     for u, v in arcs:
         u, v = int(u), int(v)

@@ -354,10 +354,11 @@ def _fraction_run(tableau, basis, ncols, pivots):
 
 
 def fraction_simplex(a_rows, b, objective, pivots=None):
-    """Reference `solve_equality_lp`: maximize objective . v subject to
-    a_rows v = b, v >= 0 by the two-phase Bland simplex on a Fraction
-    tableau.  Returns (status, v, value); `pivots`, if given, receives
-    each pivot's (row, col)."""
+    """Reference for the membership LP that `solve_equality_lp` solves:
+    maximize objective . v subject to a_rows v = b, v >= 0 by the
+    two-phase Bland simplex on a Fraction tableau, with rows as given
+    (`reference_rows`: Z's, against x itself).  Returns (status, v, value);
+    `pivots`, if given, receives each pivot's (row, col)."""
     pivots = [] if pivots is None else pivots
     m, n = len(a_rows), len(objective)
     ncols = n + m
@@ -399,14 +400,18 @@ def fraction_simplex(a_rows, b, objective, pivots=None):
     return "optimal", v, rows[-1][-1]
 
 
+def reference_rows(z) -> list[list[Fraction]]:
+    """The membership LP's rows on the dense Z: Z, then t's columns +-Z 1."""
+    return [row + [sum(row), -sum(row)] for row in dense_rows(z)]
+
+
 def reference_certificate(z, x):
     """(status, coefficients, margin) of x by the membership LP
     max t s.t. Z c = x, c >= t on the dense rows of z, solved by the
     reference simplex: infeasible or t* < 0 is exterior, with neither
     coefficients nor margin."""
     nf = z.shape[1]
-    rows = [row + [sum(row), -sum(row)] for row in dense_rows(z)]
-    status, v, t = fraction_simplex(rows, x, [0] * nf + [1, -1])
+    status, v, t = fraction_simplex(reference_rows(z), x, [0] * nf + [1, -1])
     if status == "infeasible" or t < 0:
         return Membership.EXTERIOR, None, None
     status = Membership.INTERIOR if t > 0 else Membership.BOUNDARY

@@ -412,6 +412,10 @@ class TestHamDecomposition:
         with pytest.raises(ValueError):
             HamDecomposition(3, [(0,), (1, 2)])
 
+    def test_negative_node_count_rejected(self):
+        with pytest.raises(ValueError, match="n must be nonnegative, got -3"):
+            HamDecomposition(-3, ())
+
     def test_successor_consistency(self):
         h = HamDecomposition(4, [(0, 2), (1, 3)])
         assert h.successor == (2, 3, 0, 1)

@@ -443,13 +443,12 @@ class TestWitnessFirstOracle:
         assert hk == []
 
     def test_lp_and_flow_disagreeing_raises_from_montecarlo(self, monkeypatch):
-        # an LP that finds no c >= 0 anywhere; the flow places trial 1's vector inside
+        # a flow that places every vector inside; the uneven bipartite one
+        # lies off Z's column space, so the real LP's phase 1 finds no c
         hk = _counting(monkeypatch, REALIZE_MODULE, "_has_perfect_matching")
-        monkeypatch.setattr(
-            hamdec.polytope, "solve_equality_lp", lambda a, b, objective: ("infeasible", None, None)
-        )
-        with pytest.raises(RuntimeError, match="in the polytope, but the membership LP reads infeasible"):
-            montecarlo(TRI_GRAPHON, 60, 4, 5)
+        monkeypatch.setattr(hamdec.polytope, "hall_violator", lambda s, counts: None)
+        with pytest.raises(RuntimeError, match="membership LP is infeasible"):
+            montecarlo(BIP_UNEVEN, 60, 4, 5)
         assert hk == []
 
     def test_decompose_prints_no_arc_off_the_sample(self, monkeypatch, tmp_path, capsys):

@@ -1,4 +1,3 @@
-import random
 import sys
 from fractions import Fraction as F
 from itertools import combinations
@@ -30,10 +29,10 @@ from helpers import (
     dense_rows,
     fraction_simplex,
     lp_status,
-    rational_rank,
     random_graphon,
     random_skeleton,
     reference_certificate,
+    reference_rows,
 )
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -45,23 +44,32 @@ from pipebench.graphons import interior_graphon  # noqa: E402
 TRIANGLE = SkeletonGraph(3, frozenset(), frozenset({(0, 1), (0, 2), (1, 2)}))
 
 
+def _lp_rows(s: SkeletonGraph, counts):
+    """The membership LP's integer rows for x = counts / sum(counts), as
+    `positive_certificate` poses them: 2Z, +-2Z 1 and the rhs 2 counts."""
+    return [row + [sum(row), -sum(row), 2 * k]
+            for row, k in zip(incidence(s).doubled_rows(), counts)]
+
+
 class TestSimplexCore:
     def test_basic_max(self):
-        # max v0 s.t. v0 + v1 = 1
-        status, v, val = solve_equality_lp([[1, 1]], [1], [1, 0])
-        assert status == "optimal" and val == 1 and v[0] == 1
+        # max v0 - v1 s.t. v0 + v1 = 1
+        assert solve_equality_lp([[1, 1, 1]]) == ([1, 0], 1)
 
     def test_infeasible(self):
-        status, _, _ = solve_equality_lp([[1, 0], [1, 0]], [1, 2], [0, 0])
-        assert status == "infeasible"
+        # an exterior point outside Z's column space: x_0 != x_1 on one pair edge
+        rows = _lp_rows(SkeletonGraph(2, frozenset(), frozenset({(0, 1)})), [3, 7])
+        with pytest.raises(RuntimeError, match="membership LP is infeasible"):
+            solve_equality_lp(rows)
 
     def test_unbounded(self):
-        status, _, _ = solve_equality_lp([[1, -1]], [0], [1, 0])
-        assert status == "unbounded"
+        # max v0 s.t. v1 - v0 = 0 with v1 basic: column 0 has no positive entry
+        tableau, basis = [[-1, 1, 0, 1], [-1, 0, 0, 1]], [1]
+        with pytest.raises(RuntimeError, match="unbounded in column 0"):
+            hamdec.polytope._run_simplex(tableau, basis, 2)
 
     def test_redundant_constraint(self):
-        status, v, val = solve_equality_lp([[1, 1], [2, 2]], [1, 2], [1, 0])
-        assert status == "optimal" and val == 1
+        assert solve_equality_lp([[1, 1, 1], [2, 2, 2]]) == ([1, 0], 1)
 
     def test_artificial_driven_out_of_the_basis(self, monkeypatch):
         # phase 1 ends with row 1's artificial basic at level zero; it is
@@ -74,74 +82,57 @@ class TestSimplexCore:
             real(tableau, basis, row, col)
 
         monkeypatch.setattr(hamdec.polytope, "_pivot", recording)
-        status, v, val = solve_equality_lp([[1, 1], [1, -1]], [0, 0], [1, 0])
-        assert (status, v, val) == ("optimal", [0, 0], 0)
+        assert solve_equality_lp([[1, 1, 0], [1, -1, 0]]) == ([0, 0], 0)
         assert pivots == [(0, 0), (1, 1)]
 
-    def test_negative_right_hand_side_row_flipped(self):
-        status, v, val = solve_equality_lp([[-1, -1]], [-2], [1, 0])
-        assert (status, v, val) == ("optimal", [2, 0], 2)
-
     def test_degenerate_no_cycling(self):
-        rows = [[1, 1, 1, 0], [1, 1, 0, 1]]
-        status, v, val = solve_equality_lp(rows, [1, 1], [1, 2, 0, 0])
-        assert status == "optimal" and val == 2
-
-
-def _random_lp(rng: random.Random, kind: int):
-    """A small LP of one of four kinds: 0 arbitrary (mostly infeasible or
-    unbounded), 1 feasible, 2 feasible with a redundant row, 3 feasible at
-    a point with zero entries (degenerate bases)."""
-    m, n = rng.randint(1, 6), rng.randint(1, 8)
-    a = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)]
-    if kind == 0:
-        b = [F(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(m)]
-    else:
-        point = [F(rng.randint(0, 4), rng.randint(1, 3)) for _ in range(n)]
-        if kind == 3:
-            point = [v if rng.random() < 0.3 else F(0) for v in point]
-        if kind == 2:
-            u, w = rng.randint(-2, 2), rng.randint(-2, 2)
-            a.append([u * x + w * y for x, y in zip(a[0], a[-1])])
-        b = [sum(x * v for x, v in zip(row, point)) for row in a]
-    objective = [F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)]
-    return a, b, objective
+        # the triangle's boundary point (1/2, 1/2, 0) on counts (1, 1, 0):
+        # a zero rhs, and c = (1, 0, 0) scaled by D = 2
+        assert solve_equality_lp(_lp_rows(TRIANGLE, [1, 1, 0])) == ([2, 0, 0, 0, 0], 0)
 
 
 class TestIntegerSimplex:
     """The integer-row simplex walks the Fraction tableau's pivots."""
 
     def test_same_answers_and_pivots_as_the_fraction_tableau(self, monkeypatch):
-        pivots = []
-        real = hamdec.polytope._pivot
+        # the membership LP on the counts 2 D x against the reference on the
+        # rows of Z and x: scaling rows and rhs by positive constants keeps
+        # every pivot, and v and t only scale
+        pivots, bases = [], []
+        real_pivot, real_run = hamdec.polytope._pivot, hamdec.polytope._run_simplex
 
         def recording(tableau, basis, row, col):
             pivots.append((row, col))
-            real(tableau, basis, row, col)
+            real_pivot(tableau, basis, row, col)
+
+        def running(tableau, basis, ncols):
+            real_run(tableau, basis, ncols)
+            bases.append(list(basis))  # the first is phase 1's last basis
 
         monkeypatch.setattr(hamdec.polytope, "_pivot", recording)
-        rng = random.Random(18)
-        seen = dict.fromkeys(("optimal", "infeasible", "unbounded", "redundant", "degenerate"), 0)
-        for k in range(1600):
-            a, b, objective = _random_lp(rng, k % 4)
-            pivots.clear()
-            expected_pivots = []
-            got = solve_equality_lp(a, b, objective)
-            assert got == fraction_simplex(a, b, objective, expected_pivots), (a, b, objective)
-            assert pivots == expected_pivots, (a, b, objective)
-            status, v, _ = got
-            seen[status] += 1
-            rank = rational_rank(a)
-            if status == "optimal":
-                seen["redundant"] += rank < len(a)
-                seen["degenerate"] += sum(x > 0 for x in v) < rank
-        assert min(seen.values()) >= 100, seen
-
-    def test_rational_inputs_of_every_type(self):
-        # ints, Fractions, floats (their exact binary value) and numpy ints
-        expected = solve_equality_lp([[F(1, 2), 1]], [F(3, 4)], [1, 0])
-        assert expected == ("optimal", [F(3, 2), 0], F(3, 2))
-        assert solve_equality_lp([[0.5, np.int64(1)]], [0.75], [np.int64(1), 0]) == expected
+        monkeypatch.setattr(hamdec.polytope, "_run_simplex", running)
+        rng = np.random.default_rng(18)
+        seen = dict.fromkeys((Membership.BOUNDARY, Membership.INTERIOR, "artificial left"), 0)
+        for k in range(800):
+            s = random_skeleton(rng, q_max=8) if k % 2 else skeleton(random_graphon(rng, 7))
+            q = s.node_count
+            raw = rng.integers(0, 7, q) * (rng.random(q) < 0.85)
+            if not raw.any():
+                raw[int(rng.integers(q))] = 1
+            x = tuple(F(int(v), int(raw.sum())) for v in raw)
+            z = incidence(s)
+            pivots.clear(), bases.clear()
+            cert = positive_certificate(z, x)
+            if cert.status is Membership.EXTERIOR:
+                assert pivots == bases == []
+                continue
+            nf, expected = z.shape[1], []
+            _, v, t = fraction_simplex(reference_rows(z), x, [0] * nf + [1, -1], expected)
+            assert pivots == expected, (s, x)
+            assert cert.coefficients == tuple(v[j] + t for j in range(nf)) and cert.margin == t
+            seen[cert.status] += 1
+            seen["artificial left"] += max(bases[0]) >= nf + 2
+        assert min(seen.values()) >= 10, seen
 
     def test_certificates_of_the_generated_interior_graphons(self):
         for q in (3, 8, 16, 24, 32):

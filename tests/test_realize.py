@@ -154,6 +154,10 @@ class TestOracle:
         with pytest.raises(ValueError):
             oracle_exists(2, [(0, 0)])
 
+    def test_negative_node_count_rejected(self):
+        with pytest.raises(ValueError, match="n must be nonnegative, got -2"):
+            oracle_exists(-2, [])
+
     def test_exhaustive_n3(self):
         arcs_all = [(u, v) for u in range(3) for v in range(3) if u != v]
         for r in range(len(arcs_all) + 1):

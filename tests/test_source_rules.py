@@ -9,7 +9,10 @@ Maximum bipartite matching has one front end on a sampled graph,
 `_kernels.hopcroft_karp`, so a second inline matching path cannot return.
 Likewise `polytope.positive_certificate` is the one caller of the Hall flow
 `polytope.hall_violator` (the package root only re-exports it), so every
-exterior verdict comes with its checked violator from one engine.
+exterior verdict comes with its checked violator from one engine; and the
+one caller of the simplex `polytope.solve_equality_lp`, so the package
+solves one LP, the membership LP on the flow's integer counts, and no
+general-LP front end can come back.
 
 A sampled graph is its packed bit matrix: `SampledGraph` holds n, the
 coordinates, the block labels and the matrix, and nothing else, so no edge
@@ -29,6 +32,7 @@ from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from hamdec.model import IncidenceMatrix, SkeletonGraph, incidence
 from hamdec.sampling import SampledGraph
@@ -79,9 +83,9 @@ MATCHING_CALLERS = {
 }
 
 
-HALL_FLOW_USERS = {
-    "__init__.<module>",
-    "polytope.positive_certificate",
+CERTIFICATE_ENGINE_USERS = {
+    "hall_violator": {"__init__.<module>", "polytope.positive_certificate"},
+    "solve_equality_lp": {"polytope.positive_certificate"},
 }
 
 
@@ -119,8 +123,9 @@ def test_only_the_matching_front_ends_run_hopcroft_karp():
     assert _package_users("hopcroft_karp") == MATCHING_CALLERS
 
 
-def test_only_positive_certificate_runs_the_hall_flow():
-    assert _package_users("hall_violator") == HALL_FLOW_USERS
+@pytest.mark.parametrize("name", sorted(CERTIFICATE_ENGINE_USERS))
+def test_only_positive_certificate_runs_the_hall_flow(name):
+    assert _package_users(name) == CERTIFICATE_ENGINE_USERS[name]
 
 
 def test_hopcroft_karp_user_detection():
