@@ -1,10 +1,19 @@
 """Integer maximum flow (Edmonds-Karp) on small networks.
 
-Two exact computations rest on it: `construct.matrix_round` routes the
-rounding deficits of a fractional matrix through its fractional cells, and
-`polytope.hall_violator` decides Hall's condition on a skeleton's double
-cover and reads a violating block set off a minimum cut.  Capacities are
-Python ints, so every flow value is exact.
+Two exact computations rest on it, and they ask different things of it:
+
+- `polytope.hall_violator` decides Hall's condition on a skeleton's double
+  cover and reads a violating block set off a minimum cut.  It needs only
+  the flow value and the residual reachability, which every maximum flow
+  shares, so it seeds the network with a greedy flow (`push`) and lets
+  `run` augment the remainder.
+- `construct.matrix_round` routes the rounding deficits of a fractional
+  matrix through its fractional cells and reads *which* cells carry flow.
+  Another maximum flow rounds other cells, so it must not seed: it runs the
+  plain shortest-augmenting-path order from the zero flow, which fixes
+  the tally and every output byte downstream of it.
+
+Capacities are Python ints, so every flow value is exact.
 """
 
 from __future__ import annotations
@@ -47,8 +56,9 @@ class MaxFlow:
         return parent
 
     def run(self, src: int, dst: int) -> int:
-        """Push a maximum flow from src to dst along shortest augmenting
-        paths; returns its value."""
+        """Augment the present flow (zero, unless seeded by `push`) to a
+        maximum one from src to dst along shortest augmenting paths; returns
+        the value added."""
         flow = 0
         while True:
             parent = self._bfs(src)
@@ -60,10 +70,15 @@ class MaxFlow:
                 path.append(parent[v])
                 v = self.to[parent[v] ^ 1]
             aug = min(self.cap[ei] for ei in path)
-            for ei in path:
-                self.cap[ei] -= aug
-                self.cap[ei ^ 1] += aug
+            self.push(path, aug)
             flow += aug
+
+    def push(self, path, amount: int) -> None:
+        """Send `amount` along the arcs `path` (indices from `add`); the
+        caller keeps it within every arc's residual capacity."""
+        for ei in path:
+            self.cap[ei] -= amount
+            self.cap[ei ^ 1] += amount
 
     def source_side(self, src: int) -> list[bool]:
         """The nodes reachable from src in the residual network.

@@ -200,12 +200,19 @@ def edge_sum(q: int, order, c) -> tuple[Fraction, ...]:
     if len(c) != len(order):
         raise ValueError(f"{len(c)} coefficients for {len(order)} edges")
     lcm = math.lcm(*[v.denominator for v in c])
-    sums = [0] * q
-    for (i, j), v in zip(order, c):  # a loop takes both halves
-        half = v.numerator * (lcm // v.denominator)
-        sums[i] += half
-        sums[j] += half
+    sums = doubled_edge_sum(q, order, [v.numerator * (lcm // v.denominator) for v in c])
     return tuple([Fraction(t, 2 * lcm) for t in sums])
+
+
+def doubled_edge_sum(q: int, order, c) -> list[int]:
+    """2Z c for integer c on q blocks with edge order `order`: a loop adds
+    twice its coefficient to its block, a pair edge its coefficient to each
+    end."""
+    sums = [0] * q
+    for (i, j), v in zip(order, c):  # a loop takes both
+        sums[i] += v
+        sums[j] += v
+    return sums
 
 
 def edge_order(s: SkeletonGraph) -> tuple[tuple[int, int], ...]:

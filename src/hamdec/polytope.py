@@ -11,8 +11,12 @@ x lies in the polytope exactly when x(N(A)) >= x(A) for every block set A,
 N(A) being A's neighbourhood in the skeleton with a looped block its own
 neighbour (Gale's supply-demand theorem).  `hall_violator` finds a set
 breaking that inequality, or shows there is none, with one integer
-max-flow; a set it finds, checked in integers, certifies x exterior.  One
-exact linear program measures the margin of the points inside:
+max-flow; a set it finds, checked in integers, certifies x exterior.  The
+flow starts from a greedy one along the skeleton's edge order and
+augments only the remainder; the set it returns, the source side of the
+inclusion-minimal minimum cut, is the same for every maximum flow, so the
+seed changes the work and never the answer.  One exact linear program
+measures the margin of the points inside:
 
     maximize t   subject to   Z c = x,  c >= t 1
 
@@ -23,8 +27,12 @@ are 2Z's, read off the skeleton's edge order (`IncidenceMatrix.doubled_rows`),
 against the right-hand side 2 D x.  A dense two-phase primal simplex with
 Bland's rule solves it on rows of Python ints, each over one denominator:
 they hold the rationals a `Fraction` tableau would, so the pivots are the
-same, without `Fraction`'s gcds.  Scaling the rows by 2 and the right-hand
-side by D leaves every pivot choice unchanged; only v and t scale.
+same, without `Fraction`'s gcds.  A pivot touches a row only at the pivot
+row's nonzero columns, and scales it only when the pivot row's denominator
+does not divide the entry being cleared.  Scaling the rows by 2 and the
+right-hand side by D leaves every pivot choice unchanged; only v and t
+scale.  The certificate is checked in integers, over one denominator of v
+and t, before its `Fraction`s are built.
 """
 
 from __future__ import annotations
@@ -33,9 +41,12 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
+
+import numpy as np
 
 from .flow import MaxFlow
-from .model import IncidenceMatrix, SkeletonGraph, edge_order
+from .model import IncidenceMatrix, SkeletonGraph, doubled_edge_sum, edge_order
 
 
 class Membership(str, enum.Enum):
@@ -83,35 +94,52 @@ class MembershipCertificate:
 # ---------------------------------------------------------------------------
 # A row is a list of ints ending in a positive denominator: [a_0, ..., rhs,
 # den] reads a_j / den.  A pivot cross-multiplies two rows and divides out
-# their gcd (fraction-free pivoting: Edmonds 1967, Bareiss 1968).
+# their gcd (fraction-free pivoting: Edmonds 1967, Bareiss 1968).  A row
+# need not be in lowest terms: a sign test reads a numerator over a positive
+# denominator, and the ratio rhs / a within a row is the same at any scale.
 
 def _reduced(row):
     g = math.gcd(*row)
     return [a // g for a in row] if g > 1 else row
 
 
-def _eliminate(row, prow, col):
-    """row - row[col] * prow, for a pivot row prow that reads 1 at col."""
+def _support(prow):
+    """The (column, entry) pairs of a pivot row's nonzero entries, its
+    denominator left out."""
+    return [(k, prow[k]) for k in compress(range(len(prow) - 1), prow)]
+
+
+def _eliminate(row, prow, col, support):
+    """row - row[col] * prow, for a pivot row prow that reads 1 at col and
+    has the nonzero entries `support`.  With g = gcd(prow's denominator pd,
+    row[col]), every entry of row is scaled by pd / g and only the support's
+    entries change; where g = pd (most pivots have pd = 1) nothing is
+    scaled and no gcd of the row is taken."""
     pd, f = prow[-1], row[col]
-    out = [a * pd - f * p if p else a * pd for a, p in zip(row, prow)]
-    out[-1] = row[-1] * pd
-    return _reduced(out)
+    g = math.gcd(pd, f)
+    f //= g
+    out = row[:] if g == pd else [a * (pd // g) for a in row]
+    for k, p in support:
+        out[k] -= f * p
+    return out if g == pd else _reduced(out)
 
 
 def _priced(cost, rows, basis):
     """The cost row reduced through the basis: zero on every basic column."""
     for r, bcol in enumerate(basis):
         if cost[bcol]:
-            cost = _eliminate(cost, rows[r], bcol)
+            cost = _eliminate(cost, rows[r], bcol, _support(rows[r]))
     return cost
 
 
 def _pivot(tableau, basis, row, col):
-    piv = tableau[row][col]  # the row over its pivot: the denominator cancels
-    tableau[row] = prow = _reduced([a if piv > 0 else -a for a in tableau[row][:-1]] + [abs(piv)])
+    old = tableau[row]
+    piv = old[col]  # the row over its pivot: the denominator cancels
+    tableau[row] = prow = _reduced(old[:-1] + [piv] if piv > 0 else [-a for a in old[:-1]] + [-piv])
+    support = _support(prow)
     for r, other in enumerate(tableau):
         if r != row and other[col]:
-            tableau[r] = _eliminate(other, prow, col)
+            tableau[r] = _eliminate(other, prow, col, support)
     basis[row] = col
 
 
@@ -188,6 +216,16 @@ def solve_equality_lp(rows):
 # membership certificates
 # ---------------------------------------------------------------------------
 
+def _refuse_bools(values, what: str) -> list:
+    """values as a list; a bool entry raises TypeError, as in
+    `model._as_fraction`: True is no count and no proportion."""
+    values = list(values)
+    for v in values:
+        if isinstance(v, (bool, np.bool_)):
+            raise TypeError(f"cannot interpret {v!r} as {what}")
+    return values
+
+
 def positive_certificate(z: IncidenceMatrix, x) -> MembershipCertificate:
     """Classify x against the convex hull of the columns of z.
 
@@ -196,9 +234,11 @@ def positive_certificate(z: IncidenceMatrix, x) -> MembershipCertificate:
     solves max t s.t. 2Z c = 2 D x, c >= t on the same counts, put in
     standard form by c_j = s_j + t with s >= 0 and t = tp - tm, and its
     solution over D is the certificate.  An x of the wrong length, with a
-    negative entry or not summing to 1 raises ValueError.
+    negative entry or not summing to 1 raises ValueError; a bool entry
+    raises TypeError.
     """
     q, nf = z.shape
+    x = _refuse_bools(x, "an exact rational")
     xs = tuple([Fraction(v) for v in x])  # from lists: see `model`
     if len(xs) != q:
         raise ValueError(f"x has {len(xs)} entries, incidence matrix has {q} rows")
@@ -219,15 +259,20 @@ def positive_certificate(z: IncidenceMatrix, x) -> MembershipCertificate:
     # and the rhs 2 D x, so v and t are D times those of Z c = x
     rows = [row + [sum(row), -sum(row), 2 * k] for row, k in zip(z.doubled_rows(), counts)]
     v, t = solve_equality_lp(rows)
-    t /= scale
+    # c = (v + t) / D and the margin t / D over one denominator L D, L the
+    # lcm of v's and t's: their numerators are cn and tn
+    den = math.lcm(t.denominator, *[f.denominator for f in v])
+    tn = t.numerator * (den // t.denominator)
     # the flow found some c >= 0, so t = min c >= 0 is feasible, and t <= 1/|F|
-    if t < 0:
-        raise RuntimeError(f"x is in the polytope, but the membership LP reads t* = {t}")
-    coeffs = tuple([v[j] / scale + t for j in range(nf)])
-    # internal exactness checks, cheap at these sizes
-    if z.apply(coeffs) != xs or sum(coeffs) != 1 or min(coeffs) != t:
+    if tn < 0:
+        raise RuntimeError(f"x is in the polytope, but the membership LP reads t* = {t / scale}")
+    cn = [f.numerator * (den // f.denominator) + tn for f in v[:nf]]
+    # internal exactness checks, in integers: 2Z cn = 2 L counts, sum = L D, min = tn
+    if (doubled_edge_sum(q, z.edge_order, cn) != [2 * den * k for k in counts]
+            or sum(cn) != den * scale or min(cn) != tn):
         raise RuntimeError("membership certificate fails Z c = x, sum c = 1 or min c = t")
-    return MembershipCertificate(coeffs, t)
+    whole = den * scale
+    return MembershipCertificate(tuple([Fraction(c, whole) for c in cn]), Fraction(tn, whole))
 
 
 def extremal_generators(s: SkeletonGraph) -> tuple[int, ...]:
@@ -238,22 +283,33 @@ def extremal_generators(s: SkeletonGraph) -> tuple[int, ...]:
 
 
 def hall_violator(s: SkeletonGraph, counts) -> frozenset[int] | None:
-    """A block set A with counts(N(A)) < counts(A), or None if there is none.
+    """The inclusion-minimal block set A of largest deficiency
+    counts(A) - counts(N(A)) when that deficiency is positive, else None.
 
-    `counts` are nonnegative integers, one per block; N(A) is A's
-    neighbourhood in s, a looped block its own neighbour.  Such a set exists
-    exactly when counts / sum(counts) is exterior: a point of the polytope is
-    Z c = x with c >= 0; giving half of each pair edge's coefficient to
-    (i, j) and half to (j, i) makes a nonnegative matrix on s's support with
-    row and column sums x, and symmetrizing such a matrix gives c.  So one
-    integer max-flow on s's double cover decides it: source -> i with
-    capacity counts[i], i -> q+j uncapped when s supports (i, j), q+j -> sink
-    with capacity counts[j].  The flow saturates the source exactly when no
-    set violates; otherwise the blocks on a minimum cut's source side are
-    one (their neighbours' copies all lie on that side, and the cut is
-    smaller than the total).
+    `counts` are nonnegative integers, one per block (a bool raises
+    TypeError); N(A) is A's neighbourhood in s, a looped block its own
+    neighbour.  Such a set exists exactly when counts / sum(counts) is
+    exterior: a point of the polytope is Z c = x with c >= 0; giving half
+    of each pair edge's coefficient to (i, j) and half to (j, i) makes a
+    nonnegative matrix on s's support with row and column sums x, and
+    symmetrizing such a matrix gives c.  So one integer max-flow on s's
+    double cover decides it: source -> i with capacity counts[i], i -> q+j
+    uncapped when s supports (i, j), q+j -> sink with capacity counts[j].
+    The flow saturates the source exactly when no set violates.  Otherwise
+    the blocks reachable from the source in the residual network are the
+    blocks of the inclusion-minimal minimum cut's source side; a source
+    side holding the blocks A costs at least total - counts(A) +
+    counts(N(A)), and exactly that with the copies of N(A), so they are the
+    set above.
+
+    The flow starts from a greedy one: the arcs i -> q+j, walked in edge
+    order, each carry min(i's unused supply, j's unused demand), and
+    Edmonds-Karp augments only the remainder.  The set cannot change with
+    the starting flow: every maximum flow leaves the same nodes reachable
+    from the source in its residual network.
     """
     q = s.node_count
+    counts = _refuse_bools(counts, "an integer count")
     ints = [int(c) for c in counts]
     if len(ints) != q:
         raise ValueError(f"{len(ints)} counts for a skeleton on {q} blocks")
@@ -262,14 +318,19 @@ def hall_violator(s: SkeletonGraph, counts) -> frozenset[int] | None:
     counts, total = ints, sum(ints)
     src, dst = 2 * q, 2 * q + 1
     net = MaxFlow(2 * q + 2)
+    supply, demand = [], []
     for i in range(q):
-        net.add(src, i, counts[i])
-        net.add(q + i, dst, counts[i])
+        supply.append(net.add(src, i, counts[i]))
+        demand.append(net.add(q + i, dst, counts[i]))
+    seeded = 0
     for i, j in edge_order(s):  # uncapped: no arc carries more than the total
-        net.add(i, q + j, total)
-        if i != j:
-            net.add(j, q + i, total)
-    if net.run(src, dst) == total:
+        for a, b in ((i, j), (j, i)) if i != j else ((i, i),):
+            arc = net.add(a, q + b, total)
+            push = min(net.cap[supply[a]], net.cap[demand[b]])
+            if push:
+                net.push((supply[a], arc, demand[b]), push)
+                seeded += push
+    if seeded + net.run(src, dst) == total:
         return None
     side = net.source_side(src)
     return frozenset(i for i in range(q) if side[i])

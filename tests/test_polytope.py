@@ -210,6 +210,13 @@ class TestPositiveCertificate:
                 assert _violates(s, x, cert.violator)
         assert min(seen.values()) >= 20, seen
 
+    def test_bool_entries_rejected(self):
+        # True is no proportion, as in `model._as_fraction`
+        z = incidence(TRIANGLE)
+        for x in ([True, 0, 0], [np.True_, 0, 0], np.array([True, False, False])):
+            with pytest.raises(TypeError, match="exact rational"):
+                positive_certificate(z, x)
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             positive_certificate(incidence(TRIANGLE), (F(1, 2), F(1, 2)))
@@ -436,6 +443,33 @@ class TestHallViolator:
                 assert _violates(s, counts, a)
         assert 50 <= found <= 250
 
+    def test_the_inclusion_minimal_set_of_largest_deficiency(self):
+        # the greedy seed changes the maximum flow, never its residual source
+        # side: the set is the intersection of every block set of largest
+        # deficiency counts(A) - counts(N(A)), itself one of them
+        rng = np.random.default_rng(21)
+        exterior = 0
+        for k in range(600):
+            s = _random_bipartite(rng, q_max=6) if k % 3 == 0 else random_skeleton(rng, q_max=6)
+            q = s.node_count
+            counts = (rng.integers(0, 6, q) * (rng.random(q) < 0.8)).tolist()  # zero counts too
+            deficiency = {
+                frozenset(blocks): sum(counts[i] for i in blocks)
+                - sum(counts[j] for j in _neighbourhood(s, blocks))
+                for r in range(q + 1)
+                for blocks in combinations(range(q), r)
+            }
+            best = max(deficiency.values())  # the empty set's 0 at least
+            a = hall_violator(s, counts)
+            if best <= 0:
+                assert a is None, (s, counts)
+                continue
+            exterior += 1
+            minimal = frozenset.intersection(*[b for b, d in deficiency.items() if d == best])
+            assert deficiency[minimal] == best
+            assert a == minimal, (s, counts)
+        assert 150 <= exterior <= 500, exterior
+
     def test_triangle(self):
         assert hall_violator(TRIANGLE, [1, 1, 1]) is None
         assert hall_violator(TRIANGLE, [1, 1, 2]) is None  # boundary: x(N(2)) = x(2)
@@ -458,3 +492,9 @@ class TestHallViolator:
             with pytest.raises(ValueError, match="integers"):
                 hall_violator(TRIANGLE, counts)
         assert hall_violator(TRIANGLE, [F(1), 1.0, np.int64(3)]) == frozenset({2})
+
+    def test_bool_counts_rejected(self):
+        # read as ints, [True, True, False] would be the boundary counts [1, 1, 0]
+        for counts in ([True, True, False], [1, np.True_, 1], np.array([True, True, False])):
+            with pytest.raises(TypeError, match="integer count"):
+                hall_violator(TRIANGLE, counts)
