@@ -39,8 +39,12 @@ from __future__ import annotations
 
 import enum
 import math
+import multiprocessing.connection
+import numbers
 import os
+import threading
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from copy import copy
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -330,6 +334,73 @@ def run_trial(
     return TrialResult(trial, seed, oracle, out.interior, out.failure)
 
 
+def _exit_with_parent() -> None:
+    """Pool worker initializer: exit when the parent process ends, even by a
+    kill that leaves it no chance to shut the pool down."""
+    sentinel = multiprocessing.parent_process().sentinel
+
+    def watch():
+        multiprocessing.connection.wait([sentinel])
+        os._exit(0)
+
+    threading.Thread(target=watch, daemon=True).start()
+
+
+_pool: tuple[int, ProcessPoolExecutor] | None = None  # (workers, pool), kept across calls
+_pool_lock = threading.RLock()  # calls from several threads share the one pool
+
+
+def _drop_pool(pool: ProcessPoolExecutor | None = None, kill: bool = False) -> None:
+    """Shut the kept pool down and forget it; given `pool`, only if that is
+    the one kept.  With `kill`, its workers are killed first: a worker that
+    died idle may have held the task queue's read lock, and a clean
+    shutdown would wait forever on the others."""
+    global _pool
+    with _pool_lock:
+        if _pool is None or (pool is not None and pool is not _pool[1]):
+            return
+        kept = _pool[1]
+        _pool = None
+        if kill:
+            for p in kept._processes.values():
+                p.kill()
+        kept.shutdown()
+
+
+def _forget_pool() -> None:
+    # a forked child does not own its parent's workers, nor a lock that
+    # another of its parent's threads may have held at the fork
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.RLock()
+
+
+if hasattr(os, "register_at_fork"):  # without fork there is nothing to forget
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _worker_pool(workers: int) -> ProcessPoolExecutor:
+    """The process's pool of `workers` workers, started at first use and kept
+    until the count changes or a worker is gone."""
+    global _pool
+    with _pool_lock:
+        if _pool is not None:
+            kept, pool = _pool
+            # a worker killed while the pool sat idle shows in the executor's
+            # own record of its workers: a ready sentinel, or the pool marked
+            # broken
+            sentinels = [p.sentinel for p in pool._processes.values()]
+            damaged = bool(multiprocessing.connection.wait(sentinels, 0)) or bool(pool._broken)
+            if damaged or kept != workers:
+                _drop_pool(kill=damaged)
+        if _pool is None:
+            _pool = (workers, ProcessPoolExecutor(max_workers=workers, initializer=_exit_with_parent))
+        return _pool[1]
+
+
+def _positive(k) -> bool:
+    return isinstance(k, numbers.Integral) and not isinstance(k, bool) and k >= 1
+
+
 def montecarlo(
     w: StepGraphon,
     n: int,
@@ -342,22 +413,29 @@ def montecarlo(
 
     Each trial derives its own seed from (master_seed, trial index), so the
     report is reproducible and trials can run in parallel processes: at most
-    `jobs`, one per trial and one per CPU this process may run on.
+    `jobs`, one per trial and one per CPU this process may run on.  The
+    worker pool lives as long as the process and serves every later call
+    with the same worker count; its workers exit when the process exits or
+    is killed.  Workers keep the package state they were forked with, so a
+    monkeypatch made after the first pooled call does not reach them.
     """
-    if n < 1 or trials < 1:
+    if not (_positive(n) and _positive(trials)):
         raise ValueError("n and trials must be positive")
-    if jobs < 1:
+    if not _positive(jobs):
         raise ValueError("jobs must be positive")
-    if attempts < 1:
+    if not _positive(attempts):
         raise ValueError("attempts must be positive")
     args = [(w, n, master_seed, t, attempts) for t in range(trials)]
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     workers = min(jobs, trials, cpus or 1)
     if workers > 1:
-        # the pool starts all its workers at once
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunk = max(1, trials // (4 * workers))
+        pool = _worker_pool(workers)
+        chunk = max(1, trials // (4 * workers))
+        try:
             rows = list(pool.map(run_trial, *zip(*args), chunksize=chunk))
+        except BrokenProcessPool:  # a worker died during the call
+            _drop_pool(pool, kill=True)
+            raise
     else:
         rows = [run_trial(*a) for a in args]
     return MonteCarloReport(n, master_seed, tuple(rows))

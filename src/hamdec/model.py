@@ -231,15 +231,16 @@ def skeleton(graphon: StepGraphon) -> SkeletonGraph:
     (i, j) iff the off-diagonal block is."""
     q = graphon.q
     vals = graphon.values
-    loops = frozenset(i for i in range(q) if vals[i][i] > 0)
-    edges = frozenset((i, j) for i in range(q) for j in range(i + 1, q) if vals[i][j] > 0)
+    # values are Fractions in [0, 1] (`StepGraphon` checks), so truth is sign
+    loops = frozenset(i for i in range(q) if vals[i][i])
+    edges = frozenset((i, j) for i in range(q) for j in range(i + 1, q) if vals[i][j])
     return SkeletonGraph(q, loops, edges)
 
 
 def saturate(graphon: StepGraphon) -> StepGraphon:
     """Binary step-graphon with the same support."""
     vals = tuple(
-        tuple(Fraction(1) if v > 0 else Fraction(0) for v in row) for row in graphon.values
+        tuple(Fraction(1) if v else Fraction(0) for v in row) for row in graphon.values
     )
     return StepGraphon(graphon.partition, vals)
 

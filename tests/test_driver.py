@@ -1,7 +1,16 @@
 import importlib
 import json
+import multiprocessing.connection
+import os
+import signal
+import subprocess
+import sys
+import threading
+import time
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -42,6 +51,14 @@ TRI_EXTERIOR = step_graphon(
 LOOP_EXTERIOR = step_graphon([0, F(1, 4), 1], [[F(1, 2), F(1, 2)], [F(1, 2), 0]])
 
 REALIZE_MODULE = importlib.import_module("hamdec.realize")  # `hamdec.realize` is the function
+
+
+@pytest.fixture
+def no_kept_pool():
+    """No worker pool is kept before or after the test."""
+    hamdec.driver._drop_pool()
+    yield
+    hamdec.driver._drop_pool()
 
 
 def _above_x(real):
@@ -221,21 +238,20 @@ class TestMonteCarlo:
         assert rows[2].failure.startswith("tally construction failed: ")
         assert not rows[0].constructive and not rows[2].constructive
 
-    def test_pool_is_bounded_by_trials_and_cpus(self, monkeypatch):
+    def test_pool_is_bounded_by_trials_and_cpus(self, monkeypatch, no_kept_pool):
         started = []
 
         class FakePool:  # runs in this process, records the pool size
-            def __init__(self, max_workers):
+            _processes, _broken = {}, False  # no worker to lose
+
+            def __init__(self, max_workers, initializer=None):
                 started.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
 
             def map(self, fn, *iterables, chunksize=1):
                 return map(fn, *iterables)
+
+            def shutdown(self):
+                pass
 
         monkeypatch.setattr(hamdec.driver, "ProcessPoolExecutor", FakePool)
 
@@ -264,6 +280,179 @@ class TestMonteCarlo:
         monkeypatch.setattr(hamdec.driver.os, "sched_getaffinity", lambda pid: {0}, raising=False)
         pinned = montecarlo(ER_HALF, 30, 4, 1, jobs=2)
         assert pinned.to_csv() == montecarlo(ER_HALF, 30, 4, 1, jobs=1).to_csv()
+
+
+def _two_cpus(monkeypatch):
+    monkeypatch.setattr(hamdec.driver.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
+def _state(pid):
+    """A process's state letter from /proc, or None once it is gone."""
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            return f.read().rsplit(")", 1)[1].split()[0]
+    except (FileNotFoundError, ProcessLookupError):  # gone before the open or the read
+        return None
+
+
+def _gone_within(pids, seconds=5.0):
+    """Poll until every pid has exited (gone, or a zombie nobody reaped yet)."""
+    deadline = time.monotonic() + seconds
+    while any(_state(p) not in (None, "Z") for p in pids):
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.02)
+    return True
+
+
+POOL_SCRIPT = """
+import multiprocessing, os, signal, sys, time
+from fractions import Fraction as F
+from hamdec.driver import montecarlo
+from hamdec.model import step_graphon
+os.sched_getaffinity = lambda pid: {0, 1}  # two workers on any host
+er = step_graphon([0, 1], [[F(1, 2)]])
+first = montecarlo(er, 30, 6, 31, jobs=2).to_csv()
+print(*[p.pid for p in multiprocessing.active_children()], flush=True)
+if sys.argv[1] == "wait":
+    time.sleep(60)
+elif sys.argv[1] == "fork":
+    child = os.fork()
+    if child == 0:
+        signal.alarm(20)  # a child stuck on its parent's pool ends anyway
+        os._exit(0 if montecarlo(er, 30, 6, 31, jobs=2).to_csv() == first else 1)
+    _, status = os.waitpid(child, 0)
+    sys.exit(os.waitstatus_to_exitcode(status))
+"""
+
+
+def _pool_script(mode):
+    """Start POOL_SCRIPT in a fresh interpreter; return the process and the
+    pids of its pool's workers."""
+    env = dict(os.environ, PYTHONPATH=str(Path(hamdec.__file__).parents[1]))
+    proc = subprocess.Popen([sys.executable, "-c", POOL_SCRIPT, mode], stdout=subprocess.PIPE, text=True, env=env)
+    return proc, [int(p) for p in proc.stdout.readline().split()]
+
+
+class TestWorkerPool:
+    """`montecarlo` keeps one worker pool per process across calls."""
+
+    def test_kept_pool_gives_the_serial_bytes(self, monkeypatch, no_kept_pool):
+        _two_cpus(monkeypatch)
+        er = montecarlo(ER_HALF, 30, 8, 31, jobs=1).to_csv()
+        bip = montecarlo(BIP_UNEVEN, 30, 8, 31, jobs=1).to_csv()
+        assert montecarlo(ER_HALF, 30, 8, 31, jobs=2).to_csv() == er
+        pool = hamdec.driver._pool
+        workers = {p.pid for p in multiprocessing.active_children()}
+        assert len(workers) == 2
+        assert montecarlo(ER_HALF, 30, 8, 31, jobs=2).to_csv() == er
+        assert montecarlo(BIP_UNEVEN, 30, 8, 31, jobs=2).to_csv() == bip
+        assert montecarlo(ER_HALF, 30, 8, 31, jobs=2).to_csv() == er
+        assert hamdec.driver._pool is pool
+        assert {p.pid for p in multiprocessing.active_children()} == workers
+
+    def test_changed_worker_count_replaces_the_pool(self, monkeypatch, no_kept_pool):
+        events = []
+
+        class Recording(ProcessPoolExecutor):
+            def __init__(self, max_workers, **kwargs):
+                events.append(("start", max_workers))
+                super().__init__(max_workers, **kwargs)
+
+            def shutdown(self, *args, **kwargs):
+                events.append(("shutdown", self._max_workers))
+                super().shutdown(*args, **kwargs)
+
+        monkeypatch.setattr(hamdec.driver, "ProcessPoolExecutor", Recording)
+        monkeypatch.setattr(hamdec.driver.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        serial = montecarlo(ER_HALF, 20, 6, 3).to_csv()
+        assert montecarlo(ER_HALF, 20, 6, 3, jobs=2).to_csv() == serial
+        assert montecarlo(ER_HALF, 20, 6, 3, jobs=2).to_csv() == serial
+        old = multiprocessing.active_children()
+        assert montecarlo(ER_HALF, 20, 6, 3, jobs=3).to_csv() == serial
+        assert events == [("start", 2), ("shutdown", 2), ("start", 3)]
+        assert len(old) == 2 and not any(p.is_alive() for p in old)
+
+    def test_worker_killed_while_idle_does_not_fail_the_next_call(self, monkeypatch, no_kept_pool):
+        _two_cpus(monkeypatch)
+        serial = montecarlo(ER_HALF, 30, 8, 31).to_csv()
+        assert montecarlo(ER_HALF, 30, 8, 31, jobs=2).to_csv() == serial
+        victim = multiprocessing.active_children()[0]
+        os.kill(victim.pid, signal.SIGKILL)
+        # dead once its end of the sentinel pipe is closed; not reaped here,
+        # as the pool's own thread may reap it
+        assert multiprocessing.connection.wait([victim.sentinel], 5)
+        assert montecarlo(ER_HALF, 30, 8, 31, jobs=2).to_csv() == serial
+        assert victim.pid not in {p.pid for p in multiprocessing.active_children()}
+
+    # from Python 3.12 the pool's first fork warns here: these threads are alive
+    @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
+    def test_threads_share_one_pool(self, monkeypatch, no_kept_pool):
+        # concurrent first calls start one pool between them, not one each
+        _two_cpus(monkeypatch)
+        serial = montecarlo(ER_HALF, 20, 4, 7).to_csv()
+        csvs = []
+
+        def call():
+            csvs.append(montecarlo(ER_HALF, 20, 4, 7, jobs=2).to_csv())
+
+        threads = [threading.Thread(target=call) for _ in range(6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert csvs == [serial] * len(threads)
+        assert len(multiprocessing.active_children()) == 2
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads process states from /proc")
+    @pytest.mark.parametrize("mode", ["exit", "wait"])
+    def test_no_worker_outlives_its_process(self, mode):
+        # "exit" returns normally; "wait" idles with its pool until killed
+        proc, workers = _pool_script(mode)
+        try:
+            assert len(workers) == 2
+            if mode == "wait":
+                assert all(_state(p) not in (None, "Z") for p in workers)  # kept while idle
+                proc.send_signal(signal.SIGKILL)
+            assert proc.wait(10) == (-signal.SIGKILL if mode == "wait" else 0)
+        finally:
+            proc.kill()
+            proc.stdout.close()
+        assert _gone_within(workers)
+
+    def test_forked_child_starts_its_own_pool(self):
+        # a child forked after a pooled call does not reuse its parent's workers
+        proc, workers = _pool_script("fork")
+        try:
+            assert len(workers) == 2 and proc.wait(30) == 0
+        finally:
+            proc.kill()
+            proc.stdout.close()
+
+    @pytest.mark.parametrize(
+        "n, trials, attempts, jobs, message",
+        [
+            (20, True, 3, 1, "n and trials"),
+            (20.0, 2, 3, 1, "n and trials"),
+            (20, 2, True, 1, "attempts"),
+            (20, 2, 2.5, 1, "attempts"),
+            (20, 2, 3, True, "jobs"),
+            (20, 2, 3, 1.5, "jobs"),
+        ],
+    )
+    def test_counts_must_be_integers(self, monkeypatch, n, trials, attempts, jobs, message):
+        def no_pool(max_workers, **kwargs):
+            raise AssertionError(f"started a {max_workers}-worker pool")
+
+        monkeypatch.setattr(hamdec.driver, "ProcessPoolExecutor", no_pool)
+        with pytest.raises(ValueError, match=message):
+            montecarlo(ER_HALF, n, trials, 1, attempts, jobs)
 
 
 def _counting(monkeypatch, module, name):

@@ -1,4 +1,6 @@
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +27,12 @@ from helpers import (
     random_skeleton,
     rational_rank,
 )
+
+ROOT = Path(__file__).resolve().parents[1]
+if str(ROOT) not in sys.path:
+    sys.path.insert(0, str(ROOT))
+
+from pipebench import workloads  # noqa: E402
 
 TRIANGLE = SkeletonGraph(3, frozenset(), frozenset({(0, 1), (0, 2), (1, 2)}))
 
@@ -88,6 +96,22 @@ class TestSkeleton:
         for _ in range(100):
             w = random_graphon(rng)
             assert skeleton(saturate(w)) == skeleton(w)
+
+    def test_truth_of_a_value_is_its_sign_on_the_benchmark_graphons(self):
+        # skeleton and saturate test each value's truth: the same as > 0 on
+        # the 204 distinct graphons the pipeline benchmark runs
+        graphons = {}
+        for name in workloads.WORKLOADS:
+            mc, groups = workloads.inputs(name, 1)
+            for it in mc + [it for g in groups for it in g]:
+                graphons[it.label] = it.graphon
+        assert len(graphons) == 204
+        for w in graphons.values():
+            vals, q = w.values, w.q
+            loops = frozenset(i for i in range(q) if vals[i][i] > 0)
+            edges = frozenset((i, j) for i in range(q) for j in range(i + 1, q) if vals[i][j] > 0)
+            assert skeleton(w) == SkeletonGraph(q, loops, edges)
+            assert saturate(w).values == tuple(tuple(F(int(v > 0)) for v in row) for row in vals)
 
     def test_symmetry_required(self):
         with pytest.raises(ValueError):
