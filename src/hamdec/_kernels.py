@@ -1,5 +1,5 @@
-"""Hot inner loops: maximum bipartite matching on rows of a packed bit
-matrix.
+"""The hot inner loop: maximum bipartite matching on row masks, Python ints
+whose bit v marks right node v, as `SampledGraph.row_masks` gives them.
 
 The exact-rational machinery (LP certificates, matrix rounding, partition
 refinement) is deliberately not here: it runs on ``fractions.Fraction``.
@@ -12,16 +12,6 @@ import numpy as np
 # There is no compiled path; the constant stays because benchmark reports
 # record it next to the library versions.
 NUMBA_ENABLED = False
-
-
-def row_masks(bits):
-    """The rows of a packed bit matrix (`np.packbits(..., bitorder="little")`
-    along axis 1) as Python ints: bit k of row r's int is column k."""
-    width = bits.shape[1]
-    if width == 0:
-        return [0] * bits.shape[0]
-    raw = np.ascontiguousarray(bits).tobytes()
-    return [int.from_bytes(raw[k:k + width], "little") for k in range(0, len(raw), width)]
 
 
 def _ones(x):

@@ -337,10 +337,12 @@ def run_trial(
 def _exit_with_parent() -> None:
     """Pool worker initializer: exit when the parent process ends, even by a
     kill that leaves it no chance to shut the pool down."""
-    sentinel = multiprocessing.parent_process().sentinel
+    parent = multiprocessing.parent_process()
 
     def watch():
-        multiprocessing.connection.wait([sentinel])
+        # a child the parent forked keeps the sentinel open: watch the parent's pid too
+        while os.getppid() == parent.pid and not multiprocessing.connection.wait([parent.sentinel], 1):
+            pass
         os._exit(0)
 
     threading.Thread(target=watch, daemon=True).start()

@@ -11,24 +11,22 @@ and matched across).  Bounded randomized retries stand in for the almost-sure
 existence arguments; exhausting them is a reported Failure, not an error.
 
 `max_bipartite_matching` is the one matching front end on a sampled graph:
-it restricts the graph's packed adjacency matrix to a left and a right
-node list and runs the word-parallel Hopcroft-Karp on the result's rows,
-once per 2-cycle group.
+it runs the word-parallel Hopcroft-Karp on the rows of a left node list
+over a right one (`SampledGraph.row_masks`), once per 2-cycle group.
 
 Also here: the exact existence oracle.  A Hamiltonian decomposition of a
 digraph is exactly a permutation supported on its arcs, so existence is a
 perfect matching question between out-copies and in-copies of the nodes;
-on a sampled graph, out-copy v's row is row v of the adjacency matrix.
-Two witnesses settle it without a matching.  A decomposition answers yes
-once every one of its arcs is found among the graph's edges.  A Hall set,
-nodes S with fewer than |S| neighbours, answers no: by Hall's theorem the
-out-copies of S cannot all be matched.  The Monte Carlo trial gets one
-from the blocks: an exterior empirical concentration vector's certificate
-is a block set A whose neighbour blocks hold fewer nodes than A does
-(Gale's theorem), and as sampled edges join only skeleton neighbours, the
-nodes of A's blocks form a Hall set.  The oracle
-verifies either witness on the graph itself and raises if it does not
-hold.
+on a sampled graph, out-copy v's row is v's row mask.  Two witnesses
+settle it without a matching.  A decomposition answers yes once every one
+of its arcs is found among the graph's edges.  A Hall set, nodes S with
+fewer than |S| neighbours, answers no: by Hall's theorem the out-copies of
+S cannot all be matched.  The Monte Carlo trial gets one from the blocks:
+an exterior empirical concentration vector's certificate is a block set A
+whose neighbour blocks hold fewer nodes than A does (Gale's theorem), and
+as sampled edges join only skeleton neighbours, the nodes of A's blocks
+form a Hall set.  The oracle verifies either witness on the graph itself
+and raises if it does not hold.
 """
 
 from __future__ import annotations
@@ -86,21 +84,11 @@ def max_bipartite_matching(g: SampledGraph, left, right) -> frozenset[tuple[int,
     """
     left = np.asarray(left, dtype=np.int64)
     right = np.asarray(right, dtype=np.int64)
-    nodes = np.concatenate([left, right])
-    if nodes.size and (nodes.min() < 0 or nodes.max() >= g.n):
-        raise ValueError("matching nodes must be nodes of the graph")
-    taken = np.zeros(g.n, dtype=bool)
-    taken[nodes] = True
-    if np.count_nonzero(taken) != nodes.size:
-        raise ValueError("left and right nodes must be distinct and disjoint")
-    # left node k's row over `right`: bit t is the edge to right[t]
-    block = np.unpackbits(g.adjacency()[left], axis=1, bitorder="little")[:, right]
-    rows = _kernels.row_masks(np.packbits(block, axis=1, bitorder="little"))
-    match_l, _ = _kernels.hopcroft_karp(rows, right.size)
     lnodes, rnodes = left.tolist(), right.tolist()
-    return frozenset(
-        (lnodes[u], rnodes[v]) for u, v in enumerate(match_l.tolist()) if v != -1
-    )
+    if not set(lnodes).isdisjoint(rnodes):
+        raise ValueError("left and right nodes must be disjoint")
+    match_l, _ = _kernels.hopcroft_karp(g.row_masks(left, right), right.size)
+    return frozenset((lnodes[u], rnodes[v]) for u, v in enumerate(match_l.tolist()) if v != -1)
 
 
 def oracle_exists(n: int, arcs) -> bool:
@@ -128,23 +116,22 @@ def graph_has_decomposition(
     """Existence oracle on the directed version of a sampled graph.
 
     Its arcs are both orientations of every edge.  Without a witness, a
-    perfect matching on the rows of g's adjacency matrix decides.  Two
-    witnesses answer without it:
+    perfect matching on g's row masks decides.  Two witnesses answer
+    without it:
 
       * a decomposition realized in g answers yes once each of its arcs
-        (v, successor(v)) is a set bit of g's adjacency matrix; one for
-        another n raises ValueError;
-      * an array of distinct nodes S answers no once the OR of their
-        rows of g's adjacency matrix shows |N(S)| < |S|: the out-copies
-        of S then have too few in-copies to match into, so Hall's
-        condition fails.
+        (v, successor(v)) is an edge of g; one for another n raises
+        ValueError;
+      * an array of distinct nodes S answers no once g shows |N(S)| < |S|:
+        the out-copies of S then have too few in-copies to match into, so
+        Hall's condition fails.
 
     A witness that does not verify is a broken invariant of its maker: an
     arc that is not an edge, or a node set with enough neighbours, raises
     RuntimeError and never falls back to the matching.
     """
     if witness is None:
-        return _has_perfect_matching(_kernels.row_masks(g.adjacency()), g.n)
+        return _has_perfect_matching(g.row_masks(), g.n)
     if not isinstance(witness, HamDecomposition):
         _check_hall_set(g, np.asarray(witness, dtype=np.int64))
         return False
@@ -160,14 +147,7 @@ def graph_has_decomposition(
 
 def _check_hall_set(g: SampledGraph, nodes: np.ndarray) -> None:
     """Raise unless the distinct nodes have fewer neighbours in g than members."""
-    inside = np.zeros(g.n, dtype=bool)
-    if nodes.size and (nodes.min() < 0 or nodes.max() >= g.n):
-        raise ValueError("a Hall set's nodes must be nodes of the graph")
-    inside[nodes] = True
-    if np.count_nonzero(inside) != nodes.size:
-        raise ValueError("a Hall set's nodes must be distinct")
-    reached = np.bitwise_or.reduce(g.adjacency()[inside], axis=0)
-    found = np.count_nonzero(np.unpackbits(reached))
+    found = g.neighbor_count(nodes)
     if found >= nodes.size:
         raise RuntimeError(
             f"Hall set of {nodes.size} nodes has {found} neighbours: it violates nothing"
@@ -262,9 +242,7 @@ def realize(
         for (i, j), c in groups.items():
             # a looped block (i == j) hands its next c nodes, then the c after
             lset, rset = list(islice(shuffled[i], c)), list(islice(shuffled[j], c))
-            # the set's iteration order is the order of the 2-cycles in the
-            # realized decomposition, which `decompose` prints; it is stable
-            # because PYTHONHASHSEED does not salt the hashes of int tuples
+            # its iteration order, stable (see its docstring), is the order `decompose` prints
             matched = max_bipartite_matching(g, lset, rset)
             if len(matched) < c:
                 diagnostics["last_failure"] = {"pair": (i, j), "needed": c, "matched": len(matched)}

@@ -21,8 +21,8 @@ A graph is stored as one packed bit matrix of n * ceil(n/8) bytes, which
 the sampler draws straight into.  Step-graphon samples are dense (m ~ p
 n^2 / 2 edges at edge density p), so this is ~64p times smaller than
 adjacency lists of 2m int64 entries: 12.5 MB against ~267 MB at
-triangle-1/2 (p = 1/3), n=10^4.  The matching, the existence oracle and the
-cycle embedding all read it; the edge list is a view derived from it.
+triangle-1/2 (p = 1/3), n=10^4.  Only `SampledGraph` reads its bytes: it
+gives the matching row masks and the Hall check a neighbour count.
 """
 
 from __future__ import annotations
@@ -116,6 +116,34 @@ class SampledGraph:
     def adjacency(self) -> np.ndarray:
         """The packed adjacency matrix `bits`: every reader goes through here."""
         return self.bits
+
+    def _node_array(self, nodes, what: str) -> np.ndarray:
+        """`nodes` as int64; one out of range or repeated raises ValueError."""
+        nodes = np.asarray(nodes, dtype=np.int64)
+        listed = nodes.tolist()  # on a few dozen nodes, Python's min, max and set beat numpy's
+        if listed and (min(listed) < 0 or max(listed) >= self.n):
+            raise ValueError(f"{what} must be nodes of the graph")
+        if len(set(listed)) != len(listed):
+            raise ValueError(f"{what} must be distinct")
+        return nodes
+
+    def row_masks(self, rows=None, cols=None) -> list[int]:
+        """The rows of the nodes `rows` (default: all, in order) as Python
+        ints: bit k is column k, or column `cols[k]` when `cols` is given.
+        A node out of range or repeated in either list raises ValueError."""
+        bits = self.adjacency()
+        if rows is not None:
+            bits = bits[self._node_array(rows, "rows")]
+        if cols is not None:
+            dense = np.unpackbits(bits, axis=1, bitorder="little")[:, self._node_array(cols, "columns")]
+            bits = np.packbits(dense, axis=1, bitorder="little")
+        width, raw = bits.shape[1], bits.tobytes()
+        return [int.from_bytes(raw[k * width:(k + 1) * width], "little") for k in range(len(bits))]
+
+    def neighbor_count(self, nodes) -> int:
+        """|N(nodes)|, for distinct nodes in range (else ValueError)."""
+        reached = np.bitwise_or.reduce(self.adjacency()[self._node_array(nodes, "nodes")], axis=0)
+        return int(np.count_nonzero(np.unpackbits(reached)))
 
     def _upper_bands(self):
         """(r0, band) for each band of rows from r0: the rows' upper-triangle

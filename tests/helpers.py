@@ -10,13 +10,15 @@ matching traversal taken one edge at a time on adjacency lists.  `tally` is only
 shorthand: the balanced tally of an instance, with the certificate the
 pipeline would pass.  `lp_status` classifies a point by the membership LP
 alone, as the library did before its Hall flow decided exterior points:
-it is the reference the flow is checked against.  `dense_rows` lays out
+it is the reference the flow is checked against; `hall_status` classifies
+it by enumerating Hall sets, with no LP and no flow, over the skeletons
+`connected_skeletons` lists.  `dense_rows` lays out
 the incidence matrix's entries from its edge order, independently of the
 library, which stores none.
 """
 
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 
 import numpy as np
 
@@ -269,6 +271,44 @@ def _two_color(q, edges):
                 elif color[v] == color[u]:
                     return None
     return color
+
+
+def connected_skeletons(q: int):
+    """Every connected labelled skeleton on q blocks, loops included."""
+    pairs = list(combinations(range(q), 2))
+    for picks in range(1 << len(pairs)):
+        edges = frozenset(p for k, p in enumerate(pairs) if picks >> k & 1)
+        reached = {0}
+        for _ in range(q):
+            reached |= {j for i, j in edges if i in reached} | {i for i, j in edges if j in reached}
+        if len(reached) == q:
+            for loops in range(1 << q):
+                yield SkeletonGraph(q, frozenset(i for i in range(q) if loops >> i & 1), edges)
+
+
+def hall_status(s: SkeletonGraph, counts) -> Membership:
+    """counts / sum(counts) against s's edge polytope, from Hall sets alone.
+
+    Exterior iff some block set A has counts(N(A)) < counts(A), N(A) holding
+    a looped block itself (Gale's theorem).  Otherwise interior iff every
+    count is positive and every tight A, counts(N(A)) = counts(A), is tight
+    at every column of Z, so that the point lies on no proper face;
+    boundary else.
+    """
+    q = s.node_count
+    # Z's columns over 2: 2 e_i for a loop, e_i + e_j for a pair edge
+    columns = [{i: 2} for i in s.loops] + [{i: 1, j: 1} for i, j in s.edges]
+    interior = min(counts) > 0
+    for picks in range(1, 1 << q):
+        a = [i for i in range(q) if picks >> i & 1]
+        na = [j for j in range(q) if any(s.supports(i, j) for i in a)]
+        slack = sum(counts[j] for j in na) - sum(counts[i] for i in a)
+        if slack < 0:
+            return Membership.EXTERIOR
+        on_face = any(sum(z.get(j, 0) for j in na) != sum(z.get(i, 0) for i in a) for z in columns)
+        if slack == 0 and on_face:
+            interior = False
+    return Membership.INTERIOR if interior else Membership.BOUNDARY
 
 
 def dense_rows(z) -> list[list[Fraction]]:

@@ -190,6 +190,7 @@ class TestWilson:
     def test_bounds(self):
         assert wilson_interval(0, 20)[0] == 0.0
         assert wilson_interval(20, 20)[1] == 1.0
+        assert wilson_interval(0, 0) == (0.0, 1.0)  # no trials: no information
 
 
 class TestMonteCarlo:
@@ -323,6 +324,13 @@ elif sys.argv[1] == "fork":
         os._exit(0 if montecarlo(er, 30, 6, 31, jobs=2).to_csv() == first else 1)
     _, status = os.waitpid(child, 0)
     sys.exit(os.waitstatus_to_exitcode(status))
+elif sys.argv[1] == "fork-wait":
+    child = os.fork()
+    if child == 0:
+        time.sleep(30)
+        os._exit(0)
+    print(child, flush=True)
+    time.sleep(60)
 """
 
 
@@ -425,6 +433,25 @@ class TestWorkerPool:
             proc.kill()
             proc.stdout.close()
         assert _gone_within(workers)
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads process states from /proc")
+    def test_no_worker_outlives_its_process_while_a_forked_child_lives(self):
+        # the child holds the killed process's end of the workers' sentinel
+        # pipe open; the workers still go, and the child keeps sleeping
+        proc, workers = _pool_script("fork-wait")
+        child = int(proc.stdout.readline())
+        try:
+            assert len(workers) == 2
+            assert all(_state(p) not in (None, "Z") for p in workers)  # kept while idle
+            proc.send_signal(signal.SIGKILL)
+            assert proc.wait(10) == -signal.SIGKILL
+            assert _gone_within(workers, 3.0)
+            assert _state(child) not in (None, "Z")
+        finally:
+            proc.kill()
+            proc.stdout.close()
+            if _state(child) not in (None, "Z"):
+                os.kill(child, signal.SIGKILL)
 
     def test_forked_child_starts_its_own_pool(self):
         # a child forked after a pooled call does not reuse its parent's workers

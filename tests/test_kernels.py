@@ -1,6 +1,8 @@
-"""Seed derivation, the sampler's pair draw, row masks and the matching kernel."""
+"""Seed derivation, the sampler's pair draw, a graph's row masks and the
+matching kernel."""
 
 from fractions import Fraction as F
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ import pytest
 from hamdec import _kernels, sampling
 from hamdec._seeds import derive, fnv1a64, generator, splitmix64
 from hamdec.model import step_graphon
-from hamdec.sampling import sample_graph
+from hamdec.sampling import SampledGraph, sample_graph
 
 from helpers import (
     adjacency_lists,
@@ -84,18 +86,28 @@ class TestPairScan:
 
 def _masks(nl, nr, rows, cols):
     """Row masks of the bipartite graph with edges (rows[k], cols[k])."""
-    dense = np.zeros((nl, nr), dtype=bool)
-    dense[rows, cols] = True
-    return _kernels.row_masks(np.packbits(dense, axis=1, bitorder="little"))
+    masks = [0] * nl
+    for u, v in zip(np.asarray(rows).tolist(), np.asarray(cols).tolist()):
+        masks[u] |= 1 << v
+    return masks
 
 
 class TestRowMasks:
     def test_bit_k_is_column_k(self):
+        # a graph's rows of some nodes over other nodes, both in any order:
+        # bit k of the row of rows[r] is the edge to cols[k]
         rng = np.random.default_rng(5)
-        for nl, nr in [(0, 0), (0, 9), (3, 0), (1, 1), (4, 8), (5, 13), (7, 64), (2, 65)]:
-            dense = rng.random((nl, nr)) < 0.5
-            got = _kernels.row_masks(np.packbits(dense, axis=1, bitorder="little"))
-            assert got == [sum(1 << k for k in np.flatnonzero(r).tolist()) for r in dense]
+        for n in (1, 8, 13, 64, 65, 130):
+            edges = [p for p in combinations(range(n), 2) if rng.random() < 0.5]
+            g = SampledGraph.from_edges(n, np.zeros(n), np.zeros(n, dtype=int), edges)
+            dense = np.zeros((n, n), dtype=bool)
+            for i, j in edges:
+                dense[i, j] = dense[j, i] = True
+            for nl, nr in [(0, 0), (0, n), (n, 0), (1, 1), (n // 2, n - n // 2), (n, n)]:
+                rows, cols = rng.permutation(n)[:nl], rng.permutation(n)[:nr]
+                got = g.row_masks(rows, cols)
+                assert got == [sum(1 << k for k in np.flatnonzero(dense[r, cols]).tolist()) for r in rows]
+            assert g.row_masks() == g.row_masks(np.arange(n), np.arange(n))
 
 
 class TestMatchingProperties:
@@ -200,7 +212,7 @@ class TestRowScannedMatching:
         # the existence oracle's input: every node on both sides
         g = sample_graph(SAMPLED[name], n, 3)
         i, j = g.edges[:, 0], g.edges[:, 1]
-        ml, mr = _kernels.hopcroft_karp(_kernels.row_masks(g.adjacency()), n)
+        ml, mr = _kernels.hopcroft_karp(g.row_masks(), n)
         adj = adjacency_lists(n, np.concatenate([i, j]), np.concatenate([j, i]))
         ml_ref, mr_ref = hopcroft_karp_lists(n, n, adj)
         np.testing.assert_array_equal(ml, ml_ref)

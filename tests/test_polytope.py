@@ -1,6 +1,6 @@
 import sys
 from fractions import Fraction as F
-from itertools import combinations
+from itertools import combinations, permutations, product
 from pathlib import Path
 
 import numpy as np
@@ -26,8 +26,10 @@ from hamdec.polytope import (
 )
 
 from helpers import (
+    connected_skeletons,
     dense_rows,
     fraction_simplex,
+    hall_status,
     lp_status,
     random_graphon,
     random_skeleton,
@@ -159,6 +161,51 @@ class TestIntegerSimplex:
                 assert (cert.status, cert.coefficients, cert.margin) == ref
             seen[cert.status] += 1
         assert min(seen.values()) >= 10, seen
+
+
+def _relabelling_representatives(skeletons):
+    """One skeleton of each orbit under permutations of the blocks: the
+    first listed whose loops and edges are least among the orbit's."""
+    seen, out = set(), []
+    for s in skeletons:
+        orbit = {
+            (
+                tuple(sorted(p[i] for i in s.loops)),
+                tuple(sorted((min(p[i], p[j]), max(p[i], p[j])) for i, j in s.edges)),
+            )
+            for p in permutations(range(s.node_count))
+        }
+        if not orbit & seen:
+            out.append(s)
+        seen |= orbit
+    return out
+
+
+class TestSmallWorld:
+    """`positive_certificate`'s status equals the Hall-set classifier's on
+    every connected skeleton with q <= 3 blocks (q = 4 up to relabelling)
+    and every count vector of the given totals; permuting the blocks and
+    the counts together maps every q = 4 instance onto one listed here."""
+
+    @pytest.mark.parametrize(
+        "q, totals", [(1, range(1, 9)), (2, range(1, 9)), (3, range(1, 9)), (4, range(1, 6))]
+    )
+    def test_status_is_the_hall_classifiers(self, q, totals):
+        skeletons = list(connected_skeletons(q))
+        if q == 4:
+            skeletons = _relabelling_representatives(skeletons)
+        vectors = [c for t in totals for c in product(range(t + 1), repeat=q) if sum(c) == t]
+        seen, wrong = set(), []
+        for s in skeletons:
+            z = incidence(s)
+            for counts in vectors:
+                want = hall_status(s, counts)
+                got = positive_certificate(z, [F(c, sum(counts)) for c in counts]).status
+                seen.add(want)
+                if got is not want:
+                    wrong.append((s, counts, got, want))
+        assert wrong == []
+        assert seen == (set(Membership) if q > 1 else {Membership.INTERIOR, Membership.EXTERIOR})
 
 
 class TestPositiveCertificate:

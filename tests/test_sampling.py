@@ -288,6 +288,14 @@ class TestAdjacency:
         vs -= 1
         want = [(u, v) in pairs for u, v in zip(us.tolist(), vs.tolist())]
         assert g.has_edges(us, vs).tolist() == want
+        # row masks: bit u of row v; a node set's neighbour count is the
+        # size of the union of its members' neighbourhoods
+        assert g.row_masks() == [sum(1 << u for u in range(g.n) if (v, u) in pairs) for v in range(g.n)]
+        rng = np.random.default_rng(g.n)
+        for size in {0, 1, g.n // 2, g.n}:
+            nodes = rng.permutation(g.n)[:size]
+            reached = {u for v in nodes.tolist() for u in range(g.n) if (v, u) in pairs}
+            assert g.neighbor_count(nodes) == len(reached)
 
     def test_cache_is_not_a_constructor_argument(self):
         # the matrix is the graph's one store: there is no cache beside it,
@@ -355,6 +363,23 @@ class TestAdjacency:
         for v in (-1, 3):
             with pytest.raises(ValueError, match="not a node"):
                 g.neighbors(v)
+
+    def test_node_lists_checked(self):
+        # row masks and neighbour counts take distinct nodes in range; -1
+        # would read row n - 1 through numpy's negative indexing
+        g = SampledGraph.from_edges(3, np.zeros(3), np.zeros(3, dtype=int), [[1, 2]])
+        assert g.row_masks([2, 0], [1]) == [1, 0] and g.neighbor_count([1, 2]) == 2
+        calls = (
+            lambda nodes: g.row_masks(nodes),
+            lambda nodes: g.row_masks([0], nodes),
+            g.neighbor_count,
+        )
+        for call in calls:
+            for nodes in ([-1], [0, 3]):
+                with pytest.raises(ValueError, match="nodes of the graph"):
+                    call(nodes)
+            with pytest.raises(ValueError, match="distinct"):
+                call([1, 0, 1])
 
     def test_bad_edges_rejected(self):
         coords, blocks = np.array([0.1, 0.5, 0.9]), np.array([0, 0, 0])

@@ -16,7 +16,10 @@ general-LP front end can come back.
 
 A sampled graph is its packed bit matrix: `SampledGraph` holds n, the
 coordinates, the block labels and the matrix, and nothing else, so no edge
-array or cache can come back beside the matrix.  Likewise an incidence
+array or cache can come back beside the matrix.  The matrix's layout has
+one home: no package module but `sampling` calls `.adjacency()` or reads
+`.bits`, so the matching, the oracle and the Hall check take row masks and
+neighbour counts from `SampledGraph` methods.  Likewise an incidence
 matrix is a view of its skeleton: `IncidenceMatrix` holds the skeleton and
 nothing else, and no package module reads an `.entries` attribute, so a
 dense copy of Z cannot come back beside the edge order it is read from.
@@ -159,6 +162,12 @@ def _attribute_reads(name: str) -> list[str]:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
         if isinstance(node, ast.Attribute) and node.attr == name
     ]
+
+
+def test_only_sampling_reads_the_packed_matrix():
+    reads = _attribute_reads("adjacency") + _attribute_reads("bits")
+    assert [loc for loc in reads if not loc.startswith("sampling.py:")] == []
+    assert reads  # the detection sees sampling's own reads
 
 
 def test_incidence_matrix_holds_only_its_skeleton():
