@@ -337,11 +337,12 @@ def run_trial(
 def _exit_with_parent() -> None:
     """Pool worker initializer: exit when the parent process ends, even by a
     kill that leaves it no chance to shut the pool down."""
-    parent = multiprocessing.parent_process()
+    parent, ppid = multiprocessing.parent_process(), os.getppid()
 
     def watch():
-        # a child the parent forked keeps the sentinel open: watch the parent's pid too
-        while os.getppid() == parent.pid and not multiprocessing.connection.wait([parent.sentinel], 1):
+        # a child the parent forked keeps the sentinel open: also exit once
+        # re-parented (the parent is a forkserver under that start method)
+        while os.getppid() == ppid and not multiprocessing.connection.wait([parent.sentinel], 1):
             pass
         os._exit(0)
 

@@ -313,6 +313,8 @@ from hamdec.driver import montecarlo
 from hamdec.model import step_graphon
 os.sched_getaffinity = lambda pid: {0, 1}  # two workers on any host
 er = step_graphon([0, 1], [[F(1, 2)]])
+if sys.argv[1] in ("forkserver", "spawn"):
+    multiprocessing.set_start_method(sys.argv[1])
 first = montecarlo(er, 30, 6, 31, jobs=2).to_csv()
 print(*[p.pid for p in multiprocessing.active_children()], flush=True)
 if sys.argv[1] == "wait":
@@ -331,6 +333,8 @@ elif sys.argv[1] == "fork-wait":
         os._exit(0)
     print(child, flush=True)
     time.sleep(60)
+elif sys.argv[1] in ("forkserver", "spawn"):
+    sys.exit(0 if montecarlo(er, 30, 6, 31).to_csv() == first else 1)
 """
 
 
@@ -452,6 +456,19 @@ class TestWorkerPool:
             proc.stdout.close()
             if _state(child) not in (None, "Z"):
                 os.kill(child, signal.SIGKILL)
+
+    @pytest.mark.parametrize("method", ["forkserver", "spawn"])
+    def test_other_start_methods_give_the_serial_bytes(self, method):
+        # a forkserver's worker is the server's child, not its owner's
+        if method not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"no {method} start method")
+        proc, workers = _pool_script(method)
+        try:
+            assert len(workers) == 2 and proc.wait(30) == 0
+        finally:
+            proc.kill()
+            proc.stdout.close()
+        assert _gone_within(workers)
 
     def test_forked_child_starts_its_own_pool(self):
         # a child forked after a pooled call does not reuse its parent's workers
