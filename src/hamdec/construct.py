@@ -33,6 +33,7 @@ from .flow import MaxFlow
 from .model import (
     DisconnectedSkeletonError,
     SkeletonGraph,
+    check_count,
     connected_components,
     edge_order,
     edge_sum,
@@ -143,8 +144,7 @@ def split_mass(x, cert: MembershipCertificate, s: SkeletonGraph) -> MassSplit:
 def round_even(vec, n: int) -> tuple[Fraction, ...]:
     """The vector with even entries (over denominator n) closest to n*vec,
     halves rounding down: entry i becomes (2/n) * [n*vec_i / 2]."""
-    if n < 1:
-        raise ValueError("n must be positive")
+    check_count(n, "n")
     out = []
     for v in vec:
         k = math.ceil(Fraction(v) * n / 2 - HALF)
@@ -259,8 +259,7 @@ def build_balanced_matrix(
         raise ValueError("x must have one entry per block")
     if sum(xs) != 1:
         raise ValueError("x must sum to 1")
-    if n < 1:
-        raise ValueError("n must be positive")
+    check_count(n, "n")
     bad = [i for i, v in enumerate(xs) if (v * n).denominator != 1]
     if bad:
         raise ConstructionError("preconditions", [f"n*x not integral at {bad}"])

@@ -40,7 +40,6 @@ from __future__ import annotations
 import enum
 import math
 import multiprocessing.connection
-import numbers
 import os
 import threading
 from concurrent.futures import ProcessPoolExecutor
@@ -48,7 +47,7 @@ from concurrent.futures.process import BrokenProcessPool
 from copy import copy
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -58,6 +57,7 @@ from .model import (
     IncidenceMatrix,
     Partition,
     StepGraphon,
+    check_count,
     concentration,
     connected_components,
     has_odd_cycle,
@@ -222,36 +222,24 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
 
 
 @dataclass(frozen=True)
-class GraphonSkeleton:
-    """A graphon with its skeleton's incidence matrix, which holds the
-    skeleton (`incidence.skeleton`)."""
-
-    graphon: StepGraphon
-    incidence: IncidenceMatrix
-
-
-@dataclass(frozen=True)
 class Plan:
-    """What the constructive pipeline needs of a graphon: the graphon with its
-    skeleton, and its loopless-odd normalization (the same object when no
-    refinement is needed), or None and the reason there is none."""
+    """What the constructive pipeline needs of a graphon: its skeleton's
+    incidence matrix, and its loopless-odd refinement with that one's (None
+    when the graphon needs none), or the reason it cannot be decomposed."""
 
-    base: GraphonSkeleton
-    normalized: GraphonSkeleton | None
+    base: IncidenceMatrix
+    refined: tuple[StepGraphon, IncidenceMatrix] | None = None
     reason: str | None = None
 
 
 @lru_cache(maxsize=16)
 def plan(w: StepGraphon) -> Plan:
     """The pipeline plan of a graphon, memoized per graphon value."""
-    base = GraphonSkeleton(w, incidence(skeleton(w)))
     try:
         wn = ensure_loopless_odd_cycle(w)
     except ValueError as exc:  # no odd cycle, or a DisconnectedSkeletonError
-        return Plan(base, None, str(exc))
-    if wn is w:
-        return Plan(base, base)
-    return Plan(base, GraphonSkeleton(wn, incidence(skeleton(wn))))
+        return Plan(incidence(skeleton(w)), reason=str(exc))
+    return Plan(incidence(skeleton(w)), None if wn is w else (wn, incidence(skeleton(wn))))
 
 
 @dataclass(frozen=True)
@@ -282,32 +270,32 @@ def run_pipeline(
     p: Plan, g: SampledGraph, seed: int, attempts: int = DEFAULT_ATTEMPTS
 ) -> PipelineOutcome:
     """Decide the membership status of g's empirical vector, g sampled from
-    `p.base.graphon`; re-block g under the normalized graphon, build the
-    tally and realize its block cycles with `seed`.  Expected failures come
-    back in the outcome; anything else raises."""
-    if attempts < 1:
-        raise ValueError("attempts must be positive")
-    x = empirical_concentration(g, p.base.incidence.shape[0])
-    base = cert = positive_certificate(p.base.incidence, x)
-    if p.normalized is None:
+    the graphon `p` plans for; re-block g under its refinement, if any,
+    build the tally and realize its block cycles with `seed`.  Expected
+    failures come back in the outcome; anything else raises."""
+    check_count(attempts, "attempts")
+    z = p.base
+    x = empirical_concentration(g, z.shape[0])
+    base = cert = positive_certificate(z, x)
+    if p.reason is not None:
         return PipelineOutcome(base, failure=f"cannot decompose: {p.reason}")
-    sn = p.normalized.incidence.skeleton
     try:
-        if p.normalized is not p.base:
+        if p.refined is not None:
             if base.status is Membership.EXTERIOR:
                 # A Hall violator A of x lifts to its refined copies A': they
                 # inherit every adjacency, and a split looped block gives
                 # looped copies joined by an edge, so x'(N(A')) = x(N(A)) <
                 # x(A) = x'(A').  The refined vector is exterior too.
                 raise not_interior(base.status)
+            wn, z = p.refined
             g = copy(g)  # new blocks on the sample's matrix
-            g.blocks = assign_blocks(p.normalized.graphon, g.coords)
-            x = empirical_concentration(g, sn.node_count)
-            cert = positive_certificate(p.normalized.incidence, x)
-        tally = build_balanced_matrix(x, g.n, sn, cert)
+            g.blocks = assign_blocks(wn, g.coords)
+            x = empirical_concentration(g, z.shape[0])
+            cert = positive_certificate(z, x)
+        tally = build_balanced_matrix(x, g.n, z.skeleton, cert)
     except ConstructionError as exc:
         return PipelineOutcome(base, failure=f"tally construction failed: {exc}")
-    outcome = realize(tally, g, sn, seed, attempts)
+    outcome = realize(tally, g, z.skeleton, seed, attempts)
     if not outcome.ok:
         return PipelineOutcome(base, failure=f"realization failed: {outcome.diagnostics}")
     return PipelineOutcome(base, tally, outcome.decomposition)
@@ -400,10 +388,6 @@ def _worker_pool(workers: int) -> ProcessPoolExecutor:
         return _pool[1]
 
 
-def _positive(k) -> bool:
-    return isinstance(k, numbers.Integral) and not isinstance(k, bool) and k >= 1
-
-
 def montecarlo(
     w: StepGraphon,
     n: int,
@@ -422,23 +406,21 @@ def montecarlo(
     is killed.  Workers keep the package state they were forked with, so a
     monkeypatch made after the first pooled call does not reach them.
     """
-    if not (_positive(n) and _positive(trials)):
-        raise ValueError("n and trials must be positive")
-    if not _positive(jobs):
-        raise ValueError("jobs must be positive")
-    if not _positive(attempts):
-        raise ValueError("attempts must be positive")
-    args = [(w, n, master_seed, t, attempts) for t in range(trials)]
+    check_count(n, "n and trials")
+    check_count(trials, "n and trials")
+    check_count(jobs, "jobs")
+    check_count(attempts, "attempts")
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     workers = min(jobs, trials, cpus or 1)
     if workers > 1:
         pool = _worker_pool(workers)
         chunk = max(1, trials // (4 * workers))
+        trial = partial(run_trial, w, n, master_seed, attempts=attempts)
         try:
-            rows = list(pool.map(run_trial, *zip(*args), chunksize=chunk))
+            rows = list(pool.map(trial, range(trials), chunksize=chunk))
         except BrokenProcessPool:  # a worker died during the call
             _drop_pool(pool, kill=True)
             raise
     else:
-        rows = [run_trial(*a) for a in args]
+        rows = [run_trial(w, n, master_seed, t, attempts) for t in range(trials)]
     return MonteCarloReport(n, master_seed, tuple(rows))

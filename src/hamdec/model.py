@@ -27,6 +27,7 @@ edges: self-loops first in ascending node order, then distinct-node pairs
 from __future__ import annotations
 
 import math
+import numbers
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -55,6 +56,13 @@ def _as_fraction(value) -> Fraction:
         return Fraction(value)
     except (ZeroDivisionError, OverflowError) as exc:
         raise ValueError(f"{value!r} is not a finite rational") from exc
+
+
+def check_count(k, what: str) -> None:
+    """The one rule for a count argument (n, trials, attempts, jobs): an
+    integer, not a bool, at least 1; anything else raises ValueError."""
+    if not isinstance(k, numbers.Integral) or isinstance(k, bool) or k < 1:
+        raise ValueError(f"{what} must be positive (an integer, not a bool), got {k!r}")
 
 
 @dataclass(frozen=True)

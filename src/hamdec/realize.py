@@ -10,9 +10,12 @@ between the prescribed node groups (looped blocks are split into two halves
 and matched across).  Bounded randomized retries stand in for the almost-sure
 existence arguments; exhausting them is a reported Failure, not an error.
 
-`max_bipartite_matching` is the one matching front end on a sampled graph:
-it runs the word-parallel Hopcroft-Karp on the rows of a left node list
-over a right one (`SampledGraph.row_masks`), once per 2-cycle group.
+The matching kernel, a word-parallel Hopcroft-Karp on Python-int row
+masks (`hopcroft_karp`), lives here with its two callers.
+`max_bipartite_matching`, the one matching front end on a sampled graph,
+runs it on the rows of a left node list over a right one
+(`SampledGraph.row_masks`), once per 2-cycle group; the existence oracle
+runs it on every row.  It returns each left node's partner as a list.
 
 Also here: the exact existence oracle.  A Hamiltonian decomposition of a
 digraph is exactly a permutation supported on its arcs, so existence is a
@@ -36,10 +39,9 @@ from itertools import islice
 
 import numpy as np
 
-from . import _kernels
 from ._seeds import derive, generator
 from .construct import HamDecomposition, block_cycles
-from .model import SkeletonGraph
+from .model import SkeletonGraph, check_count
 from .sampling import BalancedMatrix, SampledGraph, count_block_edges
 
 # the default retry budget: restarts per phase-1 pattern, phase-2 draws
@@ -69,9 +71,96 @@ class RealizationOutcome:
         return self.decomposition is not None
 
 
+def _ones(x):
+    """The positions of the set bits of a nonnegative int, ascending."""
+    packed = np.frombuffer(x.to_bytes((x.bit_length() + 7) // 8, "little"), np.uint8)
+    return np.flatnonzero(np.unpackbits(packed, bitorder="little")).tolist()
+
+
+def hopcroft_karp(rows, nr):
+    """Maximum matching of a bipartite graph given by left row masks.
+
+    `rows[x]` is an int whose bit v is set iff left node x is adjacent to
+    right node v < nr.  Layered BFS plus shortest-path DFS (Hopcroft and
+    Karp, SIAM J. Comput. 2(4), 1973), one word-parallel step at a time:
+
+      * a BFS layer is the OR of its nodes' rows;
+      * `layer[k]` holds the right nodes a DFS may cross from a left node
+        at distance k - 1: those matched to a left node at distance k, and
+        at the free end's distance also the unmatched ones;
+      * each DFS frame scans its row in ascending column order, taking the
+        lowest usable column past the one it took last, and a dead end or
+        an augmentation moves the columns whose partner or distance
+        changed.
+
+    Roots go in index order and each DFS frame starts at its row's first
+    column, so the returned list match_l, left node x's partner or -1, is
+    that of the same traversal walking ascending adjacency lists one edge
+    at a time.
+    """
+    nl = len(rows)
+    inf = nl + 2
+    match_l = [-1] * nl
+    match_r = [-1] * nr
+    free = (1 << nr) - 1  # right nodes without a partner
+    while True:
+        dist = [inf] * nl
+        frontier = [s for s in range(nl) if match_l[s] == -1]
+        for s in frontier:
+            dist[s] = 0
+        layer = [0]
+        reached = 0  # matched right nodes whose partner has a distance
+        while frontier:
+            reach = 0
+            for x in frontier:
+                reach |= rows[x]
+            new = reach & ~free & ~reached
+            reached |= new
+            layer.append(new)
+            frontier = [match_r[v] for v in _ones(new)]
+            for w in frontier:
+                dist[w] = len(layer) - 1
+            if reach & free:
+                break
+        else:  # no free right node is reachable: the matching is maximum
+            break
+        layer[-1] |= free
+        layer.append(0)  # nodes at the free end's distance lead nowhere
+        for s in range(nl):
+            if match_l[s] != -1:
+                continue
+            # each frame's column taken last; the frame scans on past it
+            stack, vsel = [s], [-1]
+            while stack:
+                x = stack[-1]
+                usable = (rows[x] & layer[dist[x] + 1]) >> (vsel[-1] + 1)
+                if not usable:  # a dead end: no augmenting path through x
+                    if match_l[x] != -1:
+                        layer[dist[x]] ^= 1 << match_l[x]
+                    dist[x] = inf
+                    stack.pop()
+                    vsel.pop()
+                    continue
+                v = vsel[-1] + (usable & -usable).bit_length()
+                vsel[-1] = v
+                w = match_r[v]
+                if w != -1:
+                    stack.append(w)
+                    vsel.append(-1)
+                    continue
+                free ^= 1 << v
+                for k, (left, right) in enumerate(zip(stack, vsel)):
+                    # its new partner sits at distance k, its old one at k + 1
+                    layer[k + 1] ^= 1 << right
+                    layer[k] |= 1 << right
+                    match_l[left] = right
+                    match_r[right] = left
+                break
+    return match_l
+
+
 def _has_perfect_matching(rows, n: int) -> bool:
-    match_l, _ = _kernels.hopcroft_karp(rows, n)
-    return bool(np.all(match_l >= 0))
+    return -1 not in hopcroft_karp(rows, n)
 
 
 def max_bipartite_matching(g: SampledGraph, left, right) -> frozenset[tuple[int, int]]:
@@ -82,13 +171,10 @@ def max_bipartite_matching(g: SampledGraph, left, right) -> frozenset[tuple[int,
     salt the hashes of tuples of ints.  A node out of range, repeated, or in
     both lists raises ValueError.
     """
-    left = np.asarray(left, dtype=np.int64)
-    right = np.asarray(right, dtype=np.int64)
-    lnodes, rnodes = left.tolist(), right.tolist()
-    if not set(lnodes).isdisjoint(rnodes):
+    if not set(left).isdisjoint(right):
         raise ValueError("left and right nodes must be disjoint")
-    match_l, _ = _kernels.hopcroft_karp(g.row_masks(left, right), right.size)
-    return frozenset((lnodes[u], rnodes[v]) for u, v in enumerate(match_l.tolist()) if v != -1)
+    match_l = hopcroft_karp(g.row_masks(left, right), len(right))
+    return frozenset((left[u], right[v]) for u, v in enumerate(match_l) if v != -1)
 
 
 def oracle_exists(n: int, arcs) -> bool:
@@ -163,6 +249,7 @@ def embed_cycles(patterns, g: SampledGraph, seed: int, attempts: int = DEFAULT_A
     ones.  Each pattern gets `attempts` randomized restarts; running out
     raises `CycleEmbedError` with the failing pattern index.
     """
+    check_count(attempts, "attempts")
     rng = generator(derive(seed, "embed"))
     free = np.ones(g.n, dtype=bool)  # not taken by an earlier pattern
 
@@ -209,6 +296,7 @@ def realize(
     whole grouping is re-randomized on failure, up to `attempts` times.
     On success the result's block tallies equal the input exactly.
     """
+    check_count(attempts, "attempts")
     q = s.node_count
     observed = tuple(int(c) for c in np.bincount(g.blocks, minlength=q))
     if observed != a.row_sums():

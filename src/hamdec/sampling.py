@@ -33,7 +33,7 @@ from fractions import Fraction
 import numpy as np
 
 from ._seeds import derive, generator
-from .model import SkeletonGraph, StepGraphon
+from .model import SkeletonGraph, StepGraphon, check_count
 
 COORDS_STREAM = "coords"
 EDGES_STREAM = "edges"
@@ -58,8 +58,7 @@ def _int_array(values, what: str) -> np.ndarray:
 
 def _nodes(n, coords, blocks) -> tuple[np.ndarray, np.ndarray]:
     """The coordinates and block labels of n nodes, checked."""
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValueError("n must be a positive integer")
+    check_count(n, "n")
     coords = np.asarray(coords, dtype=np.float64)
     blocks = _int_array(blocks, "block labels")
     if coords.shape != (n,) or blocks.shape != (n,):
@@ -118,8 +117,12 @@ class SampledGraph:
         return self.bits
 
     def _node_array(self, nodes, what: str) -> np.ndarray:
-        """`nodes` as int64; one out of range or repeated raises ValueError."""
-        nodes = np.asarray(nodes, dtype=np.int64)
+        """`nodes` as int64; a non-integer node, or one out of range or
+        repeated, raises ValueError."""
+        nodes = np.asarray(nodes)
+        if nodes.size and nodes.dtype.kind not in "iu":  # int64 casting would truncate 1.5 to 1
+            raise ValueError(f"{what} must be integer nodes")
+        nodes = nodes.astype(np.int64, copy=False)
         listed = nodes.tolist()  # on a few dozen nodes, Python's min, max and set beat numpy's
         if listed and (min(listed) < 0 or max(listed) >= self.n):
             raise ValueError(f"{what} must be nodes of the graph")
@@ -256,8 +259,7 @@ def sample_graph(w: StepGraphon, n: int, seed: int) -> SampledGraph:
     diagonal hold 1.0, below no probability, so they stay clear.  Earlier
     columns come from the finished rows, transposed; its square is mirrored.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    check_count(n, "n")
     coords = generator(derive(seed, COORDS_STREAM)).random(n)
     blocks = assign_blocks(w, coords)
     probs = np.array([[float(v) for v in row] for row in w.values], dtype=np.float64)

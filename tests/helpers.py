@@ -114,12 +114,13 @@ def adjacency_lists(nl: int, rows, cols) -> list[list[int]]:
     return [sorted(vs) for vs in nbrs]
 
 
-def hopcroft_karp_lists(nl: int, nr: int, adj) -> tuple[np.ndarray, np.ndarray]:
+def hopcroft_karp_lists(nl: int, nr: int, adj) -> list[int]:
     """Reference maximum matching: Hopcroft-Karp one edge at a time.
 
     `adj[x]` lists left node x's right neighbours, ascending.  Roots are
     taken in index order, each DFS frame scans its list from the start, and
-    a dead end leaves the phase's layering; unmatched is -1.
+    a dead end leaves the phase's layering.  Returns each left node's
+    partner, -1 if unmatched.
     """
     inf = nl + 2
     match_l = [-1] * nl
@@ -178,7 +179,7 @@ def hopcroft_karp_lists(nl: int, nr: int, adj) -> tuple[np.ndarray, np.ndarray]:
                     stack.pop()
                     ptrs.pop()
                     vsel.pop()
-    return np.asarray(match_l, dtype=np.int64), np.asarray(match_r, dtype=np.int64)
+    return match_l
 
 
 def scan_pairs_rows(blocks, probs, u):

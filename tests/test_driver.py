@@ -527,6 +527,21 @@ class TestPipeline:
         with pytest.raises(ValueError, match="injected"):
             montecarlo(TRI_GRAPHON, 60, 4, 5)
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_runtime_error_in_a_trial_raises_from_montecarlo(self, monkeypatch, no_kept_pool, jobs):
+        # a broken invariant in any trial, in this process or in a worker
+        # forked after the patch, is never a constructive=0 row
+        if jobs > 1 and multiprocessing.get_start_method() != "fork":
+            pytest.skip("only forked workers see a monkeypatch")
+        _two_cpus(monkeypatch)
+
+        def broken(a, g, s, seed, attempts):
+            raise RuntimeError("injected invariant break")
+
+        monkeypatch.setattr(hamdec.driver, "realize", broken)
+        with pytest.raises(RuntimeError, match="injected"):
+            montecarlo(TRI_GRAPHON, 60, 8, 5, jobs=jobs)
+
     def test_one_lp_per_trial_without_refinement(self, monkeypatch):
         lps = _counting(monkeypatch, hamdec.driver, "positive_certificate")
         lps_tally = _counting(monkeypatch, hamdec.construct, "positive_certificate")
@@ -541,7 +556,7 @@ class TestPipeline:
         realized = _counting(monkeypatch, hamdec.driver, "realize")
         g = sample_graph(ER_HALF, 100, 3)
         p = plan(ER_HALF)
-        assert p.normalized is not p.base  # ER-1/2 is refined twice
+        assert p.refined is not None  # ER-1/2 is refined twice
         out = run_pipeline(p, g, 5)
         assert out.ok and len(realized) == 1
         reblocked = realized[0][1]
@@ -555,16 +570,16 @@ class TestPipeline:
         lps_tally = _counting(monkeypatch, hamdec.construct, "positive_certificate")
         tallies = _counting(monkeypatch, hamdec.driver, "build_balanced_matrix")
         p = plan(LOOP_EXTERIOR)
-        assert p.normalized is not p.base
+        wn, z = p.refined
         for seed in range(4):
             g = sample_graph(LOOP_EXTERIOR, 60, seed)
             out = run_pipeline(p, g, seed)
             assert out.status is Membership.EXTERIOR
             assert out.failure == "tally construction failed: membership: x is exterior, not interior"
             # the refined vector is indeed exterior
-            refined = assign_blocks(p.normalized.graphon, g.coords)
-            x = empirical_concentration(replace(g, blocks=refined), p.normalized.incidence.shape[0])
-            status = hamdec.polytope.positive_certificate(p.normalized.incidence, x).status
+            refined = assign_blocks(wn, g.coords)
+            x = empirical_concentration(replace(g, blocks=refined), z.shape[0])
+            status = hamdec.polytope.positive_certificate(z, x).status
             assert status is Membership.EXTERIOR
         assert len(lps) == 4 and lps_tally == [] and tallies == []
 
@@ -733,6 +748,21 @@ class TestIO:
         path = tmp_path / "bad.json"
         path.write_text('{"sigma": 5, "values": [[0.5]]}')
         with pytest.raises(io.FormatError, match="sigma"):
+            io.load_graphon(path)
+        assert cli.main(["analyze", str(path)]) == 2
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"sigma": [0, 1]}', "missing field 'values'"),
+            ('{"sigma": [0, 1], "values": [0.5]}', "'values' must be a matrix"),
+            ('{"sigma": [0, 0.5, 1], "values": [[0, 1], [0.5, 0]]}', "must be symmetric"),
+        ],
+    )
+    def test_graphon_schema_error_is_a_format_error(self, tmp_path, text, message):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        with pytest.raises(io.FormatError, match=message):
             io.load_graphon(path)
         assert cli.main(["analyze", str(path)]) == 2
 

@@ -1,11 +1,19 @@
-"""Input checks that no behaviour test reaches: each bad input raises the
-documented exception with a message naming what is wrong."""
+"""Checks that no behaviour test reaches.
 
+Each bad input raises the documented exception with a message naming what
+is wrong; a count argument (n, attempts) follows one rule, an integer that
+is not a bool and at least 1.  Each internal invariant check raises
+RuntimeError once a monkeypatch breaks what it checks.
+"""
+
+import importlib
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
+import hamdec.polytope
+import hamdec.refine
 from hamdec.construct import (
     BlockCycle,
     ConstructionError,
@@ -14,18 +22,31 @@ from hamdec.construct import (
     matrix_round,
     round_even,
 )
+from hamdec.driver import plan, run_pipeline
+from hamdec.flow import MaxFlow
 from hamdec.model import Partition, SkeletonGraph, incidence, step_graphon
 from hamdec.polytope import positive_certificate
-from hamdec.realize import oracle_exists, realize
-from hamdec.refine import pull_certificate, push_certificate, refine_once
-from hamdec.sampling import BalancedMatrix, SampledGraph, empirical_concentration
+from hamdec.realize import embed_cycles, max_bipartite_matching, oracle_exists, realize
+from hamdec.refine import (
+    RefinementRecord,
+    ensure_loopless_odd_cycle,
+    pull_certificate,
+    push_certificate,
+    refine_once,
+)
+from hamdec.sampling import BalancedMatrix, SampledGraph, empirical_concentration, sample_graph
+
+REALIZE_MODULE = importlib.import_module("hamdec.realize")  # `hamdec.realize` is the function
 
 HALF = F(1, 2)
+ER_HALF = step_graphon([0, 1], [[HALF]])
 PAIR = SkeletonGraph(2, frozenset({0, 1}), frozenset({(0, 1)}))
 LOOP = SkeletonGraph(1, frozenset({0}), frozenset())
+TRIANGLE = SkeletonGraph(3, frozenset(), frozenset({(0, 1), (0, 2), (1, 2)}))
 CENTRE = positive_certificate(incidence(PAIR), (HALF, HALF))
 # ER-1/2 split at 1/4: one loop becomes two loops and their connecting edge
-SPLIT = refine_once(step_graphon([0, 1], [[HALF]]), 0, F(1, 4))
+SPLIT = refine_once(ER_HALF, 0, F(1, 4))
+SPLIT_CERTIFICATE = push_certificate((F(1),), SPLIT)
 
 
 def _edgeless(blocks):
@@ -82,6 +103,31 @@ CASES = {
         lambda: BalancedMatrix(((-1,),)), ValueError, "must be nonnegative"),
     "concentration over too few blocks": (
         lambda: empirical_concentration(_edgeless([0, 1]), 1), ValueError, "block index out of range"),
+    "round_even at n = 3.0": (
+        lambda: round_even((F(1),), 3.0), ValueError, "n must be positive"),
+    "tally at n = 3.0": (
+        lambda: build_balanced_matrix((HALF, HALF), 3.0, PAIR, CENTRE), ValueError, "n must be positive"),
+    "sample at n = 2.5": (
+        lambda: sample_graph(ER_HALF, 2.5, 1), ValueError, "n must be positive"),
+    "sample at n = 3.0": (
+        lambda: sample_graph(ER_HALF, 3.0, 1), ValueError, "n must be positive"),
+    "sample at n = True": (
+        lambda: sample_graph(ER_HALF, True, 1), ValueError, "n must be positive"),
+    "graph of n = 2.0 nodes": (
+        lambda: SampledGraph.from_edges(2.0, np.zeros(2), np.zeros(2, dtype=int), []),
+        ValueError, "n must be positive"),
+    "pipeline with attempts = True": (
+        lambda: run_pipeline(plan(ER_HALF), sample_graph(ER_HALF, 20, 1), 1, True), ValueError, "attempts"),
+    "pipeline with attempts = 2.5": (
+        lambda: run_pipeline(plan(ER_HALF), sample_graph(ER_HALF, 20, 1), 1, 2.5), ValueError, "attempts"),
+    "realize with attempts = 0": (
+        lambda: realize(BalancedMatrix(((2,),)), _edgeless([0, 0]), LOOP, 0, attempts=0),
+        ValueError, "attempts must be positive"),
+    "matching of a non-integer node": (
+        lambda: max_bipartite_matching(_edgeless([0, 0]), [0.5], [1]), ValueError, "integer nodes"),
+    "embed cycles with attempts = 0": (
+        lambda: embed_cycles([BlockCycle((0, 1))], _edgeless([0, 1]), 0, attempts=0),
+        ValueError, "attempts must be positive"),
 }
 
 
@@ -89,4 +135,63 @@ CASES = {
 def test_bad_input_raises(case):
     call, error, message = CASES[case]
     with pytest.raises(error, match=message):
+        call()
+
+
+def _lp_reading(real, t_of, v_of=lambda v: v):
+    """`solve_equality_lp` whose (v, t) pass through the given maps."""
+
+    def solve(rows):
+        v, t = real(rows)
+        return v_of(v), t_of(t)
+
+    return solve
+
+
+def _first_image_only(real):
+    """`_edge_images` that keeps only each edge's first image, so a split
+    edge's coefficient loses its other copies' share."""
+    return lambda rec: [images[:1] for images in real(rec)]
+
+
+INVARIANT_BREAKS = {
+    "rounding flow that does not saturate": (
+        MaxFlow, "run", lambda real: lambda self, src, dst: 0,
+        lambda: matrix_round([[0, HALF, HALF], [HALF, 0, HALF], [HALF, HALF, 0]], TRIANGLE),
+        "did not saturate"),
+    "membership LP with a negative margin": (
+        hamdec.polytope, "solve_equality_lp", lambda real: _lp_reading(real, lambda t: -t - 1),
+        lambda: positive_certificate(incidence(TRIANGLE), (F(1, 3),) * 3),
+        r"membership LP reads t\* = -"),
+    "membership LP solution off Z c = x": (
+        hamdec.polytope, "solve_equality_lp",
+        lambda real: _lp_reading(real, lambda t: t, lambda v: [v[0] + 1] + v[1:]),
+        lambda: positive_certificate(incidence(TRIANGLE), (F(1, 3),) * 3),
+        "fails Z c = x"),
+    "realized tally off the plan": (
+        REALIZE_MODULE, "count_block_edges", lambda real: lambda h, blocks, s: BalancedMatrix(((0,),)),
+        lambda: realize(BalancedMatrix(((2,),)), SampledGraph.from_edges(
+            2, np.zeros(2), np.zeros(2, dtype=int), [(0, 1)]), LOOP, 0),
+        "does not reproduce the tally plan"),
+    "pushed certificate off the refined system": (
+        hamdec.refine, "_edge_images", _first_image_only,
+        lambda: push_certificate((F(1),), SPLIT),
+        "pushed certificate fails the refined system"),
+    "pulled certificate off the original system": (
+        hamdec.refine, "_edge_images", _first_image_only,
+        lambda: pull_certificate(SPLIT_CERTIFICATE, SPLIT),
+        "pulled certificate fails the original system"),
+    "refinement that splits nothing": (
+        hamdec.refine, "refine_once", lambda real: lambda w, block, t: RefinementRecord(block, t, w, w),
+        lambda: ensure_loopless_odd_cycle(ER_HALF),
+        "two refinements did not produce a loopless odd cycle"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INVARIANT_BREAKS))
+def test_broken_invariant_raises(monkeypatch, case):
+    owner, name, break_it, call, message = INVARIANT_BREAKS[case]
+    call()  # unbroken, the call passes its check
+    monkeypatch.setattr(owner, name, break_it(getattr(owner, name)))
+    with pytest.raises(RuntimeError, match=message):
         call()

@@ -185,7 +185,10 @@ class TestSmallWorld:
     """`positive_certificate`'s status equals the Hall-set classifier's on
     every connected skeleton with q <= 3 blocks (q = 4 up to relabelling)
     and every count vector of the given totals; permuting the blocks and
-    the counts together maps every q = 4 instance onto one listed here."""
+    the counts together maps every q = 4 instance onto one listed here.
+    Each certificate also checks on the dense Z: a point inside has
+    Z c = x, min c equal to its margin, and the margin of the `Fraction`
+    simplex; an exterior point's violator violates on the counts."""
 
     @pytest.mark.parametrize(
         "q, totals", [(1, range(1, 9)), (2, range(1, 9)), (3, range(1, 9)), (4, range(1, 6))]
@@ -198,12 +201,24 @@ class TestSmallWorld:
         seen, wrong = set(), []
         for s in skeletons:
             z = incidence(s)
+            rows = dense_rows(z)
             for counts in vectors:
                 want = hall_status(s, counts)
-                got = positive_certificate(z, [F(c, sum(counts)) for c in counts]).status
+                x = [F(c, sum(counts)) for c in counts]
+                cert = positive_certificate(z, x)
                 seen.add(want)
-                if got is not want:
-                    wrong.append((s, counts, got, want))
+                if cert.status is not want:
+                    wrong.append((s, counts, cert.status, want))
+                elif want is Membership.EXTERIOR:
+                    a = cert.violator
+                    reached = {j for j in range(q) if any(s.supports(i, j) for i in a)}
+                    if sum(counts[j] for j in reached) >= sum(counts[i] for i in a):
+                        wrong.append((s, counts, "violator", a))
+                else:
+                    c = cert.coefficients
+                    zc = [sum(r * ck for r, ck in zip(row, c)) for row in rows]
+                    if zc != x or min(c) != cert.margin or cert.margin != reference_certificate(z, x)[2]:
+                        wrong.append((s, counts, "certificate", cert))
         assert wrong == []
         assert seen == (set(Membership) if q > 1 else {Membership.INTERIOR, Membership.EXTERIOR})
 

@@ -5,8 +5,9 @@ Internal invariants are explicit checks that raise: `python -O` strips
 
 Maximum bipartite matching has one front end on a sampled graph,
 `realize.max_bipartite_matching`; the existence oracle's
-`realize._has_perfect_matching` is the only other place that runs
-`_kernels.hopcroft_karp`, so a second inline matching path cannot return.
+`realize._has_perfect_matching` is the only other place that runs the
+kernel `realize.hopcroft_karp`, so a second inline matching path cannot
+return.
 Likewise `polytope.positive_certificate` is the one caller of the Hall flow
 `polytope.hall_violator` (the package root only re-exports it), so every
 exterior verdict comes with its checked violator from one engine; and the
@@ -76,7 +77,7 @@ def test_forbidden_import_detection():
     for src in ("import scipy", "import scipy.sparse as sp", "from numba import njit",
                 "from scipy.sparse.csgraph import maximum_bipartite_matching"):
         assert _imported_roots(ast.parse(src).body[0]) & FORBIDDEN_IMPORTS
-    for src in ("import numpy as np", "from . import _kernels", "from .scipy_like import x"):
+    for src in ("import numpy as np", "from . import realize", "from .scipy_like import x"):
         assert not _imported_roots(ast.parse(src).body[0]) & FORBIDDEN_IMPORTS
 
 
@@ -133,9 +134,9 @@ def test_only_positive_certificate_runs_the_hall_flow(name):
 
 def test_hopcroft_karp_user_detection():
     src = """
-from ._kernels import hopcroft_karp as hk
+from .realize import hopcroft_karp as hk
 def f(g):
-    return _kernels.hopcroft_karp(1, 1, *g)
+    return realize.hopcroft_karp(1, 1, *g)
 def h():
     def inner():
         return hopcroft_karp
