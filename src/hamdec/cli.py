@@ -23,7 +23,7 @@ from ._seeds import derive
 from .driver import Verdict, analyze, montecarlo, plan, run_pipeline
 from .model import saturate, skeleton
 from .polytope import Membership
-from .realize import DEFAULT_ATTEMPTS, graph_has_decomposition
+from .realize import graph_has_decomposition
 from .refine import refine_once
 from .sampling import sample_graph
 
@@ -95,7 +95,7 @@ def _cmd_decompose(args) -> int:
     w = io.load_graphon(args.file)
     # saturate(w): w's blocks and coordinates, every supported pair an edge
     g = sample_graph(saturate(w) if args.saturated else w, args.n, args.seed)
-    out = run_pipeline(plan(w), g, derive(args.seed, "decompose"), args.attempts)
+    out = run_pipeline(plan(w), g, derive(args.seed, "decompose"))
     if not out.ok:
         print(out.failure, file=sys.stderr)
         return 1
@@ -106,7 +106,7 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_montecarlo(args) -> int:
     w = io.load_graphon(args.file)
-    report = montecarlo(w, args.n, args.trials, args.seed, attempts=args.attempts, jobs=args.jobs)
+    report = montecarlo(w, args.n, args.trials, args.seed, jobs=args.jobs)
     print(f"n={report.n} trials={report.trials} master_seed={report.master_seed}")
     print(
         f"oracle: {report.successes_oracle}/{report.trials}"
@@ -154,7 +154,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--saturated", action="store_true", help="decompose the saturated graph")
-    p.add_argument("--attempts", type=int, default=DEFAULT_ATTEMPTS)
     p.set_defaults(func=_cmd_decompose)
 
     p = sub.add_parser("montecarlo", help="estimate the decomposition probability")
@@ -163,7 +162,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--csv", help="write per-trial rows")
-    p.add_argument("--attempts", type=int, default=DEFAULT_ATTEMPTS)
     p.add_argument("--jobs", type=int, default=1, help="worker processes")
     p.set_defaults(func=_cmd_montecarlo)
 

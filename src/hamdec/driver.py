@@ -65,7 +65,7 @@ from .model import (
     skeleton,
 )
 from .polytope import Membership, MembershipCertificate, positive_certificate
-from .realize import DEFAULT_ATTEMPTS, graph_has_decomposition, realize
+from .realize import graph_has_decomposition, realize
 from .sampling import BalancedMatrix, SampledGraph, assign_blocks, empirical_concentration, sample_graph
 from .refine import ensure_loopless_odd_cycle
 
@@ -266,14 +266,11 @@ class PipelineOutcome:
         return self.failure is None
 
 
-def run_pipeline(
-    p: Plan, g: SampledGraph, seed: int, attempts: int = DEFAULT_ATTEMPTS
-) -> PipelineOutcome:
+def run_pipeline(p: Plan, g: SampledGraph, seed: int) -> PipelineOutcome:
     """Decide the membership status of g's empirical vector, g sampled from
     the graphon `p` plans for; re-block g under its refinement, if any,
     build the tally and realize its block cycles with `seed`.  Expected
     failures come back in the outcome; anything else raises."""
-    check_count(attempts, "attempts")
     z = p.base
     x = empirical_concentration(g, z.shape[0])
     base = cert = positive_certificate(z, x)
@@ -295,27 +292,23 @@ def run_pipeline(
         tally = build_balanced_matrix(x, g.n, z.skeleton, cert)
     except ConstructionError as exc:
         return PipelineOutcome(base, failure=f"tally construction failed: {exc}")
-    outcome = realize(tally, g, z.skeleton, seed, attempts)
+    outcome = realize(tally, g, z.skeleton, seed)
     if not outcome.ok:
         return PipelineOutcome(base, failure=f"realization failed: {outcome.diagnostics}")
     return PipelineOutcome(base, tally, outcome.decomposition)
 
 
-def constructive_attempt(
-    p: Plan, g: SampledGraph, seed: int, attempts: int = DEFAULT_ATTEMPTS
-) -> PipelineOutcome:
+def constructive_attempt(p: Plan, g: SampledGraph, seed: int) -> PipelineOutcome:
     """Run the constructive pipeline for the Monte Carlo trial with seed
     `seed`.  A refined skeleton's interior vector aggregates to an interior
     one, so the pipeline succeeds only if the trial's vector is interior."""
-    return run_pipeline(p, g, derive(seed, "realize"), attempts)
+    return run_pipeline(p, g, derive(seed, "realize"))
 
 
-def run_trial(
-    w: StepGraphon, n: int, master_seed: int, trial: int, attempts: int = DEFAULT_ATTEMPTS
-) -> TrialResult:
+def run_trial(w: StepGraphon, n: int, master_seed: int, trial: int) -> TrialResult:
     seed = derive(master_seed, "trial", trial)
     g = sample_graph(w, n, seed)
-    out = constructive_attempt(plan(w), g, seed, attempts)
+    out = constructive_attempt(plan(w), g, seed)
     a = out.certificate.violator  # exterior: its blocks' nodes are a Hall set
     witness = out.decomposition if a is None else np.flatnonzero(np.isin(g.blocks, list(a)))
     oracle = graph_has_decomposition(g, witness)
@@ -353,7 +346,7 @@ def _drop_pool(pool: ProcessPoolExecutor | None = None, kill: bool = False) -> N
         kept = _pool[1]
         _pool = None
         if kill:
-            for p in kept._processes.values():
+            for p in list(kept._processes.values()):
                 p.kill()
         kept.shutdown()
 
@@ -378,8 +371,9 @@ def _worker_pool(workers: int) -> ProcessPoolExecutor:
             kept, pool = _pool
             # a worker killed while the pool sat idle shows in the executor's
             # own record of its workers: a ready sentinel, or the pool marked
-            # broken
-            sentinels = [p.sentinel for p in pool._processes.values()]
+            # broken.  Another thread's first call may still be starting
+            # workers into that record, so it is copied in one step first.
+            sentinels = [p.sentinel for p in list(pool._processes.values())]
             damaged = bool(multiprocessing.connection.wait(sentinels, 0)) or bool(pool._broken)
             if damaged or kept != workers:
                 _drop_pool(kill=damaged)
@@ -389,12 +383,7 @@ def _worker_pool(workers: int) -> ProcessPoolExecutor:
 
 
 def montecarlo(
-    w: StepGraphon,
-    n: int,
-    trials: int,
-    master_seed: int,
-    attempts: int = DEFAULT_ATTEMPTS,
-    jobs: int = 1,
+    w: StepGraphon, n: int, trials: int, master_seed: int, jobs: int = 1
 ) -> MonteCarloReport:
     """Estimate the decomposition probability at size n over seeded trials.
 
@@ -409,18 +398,17 @@ def montecarlo(
     check_count(n, "n and trials")
     check_count(trials, "n and trials")
     check_count(jobs, "jobs")
-    check_count(attempts, "attempts")
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     workers = min(jobs, trials, cpus or 1)
     if workers > 1:
         pool = _worker_pool(workers)
         chunk = max(1, trials // (4 * workers))
-        trial = partial(run_trial, w, n, master_seed, attempts=attempts)
+        trial = partial(run_trial, w, n, master_seed)
         try:
             rows = list(pool.map(trial, range(trials), chunksize=chunk))
         except BrokenProcessPool:  # a worker died during the call
             _drop_pool(pool, kill=True)
             raise
     else:
-        rows = [run_trial(w, n, master_seed, t, attempts) for t in range(trials)]
+        rows = [run_trial(w, n, master_seed, t) for t in range(trials)]
     return MonteCarloReport(n, master_seed, tuple(rows))

@@ -59,7 +59,7 @@ def _as_fraction(value) -> Fraction:
 
 
 def check_count(k, what: str) -> None:
-    """The one rule for a count argument (n, trials, attempts, jobs): an
+    """The one rule for a count argument (n, trials, jobs): an
     integer, not a bool, at least 1; anything else raises ValueError."""
     if not isinstance(k, numbers.Integral) or isinstance(k, bool) or k < 1:
         raise ValueError(f"{what} must be positive (an integer, not a bool), got {k!r}")

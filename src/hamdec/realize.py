@@ -41,22 +41,19 @@ import numpy as np
 
 from ._seeds import derive, generator
 from .construct import HamDecomposition, block_cycles
-from .model import SkeletonGraph, check_count
+from .model import SkeletonGraph
 from .sampling import BalancedMatrix, SampledGraph, count_block_edges
 
-# the default retry budget: restarts per phase-1 pattern, phase-2 draws
-DEFAULT_ATTEMPTS = 32
+# the retry budget: restarts per phase-1 pattern, phase-2 draws
+ATTEMPTS = 32
 
 
 class CycleEmbedError(Exception):
-    """Raised when a cycle pattern cannot be embedded within the retry budget."""
+    """Raised when a cycle pattern is not embedded within `ATTEMPTS` restarts."""
 
-    def __init__(self, pattern_index: int, attempts: int):
+    def __init__(self, pattern_index: int):
         self.pattern_index = pattern_index
-        self.attempts = attempts
-        super().__init__(
-            f"pattern {pattern_index} not embedded after {attempts} attempts"
-        )
+        super().__init__(f"pattern {pattern_index} not embedded after {ATTEMPTS} attempts")
 
 
 @dataclass(frozen=True)
@@ -73,8 +70,12 @@ class RealizationOutcome:
 
 def _ones(x):
     """The positions of the set bits of a nonnegative int, ascending."""
-    packed = np.frombuffer(x.to_bytes((x.bit_length() + 7) // 8, "little"), np.uint8)
-    return np.flatnonzero(np.unpackbits(packed, bitorder="little")).tolist()
+    found = []
+    while x:
+        low = x & -x  # the lowest set bit
+        found.append(low.bit_length() - 1)
+        x ^= low
+    return found
 
 
 def hopcroft_karp(rows, nr):
@@ -240,16 +241,15 @@ def _check_hall_set(g: SampledGraph, nodes: np.ndarray) -> None:
         )
 
 
-def embed_cycles(patterns, g: SampledGraph, seed: int, attempts: int = DEFAULT_ATTEMPTS):
+def embed_cycles(patterns, g: SampledGraph, seed: int):
     """Find node-disjoint directed cycles in g, one per block pattern.
 
     Each cycle visits blocks in its pattern's order: a path is grown block
     by block through sampled edges, then closed by a node adjacent to both
     endpoints.  Nodes used by earlier patterns are excluded from later
-    ones.  Each pattern gets `attempts` randomized restarts; running out
+    ones.  Each pattern gets `ATTEMPTS` randomized restarts; running out
     raises `CycleEmbedError` with the failing pattern index.
     """
-    check_count(attempts, "attempts")
     rng = generator(derive(seed, "embed"))
     free = np.ones(g.n, dtype=bool)  # not taken by an earlier pattern
 
@@ -257,7 +257,7 @@ def embed_cycles(patterns, g: SampledGraph, seed: int, attempts: int = DEFAULT_A
     for p_idx, pattern in enumerate(patterns):
         bs = list(pattern.nodes)
         k = len(bs)
-        for _ in range(attempts):
+        for _ in range(ATTEMPTS):
             chosen: list[int] = []
             avail = free.copy()  # also excludes this attempt's picks
             for t in range(k):
@@ -278,25 +278,22 @@ def embed_cycles(patterns, g: SampledGraph, seed: int, attempts: int = DEFAULT_A
             else:  # every block of the pattern got a node
                 break
         else:  # no attempt embedded the pattern
-            raise CycleEmbedError(p_idx, attempts)
+            raise CycleEmbedError(p_idx)
         free[chosen] = False
         cycles.append(tuple(chosen))
     return cycles
 
 
-def realize(
-    a: BalancedMatrix, g: SampledGraph, s: SkeletonGraph, seed: int, attempts: int = DEFAULT_ATTEMPTS
-) -> RealizationOutcome:
+def realize(a: BalancedMatrix, g: SampledGraph, s: SkeletonGraph, seed: int) -> RealizationOutcome:
     """Instantiate the block cycles of tally `a` inside g.
 
     Phase 1 embeds every block cycle of length >= 3.  Phase 2 partitions
     the remaining nodes of each block into groups sized by the tally's
     2-cycle counts and asks for perfect matchings within sampled edges
     (looped blocks: split the group into halves and match across); the
-    whole grouping is re-randomized on failure, up to `attempts` times.
+    whole grouping is re-randomized on failure, up to `ATTEMPTS` times.
     On success the result's block tallies equal the input exactly.
     """
-    check_count(attempts, "attempts")
     q = s.node_count
     observed = tuple(int(c) for c in np.bincount(g.blocks, minlength=q))
     if observed != a.row_sums():
@@ -306,7 +303,7 @@ def realize(
 
     # phase 1: cycles of length >= 3
     try:
-        long_cycles = embed_cycles(patterns, g, derive(seed, "phase1"), attempts)
+        long_cycles = embed_cycles(patterns, g, derive(seed, "phase1"))
     except CycleEmbedError as err:
         diagnostics["phase"] = "long-cycles"
         diagnostics["failed_pattern"] = err.pattern_index
@@ -323,7 +320,7 @@ def realize(
         raise RuntimeError("tally 2-cycle counts do not match the leftover nodes")
 
     rng = generator(derive(seed, "phase2"))
-    for attempt in range(attempts):
+    for attempt in range(ATTEMPTS):
         # each block's nodes in a fresh random order, handed out front to back
         shuffled = [iter(rng.permutation(r).tolist()) for r in remaining]
         pair_cycles: list[tuple[int, int]] = []

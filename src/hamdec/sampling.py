@@ -56,6 +56,15 @@ def _int_array(values, what: str) -> np.ndarray:
     return arr.astype(np.int64, copy=False)
 
 
+def _integer_nodes(nodes, what: str) -> np.ndarray:
+    """`nodes` as an int64 array; bools and non-integers raise ValueError,
+    since casting would read True as 1 and truncate 1.5 to 1."""
+    nodes = np.asarray(nodes)
+    if nodes.size and nodes.dtype.kind not in "iu":
+        raise ValueError(f"{what} must be integer nodes")
+    return nodes.astype(np.int64, copy=False)
+
+
 def _nodes(n, coords, blocks) -> tuple[np.ndarray, np.ndarray]:
     """The coordinates and block labels of n nodes, checked."""
     check_count(n, "n")
@@ -119,10 +128,7 @@ class SampledGraph:
     def _node_array(self, nodes, what: str) -> np.ndarray:
         """`nodes` as int64; a non-integer node, or one out of range or
         repeated, raises ValueError."""
-        nodes = np.asarray(nodes)
-        if nodes.size and nodes.dtype.kind not in "iu":  # int64 casting would truncate 1.5 to 1
-            raise ValueError(f"{what} must be integer nodes")
-        nodes = nodes.astype(np.int64, copy=False)
+        nodes = _integer_nodes(nodes, what)
         listed = nodes.tolist()  # on a few dozen nodes, Python's min, max and set beat numpy's
         if listed and (min(listed) < 0 or max(listed) >= self.n):
             raise ValueError(f"{what} must be nodes of the graph")
@@ -175,8 +181,9 @@ class SampledGraph:
         return out
 
     def neighbors(self, v: int) -> np.ndarray:
-        """v's neighbours, ascending."""
-        if not 0 <= v < self.n:
+        """v's neighbours, ascending; a bool, a non-integer or a node out of
+        range raises ValueError."""
+        if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or not 0 <= v < self.n:
             raise ValueError(f"node {v} is not a node of the graph")
         row = np.unpackbits(self.adjacency()[v], count=self.n, bitorder="little")
         return np.flatnonzero(row)
@@ -186,10 +193,10 @@ class SampledGraph:
 
     def has_edges(self, us, vs) -> np.ndarray:
         """Whether each pair (us[k], vs[k]) is an edge, as a bool array; a
-        node out of range has no edges."""
+        node out of range has no edges, and a bool or non-integer node
+        raises ValueError."""
         bits = self.adjacency()
-        us = np.asarray(us, dtype=np.int64)
-        vs = np.asarray(vs, dtype=np.int64)
+        us, vs = _integer_nodes(us, "edge endpoints"), _integer_nodes(vs, "edge endpoints")
         found = (us >= 0) & (us < self.n) & (vs >= 0) & (vs < self.n)
         u, v = us[found], vs[found]
         found[found] = (bits[u, v >> 3] >> (v & 7)) & 1 == 1

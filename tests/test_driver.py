@@ -480,23 +480,21 @@ class TestWorkerPool:
             proc.stdout.close()
 
     @pytest.mark.parametrize(
-        "n, trials, attempts, jobs, message",
+        "n, trials, master_seed, jobs, message",
         [
             (20, True, 3, 1, "n and trials"),
             (20.0, 2, 3, 1, "n and trials"),
-            (20, 2, True, 1, "attempts"),
-            (20, 2, 2.5, 1, "attempts"),
             (20, 2, 3, True, "jobs"),
             (20, 2, 3, 1.5, "jobs"),
         ],
     )
-    def test_counts_must_be_integers(self, monkeypatch, n, trials, attempts, jobs, message):
+    def test_counts_must_be_integers(self, monkeypatch, n, trials, master_seed, jobs, message):
         def no_pool(max_workers, **kwargs):
             raise AssertionError(f"started a {max_workers}-worker pool")
 
         monkeypatch.setattr(hamdec.driver, "ProcessPoolExecutor", no_pool)
         with pytest.raises(ValueError, match=message):
-            montecarlo(ER_HALF, n, trials, 1, attempts, jobs)
+            montecarlo(ER_HALF, n, trials, master_seed, jobs)
 
 
 def _counting(monkeypatch, module, name):
@@ -535,7 +533,7 @@ class TestPipeline:
             pytest.skip("only forked workers see a monkeypatch")
         _two_cpus(monkeypatch)
 
-        def broken(a, g, s, seed, attempts):
+        def broken(a, g, s, seed):
             raise RuntimeError("injected invariant break")
 
         monkeypatch.setattr(hamdec.driver, "realize", broken)
@@ -617,18 +615,17 @@ class TestPipeline:
         assert cli.main(args + ["--jobs", "-3"]) == 2
 
     def test_attempts_must_be_positive(self, tmp_path):
-        g = sample_graph(ER_HALF, 20, 1)
-        for attempts in (0, -3):
-            with pytest.raises(ValueError, match="attempts"):
-                montecarlo(ER_HALF, 20, 2, 1, attempts=attempts)
-            with pytest.raises(ValueError, match="attempts"):
-                run_pipeline(plan(ER_HALF), g, 1, attempts)
+        # the retry budget is a positive constant, not an argument
+        assert type(REALIZE_MODULE.ATTEMPTS) is int and REALIZE_MODULE.ATTEMPTS >= 1
+        with pytest.raises(TypeError, match="attempts"):
+            montecarlo(ER_HALF, 20, 2, 1, attempts=3)
         path = tmp_path / "w.json"
         io.dump_graphon(ER_HALF, path)
-        args = ["montecarlo", str(path), "--n", "20", "--trials", "2", "--seed", "1"]
-        assert cli.main(args + ["--attempts", "0"]) == 2
-        args = ["decompose", str(path), "--n", "20", "--seed", "1"]
-        assert cli.main(args + ["--attempts", "-3"]) == 2
+        for args in (["montecarlo", str(path), "--n", "20", "--trials", "2", "--seed", "1"],
+                     ["decompose", str(path), "--n", "20", "--seed", "1"]):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(args + ["--attempts", "3"])
+            assert exc.value.code == 2
 
 
 def _shifted(real):

@@ -1,8 +1,9 @@
 """Checks that no behaviour test reaches.
 
 Each bad input raises the documented exception with a message naming what
-is wrong; a count argument (n, attempts) follows one rule, an integer that
-is not a bool and at least 1.  Each internal invariant check raises
+is wrong; a count argument (n, trials, jobs) follows one rule, an integer
+that is not a bool and at least 1, and a node of a sampled graph is an
+integer, not a bool.  Each internal invariant check raises
 RuntimeError once a monkeypatch breaks what it checks.
 """
 
@@ -22,11 +23,10 @@ from hamdec.construct import (
     matrix_round,
     round_even,
 )
-from hamdec.driver import plan, run_pipeline
 from hamdec.flow import MaxFlow
 from hamdec.model import Partition, SkeletonGraph, incidence, step_graphon
 from hamdec.polytope import positive_certificate
-from hamdec.realize import embed_cycles, max_bipartite_matching, oracle_exists, realize
+from hamdec.realize import max_bipartite_matching, oracle_exists, realize
 from hamdec.refine import (
     RefinementRecord,
     ensure_loopless_odd_cycle,
@@ -52,6 +52,9 @@ SPLIT_CERTIFICATE = push_certificate((F(1),), SPLIT)
 def _edgeless(blocks):
     n = len(blocks)
     return SampledGraph.from_edges(n, np.zeros(n), np.array(blocks), [])
+
+
+ONE_EDGE = SampledGraph.from_edges(3, np.zeros(3), np.zeros(3, dtype=int), [(0, 1)])
 
 
 CASES = {
@@ -116,18 +119,18 @@ CASES = {
     "graph of n = 2.0 nodes": (
         lambda: SampledGraph.from_edges(2.0, np.zeros(2), np.zeros(2, dtype=int), []),
         ValueError, "n must be positive"),
-    "pipeline with attempts = True": (
-        lambda: run_pipeline(plan(ER_HALF), sample_graph(ER_HALF, 20, 1), 1, True), ValueError, "attempts"),
-    "pipeline with attempts = 2.5": (
-        lambda: run_pipeline(plan(ER_HALF), sample_graph(ER_HALF, 20, 1), 1, 2.5), ValueError, "attempts"),
-    "realize with attempts = 0": (
-        lambda: realize(BalancedMatrix(((2,),)), _edgeless([0, 0]), LOOP, 0, attempts=0),
-        ValueError, "attempts must be positive"),
     "matching of a non-integer node": (
         lambda: max_bipartite_matching(_edgeless([0, 0]), [0.5], [1]), ValueError, "integer nodes"),
-    "embed cycles with attempts = 0": (
-        lambda: embed_cycles([BlockCycle((0, 1))], _edgeless([0, 1]), 0, attempts=0),
-        ValueError, "attempts must be positive"),
+    "edge test of a non-integer node": (
+        lambda: ONE_EDGE.has_edges([0.5], [1]), ValueError, "integer nodes"),
+    "edge test of a bool node": (
+        lambda: ONE_EDGE.has_edges([True], [0]), ValueError, "integer nodes"),
+    "single edge test of non-integer nodes": (
+        lambda: ONE_EDGE.has_edge(0.9, 1.2), ValueError, "integer nodes"),
+    "neighbours of a bool node": (
+        lambda: ONE_EDGE.neighbors(True), ValueError, "not a node of the graph"),
+    "neighbours of a non-integer node": (
+        lambda: ONE_EDGE.neighbors(1.5), ValueError, "not a node of the graph"),
 }
 
 

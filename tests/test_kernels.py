@@ -1,6 +1,7 @@
 """Seed derivation, the sampler's pair draw, a graph's row masks and the
 matching kernel."""
 
+import random
 from fractions import Fraction as F
 from itertools import combinations
 
@@ -10,7 +11,7 @@ import pytest
 from hamdec import sampling
 from hamdec._seeds import derive, fnv1a64, generator, splitmix64
 from hamdec.model import step_graphon
-from hamdec.realize import hopcroft_karp
+from hamdec.realize import _ones, hopcroft_karp
 from hamdec.sampling import SampledGraph, sample_graph
 
 from helpers import (
@@ -109,6 +110,16 @@ class TestRowMasks:
                 got = g.row_masks(rows, cols)
                 assert got == [sum(1 << k for k in np.flatnonzero(dense[r, cols]).tolist()) for r in rows]
             assert g.row_masks() == g.row_masks(np.arange(n), np.arange(n))
+
+
+class TestSetBits:
+    def test_positions_match_the_binary_digits(self):
+        rng = random.Random(11)
+        values = [0, 1] + [1 << k for k in (1, 7, 8, 63, 64, 65, 1999, 2000)]
+        values += [rng.getrandbits(rng.randint(1, 2000)) for _ in range(300)]
+        for x in values:
+            want = [k for k, digit in enumerate(reversed(bin(x)[2:])) if digit == "1"]
+            assert _ones(x) == want
 
 
 class TestMatchingProperties:

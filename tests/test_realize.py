@@ -329,13 +329,14 @@ class TestHallWitness:
 
 
 class TestEmbed:
-    def test_saturated_always_succeeds(self):
+    def test_saturated_always_succeeds(self, monkeypatch):
         p = F(1, 5)
         w = step_graphon([0, F(1, 3), F(2, 3), 1], [[0, p, p], [p, 0, p], [p, p, 0]])
         assert skeleton(w) == TRIANGLE
         sat = sample_graph(saturate(w), 12, 2)
         assert set(sat.blocks.tolist()) == {0, 1, 2}
-        cycles = embed_cycles([BlockCycle((0, 1, 2))], sat, seed=1, attempts=1)
+        monkeypatch.setattr(realize_module, "ATTEMPTS", 1)  # the first restart succeeds
+        cycles = embed_cycles([BlockCycle((0, 1, 2))], sat, seed=1)
         assert len(cycles) == 1 and len(cycles[0]) == 3
         assert sorted(int(sat.blocks[v]) for v in cycles[0]) == [0, 1, 2]
 
@@ -343,7 +344,7 @@ class TestEmbed:
         g = SampledGraph.from_edges(4, np.linspace(0, 0.9, 4), np.array([0, 0, 1, 1]), np.empty((0, 2)))
         s = SkeletonGraph(2, frozenset(), frozenset({(0, 1)}))
         with pytest.raises(CycleEmbedError) as err:
-            embed_cycles([BlockCycle((0, 1))], g, seed=3, attempts=4)
+            embed_cycles([BlockCycle((0, 1))], g, seed=3)
         assert err.value.pattern_index == 0
 
     def test_triangle_statistical(self):
@@ -357,7 +358,7 @@ class TestEmbed:
         for seed in range(100):
             g = sample_graph(w, 180, seed)
             try:
-                embed_cycles([BlockCycle((0, 1, 2))], g, seed=seed, attempts=32)
+                embed_cycles([BlockCycle((0, 1, 2))], g, seed=seed)
                 wins += 1
             except CycleEmbedError:
                 pass
@@ -367,7 +368,7 @@ class TestEmbed:
         w = step_graphon([0, F(1, 3), F(2, 3), 1], [[F(1, 2)] * 3] * 3)
         g = sample_graph(w, 120, 9)
         pats = [BlockCycle((0, 1, 2)), BlockCycle((0, 2, 1)), BlockCycle((1, 2, 0))]
-        cycles = embed_cycles(pats, g, seed=10, attempts=32)
+        cycles = embed_cycles(pats, g, seed=10)
         flat = [v for c in cycles for v in c]
         assert len(flat) == len(set(flat))
         for c in cycles:
@@ -375,7 +376,7 @@ class TestEmbed:
                 assert g.has_edge(c[t], c[(t + 1) % len(c)])
 
 
-def _pipeline(w, n, seed, saturated=False, attempts=32):
+def _pipeline(w, n, seed, saturated=False):
     g = sample_graph(saturate(w) if saturated else w, n, seed)
     s = skeleton(w)
     x = empirical_concentration(g, s.node_count)
@@ -402,7 +403,7 @@ class TestRealize:
         w = step_graphon([0, F(1, 3), F(2, 3), 1], [[F(1, 2)] * 3] * 3)
         a, g, s = _pipeline(w, 60, 4, saturated=True)
         empty = SampledGraph.from_edges(g.n, g.coords, g.blocks, np.empty((0, 2)))
-        out = realize(a, empty, s, seed=5, attempts=2)
+        out = realize(a, empty, s, seed=5)
         assert not out.ok
         assert out.diagnostics["phase"] in ("long-cycles", "two-cycles")
 

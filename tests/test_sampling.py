@@ -360,6 +360,7 @@ class TestAdjacency:
         # -1 would read row n - 1 through numpy's negative indexing
         g = SampledGraph.from_edges(3, np.zeros(3), np.zeros(3, dtype=int), [[1, 2]])
         assert g.neighbors(2).tolist() == [1] and not g.has_edge(-1, 1)
+        assert g.has_edges([], []).tolist() == []  # no nodes at all is no bad node
         for v in (-1, 3):
             with pytest.raises(ValueError, match="not a node"):
                 g.neighbors(v)

@@ -25,6 +25,13 @@ matrix is a view of its skeleton: `IncidenceMatrix` holds the skeleton and
 nothing else, and no package module reads an `.entries` attribute, so a
 dense copy of Z cannot come back beside the edge order it is read from.
 
+The retry budget of realization is one constant, `realize.ATTEMPTS`: no
+package function takes an `attempts` parameter, nothing reads a value of
+that name, and no module but `realize` names the constant, so the budget
+cannot come back as a per-call knob.  And no top-level import of a package
+module (the package root's re-exports aside) goes unread, which catches
+what a removed parameter or helper leaves behind.
+
 The package depends on numpy only.  Importing `scipy.sparse.csgraph` adds
 ~33 MB of resident memory and ~0.4 s of start-up, more than the pipeline
 benchmark's bound on peak memory allows, and the package has no compiled
@@ -144,6 +151,77 @@ def h():
 """
     assert _users("hopcroft_karp", "m", ast.parse(src)) == {"m.<module>", "m.f", "m.inner"}
     assert _users("hopcroft_karp", "m", ast.parse("def hopcroft_karp(): pass")) == set()
+
+
+def _parameter_takers(name: str, module: str, tree) -> set[str]:
+    """`module.function` of every function or lambda with a parameter `name`."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            a = node.args
+            params = a.posonlyargs + a.args + a.kwonlyargs + [p for p in (a.vararg, a.kwarg) if p]
+            if any(p.arg == name for p in params):
+                found.add(f"{module}.{getattr(node, 'name', '<lambda>')}")
+    return found
+
+
+def test_the_retry_budget_is_one_constant():
+    takers = set()
+    for path in sorted(SRC.glob("*.py")):
+        takers |= _parameter_takers("attempts", path.stem, ast.parse(path.read_text(encoding="utf-8")))
+    assert takers == set()
+    assert _package_users("attempts") == set()
+    assert {user.split(".")[0] for user in _package_users("ATTEMPTS")} == {"realize"}
+
+
+def test_parameter_taker_detection():
+    src = """
+def f(g, attempts=3):
+    pass
+class A:
+    def m(self, *, attempts):
+        pass
+k = lambda attempts: 0
+def h(attempt, **kwargs):
+    pass
+"""
+    assert _parameter_takers("attempts", "m", ast.parse(src)) == {"m.f", "m.m", "m.<lambda>"}
+
+
+def _unread_imports(tree) -> list[str]:
+    """The names a module's top-level imports bind that nothing in it reads."""
+    bound = [
+        alias.asname or alias.name.split(".")[0]
+        for node in tree.body
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    ]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return sorted(set(bound) - read)
+
+
+def test_no_unread_imports_in_package_modules():
+    found = [
+        f"{path.name}: {name}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "__init__.py"  # the package root imports to re-export
+        for name in _unread_imports(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+    ]
+    assert found == []
+
+
+def test_unread_import_detection():
+    src = """
+from __future__ import annotations
+import os.path
+import numpy as np
+from .model import check_count, skeleton as sk
+from .realize import ATTEMPTS
+def f(x: np.ndarray):
+    ATTEMPTS = 1
+    return sk(x)
+"""
+    assert _unread_imports(ast.parse(src)) == ["ATTEMPTS", "check_count", "os"]
 
 
 SAMPLED_GRAPH_FIELDS = ["n", "coords", "blocks", "bits"]
