@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .model import as_int
+
 _MASK64 = (1 << 64) - 1
 
 _FNV_OFFSET = 0xCBF29CE484222325
@@ -32,10 +34,11 @@ def fnv1a64(data: bytes) -> int:
 
 
 def derive(master: int, *tags: object) -> int:
-    """Derive a stream seed from a master seed in [0, 2**64) and purpose tags."""
-    if not 0 <= master <= _MASK64:
+    """Derive a stream seed from a master seed in [0, 2**64), an integer
+    by `model`'s rule, and purpose tags."""
+    state = as_int(master, "seed")
+    if not 0 <= state <= _MASK64:
         raise ValueError(f"seed {master} is outside [0, 2**64)")
-    state = master
     for tag in tags:
         state = splitmix64(state ^ fnv1a64(str(tag).encode("utf-8")))
     return state

@@ -33,6 +33,7 @@ from .flow import MaxFlow
 from .model import (
     DisconnectedSkeletonError,
     SkeletonGraph,
+    as_int,
     check_count,
     connected_components,
     edge_order,
@@ -77,7 +78,7 @@ class BlockCycle:
     nodes: tuple[int, ...]
 
     def __post_init__(self):
-        nodes = tuple(int(v) for v in self.nodes)
+        nodes = tuple([as_int(v, "block cycle nodes") for v in self.nodes])
         object.__setattr__(self, "nodes", nodes)
         if len(nodes) < 2:
             raise ValueError("a block cycle visits at least two blocks")
@@ -93,9 +94,10 @@ class HamDecomposition:
     cycles: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if self.n < 0:
+        if as_int(self.n, "n") < 0:
             raise ValueError(f"n must be nonnegative, got {self.n}")
-        object.__setattr__(self, "cycles", tuple(tuple(int(v) for v in c) for c in self.cycles))
+        cycles = [tuple([as_int(v, "cycle nodes") for v in c]) for c in self.cycles]
+        object.__setattr__(self, "cycles", tuple(cycles))
         seen = [False] * self.n
         for cycle in self.cycles:
             if len(cycle) < 2:
@@ -388,7 +390,7 @@ def canonical_blocks(block_sizes) -> list[int]:
     """Block label per node when blocks occupy consecutive index ranges."""
     blocks = []
     for b, size in enumerate(block_sizes):
-        blocks.extend([b] * int(size))
+        blocks.extend([b] * as_int(size, "block sizes"))
     return blocks
 
 

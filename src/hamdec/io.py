@@ -8,7 +8,10 @@ float), which keeps boundary classifications honest.  Written files use
 
 Graph files: {"n": ..., "coords": [...], "blocks": [...], "edges": [[i,j],
 ...]}.  Coordinates are genuine floats and round-trip exactly through
-JSON's repr-based formatting.
+JSON's repr-based formatting.  Graph files follow one rule for integer
+fields, stated here alone: an integral JSON number (2 or 2.0) is an
+integer in "n", "blocks" and "edges" alike, and true or a non-integral
+number there raises FormatError.
 """
 
 from __future__ import annotations
@@ -75,8 +78,14 @@ def dump_graphon(w: StepGraphon, path) -> None:
         fh.write("\n")
 
 
+def _integral_as_int(text: str):
+    """A JSON number with a fraction or an exponent: an int when integral,
+    else the float, which `model`'s integer rule refuses."""
+    return int(value) if (value := float(text)).is_integer() else value
+
+
 def load_graph(path) -> SampledGraph:
-    doc = _load_object(path, ("n", "coords", "blocks", "edges"))
+    doc = _load_object(path, ("n", "coords", "blocks", "edges"), parse_float=_integral_as_int)
     try:
         return SampledGraph.from_edges(doc["n"], doc["coords"], doc["blocks"], doc["edges"])
     except (TypeError, ValueError) as exc:

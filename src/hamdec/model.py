@@ -15,6 +15,14 @@ whether a vector sits on the boundary of a polytope is a measure-zero
 distinction that floats would destroy.  Floats appear only in sampling
 (see `sampling`).  Blocks and skeleton nodes are 0-indexed.
 
+One integer rule holds for every integer a caller hands the package: a
+count, a node, a block label, a seed, a tally entry.  An int or a numpy
+integer is accepted; a bool or a float, integral or not, raises
+ValueError, since True would be read as 1 and 2.9 truncated to 2.
+`as_int` is its scalar form and `int_array` its array form, which also
+catches a bool among the ints of a list.  No other module tests a value
+against an integer type.
+
 Per-call tuples are built from lists: CPython resizes a generator-built
 tuple, and its free lists then keep up to 2000 freed tuples of each size
 up to 20 until a full garbage collection, which integer code seldom runs.
@@ -27,11 +35,12 @@ edges: self-loops first in ascending node order, then distinct-node pairs
 from __future__ import annotations
 
 import math
-import numbers
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
+
+import numpy as np
 
 
 class DisconnectedSkeletonError(ValueError):
@@ -58,11 +67,34 @@ def _as_fraction(value) -> Fraction:
         raise ValueError(f"{value!r} is not a finite rational") from exc
 
 
+def as_int(v, what: str) -> int:
+    """The integer rule, scalar form: v as an int (see the module docstring)."""
+    if type(v) is int:
+        return v
+    if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+        raise ValueError(f"{what}: {v!r} is not an integer (bools and floats are refused)")
+    return int(v)
+
+
+def int_array(values, what: str) -> np.ndarray:
+    """The integer rule, array form: values as an int64 array.  An array
+    needs an integer dtype (or no entries); any other input is checked
+    entry by entry, as numpy would read True among ints as 1, save a flat
+    list of ints (one C-level pass over the entries' types)."""
+    if not isinstance(values, np.ndarray):
+        if not (isinstance(values, list) and set(map(type, values)) <= {int}):
+            for v in np.asarray(values, dtype=object).flat:
+                as_int(v, what)
+        values = np.asarray(values)  # beyond int64: an object array, refused below
+    if values.size and values.dtype.kind not in "iu":
+        raise ValueError(f"{what}: {values.dtype} entries are not integers")
+    return values.astype(np.int64, copy=False)
+
+
 def check_count(k, what: str) -> None:
-    """The one rule for a count argument (n, trials, jobs): an
-    integer, not a bool, at least 1; anything else raises ValueError."""
-    if not isinstance(k, numbers.Integral) or isinstance(k, bool) or k < 1:
-        raise ValueError(f"{what} must be positive (an integer, not a bool), got {k!r}")
+    """A count argument (n, trials, jobs): the integer rule, and at least 1."""
+    if as_int(k, what) < 1:
+        raise ValueError(f"{what} must be positive, got {k!r}")
 
 
 @dataclass(frozen=True)
@@ -86,6 +118,8 @@ class Partition:
         return len(self.breakpoints) - 1
 
     def interval(self, block: int) -> tuple[Fraction, Fraction]:
+        if not 0 <= as_int(block, "block") < self.q:
+            raise ValueError(f"block {block} out of range")
         return self.breakpoints[block], self.breakpoints[block + 1]
 
     def block_of(self, point) -> int:
@@ -139,9 +173,10 @@ class SkeletonGraph:
     edges: frozenset[tuple[int, int]]
 
     def __post_init__(self):
-        object.__setattr__(self, "loops", frozenset(self.loops))
-        object.__setattr__(self, "edges", frozenset(tuple(e) for e in self.edges))
-        if self.node_count < 1:
+        object.__setattr__(self, "loops", frozenset([as_int(i, "loop nodes") for i in self.loops]))
+        edges = frozenset([tuple([as_int(v, "edge ends") for v in e]) for e in self.edges])
+        object.__setattr__(self, "edges", edges)
+        if as_int(self.node_count, "node count") < 1:
             raise ValueError("skeleton needs at least one node")
         for i in self.loops:
             if not 0 <= i < self.node_count:

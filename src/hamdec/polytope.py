@@ -43,10 +43,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
 
-import numpy as np
-
 from .flow import MaxFlow
-from .model import IncidenceMatrix, SkeletonGraph, doubled_edge_sum, edge_order
+from .model import IncidenceMatrix, SkeletonGraph, _as_fraction, as_int, doubled_edge_sum, edge_order
 
 
 class Membership(str, enum.Enum):
@@ -216,16 +214,6 @@ def solve_equality_lp(rows):
 # membership certificates
 # ---------------------------------------------------------------------------
 
-def _refuse_bools(values, what: str) -> list:
-    """values as a list; a bool entry raises TypeError, as in
-    `model._as_fraction`: True is no count and no proportion."""
-    values = list(values)
-    for v in values:
-        if isinstance(v, (bool, np.bool_)):
-            raise TypeError(f"cannot interpret {v!r} as {what}")
-    return values
-
-
 def positive_certificate(z: IncidenceMatrix, x) -> MembershipCertificate:
     """Classify x against the convex hull of the columns of z.
 
@@ -234,12 +222,11 @@ def positive_certificate(z: IncidenceMatrix, x) -> MembershipCertificate:
     solves max t s.t. 2Z c = 2 D x, c >= t on the same counts, put in
     standard form by c_j = s_j + t with s >= 0 and t = tp - tm, and its
     solution over D is the certificate.  An x of the wrong length, with a
-    negative entry or not summing to 1 raises ValueError; a bool entry
-    raises TypeError.
+    negative entry or not summing to 1 raises ValueError; an entry that is
+    no exact rational (`model._as_fraction`), a bool say, raises TypeError.
     """
     q, nf = z.shape
-    x = _refuse_bools(x, "an exact rational")
-    xs = tuple([Fraction(v) for v in x])  # from lists: see `model`
+    xs = tuple([_as_fraction(v) for v in x])  # from lists: see `model`
     if len(xs) != q:
         raise ValueError(f"x has {len(xs)} entries, incidence matrix has {q} rows")
     if sum(xs) != 1:
@@ -286,8 +273,8 @@ def hall_violator(s: SkeletonGraph, counts) -> frozenset[int] | None:
     """The inclusion-minimal block set A of largest deficiency
     counts(A) - counts(N(A)) when that deficiency is positive, else None.
 
-    `counts` are nonnegative integers, one per block (a bool raises
-    TypeError); N(A) is A's neighbourhood in s, a looped block its own
+    `counts` are nonnegative integers, one per block, by `model`'s integer
+    rule; N(A) is A's neighbourhood in s, a looped block its own
     neighbour.  Such a set exists exactly when counts / sum(counts) is
     exterior: a point of the polytope is Z c = x with c >= 0; giving half
     of each pair edge's coefficient to (i, j) and half to (j, i) makes a
@@ -309,13 +296,12 @@ def hall_violator(s: SkeletonGraph, counts) -> frozenset[int] | None:
     from the source in its residual network.
     """
     q = s.node_count
-    counts = _refuse_bools(counts, "an integer count")
-    ints = [int(c) for c in counts]
-    if len(ints) != q:
-        raise ValueError(f"{len(ints)} counts for a skeleton on {q} blocks")
-    if any(i != c or i < 0 for i, c in zip(ints, counts)):
-        raise ValueError("counts must be nonnegative integers")
-    counts, total = ints, sum(ints)
+    counts = [as_int(c, "counts") for c in counts]
+    if len(counts) != q:
+        raise ValueError(f"{len(counts)} counts for a skeleton on {q} blocks")
+    if min(counts, default=0) < 0:
+        raise ValueError("counts must be nonnegative")
+    total = sum(counts)
     src, dst = 2 * q, 2 * q + 1
     net = MaxFlow(2 * q + 2)
     supply, demand = [], []

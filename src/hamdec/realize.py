@@ -41,7 +41,7 @@ import numpy as np
 
 from ._seeds import derive, generator
 from .construct import HamDecomposition, block_cycles
-from .model import SkeletonGraph
+from .model import SkeletonGraph, as_int
 from .sampling import BalancedMatrix, SampledGraph, count_block_edges
 
 # the retry budget: restarts per phase-1 pattern, phase-2 draws
@@ -184,11 +184,11 @@ def oracle_exists(n: int, arcs) -> bool:
 
     Decided by a perfect matching between out-copies and in-copies.
     """
-    if n < 0:
+    if as_int(n, "n") < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
     rows = [0] * n  # bit v of rows[u]: the arc (u, v)
     for u, v in arcs:
-        u, v = int(u), int(v)
+        u, v = as_int(u, "arc ends"), as_int(v, "arc ends")
         if u == v:
             raise ValueError("self-loops are not allowed")
         if not (0 <= u < n and 0 <= v < n):
@@ -220,7 +220,7 @@ def graph_has_decomposition(
     if witness is None:
         return _has_perfect_matching(g.row_masks(), g.n)
     if not isinstance(witness, HamDecomposition):
-        _check_hall_set(g, np.asarray(witness, dtype=np.int64))
+        _check_hall_set(g, witness)
         return False
     if witness.n != g.n:
         raise ValueError(f"a witness on {witness.n} nodes for a graph on {g.n}")
@@ -232,13 +232,11 @@ def graph_has_decomposition(
     return True
 
 
-def _check_hall_set(g: SampledGraph, nodes: np.ndarray) -> None:
+def _check_hall_set(g: SampledGraph, nodes) -> None:
     """Raise unless the distinct nodes have fewer neighbours in g than members."""
     found = g.neighbor_count(nodes)
-    if found >= nodes.size:
-        raise RuntimeError(
-            f"Hall set of {nodes.size} nodes has {found} neighbours: it violates nothing"
-        )
+    if found >= len(nodes):
+        raise RuntimeError(f"Hall set of {len(nodes)} nodes has {found} neighbours: it violates nothing")
 
 
 def embed_cycles(patterns, g: SampledGraph, seed: int):

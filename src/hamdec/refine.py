@@ -62,9 +62,6 @@ def refine_once(w: StepGraphon, block: int, t) -> RefinementRecord:
     the split node had a loop).
     """
     point = _as_fraction(t)
-    q = w.q
-    if not 0 <= block < q:
-        raise ValueError(f"block {block} out of range")
     lo, hi = w.partition.interval(block)
     if not lo < point < hi:
         raise ValueError(f"split point {point} not strictly inside [{lo}, {hi})")

@@ -33,7 +33,7 @@ from fractions import Fraction
 import numpy as np
 
 from ._seeds import derive, generator
-from .model import SkeletonGraph, StepGraphon, check_count
+from .model import SkeletonGraph, StepGraphon, as_int, check_count, int_array
 
 COORDS_STREAM = "coords"
 EDGES_STREAM = "edges"
@@ -48,28 +48,11 @@ EDGES_STREAM = "edges"
 BAND_CELLS = 1 << 16
 
 
-def _int_array(values, what: str) -> np.ndarray:
-    """int64 array of integer input; floats pass only if integral (or none)."""
-    arr = np.asarray(values)
-    if arr.dtype.kind not in "iu" and not (arr.dtype.kind == "f" and np.all(arr % 1 == 0)):
-        raise ValueError(f"{what} must be integers")
-    return arr.astype(np.int64, copy=False)
-
-
-def _integer_nodes(nodes, what: str) -> np.ndarray:
-    """`nodes` as an int64 array; bools and non-integers raise ValueError,
-    since casting would read True as 1 and truncate 1.5 to 1."""
-    nodes = np.asarray(nodes)
-    if nodes.size and nodes.dtype.kind not in "iu":
-        raise ValueError(f"{what} must be integer nodes")
-    return nodes.astype(np.int64, copy=False)
-
-
 def _nodes(n, coords, blocks) -> tuple[np.ndarray, np.ndarray]:
     """The coordinates and block labels of n nodes, checked."""
     check_count(n, "n")
     coords = np.asarray(coords, dtype=np.float64)
-    blocks = _int_array(blocks, "block labels")
+    blocks = int_array(blocks, "block labels")
     if coords.shape != (n,) or blocks.shape != (n,):
         raise ValueError("coords and blocks must have length n")
     if blocks.size and blocks.min() < 0:
@@ -105,7 +88,7 @@ class SampledGraph:
         order.  An endpoint out of range, a self-loop or a repeated edge
         raises ValueError."""
         coords, blocks = _nodes(n, coords, blocks)
-        edges = _int_array(edges, "edge endpoints").reshape(-1, 2)
+        edges = int_array(edges, "edge endpoints").reshape(-1, 2)
         if edges.size and (edges.min() < 0 or edges.max() >= n):
             raise ValueError("edge endpoints must be nodes in range")
         i, j = edges[:, 0], edges[:, 1]
@@ -126,9 +109,9 @@ class SampledGraph:
         return self.bits
 
     def _node_array(self, nodes, what: str) -> np.ndarray:
-        """`nodes` as int64; a non-integer node, or one out of range or
-        repeated, raises ValueError."""
-        nodes = _integer_nodes(nodes, what)
+        """`nodes` as int64; a node that is no integer, out of range or
+        repeated raises ValueError."""
+        nodes = int_array(nodes, what)
         listed = nodes.tolist()  # on a few dozen nodes, Python's min, max and set beat numpy's
         if listed and (min(listed) < 0 or max(listed) >= self.n):
             raise ValueError(f"{what} must be nodes of the graph")
@@ -181,9 +164,9 @@ class SampledGraph:
         return out
 
     def neighbors(self, v: int) -> np.ndarray:
-        """v's neighbours, ascending; a bool, a non-integer or a node out of
-        range raises ValueError."""
-        if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or not 0 <= v < self.n:
+        """v's neighbours, ascending; a v that is no integer or no node
+        raises ValueError."""
+        if not 0 <= as_int(v, "node") < self.n:
             raise ValueError(f"node {v} is not a node of the graph")
         row = np.unpackbits(self.adjacency()[v], count=self.n, bitorder="little")
         return np.flatnonzero(row)
@@ -193,10 +176,10 @@ class SampledGraph:
 
     def has_edges(self, us, vs) -> np.ndarray:
         """Whether each pair (us[k], vs[k]) is an edge, as a bool array; a
-        node out of range has no edges, and a bool or non-integer node
-        raises ValueError."""
+        node out of range has no edges, and one that is no integer raises
+        ValueError."""
         bits = self.adjacency()
-        us, vs = _integer_nodes(us, "edge endpoints"), _integer_nodes(vs, "edge endpoints")
+        us, vs = int_array(us, "edge endpoints"), int_array(vs, "edge endpoints")
         found = (us >= 0) & (us < self.n) & (vs >= 0) & (vs < self.n)
         u, v = us[found], vs[found]
         found[found] = (bits[u, v >> 3] >> (v & 7)) & 1 == 1
@@ -217,7 +200,7 @@ class BalancedMatrix:
     counts: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        counts = tuple(tuple(int(v) for v in row) for row in self.counts)
+        counts = tuple([tuple([as_int(v, "tally entries") for v in row]) for row in self.counts])
         object.__setattr__(self, "counts", counts)
         q = len(counts)
         if any(len(row) != q for row in counts):
@@ -291,7 +274,7 @@ def sample_graph(w: StepGraphon, n: int, seed: int) -> SampledGraph:
 
 def empirical_concentration(g: SampledGraph, q: int) -> tuple[Fraction, ...]:
     """Per-block node fractions, exact."""
-    if g.blocks.size and int(g.blocks.max()) >= q:
+    if int(g.blocks.max()) >= as_int(q, "q"):
         raise ValueError("block index out of range")
     counts = np.bincount(g.blocks, minlength=q)
     return tuple(Fraction(int(c), g.n) for c in counts)
@@ -305,11 +288,11 @@ def count_block_edges(h, blocks, s: SkeletonGraph) -> BalancedMatrix:
     names the first node whose edge does not; the result is balanced with
     row sums equal to the block sizes.
     """
-    if len(blocks) != h.n:
+    a = int_array(blocks, "block labels")
+    if a.shape != (h.n,):
         raise ValueError("need one block label per node of the decomposition")
     q = s.node_count
     succ = np.asarray(h.successor, dtype=np.int64)
-    a = np.asarray(blocks, dtype=np.int64)
     b = a[succ]
     support = np.array([[s.supports(i, j) for j in range(q)] for i in range(q)], dtype=bool)
     inside = (a >= 0) & (a < q) & (b >= 0) & (b < q)

@@ -1,4 +1,6 @@
+from collections import Counter
 from fractions import Fraction as F
+from itertools import product
 
 import numpy as np
 import pytest
@@ -18,10 +20,10 @@ from hamdec.construct import (
     split_mass,
 )
 from hamdec.model import DisconnectedSkeletonError, SkeletonGraph, incidence
-from hamdec.polytope import MembershipCertificate, positive_certificate
+from hamdec.polytope import Membership, MembershipCertificate, positive_certificate
 from hamdec.sampling import BalancedMatrix, count_block_edges
 
-from helpers import random_connected_skeleton, random_interior_instance, tally
+from helpers import connected_skeletons, random_connected_skeleton, random_interior_instance, tally
 
 TRIANGLE = SkeletonGraph(3, frozenset(), frozenset({(0, 1), (0, 2), (1, 2)}))
 LOOP_EDGE = SkeletonGraph(2, frozenset({0}), frozenset({(0, 1)}))
@@ -228,6 +230,44 @@ class TestBuildBalancedMatrix:
                     assert (c[i][j] + c[j][i] > 0) == ((i, j) in s.edges)
             built += 1
         assert built >= 100
+
+
+class TestPaperTally:
+    """The paper's tally at small n, exhaustively: for every interior point
+    x = k / n of a connected skeleton with n = sum(k), `build_balanced_matrix`
+    and `build_decomposition` either build a decomposition of the saturated
+    graph (the complete multipartite graph of block sizes k) with the
+    tally's block-pair counts, or raise `ConstructionError`.  The built /
+    failed-by-stage counts are pinned, so that a change to the tally shows
+    as a declared change to this table."""
+
+    @pytest.mark.parametrize("q, totals, outcomes", [
+        (2, range(2, 25), {"built": 244, "loopless-membership": 264, "postconditions": 44}),
+        (3, range(3, 11), {"built": 277, "loopless-membership": 597, "postconditions": 866}),
+    ])
+    def test_built_and_failed_counts(self, q, totals, outcomes):
+        seen, wrong = Counter(), []
+        for s in connected_skeletons(q):
+            z = incidence(s)
+            for n in totals:
+                for counts in product(range(n + 1), repeat=q):
+                    if sum(counts) != n:
+                        continue
+                    x = [F(k, n) for k in counts]
+                    cert = positive_certificate(z, x)
+                    if cert.status is not Membership.INTERIOR:
+                        continue
+                    try:
+                        a = build_balanced_matrix(x, n, s, cert)
+                    except ConstructionError as exc:
+                        seen[exc.stage] += 1
+                        continue
+                    h = build_decomposition(a, s)
+                    # every arc joins two blocks of the skeleton: h lives in the saturated graph
+                    if h.n != n or count_block_edges(h, canonical_blocks(counts), s) != a:
+                        wrong.append((s, counts))
+                    seen["built"] += 1
+        assert (dict(seen), wrong) == (outcomes, [])
 
 
 class TestPeel:

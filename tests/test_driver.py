@@ -810,6 +810,8 @@ class TestIO:
             {"edges": [[0, 1.9]]},
             {"blocks": [0, -1]},
             {"n": True, "coords": [0.1], "blocks": [0], "edges": []},
+            {"blocks": [0, True]},
+            {"n": 2.5},
         ],
     )
     def test_bad_graph_number_is_a_format_error(self, tmp_path, fields):
@@ -820,6 +822,15 @@ class TestIO:
         path.write_text(json.dumps(doc))
         with pytest.raises(io.FormatError, match="bad.json"):
             io.load_graph(path)
+
+    def test_integral_json_numbers_are_integers(self, tmp_path):
+        # one rule for n, blocks and edges: 2.0 is the integer 2
+        doc = {"n": 2.0, "coords": [0.0, 0.7], "blocks": [0.0, 1e0], "edges": [[0, 1.0]]}
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(doc))
+        g = io.load_graph(path)
+        assert (g.n, g.blocks.tolist(), g.pair_set()) == (2, [0, 1], {(0, 1)})
+        assert g.coords.tolist() == [0.0, 0.7]
 
     def test_integral_float_edges_load(self, tmp_path):
         doc = {"n": 2, "coords": [0.1, 0.7], "blocks": [0, 1], "edges": [[0.0, 1.0]]}

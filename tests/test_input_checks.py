@@ -1,14 +1,20 @@
 """Checks that no behaviour test reaches.
 
 Each bad input raises the documented exception with a message naming what
-is wrong; a count argument (n, trials, jobs) follows one rule, an integer
-that is not a bool and at least 1, and a node of a sampled graph is an
-integer, not a bool.  Each internal invariant check raises
-RuntimeError once a monkeypatch breaks what it checks.
+is wrong.  Every integer a caller hands the package follows `model`'s one
+integer rule: an int or a numpy integer is accepted, and a bool or a
+float, integral or not, raises ValueError.  That covers counts (n, trials,
+jobs, which must also be at least 1), seeds, nodes, block labels and
+tally entries alike; a graph file's integer fields raise FormatError.
+Each internal invariant check raises RuntimeError once a monkeypatch
+breaks what it checks.
 """
 
 import importlib
+import json
+import tempfile
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,15 +24,19 @@ import hamdec.refine
 from hamdec.construct import (
     BlockCycle,
     ConstructionError,
+    HamDecomposition,
     block_cycles,
     build_balanced_matrix,
+    canonical_blocks,
     matrix_round,
     round_even,
 )
+from hamdec.driver import montecarlo
 from hamdec.flow import MaxFlow
+from hamdec.io import FormatError, load_graph
 from hamdec.model import Partition, SkeletonGraph, incidence, step_graphon
 from hamdec.polytope import positive_certificate
-from hamdec.realize import max_bipartite_matching, oracle_exists, realize
+from hamdec.realize import graph_has_decomposition, max_bipartite_matching, oracle_exists, realize
 from hamdec.refine import (
     RefinementRecord,
     ensure_loopless_odd_cycle,
@@ -34,7 +44,13 @@ from hamdec.refine import (
     push_certificate,
     refine_once,
 )
-from hamdec.sampling import BalancedMatrix, SampledGraph, empirical_concentration, sample_graph
+from hamdec.sampling import (
+    BalancedMatrix,
+    SampledGraph,
+    count_block_edges,
+    empirical_concentration,
+    sample_graph,
+)
 
 REALIZE_MODULE = importlib.import_module("hamdec.realize")  # `hamdec.realize` is the function
 
@@ -55,6 +71,16 @@ def _edgeless(blocks):
 
 
 ONE_EDGE = SampledGraph.from_edges(3, np.zeros(3), np.zeros(3, dtype=int), [(0, 1)])
+TWO_CYCLE = HamDecomposition(2, ((0, 1),))
+
+
+def _load_graph_doc(**fields):
+    """load_graph on a two-node graph file with the given fields replaced."""
+    doc = {"n": 2, "coords": [0.1, 0.7], "blocks": [0, 1], "edges": [[0, 1]], **fields}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "g.json"
+        path.write_text(json.dumps(doc))
+        return load_graph(path)
 
 
 CASES = {
@@ -107,30 +133,85 @@ CASES = {
     "concentration over too few blocks": (
         lambda: empirical_concentration(_edgeless([0, 1]), 1), ValueError, "block index out of range"),
     "round_even at n = 3.0": (
-        lambda: round_even((F(1),), 3.0), ValueError, "n must be positive"),
+        lambda: round_even((F(1),), 3.0), ValueError, "n: 3.0 is not an integer"),
     "tally at n = 3.0": (
-        lambda: build_balanced_matrix((HALF, HALF), 3.0, PAIR, CENTRE), ValueError, "n must be positive"),
+        lambda: build_balanced_matrix((HALF, HALF), 3.0, PAIR, CENTRE), ValueError, "n: 3.0 is not an integer"),
     "sample at n = 2.5": (
-        lambda: sample_graph(ER_HALF, 2.5, 1), ValueError, "n must be positive"),
+        lambda: sample_graph(ER_HALF, 2.5, 1), ValueError, "n: 2.5 is not an integer"),
     "sample at n = 3.0": (
-        lambda: sample_graph(ER_HALF, 3.0, 1), ValueError, "n must be positive"),
+        lambda: sample_graph(ER_HALF, 3.0, 1), ValueError, "n: 3.0 is not an integer"),
     "sample at n = True": (
-        lambda: sample_graph(ER_HALF, True, 1), ValueError, "n must be positive"),
+        lambda: sample_graph(ER_HALF, True, 1), ValueError, "n: True is not an integer"),
     "graph of n = 2.0 nodes": (
         lambda: SampledGraph.from_edges(2.0, np.zeros(2), np.zeros(2, dtype=int), []),
-        ValueError, "n must be positive"),
+        ValueError, "n: 2.0 is not an integer"),
     "matching of a non-integer node": (
-        lambda: max_bipartite_matching(_edgeless([0, 0]), [0.5], [1]), ValueError, "integer nodes"),
+        lambda: max_bipartite_matching(_edgeless([0, 0]), [0.5], [1]), ValueError, "rows: 0.5 is not an integer"),
     "edge test of a non-integer node": (
-        lambda: ONE_EDGE.has_edges([0.5], [1]), ValueError, "integer nodes"),
+        lambda: ONE_EDGE.has_edges([0.5], [1]), ValueError, "endpoints: 0.5 is not an integer"),
     "edge test of a bool node": (
-        lambda: ONE_EDGE.has_edges([True], [0]), ValueError, "integer nodes"),
+        lambda: ONE_EDGE.has_edges([True], [0]), ValueError, "endpoints: True is not an integer"),
     "single edge test of non-integer nodes": (
-        lambda: ONE_EDGE.has_edge(0.9, 1.2), ValueError, "integer nodes"),
+        lambda: ONE_EDGE.has_edge(0.9, 1.2), ValueError, "endpoints: 0.9 is not an integer"),
     "neighbours of a bool node": (
-        lambda: ONE_EDGE.neighbors(True), ValueError, "not a node of the graph"),
+        lambda: ONE_EDGE.neighbors(True), ValueError, "node: True is not an integer"),
     "neighbours of a non-integer node": (
-        lambda: ONE_EDGE.neighbors(1.5), ValueError, "not a node of the graph"),
+        lambda: ONE_EDGE.neighbors(1.5), ValueError, "node: 1.5 is not an integer"),
+    "neighbours of a node out of range": (
+        lambda: ONE_EDGE.neighbors(3), ValueError, "node 3 is not a node of the graph"),
+    # each of these was truncated, read True as 1 or ran on the parent commit
+    "tally of non-integral entries": (
+        lambda: BalancedMatrix(((1.5, 0), (0, 1.5))), ValueError, "tally entries: 1.5 is not an integer"),
+    "decomposition of non-integral nodes": (
+        lambda: HamDecomposition(2, ((0.7, 1.2),)), ValueError, "cycle nodes: 0.7 is not an integer"),
+    "decomposition of a float n": (
+        lambda: HamDecomposition(2.0, ((0, 1),)), ValueError, "n: 2.0 is not an integer"),
+    "block cycle of a non-integral block": (
+        lambda: BlockCycle((0, 1.5)), ValueError, "block cycle nodes: 1.5 is not an integer"),
+    "oracle of non-integral arcs": (
+        lambda: oracle_exists(2, [(0.9, 1.5), (1, 0)]), ValueError, "arc ends: 0.9 is not an integer"),
+    "oracle of a bool n": (
+        lambda: oracle_exists(True, []), ValueError, "n: True is not an integer"),
+    "matching of a bool among int nodes": (
+        lambda: max_bipartite_matching(_edgeless([0, 0, 0, 0]), [0, True], [2, 3]),
+        ValueError, "rows: True is not an integer"),
+    "matching of a bool array": (
+        lambda: max_bipartite_matching(_edgeless([0, 0, 0]), np.array([True]), [2]),
+        ValueError, "rows: bool entries are not integers"),
+    "tally of a decomposition under non-integral labels": (
+        lambda: count_block_edges(TWO_CYCLE, [0.9, 1.2], PAIR), ValueError, "block labels: 0.9 is not an integer"),
+    "Hall set of non-integral nodes": (
+        lambda: graph_has_decomposition(ONE_EDGE, [0.5, 1.5]), ValueError, "nodes: 0.5 is not an integer"),
+    "skeleton of 2.5 nodes": (
+        lambda: SkeletonGraph(2.5, frozenset(), frozenset()), ValueError, "node count: 2.5 is not an integer"),
+    "skeleton of True nodes": (
+        lambda: SkeletonGraph(True, frozenset({0}), frozenset()), ValueError, "node count: True is not an integer"),
+    "skeleton of a bool loop": (
+        lambda: SkeletonGraph(2, frozenset({True}), frozenset()), ValueError, "loop nodes: True is not an integer"),
+    "skeleton of a float edge": (
+        lambda: SkeletonGraph(2, frozenset(), frozenset({(0, 1.0)})), ValueError, "edge ends: 1.0 is not an integer"),
+    "refinement of block True": (
+        lambda: refine_once(ER_HALF, True, "3/4"), ValueError, "block: True is not an integer"),
+    "Monte Carlo of seed True": (
+        lambda: montecarlo(ER_HALF, 10, 1, True), ValueError, "seed: True is not an integer"),
+    "Monte Carlo of seed 1.0": (
+        lambda: montecarlo(ER_HALF, 10, 1, 1.0), ValueError, "seed: 1.0 is not an integer"),
+    "graph of a bool among the block labels": (
+        lambda: SampledGraph.from_edges(2, np.zeros(2), [0, True], []), ValueError, "block labels: True is not"),
+    "graph of float block labels": (
+        lambda: SampledGraph.from_edges(2, np.zeros(2), np.array([0.0, 1.0]), []),
+        ValueError, "block labels: float64 entries are not integers"),
+    "graph of an edge end beyond 64 bits": (
+        lambda: SampledGraph.from_edges(2, np.zeros(2), [0, 0], [[0, 2**70]]),
+        ValueError, "edge endpoints: object entries are not integers"),
+    "concentration over 2.0 blocks": (
+        lambda: empirical_concentration(_edgeless([0, 1]), 2.0), ValueError, "q: 2.0 is not an integer"),
+    "canonical blocks of a non-integral size": (
+        lambda: canonical_blocks([1.5]), ValueError, "block sizes: 1.5 is not an integer"),
+    "graph file with a bool among the block labels": (
+        lambda: _load_graph_doc(blocks=[0, True]), FormatError, "block labels: True is not an integer"),
+    "graph file with a non-integral edge end": (
+        lambda: _load_graph_doc(edges=[[0, 1.5]]), FormatError, "edge endpoints: 1.5 is not an integer"),
 }
 
 

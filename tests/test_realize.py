@@ -1,12 +1,12 @@
 import importlib
 from fractions import Fraction as F
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
 
 import hamdec.polytope
-from hamdec.construct import BlockCycle, HamDecomposition, block_cycles
+from hamdec.construct import BlockCycle, HamDecomposition, block_cycles, canonical_blocks
 from hamdec.driver import analyze, plan, run_pipeline, run_trial
 from hamdec.model import SkeletonGraph, incidence, saturate, skeleton, step_graphon
 from hamdec.polytope import Membership, hall_violator, positive_certificate
@@ -25,7 +25,13 @@ from hamdec.sampling import (
     sample_graph,
 )
 
-from helpers import brute_decomposition_exists, brute_max_matching, random_graphon, tally
+from helpers import (
+    brute_decomposition_exists,
+    brute_max_matching,
+    connected_skeletons,
+    random_graphon,
+    tally,
+)
 
 # the package attribute `realize` is the function of that name
 realize_module = importlib.import_module("hamdec.realize")
@@ -171,6 +177,49 @@ class TestOracle:
             mask = rng.random(20) < rng.random()
             chosen = [a for a, keep in zip(arcs_all, mask) if keep]
             assert oracle_exists(5, chosen) == brute_decomposition_exists(5, chosen)
+
+
+def _saturated_arcs(s: SkeletonGraph, counts):
+    """The arcs of the complete multipartite digraph of block sizes
+    `counts` over s: u -> v for distinct nodes in s-adjacent blocks."""
+    blocks = canonical_blocks(counts)
+    n = len(blocks)
+    return [(u, v) for u in range(n) for v in range(n) if u != v and s.supports(blocks[u], blocks[v])]
+
+
+def _without_lone_loops(s: SkeletonGraph, counts) -> SkeletonGraph:
+    """s without the loops of one-node blocks: a node has no arc to itself."""
+    return SkeletonGraph(s.node_count, frozenset(i for i in s.loops if counts[i] != 1), s.edges)
+
+
+class TestSaturatedGraph:
+    """The saturated graph of block sizes k decomposes exactly when k
+    passes Hall's condition on the skeleton without the loops of one-node
+    blocks, on every connected skeleton with q <= 4 and every count vector,
+    zeros included: 80,042 instances.  Not being exterior is not enough."""
+
+    @pytest.mark.parametrize("q, totals, instances", [
+        (1, range(1, 10), 18), (2, range(1, 10), 216), (3, range(1, 8), 3808), (4, range(1, 6), 76000),
+    ])
+    def test_oracle_is_halls_condition(self, q, totals, instances):
+        vectors = [c for t in totals for c in product(range(t + 1), repeat=q) if sum(c) == t]
+        checked, wrong = 0, []
+        for s in connected_skeletons(q):
+            for counts in vectors:
+                exists = oracle_exists(sum(counts), _saturated_arcs(s, counts))
+                if exists != (hall_violator(_without_lone_loops(s, counts), counts) is None):
+                    wrong.append((s, counts, exists))
+                checked += 1
+        assert (checked, wrong) == (instances, [])
+
+    def test_not_exterior_is_not_enough(self):
+        # a loop at 0 and the path 0-1-2, one node per block: (1, 1, 1) is
+        # inside the edge polytope, but node 1 is the only neighbour of 0 and 2
+        s = SkeletonGraph(3, frozenset({0}), frozenset({(0, 1), (1, 2)}))
+        counts = (1, 1, 1)
+        assert positive_certificate(incidence(s), [F(1, 3)] * 3).status is not Membership.EXTERIOR
+        assert not oracle_exists(3, _saturated_arcs(s, counts))
+        assert hall_violator(_without_lone_loops(s, counts), counts) == frozenset({0, 2})
 
 
 def _realized(w, n, seed):

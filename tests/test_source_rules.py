@@ -32,6 +32,12 @@ cannot come back as a per-call knob.  And no top-level import of a package
 module (the package root's re-exports aside) goes unread, which catches
 what a removed parameter or helper leaves behind.
 
+One integer rule holds for every integer a caller hands the package, and
+it is stated in `model` alone (`model.as_int`, `model.int_array`): no other
+package module tests a value against `bool`, `np.bool_`, `np.integer` or
+`numbers.Integral`, so no module can grow its own answer to what an integer
+argument is.
+
 The package depends on numpy only.  Importing `scipy.sparse.csgraph` adds
 ~33 MB of resident memory and ~0.4 s of start-up, more than the pipeline
 benchmark's bound on peak memory allows, and the package has no compiled
@@ -256,3 +262,44 @@ def test_incidence_matrix_holds_only_its_skeleton():
     assert list(vars(z)) == ["skeleton"]  # nothing cached on use
     assert _attribute_reads("entries") == []
     assert _attribute_reads("skeleton")  # the detection sees attribute reads
+
+
+INTEGER_TYPES = {"bool_", "integer", "Integral"}  # np.bool_, np.integer, numbers.Integral
+
+
+def _integer_type_tests(tree) -> list[int]:
+    """Lines that name np.bool_, np.integer or numbers.Integral, or test a
+    value against bool by isinstance, issubclass or a comparison."""
+    found = []
+    for node in ast.walk(tree):
+        named = getattr(node, "attr", None) or getattr(node, "id", None) or getattr(node, "name", None)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("isinstance", "issubclass"):
+            tested = [n for arg in node.args[1:] for n in ast.walk(arg)]
+        elif isinstance(node, ast.Compare):
+            tested = [node.left, *node.comparators]
+        else:
+            tested = []
+        if named in INTEGER_TYPES and isinstance(node, (ast.Attribute, ast.Name, ast.alias)) or any(
+            isinstance(t, ast.Name) and t.id == "bool" for t in tested
+        ):
+            found.append(node.lineno)
+    return found
+
+
+def test_only_model_states_the_integer_rule():
+    found = [
+        f"{path.name}:{line}"
+        for path in sorted(SRC.glob("*.py"))
+        for line in _integer_type_tests(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+    ]
+    assert [loc for loc in found if not loc.startswith("model.py:")] == []
+    assert found  # the detection sees the rule itself
+
+
+def test_integer_type_test_detection():
+    for src in ("isinstance(v, bool)", "isinstance(v, (int, np.integer))", "issubclass(t, numbers.Integral)",
+                "type(v) is bool", "a.dtype == np.bool_", "from numbers import Integral"):
+        assert _integer_type_tests(ast.parse(src)), src
+    for src in ("bool(x)", "np.zeros(3, dtype=bool)", "isinstance(v, int)", "x is None",
+                "np.asarray(v, dtype=np.int64)"):
+        assert not _integer_type_tests(ast.parse(src)), src
