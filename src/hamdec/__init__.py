@@ -41,7 +41,6 @@ from .polytope import (
     positive_certificate,
 )
 from .realize import (
-    CycleEmbedError,
     RealizationOutcome,
     embed_cycles,
     graph_has_decomposition,

@@ -18,7 +18,10 @@ cycles off it:
 
 All steps are exact.  What small n can cost (pair mass outside the
 loopless polytope, a skeleton entry rounded to zero) surfaces as
-`ConstructionError` naming the failure; a broken guaranteed property raises.
+`ConstructionError` naming its stage; a broken guaranteed property raises.
+`ConstructionError` is the package's one kind of expected stop, and
+`STAGES` lists, once, every stage that may stop: the pipeline's plan, the
+tally's four (here) and realization's two phases (`realize`).
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from .flow import MaxFlow
 from .model import (
     DisconnectedSkeletonError,
     SkeletonGraph,
+    _as_fraction,
     as_int,
     check_count,
     connected_components,
@@ -49,8 +53,15 @@ ZERO = Fraction(0)
 HALF = Fraction(1, 2)
 
 
+# every stage that may stop, in pipeline order: the plan, the tally's, realization's phases
+STAGES = ("plan", "preconditions", "membership", "loopless-membership", "postconditions",
+          "long-cycles", "two-cycles")
+
+
 class ConstructionError(Exception):
-    """A pipeline stage could not meet its contract; lists what failed."""
+    """An expected stop of the constructive pipeline: a stage of `STAGES`
+    could not meet its contract at this n, and `failures` says what failed.
+    It is never a broken invariant, which raises RuntimeError instead."""
 
     def __init__(self, stage: str, failures):
         self.stage = stage
@@ -134,7 +145,7 @@ def split_mass(x, cert: MembershipCertificate, s: SkeletonGraph) -> MassSplit:
     """
     if cert.status is not Membership.INTERIOR:
         raise ValueError("mass splitting needs an interior certificate")
-    xs = tuple(Fraction(v) for v in x)
+    xs = tuple([_as_fraction(v) for v in x])
     loop_part = [ZERO] * s.node_count
     for idx, (a, b) in enumerate(edge_order(s)):
         if a == b:
@@ -149,7 +160,7 @@ def round_even(vec, n: int) -> tuple[Fraction, ...]:
     check_count(n, "n")
     out = []
     for v in vec:
-        k = math.ceil(Fraction(v) * n / 2 - HALF)
+        k = math.ceil(_as_fraction(v) * n / 2 - HALF)
         out.append(Fraction(2 * k, n))
     return tuple(out)
 
@@ -178,7 +189,7 @@ def matrix_round(matrix, support: SkeletonGraph) -> tuple[tuple[int, ...], ...]:
     parts themselves are a feasible flow, so a saturating integral flow
     exists.  An integral matrix comes back unchanged.
     """
-    rows = [[Fraction(v) for v in row] for row in matrix]
+    rows = [[_as_fraction(v) for v in row] for row in matrix]
     q = len(rows)
     if any(len(r) != q for r in rows):
         raise ValueError("matrix must be square")
@@ -255,7 +266,7 @@ def build_balanced_matrix(
     the other properties raises RuntimeError.  An x not summing to 1, or a
     certificate whose coefficients do not solve Z c = x, raises ValueError.
     """
-    xs = tuple(Fraction(v) for v in x)
+    xs = tuple([_as_fraction(v) for v in x])
     q = s.node_count
     if len(xs) != q:
         raise ValueError("x must have one entry per block")

@@ -44,8 +44,7 @@ import os
 import threading
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from copy import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache, partial
 
@@ -54,6 +53,7 @@ import numpy as np
 from ._seeds import derive
 from .construct import ConstructionError, HamDecomposition, build_balanced_matrix, not_interior
 from .model import (
+    DisconnectedSkeletonError,
     IncidenceMatrix,
     Partition,
     StepGraphon,
@@ -225,21 +225,27 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
 class Plan:
     """What the constructive pipeline needs of a graphon: its skeleton's
     incidence matrix, and its loopless-odd refinement with that one's (None
-    when the graphon needs none), or the reason it cannot be decomposed."""
+    when the graphon needs none), or the "plan" stop that refuses it."""
 
     base: IncidenceMatrix
     refined: tuple[StepGraphon, IncidenceMatrix] | None = None
-    reason: str | None = None
+    failure: ConstructionError | None = None
 
 
 @lru_cache(maxsize=16)
 def plan(w: StepGraphon) -> Plan:
-    """The pipeline plan of a graphon, memoized per graphon value."""
-    try:
-        wn = ensure_loopless_odd_cycle(w)
-    except ValueError as exc:  # no odd cycle, or a DisconnectedSkeletonError
-        return Plan(incidence(skeleton(w)), reason=str(exc))
-    return Plan(incidence(skeleton(w)), None if wn is w else (wn, incidence(skeleton(wn))))
+    """The pipeline plan of a graphon, memoized per graphon value.
+
+    It refuses exactly what `analyze` reads off the skeleton: a disconnected
+    one, or one without an odd cycle.  Any error of the refinement itself
+    propagates."""
+    s = skeleton(w)
+    comps = connected_components(s)
+    if len(comps) > 1 or not has_odd_cycle(s):
+        why = DisconnectedSkeletonError(comps) if len(comps) > 1 else "the skeleton has no odd cycle"
+        return Plan(incidence(s), failure=ConstructionError("plan", [str(why)]))
+    wn = ensure_loopless_odd_cycle(w)
+    return Plan(incidence(s), None if wn is w else (wn, incidence(skeleton(wn))))
 
 
 @dataclass(frozen=True)
@@ -269,13 +275,15 @@ class PipelineOutcome:
 def run_pipeline(p: Plan, g: SampledGraph, seed: int) -> PipelineOutcome:
     """Decide the membership status of g's empirical vector, g sampled from
     the graphon `p` plans for; re-block g under its refinement, if any,
-    build the tally and realize its block cycles with `seed`.  Expected
-    failures come back in the outcome; anything else raises."""
+    build the tally and realize its block cycles with `seed`.  An expected
+    stop, a `ConstructionError` of the plan, the tally or realization,
+    comes back as the outcome's failure text, which names its stage;
+    anything else raises."""
     z = p.base
     x = empirical_concentration(g, z.shape[0])
     base = cert = positive_certificate(z, x)
-    if p.reason is not None:
-        return PipelineOutcome(base, failure=f"cannot decompose: {p.reason}")
+    if p.failure is not None:
+        return PipelineOutcome(base, failure=f"cannot decompose: {p.failure}")
     try:
         if p.refined is not None:
             if base.status is Membership.EXTERIOR:
@@ -285,8 +293,7 @@ def run_pipeline(p: Plan, g: SampledGraph, seed: int) -> PipelineOutcome:
                 # x(A) = x'(A').  The refined vector is exterior too.
                 raise not_interior(base.status)
             wn, z = p.refined
-            g = copy(g)  # new blocks on the sample's matrix
-            g.blocks = assign_blocks(wn, g.coords)
+            g = replace(g, blocks=assign_blocks(wn, g.coords))  # the sample's matrix, new blocks
             x = empirical_concentration(g, z.shape[0])
             cert = positive_certificate(z, x)
         tally = build_balanced_matrix(x, g.n, z.skeleton, cert)
@@ -294,7 +301,7 @@ def run_pipeline(p: Plan, g: SampledGraph, seed: int) -> PipelineOutcome:
         return PipelineOutcome(base, failure=f"tally construction failed: {exc}")
     outcome = realize(tally, g, z.skeleton, seed)
     if not outcome.ok:
-        return PipelineOutcome(base, failure=f"realization failed: {outcome.diagnostics}")
+        return PipelineOutcome(base, failure=f"realization failed: {outcome.failure}")
     return PipelineOutcome(base, tally, outcome.decomposition)
 
 

@@ -80,14 +80,17 @@ def int_array(values, what: str) -> np.ndarray:
     """The integer rule, array form: values as an int64 array.  An array
     needs an integer dtype (or no entries); any other input is checked
     entry by entry, as numpy would read True among ints as 1, save a flat
-    list of ints (one C-level pass over the entries' types)."""
+    list of ints (one C-level pass over the entries' types).  An unsigned
+    entry of 2^63 or more is refused, as the cast would wrap it negative."""
     if not isinstance(values, np.ndarray):
         if not (isinstance(values, list) and set(map(type, values)) <= {int}):
             for v in np.asarray(values, dtype=object).flat:
                 as_int(v, what)
-        values = np.asarray(values)  # beyond int64: an object array, refused below
+        values = np.asarray(values)  # beyond uint64: an object array, refused below
     if values.size and values.dtype.kind not in "iu":
         raise ValueError(f"{what}: {values.dtype} entries are not integers")
+    if values.dtype.kind == "u" and values.size and values.max() > np.iinfo(np.int64).max:
+        raise ValueError(f"{what}: {values.max()} is beyond int64")
     return values.astype(np.int64, copy=False)
 
 
@@ -239,7 +242,7 @@ def edge_sum(q: int, order, c) -> tuple[Fraction, ...]:
     """Z c on q blocks with edge order `order`, over one common denominator:
     a loop adds its coefficient to its block, a pair edge half of it to each
     end.  A c of the wrong length raises ValueError."""
-    c = [v if isinstance(v, Fraction) else Fraction(v) for v in c]
+    c = [_as_fraction(v) for v in c]
     if len(c) != len(order):
         raise ValueError(f"{len(c)} coefficients for {len(order)} edges")
     lcm = math.lcm(*[v.denominator for v in c])

@@ -8,7 +8,9 @@ really sampled: long cycles by randomized greedy path growth with a closing
 node adjacent to both endpoints, 2-cycles by maximum bipartite matchings
 between the prescribed node groups (looped blocks are split into two halves
 and matched across).  Bounded randomized retries stand in for the almost-sure
-existence arguments; exhausting them is a reported Failure, not an error.
+existence arguments; exhausting them is an expected stop, not an error: a
+`construct.ConstructionError` of stage "long-cycles" (phase 1) or
+"two-cycles" (phase 2), which `realize` reports in its outcome.
 
 The matching kernel, a word-parallel Hopcroft-Karp on Python-int row
 masks (`hopcroft_karp`), lives here with its two callers.
@@ -34,13 +36,13 @@ and raises if it does not hold.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import islice
 
 import numpy as np
 
 from ._seeds import derive, generator
-from .construct import HamDecomposition, block_cycles
+from .construct import ConstructionError, HamDecomposition, block_cycles
 from .model import SkeletonGraph, as_int
 from .sampling import BalancedMatrix, SampledGraph, count_block_edges
 
@@ -48,20 +50,13 @@ from .sampling import BalancedMatrix, SampledGraph, count_block_edges
 ATTEMPTS = 32
 
 
-class CycleEmbedError(Exception):
-    """Raised when a cycle pattern is not embedded within `ATTEMPTS` restarts."""
-
-    def __init__(self, pattern_index: int):
-        self.pattern_index = pattern_index
-        super().__init__(f"pattern {pattern_index} not embedded after {ATTEMPTS} attempts")
-
-
 @dataclass(frozen=True)
 class RealizationOutcome:
-    """The realized decomposition (None on failure) and how far it got."""
+    """The realized decomposition, or the phase's stop that ended the run:
+    a `ConstructionError` of stage "long-cycles" or "two-cycles"."""
 
     decomposition: HamDecomposition | None = None
-    diagnostics: dict = field(default_factory=dict)
+    failure: ConstructionError | None = None
 
     @property
     def ok(self) -> bool:
@@ -246,7 +241,7 @@ def embed_cycles(patterns, g: SampledGraph, seed: int):
     by block through sampled edges, then closed by a node adjacent to both
     endpoints.  Nodes used by earlier patterns are excluded from later
     ones.  Each pattern gets `ATTEMPTS` randomized restarts; running out
-    raises `CycleEmbedError` with the failing pattern index.
+    raises `ConstructionError` of stage "long-cycles" naming the pattern.
     """
     rng = generator(derive(seed, "embed"))
     free = np.ones(g.n, dtype=bool)  # not taken by an earlier pattern
@@ -276,7 +271,8 @@ def embed_cycles(patterns, g: SampledGraph, seed: int):
             else:  # every block of the pattern got a node
                 break
         else:  # no attempt embedded the pattern
-            raise CycleEmbedError(p_idx)
+            why = f"pattern {p_idx} not embedded after {ATTEMPTS} attempts"
+            raise ConstructionError("long-cycles", [why])
         free[chosen] = False
         cycles.append(tuple(chosen))
     return cycles
@@ -290,22 +286,20 @@ def realize(a: BalancedMatrix, g: SampledGraph, s: SkeletonGraph, seed: int) -> 
     2-cycle counts and asks for perfect matchings within sampled edges
     (looped blocks: split the group into halves and match across); the
     whole grouping is re-randomized on failure, up to `ATTEMPTS` times.
-    On success the result's block tallies equal the input exactly.
+    On success the result's block tallies equal the input exactly; a phase
+    that runs out of attempts is the outcome's `failure`.
     """
     q = s.node_count
     observed = tuple(int(c) for c in np.bincount(g.blocks, minlength=q))
     if observed != a.row_sums():
         raise ValueError("tally block sizes do not match the graph")
     groups, patterns = block_cycles(a, s)
-    diagnostics: dict = {"long_cycle_patterns": len(patterns)}
 
     # phase 1: cycles of length >= 3
     try:
         long_cycles = embed_cycles(patterns, g, derive(seed, "phase1"))
-    except CycleEmbedError as err:
-        diagnostics["phase"] = "long-cycles"
-        diagnostics["failed_pattern"] = err.pattern_index
-        return RealizationOutcome(None, diagnostics)
+    except ConstructionError as err:
+        return RealizationOutcome(failure=err)
 
     free = np.ones(g.n, dtype=bool)
     free[[v for cyc in long_cycles for v in cyc]] = False
@@ -318,7 +312,7 @@ def realize(a: BalancedMatrix, g: SampledGraph, s: SkeletonGraph, seed: int) -> 
         raise RuntimeError("tally 2-cycle counts do not match the leftover nodes")
 
     rng = generator(derive(seed, "phase2"))
-    for attempt in range(ATTEMPTS):
+    for _ in range(ATTEMPTS):
         # each block's nodes in a fresh random order, handed out front to back
         shuffled = [iter(rng.permutation(r).tolist()) for r in remaining]
         pair_cycles: list[tuple[int, int]] = []
@@ -328,19 +322,17 @@ def realize(a: BalancedMatrix, g: SampledGraph, s: SkeletonGraph, seed: int) -> 
             # its iteration order, stable (see its docstring), is the order `decompose` prints
             matched = max_bipartite_matching(g, lset, rset)
             if len(matched) < c:
-                diagnostics["last_failure"] = {"pair": (i, j), "needed": c, "matched": len(matched)}
-                diagnostics["failed_attempt"] = attempt
                 break
             pair_cycles.extend(matched)
         else:  # every group matched
             break
-    else:  # no attempt matched every group
-        diagnostics["phase"] = "two-cycles"
-        return RealizationOutcome(None, diagnostics)
+    else:  # no attempt matched every group; the last draw's short group
+        why = f"block pair ({i},{j}) matched {len(matched)} of {c} 2-cycles in the last of {ATTEMPTS} draws"
+        return RealizationOutcome(failure=ConstructionError("two-cycles", [why]))
 
     cycles = list(long_cycles) + [tuple(p) for p in pair_cycles]
     decomposition = HamDecomposition(g.n, cycles)
     realized = count_block_edges(decomposition, g.blocks, s)
     if realized.counts != a.counts:
         raise RuntimeError("realized decomposition does not reproduce the tally plan")
-    return RealizationOutcome(decomposition, diagnostics)
+    return RealizationOutcome(decomposition)

@@ -112,7 +112,7 @@ def push_certificate(c, rec: RefinementRecord) -> tuple[Fraction, ...]:
     """
     s_old = skeleton(rec.original)
     s_new = skeleton(rec.refined)
-    coeffs = tuple(Fraction(v) for v in c)
+    coeffs = tuple([_as_fraction(v) for v in c])
     if len(coeffs) != s_old.edge_count:
         raise ValueError("coefficient vector does not match the original edge set")
     if incidence(s_old).apply(coeffs) != concentration(rec.original.partition):
@@ -148,7 +148,7 @@ def pull_certificate(c_refined, rec: RefinementRecord) -> tuple[Fraction, ...]:
     order_new = edge_order(s_new)
     if len(c_refined) != len(order_new):
         raise ValueError("coefficient vector does not match the refined edge set")
-    vec = tuple(Fraction(v) for v in c_refined)
+    vec = tuple([_as_fraction(v) for v in c_refined])
     if incidence(s_new).apply(vec) != concentration(rec.refined.partition):
         raise ValueError("coefficients do not solve the refined system")
 

@@ -49,12 +49,14 @@ BAND_CELLS = 1 << 16
 
 
 def _nodes(n, coords, blocks) -> tuple[np.ndarray, np.ndarray]:
-    """The coordinates and block labels of n nodes, checked."""
+    """The coordinates, each in [0, 1), and block labels of n nodes, checked."""
     check_count(n, "n")
     coords = np.asarray(coords, dtype=np.float64)
     blocks = int_array(blocks, "block labels")
     if coords.shape != (n,) or blocks.shape != (n,):
         raise ValueError("coords and blocks must have length n")
+    if not (coords.min() >= 0 and coords.max() < 1):  # NaN fails both
+        raise ValueError("coords must lie in [0, 1)")
     if blocks.size and blocks.min() < 0:
         raise ValueError("block labels must be nonnegative")
     return coords, blocks

@@ -68,13 +68,13 @@ DIGESTS = {
     ("triangle-half", 201, 3, True): "808c74b15d35cbb6744ceb05253052010b40b9ca464f8b529fbfd4801723410d",
     ("triangle-half", 201, 11, False): "d0f16dcb658fe449473da6329338bde797370f3ceb031a8db7f2fc212c7af110",
     ("triangle-half", 201, 11, True): "488b65ceac2eb740d938adf3f72ecc3686c39a4ba1c442cf45bbd94adec5635f",
-    ("er-half", 60, 3, False): "d68f8cee174bf160d4ada8be74a4b8df1c4155abf244e7c82e4100f23e3ed3d8",
+    ("er-half", 60, 3, False): "cb2cedb6fa7a4bbf46816be164c043dc1d2d37e98ebd2cb2ec58e3098f9a9892",
     ("er-half", 60, 3, True): "94cb5f44a617f0cb56411549c87bed159739b42d018f47e2641a6a1734c33733",
     ("er-half", 60, 11, False): "fa0d18d7dcafda121c50d42632040b39e54b65b7c66c615e2d16f47b32bc3e80",
     ("er-half", 60, 11, True): "f732fbeb754f93870a65557bea9f606336620ab9a19fa2d7305bccc33882b6d7",
     ("er-half", 61, 3, False): "4da179e7f936a5216648e93172eedfeef3875b862693b3417371a60402867140",
     ("er-half", 61, 3, True): "03c945b2cdaad8ebb0a1432594f88bf5ef676891f491ba3447b33266d737e138",
-    ("er-half", 61, 11, False): "1af9de9e4f3eba639aee422b1e52c11fdf1af2cbf84428a4f2135acaec38f6fe",
+    ("er-half", 61, 11, False): "9571d3bc572acb7f6d70267ff1c4724f0c8f2f33bd38fb16627c16d2e7cb874f",
     ("er-half", 61, 11, True): "dc2fe0507340d6270bef990473af6a6be371e3e0abb03f622a8575958abd96f2",
     ("er-half", 200, 3, False): "39cc8c53c7528dcb32dca65dc7c879c7b42b25dbc5498fd616e70f691667c294",
     ("er-half", 200, 3, True): "59c426251a73faf0c670b6767a294838991a47007edf9592a7facc5da65cdcc8",
@@ -112,9 +112,9 @@ DIGESTS = {
     ("triangle-half", 4, 3, True): "12e363cb191b5b6f1de7f494ed13be6a511c85b097c06fafea8c8637113a13d8",
     ("triangle-half", 5, 1, False): "7e28e4b4866e87b7542dffeff97b69bcaccce1e973b4abfbd3845e8074aa9486",
     ("triangle-half", 5, 1, True): "7e28e4b4866e87b7542dffeff97b69bcaccce1e973b4abfbd3845e8074aa9486",
-    ("triangle-half", 5, 2, False): "dbb755362e231698e1f1f14c11153232a561e46dcd94b768bda653ef8896191e",
+    ("triangle-half", 5, 2, False): "162d28311740c2ff06ef6ee97268433c4cbc8a2f050e1046a9eb785ccf8a550d",
     ("triangle-half", 5, 2, True): "120c5c11e558ed12fa3355e8612ae90d088def676748a3094fdfd9891495934b",
-    ("triangle-half", 5, 3, False): "8a8374dce3ca009763c41c1b6538cb731f4c1112dbe73467dd8f68844bad3f09",
+    ("triangle-half", 5, 3, False): "323089caed3fc7e267139d4f630d62c313e5c834b2575cf1a5050ff87c06d8df",
     ("triangle-half", 5, 3, True): "ef393daecd0badc0f72c7936e0bc99e39b1cc739cddc03d3ffd043b75168ecac",
     ("triangle-half", 6, 1, False): "12e363cb191b5b6f1de7f494ed13be6a511c85b097c06fafea8c8637113a13d8",
     ("triangle-half", 6, 1, True): "12e363cb191b5b6f1de7f494ed13be6a511c85b097c06fafea8c8637113a13d8",
@@ -124,9 +124,9 @@ DIGESTS = {
     ("triangle-half", 6, 3, True): "efbcafa6431577b075a31cd5007b2a7f0681f45e1243a2feebd5d9a6f2877a93",
     ("triangle-half", 7, 1, False): "7e28e4b4866e87b7542dffeff97b69bcaccce1e973b4abfbd3845e8074aa9486",
     ("triangle-half", 7, 1, True): "7e28e4b4866e87b7542dffeff97b69bcaccce1e973b4abfbd3845e8074aa9486",
-    ("triangle-half", 7, 2, False): "dbb755362e231698e1f1f14c11153232a561e46dcd94b768bda653ef8896191e",
+    ("triangle-half", 7, 2, False): "162d28311740c2ff06ef6ee97268433c4cbc8a2f050e1046a9eb785ccf8a550d",
     ("triangle-half", 7, 2, True): "4bbde0e74a31f666ca444bf71c1ecad3c5a04b7757420c9aeb8c71562f1c2067",
-    ("triangle-half", 7, 3, False): "74618aa84852c87991fe83f7b30f91c3da8caa646d2e3321046d656bd23a870e",
+    ("triangle-half", 7, 3, False): "727f1a27fd56c8bcbabf573624b35207e8c7d007ea5e74962b4c8770db1e9c77",
     ("triangle-half", 7, 3, True): "8d28b60891f2d397342a85522a2ad984d5e7c693a44f9f787de49b0ebcdd47e8",
     ("er-half", 2, 1, False): "12e363cb191b5b6f1de7f494ed13be6a511c85b097c06fafea8c8637113a13d8",
     ("er-half", 2, 1, True): "12e363cb191b5b6f1de7f494ed13be6a511c85b097c06fafea8c8637113a13d8",

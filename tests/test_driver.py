@@ -18,9 +18,11 @@ import pytest
 import hamdec.construct
 import hamdec.driver
 import hamdec.polytope
+import hamdec.refine
 import hamdec.sampling
 from hamdec import cli, io
-from hamdec.construct import HamDecomposition
+from hamdec._seeds import derive
+from hamdec.construct import STAGES, ConstructionError, HamDecomposition, build_balanced_matrix
 from hamdec.driver import (
     AnalysisReport,
     MonteCarloReport,
@@ -33,7 +35,7 @@ from hamdec.driver import (
     run_trial,
     wilson_interval,
 )
-from hamdec.model import step_graphon
+from hamdec.model import SkeletonGraph, incidence, step_graphon
 from hamdec.polytope import Membership, MembershipCertificate
 from hamdec.sampling import assign_blocks, empirical_concentration, sample_graph
 
@@ -47,6 +49,8 @@ TRI_EXTERIOR = step_graphon(
     [0, F(3, 5), F(4, 5), 1],
     [[0, F(1, 2), F(1, 2)], [F(1, 2), 0, F(1, 2)], [F(1, 2), F(1, 2), 0]],
 )
+# two looped blocks that no edge joins
+DISCONNECTED = step_graphon([0, F(1, 2), 1], [[F(1, 2), 0], [0, F(1, 2)]])
 # a looped block joined only to a loopless one three times its length
 LOOP_EXTERIOR = step_graphon([0, F(1, 4), 1], [[F(1, 2), F(1, 2)], [F(1, 2), 0]])
 
@@ -310,7 +314,7 @@ POOL_SCRIPT = """
 import multiprocessing, os, signal, sys, time
 from fractions import Fraction as F
 from hamdec.driver import montecarlo
-from hamdec.model import step_graphon
+from hamdec.model import SkeletonGraph, incidence, step_graphon
 os.sched_getaffinity = lambda pid: {0, 1}  # two workers on any host
 er = step_graphon([0, 1], [[F(1, 2)]])
 if sys.argv[1] in ("forkserver", "spawn"):
@@ -604,6 +608,46 @@ class TestPipeline:
         with pytest.raises(RuntimeError, match=message):
             run_pipeline(plan(TRI_GRAPHON), g, 5)
 
+    def test_value_error_in_the_refinement_raises_from_montecarlo(self, monkeypatch):
+        # only a disconnected skeleton or one without an odd cycle is a
+        # "plan" stop; any other error of the refinement is no expected stop
+        def boom(*args):
+            raise ValueError("boom")
+
+        plan.cache_clear()
+        monkeypatch.setattr(hamdec.refine, "refine_once", boom)
+        with pytest.raises(ValueError, match="boom"):
+            montecarlo(ER_HALF, 60, 4, 1)
+        plan.cache_clear()
+
+    @pytest.mark.parametrize(
+        "w, why",
+        [
+            (BIP_UNEVEN, "the skeleton has no odd cycle"),
+            (step_graphon([0, 1], [[0]]), "the skeleton has no odd cycle"),
+            (DISCONNECTED, "skeleton graph is disconnected; components: {0}, {1}"),
+            (TRI_GRAPHON, None),
+            (ER_HALF, None),
+            (LOOP_EXTERIOR, None),
+        ],
+    )
+    def test_plan_refuses_what_analyze_rules_out(self, w, why):
+        # the two skeleton tests `analyze` runs: connected, with an odd cycle
+        p = plan(w)
+        report = analyze(w)
+        assert (p.failure is None) == (report.connected and report.condition_a)
+        if why is None:
+            return
+        assert p.failure.stage == "plan" and p.failure.failures == (why,)
+        out = run_pipeline(p, sample_graph(w, 10, 1), 1)
+        assert out.failure == f"cannot decompose: plan: {why}"
+
+    def test_reblocking_runs_the_graph_checks(self, monkeypatch):
+        # the re-blocked sample is built by `SampledGraph`, which checks its labels
+        monkeypatch.setattr(hamdec.driver, "assign_blocks", lambda w, coords: -np.ones(len(coords), dtype=int))
+        with pytest.raises(ValueError, match="block labels must be nonnegative"):
+            run_pipeline(plan(ER_HALF), sample_graph(ER_HALF, 60, 1), 1)
+
     def test_jobs_must_be_positive(self, tmp_path):
         for jobs in (0, -3):
             with pytest.raises(ValueError, match="jobs"):
@@ -626,6 +670,66 @@ class TestPipeline:
             with pytest.raises(SystemExit) as exc:
                 cli.main(args + ["--attempts", "3"])
             assert exc.value.code == 2
+
+
+PAIR = SkeletonGraph(2, frozenset({0, 1}), frozenset({(0, 1)}))
+LOOP = SkeletonGraph(1, frozenset({0}), frozenset())
+TRIANGLE = SkeletonGraph(3, frozenset(), frozenset({(0, 1), (0, 2), (1, 2)}))
+HALF = F(1, 2)
+
+
+def _stop(call) -> ConstructionError:
+    with pytest.raises(ConstructionError) as err:
+        call()
+    return err.value
+
+
+def _tally(x, n, s):
+    return build_balanced_matrix(x, n, s, hamdec.polytope.positive_certificate(incidence(s), x))
+
+
+def _realization_stop(n, seed) -> ConstructionError:
+    """`realize`'s stop on the triangle-1/2 sample that `decompose` draws
+    for n and seed; triangle-1/2 needs no refinement."""
+    g = sample_graph(TRI_GRAPHON, n, seed)
+    z = plan(TRI_GRAPHON).base
+    a = _tally(empirical_concentration(g, 3), n, z.skeleton)
+    out = REALIZE_MODULE.realize(a, g, z.skeleton, derive(seed, "decompose"))
+    assert not out.ok and out.decomposition is None
+    return out.failure
+
+
+# each stage reached through the public function that stops there
+STAGE_STOPS = {
+    "plan": lambda: plan(BIP_UNEVEN).failure,
+    "preconditions": lambda: _stop(lambda: _tally((HALF, HALF), 3, PAIR)),
+    "membership": lambda: _stop(lambda: _tally((F(6, 10), F(3, 10), F(1, 10)), 10, TRIANGLE)),
+    "loopless-membership": lambda: _stop(lambda: _tally((F(1),), 3, LOOP)),
+    "postconditions": lambda: _stop(lambda: _tally((HALF, HALF), 2, PAIR)),
+    "long-cycles": lambda: _realization_stop(5, 2),
+    "two-cycles": lambda: _realization_stop(5, 3),
+}
+
+
+class TestStages:
+    def test_every_stage_has_a_case(self):
+        assert tuple(STAGE_STOPS) == STAGES
+
+    @pytest.mark.parametrize("stage", STAGES)
+    def test_stage_is_reached(self, stage):
+        err = STAGE_STOPS[stage]()
+        assert isinstance(err, ConstructionError) and err.stage == stage
+        assert str(err) == f"{stage}: " + "; ".join(err.failures)
+
+    @pytest.mark.parametrize("seed, stage", [(2, "long-cycles"), (3, "two-cycles")])
+    def test_decompose_names_the_realization_stage(self, tmp_path, capsys, seed, stage):
+        path = tmp_path / "tri.json"
+        io.dump_graphon(TRI_GRAPHON, path)
+        assert cli.main(["decompose", str(path), "--n", "5", "--seed", str(seed)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"realization failed: {_realization_stop(5, seed)}\n"
+        assert captured.err.startswith(f"realization failed: {stage}: ")
 
 
 def _shifted(real):

@@ -6,6 +6,9 @@ integer rule: an int or a numpy integer is accepted, and a bool or a
 float, integral or not, raises ValueError.  That covers counts (n, trials,
 jobs, which must also be at least 1), seeds, nodes, block labels and
 tally entries alike; a graph file's integer fields raise FormatError.
+Every rational argument goes through `model._as_fraction`, so a bool or a
+Decimal raises TypeError wherever a rational is read, and a coordinate
+that is not in [0, 1) (NaN included) raises ValueError.
 Each internal invariant check raises RuntimeError once a monkeypatch
 breaks what it checks.
 """
@@ -13,6 +16,7 @@ breaks what it checks.
 import importlib
 import json
 import tempfile
+from decimal import Decimal
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -30,11 +34,12 @@ from hamdec.construct import (
     canonical_blocks,
     matrix_round,
     round_even,
+    split_mass,
 )
 from hamdec.driver import montecarlo
 from hamdec.flow import MaxFlow
 from hamdec.io import FormatError, load_graph
-from hamdec.model import Partition, SkeletonGraph, incidence, step_graphon
+from hamdec.model import Partition, SkeletonGraph, incidence, int_array, step_graphon
 from hamdec.polytope import positive_certificate
 from hamdec.realize import graph_has_decomposition, max_bipartite_matching, oracle_exists, realize
 from hamdec.refine import (
@@ -60,6 +65,7 @@ PAIR = SkeletonGraph(2, frozenset({0, 1}), frozenset({(0, 1)}))
 LOOP = SkeletonGraph(1, frozenset({0}), frozenset())
 TRIANGLE = SkeletonGraph(3, frozenset(), frozenset({(0, 1), (0, 2), (1, 2)}))
 CENTRE = positive_certificate(incidence(PAIR), (HALF, HALF))
+LOOP_CERTIFICATE = positive_certificate(incidence(LOOP), (F(1),))
 # ER-1/2 split at 1/4: one loop becomes two loops and their connecting edge
 SPLIT = refine_once(ER_HALF, 0, F(1, 4))
 SPLIT_CERTIFICATE = push_certificate((F(1),), SPLIT)
@@ -212,6 +218,36 @@ CASES = {
         lambda: _load_graph_doc(blocks=[0, True]), FormatError, "block labels: True is not an integer"),
     "graph file with a non-integral edge end": (
         lambda: _load_graph_doc(edges=[[0, 1.5]]), FormatError, "edge endpoints: 1.5 is not an integer"),
+    # each of these wrapped to a negative integer or ran on the parent commit
+    "integer list holding 10**19": (
+        lambda: int_array([10**19], "x"), ValueError, "x: 10000000000000000000 is beyond int64"),
+    "uint64 array holding 2**63": (
+        lambda: int_array(np.array([2**63], dtype=np.uint64), "x"), ValueError, "x: 9223372036854775808 is beyond"),
+    "graph of a NaN coordinate": (
+        lambda: SampledGraph.from_edges(2, [np.nan, 0.5], [0, 0], [[0, 1]]), ValueError, r"coords must lie in \[0, 1\)"),
+    "graph of a coordinate of 7.5": (
+        lambda: SampledGraph.from_edges(2, [0.5, 7.5], [0, 0], [[0, 1]]), ValueError, r"coords must lie in \[0, 1\)"),
+    "graph of a coordinate of 1": (
+        lambda: SampledGraph(1, [1.0], [0], np.zeros((1, 1), dtype=np.uint8)), ValueError, "coords must lie"),
+    "graph file with a NaN and a negative coordinate": (
+        lambda: _load_graph_doc(coords=[float("nan"), -3.0]), FormatError, r"coords must lie in \[0, 1\)"),
+    "tally of a bool x": (
+        lambda: build_balanced_matrix([True], 2, LOOP, LOOP_CERTIFICATE), TypeError, "cannot interpret True"),
+    "tally of a Decimal x": (
+        lambda: build_balanced_matrix([Decimal(1)], 2, LOOP, LOOP_CERTIFICATE), TypeError, "cannot interpret Decimal"),
+    "mass split of a bool x": (
+        lambda: split_mass((True,), LOOP_CERTIFICATE, LOOP), TypeError, "cannot interpret True"),
+    "even rounding of a Decimal": (
+        lambda: round_even((Decimal("0.5"),), 2), TypeError, "cannot interpret Decimal"),
+    "matrix rounding of a bool entry": (
+        lambda: matrix_round([[True]], LOOP), TypeError, "cannot interpret True"),
+    "push of a bool coefficient": (
+        lambda: push_certificate((True,), SPLIT), TypeError, "cannot interpret True"),
+    "pull of Decimal coefficients": (
+        lambda: pull_certificate((Decimal("0.25"), Decimal("0.75"), Decimal(0)), SPLIT),
+        TypeError, "cannot interpret Decimal"),
+    "Z c of a Decimal coefficient": (
+        lambda: incidence(LOOP).apply([Decimal(1)]), TypeError, "cannot interpret Decimal"),
 }
 
 

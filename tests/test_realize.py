@@ -6,12 +6,11 @@ import numpy as np
 import pytest
 
 import hamdec.polytope
-from hamdec.construct import BlockCycle, HamDecomposition, block_cycles, canonical_blocks
+from hamdec.construct import BlockCycle, ConstructionError, HamDecomposition, block_cycles, canonical_blocks
 from hamdec.driver import analyze, plan, run_pipeline, run_trial
 from hamdec.model import SkeletonGraph, incidence, saturate, skeleton, step_graphon
 from hamdec.polytope import Membership, hall_violator, positive_certificate
 from hamdec.realize import (
-    CycleEmbedError,
     embed_cycles,
     graph_has_decomposition,
     max_bipartite_matching,
@@ -392,9 +391,10 @@ class TestEmbed:
     def test_empty_graph_fails(self):
         g = SampledGraph.from_edges(4, np.linspace(0, 0.9, 4), np.array([0, 0, 1, 1]), np.empty((0, 2)))
         s = SkeletonGraph(2, frozenset(), frozenset({(0, 1)}))
-        with pytest.raises(CycleEmbedError) as err:
+        with pytest.raises(ConstructionError) as err:
             embed_cycles([BlockCycle((0, 1))], g, seed=3)
-        assert err.value.pattern_index == 0
+        assert err.value.stage == "long-cycles"
+        assert err.value.failures == (f"pattern 0 not embedded after {realize_module.ATTEMPTS} attempts",)
 
     def test_triangle_statistical(self):
         # blocks of size >= 50, edge probability 1/2: embedding a triangle
@@ -409,7 +409,7 @@ class TestEmbed:
             try:
                 embed_cycles([BlockCycle((0, 1, 2))], g, seed=seed)
                 wins += 1
-            except CycleEmbedError:
+            except ConstructionError:
                 pass
         assert wins >= 95
 
@@ -454,7 +454,8 @@ class TestRealize:
         empty = SampledGraph.from_edges(g.n, g.coords, g.blocks, np.empty((0, 2)))
         out = realize(a, empty, s, seed=5)
         assert not out.ok
-        assert out.diagnostics["phase"] in ("long-cycles", "two-cycles")
+        assert out.decomposition is None
+        assert out.failure.stage in ("long-cycles", "two-cycles")
 
     def test_success_uses_only_graph_edges(self):
         w = step_graphon([0, F(1, 2), 1], [[F(1, 2), F(1, 2)], [F(1, 2), F(1, 2)]])
@@ -487,7 +488,7 @@ class TestRealize:
 
         monkeypatch.setattr(realize_module, "max_bipartite_matching", counting)
         out = realize(a, g, s, seed=5)
-        assert out.ok and "failed_attempt" not in out.diagnostics
+        assert out.ok and out.failure is None
         assert calls == [(c, c) for c in groups.values()]
         assert sum(len(c) == 2 for c in out.decomposition.cycles) == sum(groups.values())
 

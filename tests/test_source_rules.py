@@ -38,6 +38,15 @@ package module tests a value against `bool`, `np.bool_`, `np.integer` or
 `numbers.Integral`, so no module can grow its own answer to what an integer
 argument is.
 
+An expected stop has one kind, `construct.ConstructionError(stage, ...)`,
+and its stages are listed once, in `construct.STAGES`.  So the package
+defines no exception class but it, `DisconnectedSkeletonError` and
+`FormatError`; every `ConstructionError(...)` names its stage as a literal
+of `STAGES` (and each stage is named somewhere); and no `except` in
+`driver`, `construct`, `realize` or `refine` catches `ValueError`,
+`Exception`, `BaseException` or everything, so a bug's error cannot be
+counted as a stop.
+
 The package depends on numpy only.  Importing `scipy.sparse.csgraph` adds
 ~33 MB of resident memory and ~0.4 s of start-up, more than the pipeline
 benchmark's bound on peak memory allows, and the package has no compiled
@@ -51,6 +60,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from hamdec.construct import STAGES
 from hamdec.model import IncidenceMatrix, SkeletonGraph, incidence
 from hamdec.sampling import SampledGraph
 
@@ -303,3 +313,101 @@ def test_integer_type_test_detection():
     for src in ("bool(x)", "np.zeros(3, dtype=bool)", "isinstance(v, int)", "x is None",
                 "np.asarray(v, dtype=np.int64)"):
         assert not _integer_type_tests(ast.parse(src)), src
+
+
+def _trees():
+    for path in sorted(SRC.glob("*.py")):
+        yield path.stem, ast.parse(path.read_text(encoding="utf-8"), str(path))
+
+
+def _name(node) -> str | None:
+    return getattr(node, "id", None) or getattr(node, "attr", None)
+
+
+EXCEPTION_CLASSES = {"ConstructionError", "DisconnectedSkeletonError", "FormatError"}
+
+
+def _exception_classes(tree) -> set[str]:
+    """The classes defined on a base named like an exception class."""
+    return {
+        node.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        and any((_name(b) or "").endswith(("Error", "Exception", "Warning")) for b in node.bases)
+    }
+
+
+def test_the_package_defines_three_exception_classes():
+    assert set().union(*[_exception_classes(tree) for _, tree in _trees()]) == EXCEPTION_CLASSES
+
+
+def test_exception_class_detection():
+    src = """
+class A(Exception): pass
+class B(ValueError): pass
+class C(errors.FormatError): pass
+class D(BaseException, Mixin): pass
+class E(UserWarning): pass
+class F(object): pass
+class G: pass
+"""
+    assert _exception_classes(ast.parse(src)) == {"A", "B", "C", "D", "E"}
+
+
+BROAD_CATCHES = {"ValueError", "Exception", "BaseException"}
+PIPELINE_MODULES = ("driver", "construct", "realize", "refine")
+
+
+def _broad_catches(tree) -> list[int]:
+    """Lines of `except` clauses that catch everything or a broad class."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ExceptHandler)
+        and (node.type is None or {_name(n) for n in ast.walk(node.type)} & BROAD_CATCHES)
+    ]
+
+
+def test_the_pipeline_catches_no_broad_error():
+    found = [f"{stem}.py:{line}" for stem, tree in _trees() if stem in PIPELINE_MODULES
+             for line in _broad_catches(tree)]
+    assert found == []
+
+
+def test_broad_catch_detection():
+    for src in ("except ValueError: pass", "except (KeyError, Exception) as e: pass",
+                "except builtins.BaseException: pass", "except: pass"):
+        assert _broad_catches(ast.parse(f"try:\n    f()\n{src}")), src
+    for src in ("except ConstructionError: pass", "except (StopIteration, KeyError): pass"):
+        assert not _broad_catches(ast.parse(f"try:\n    f()\n{src}")), src
+
+
+def _construction_stages(tree) -> list[str | None]:
+    """The stage of each `ConstructionError(...)` call: its literal string,
+    or None when the stage is no string literal."""
+    stages = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and _name(node.func) == "ConstructionError":
+            keyword = [k.value for k in node.keywords if k.arg == "stage"]
+            arg = (node.args or keyword or [None])[0]
+            literal = isinstance(arg, ast.Constant) and isinstance(arg.value, str)
+            stages.append(arg.value if literal else None)
+    return stages
+
+
+def test_every_stop_names_a_listed_stage():
+    found = [stage for _, tree in _trees() for stage in _construction_stages(tree)]
+    assert set(found) <= set(STAGES), found
+    assert set(found) == set(STAGES)  # each stage is raised somewhere
+
+
+def test_construction_stage_detection():
+    src = """
+raise ConstructionError("plan", [why])
+construct.ConstructionError(stage="two-cycles", failures=[])
+ConstructionError(stage, [])
+ConstructionError(f"{name}", [])
+ConstructionError()
+OtherError("plan")
+"""
+    assert _construction_stages(ast.parse(src)) == ["plan", "two-cycles", None, None, None]
