@@ -27,10 +27,11 @@ tally's four (here) and realization's two phases (`realize`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from itertools import accumulate
+
+import numpy as np
 
 from .flow import MaxFlow
 from .model import (
@@ -43,6 +44,7 @@ from .model import (
     edge_order,
     edge_sum,
     incidence,
+    int_array,
     is_connected,
     loopless,
 )
@@ -103,30 +105,39 @@ class HamDecomposition:
 
     n: int
     cycles: tuple[tuple[int, ...], ...]
+    # v's successor on its cycle, for every node v; derived, not compared
+    successor: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if as_int(self.n, "n") < 0:
             raise ValueError(f"n must be nonnegative, got {self.n}")
-        cycles = [tuple([as_int(v, "cycle nodes") for v in c]) for c in self.cycles]
-        object.__setattr__(self, "cycles", tuple(cycles))
-        seen = [False] * self.n
-        for cycle in self.cycles:
-            if len(cycle) < 2:
+        cycles = tuple(map(tuple, self.cycles))
+        lengths = np.fromiter(map(len, cycles), np.int64, len(cycles))
+        listed = [v for c in cycles for v in c]
+        flat = int_array(listed, "cycle nodes")
+        ends = np.cumsum(lengths)
+        short = np.flatnonzero(lengths < 2)
+        outside = (flat < 0) | (flat >= self.n)
+        if short.size or outside.any() or np.bincount(flat).max(initial=0) > 1:
+            # report the fault a walk over the cycles in order meets first
+            repeat = np.ones(flat.size, dtype=bool)
+            repeat[np.unique(flat, return_index=True)[1]] = False
+            wrong = np.flatnonzero(outside | repeat)
+            if short.size and (not wrong.size or ends[short[0]] - lengths[short[0]] <= wrong[0]):
                 raise ValueError("cycles must have length at least 2")
-            for v in cycle:
-                if not 0 <= v < self.n or seen[v]:
-                    raise ValueError("cycles must partition the node set")
-                seen[v] = True
-        if not all(seen):
+            raise ValueError("cycles must partition the node set")
+        if flat.size < self.n:
             raise ValueError("cycles must cover every node")
-
-    @cached_property
-    def successor(self) -> tuple[int, ...]:
-        succ = [-1] * self.n
-        for cycle in self.cycles:
-            for t, v in enumerate(cycle):
-                succ[v] = cycle[(t + 1) % len(cycle)]
-        return tuple(succ)
+        if set(map(type, listed)) - {int}:  # re-cut the cycles from the converted nodes
+            nodes = flat.tolist()
+            cycles = tuple([tuple(nodes[e - k:e]) for e, k in zip(ends.tolist(), lengths.tolist())])
+        object.__setattr__(self, "cycles", cycles)
+        # each position's successor is the next one, and a cycle's last closes on its first
+        after = np.arange(1, flat.size + 1)
+        after[ends - 1] = ends - lengths
+        succ = np.empty(self.n, dtype=np.int64)
+        succ[flat] = flat[after]
+        object.__setattr__(self, "successor", tuple(succ.tolist()))
 
     def long_cycles(self) -> tuple[tuple[int, ...], ...]:
         return tuple(c for c in self.cycles if len(c) >= 3)

@@ -12,6 +12,15 @@ existence arguments; exhausting them is an expected stop, not an error: a
 `construct.ConstructionError` of stage "long-cycles" (phase 1) or
 "two-cycles" (phase 2), which `realize` reports in its outcome.
 
+Most phase-2 draws that fail leave some node with no neighbour on its
+group's other side, so once a draw has failed, each later draw but the
+last is first put to one partner check, `SampledGraph.all_have_partners`,
+and matched only if it passes.  The check is exact: a node with no partner
+candidate is a one-node Hall set, so its group cannot match in full and
+the draw would fail anyway.  It skips only draws that fail, and every draw
+still takes its shuffles, so the outcome is that of matching every draw;
+the last draw is always matched, so a failure names its short group.
+
 The matching kernel, a word-parallel Hopcroft-Karp on Python-int row
 masks (`hopcroft_karp`), lives here with its two callers.
 `max_bipartite_matching`, the one matching front end on a sampled graph,
@@ -37,7 +46,7 @@ and raises if it does not hold.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
+from itertools import accumulate, islice
 
 import numpy as np
 
@@ -278,6 +287,20 @@ def embed_cycles(patterns, g: SampledGraph, seed: int):
     return cycles
 
 
+def _slots(groups, sizes) -> np.ndarray:
+    """The slot of each node of phase 2's draw, the blocks' shuffles laid
+    end to end: group k of `groups` takes its c left nodes (slot 2k) and
+    its c right nodes (slot 2k + 1) from the front of its blocks' shuffles,
+    in the order `realize` hands them out."""
+    slots = np.empty(sum(sizes), dtype=np.int64)
+    front = [0, *accumulate(sizes)][:-1]  # each block's next unassigned position
+    for k, ((i, j), c) in enumerate(groups.items()):
+        for side, b in enumerate((i, j)):
+            slots[front[b]:front[b] + c] = 2 * k + side
+            front[b] += c
+    return slots
+
+
 def realize(a: BalancedMatrix, g: SampledGraph, s: SkeletonGraph, seed: int) -> RealizationOutcome:
     """Instantiate the block cycles of tally `a` inside g.
 
@@ -286,6 +309,9 @@ def realize(a: BalancedMatrix, g: SampledGraph, s: SkeletonGraph, seed: int) -> 
     2-cycle counts and asks for perfect matchings within sampled edges
     (looped blocks: split the group into halves and match across); the
     whole grouping is re-randomized on failure, up to `ATTEMPTS` times.
+    After the first failed draw, a draw other than the last in which some
+    node has no neighbour on its group's other side is skipped unmatched:
+    that node leaves its group short, so the draw cannot succeed.
     On success the result's block tallies equal the input exactly; a phase
     that runs out of attempts is the outcome's `failure`.
     """
@@ -312,9 +338,14 @@ def realize(a: BalancedMatrix, g: SampledGraph, s: SkeletonGraph, seed: int) -> 
         raise RuntimeError("tally 2-cycle counts do not match the leftover nodes")
 
     rng = generator(derive(seed, "phase2"))
-    for _ in range(ATTEMPTS):
+    slots = None  # built after the first failed draw: a draw that matches at once needs none
+    for draw in range(ATTEMPTS):
         # each block's nodes in a fresh random order, handed out front to back
-        shuffled = [iter(rng.permutation(r).tolist()) for r in remaining]
+        perms = [rng.permutation(r) for r in remaining]
+        checked = slots is not None and draw < ATTEMPTS - 1
+        if checked and not g.all_have_partners(np.concatenate(perms), slots):
+            continue  # a node without a partner candidate leaves its group short
+        shuffled = [iter(p.tolist()) for p in perms]
         pair_cycles: list[tuple[int, int]] = []
         for (i, j), c in groups.items():
             # a looped block (i == j) hands its next c nodes, then the c after
@@ -326,6 +357,8 @@ def realize(a: BalancedMatrix, g: SampledGraph, s: SkeletonGraph, seed: int) -> 
             pair_cycles.extend(matched)
         else:  # every group matched
             break
+        if slots is None:
+            slots = _slots(groups, [len(r) for r in remaining])
     else:  # no attempt matched every group; the last draw's short group
         why = f"block pair ({i},{j}) matched {len(matched)} of {c} 2-cycles in the last of {ATTEMPTS} draws"
         return RealizationOutcome(failure=ConstructionError("two-cycles", [why]))

@@ -22,7 +22,8 @@ the sampler draws straight into.  Step-graphon samples are dense (m ~ p
 n^2 / 2 edges at edge density p), so this is ~64p times smaller than
 adjacency lists of 2m int64 entries: 12.5 MB against ~267 MB at
 triangle-1/2 (p = 1/3), n=10^4.  Only `SampledGraph` reads its bytes: it
-gives the matching row masks and the Hall check a neighbour count.
+gives the matching row masks, the Hall check a neighbour count and
+realization's phase 2 its partner check.
 """
 
 from __future__ import annotations
@@ -48,20 +49,6 @@ EDGES_STREAM = "edges"
 BAND_CELLS = 1 << 16
 
 
-def _nodes(n, coords, blocks) -> tuple[np.ndarray, np.ndarray]:
-    """The coordinates, each in [0, 1), and block labels of n nodes, checked."""
-    check_count(n, "n")
-    coords = np.asarray(coords, dtype=np.float64)
-    blocks = int_array(blocks, "block labels")
-    if coords.shape != (n,) or blocks.shape != (n,):
-        raise ValueError("coords and blocks must have length n")
-    if not (coords.min() >= 0 and coords.max() < 1):  # NaN fails both
-        raise ValueError("coords must lie in [0, 1)")
-    if blocks.size and blocks.min() < 0:
-        raise ValueError("block labels must be nonnegative")
-    return coords, blocks
-
-
 @dataclass(eq=False)
 class SampledGraph:
     """An undirected graph on n nodes with its block assignment.
@@ -79,8 +66,17 @@ class SampledGraph:
     bits: np.ndarray
 
     def __post_init__(self):
-        self.coords, self.blocks = _nodes(self.n, self.coords, self.blocks)
-        bits, shape = self.bits, (self.n, (self.n + 7) // 8)
+        n = self.n
+        check_count(n, "n")
+        self.coords = coords = np.asarray(self.coords, dtype=np.float64)
+        self.blocks = blocks = int_array(self.blocks, "block labels")
+        if coords.shape != (n,) or blocks.shape != (n,):
+            raise ValueError("coords and blocks must have length n")
+        if not (coords.min() >= 0 and coords.max() < 1):  # NaN fails both
+            raise ValueError("coords must lie in [0, 1)")
+        if blocks.size and blocks.min() < 0:
+            raise ValueError("block labels must be nonnegative")
+        bits, shape = self.bits, (n, (n + 7) // 8)
         if not (isinstance(bits, np.ndarray) and bits.dtype == np.uint8 and bits.shape == shape):
             raise ValueError("bits must be an (n, ceil(n/8)) uint8 matrix")
 
@@ -88,8 +84,12 @@ class SampledGraph:
     def from_edges(cls, n, coords, blocks, edges) -> SampledGraph:
         """The graph with the given (m, 2) edges, in any orientation and
         order.  An endpoint out of range, a self-loop or a repeated edge
-        raises ValueError."""
-        coords, blocks = _nodes(n, coords, blocks)
+        raises ValueError, and so do nodes the constructor refuses."""
+        # n and the lengths before the n * ceil(n/8) bytes of matrix; the
+        # constructor checks the coordinates and labels themselves
+        check_count(n, "n")
+        if np.shape(coords) != (n,) or np.shape(blocks) != (n,):
+            raise ValueError("coords and blocks must have length n")
         edges = int_array(edges, "edge endpoints").reshape(-1, 2)
         if edges.size and (edges.min() < 0 or edges.max() >= n):
             raise ValueError("edge endpoints must be nodes in range")
@@ -138,6 +138,23 @@ class SampledGraph:
         """|N(nodes)|, for distinct nodes in range (else ValueError)."""
         reached = np.bitwise_or.reduce(self.adjacency()[self._node_array(nodes, "nodes")], axis=0)
         return int(np.count_nonzero(np.unpackbits(reached)))
+
+    def all_have_partners(self, nodes, slots) -> bool:
+        """Whether every listed node has a neighbour among the listed nodes
+        of its partner slot: node `nodes[k]` sits in slot `slots[k]`, and
+        slots 2g and 2g + 1 are partners.  One AND of the nodes' rows with
+        their partner slots' packed masks.  The nodes must be distinct and
+        in range, the slots one nonnegative integer per node (else
+        ValueError)."""
+        nodes = self._node_array(nodes, "nodes")
+        slots = int_array(slots, "slots")
+        if slots.shape != nodes.shape or (slots.size and slots.min() < 0):
+            raise ValueError("need one nonnegative slot per node")
+        # a row per slot, up to the last slot's partner
+        members = np.zeros((int(slots.max(initial=0)) // 2 * 2 + 2, self.n), dtype=bool)
+        members[slots, nodes] = True
+        across = np.packbits(members, axis=1, bitorder="little")[slots ^ 1]
+        return bool((self.adjacency()[nodes] & across).any(axis=1).all())
 
     def _upper_bands(self):
         """(r0, band) for each band of rows from r0: the rows' upper-triangle

@@ -14,15 +14,18 @@ it is the reference the flow is checked against; `hall_status` classifies
 it by enumerating Hall sets, with no LP and no flow, over the skeletons
 `connected_skeletons` lists.  `dense_rows` lays out
 the incidence matrix's entries from its edge order, independently of the
-library, which stores none.
+library, which stores none.  `realize_reference` is `realize` with the
+phase-2 loop that matches every draw, group by group, with no partner
+check first: the reference the check is held to.
 """
 
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, islice, permutations
 
 import numpy as np
 
-from hamdec.construct import HamDecomposition, build_balanced_matrix
+from hamdec._seeds import derive, generator
+from hamdec.construct import ConstructionError, HamDecomposition, block_cycles, build_balanced_matrix
 from hamdec.model import (
     Partition,
     SkeletonGraph,
@@ -33,6 +36,7 @@ from hamdec.model import (
     skeleton,
 )
 from hamdec.polytope import Membership, positive_certificate
+from hamdec.realize import ATTEMPTS, RealizationOutcome, embed_cycles, max_bipartite_matching
 from hamdec.refine import refine_once
 from hamdec.sampling import BalancedMatrix
 
@@ -526,3 +530,42 @@ def random_split_instance(rng, q_max=5):
     if concentration(rec.refined.partition) != x_new:
         raise AssertionError("split instance does not reproduce x'")
     return rec, c_new
+
+
+def realize_reference(a: BalancedMatrix, g, s: SkeletonGraph, seed: int) -> RealizationOutcome:
+    """`realize.realize` matching every phase-2 draw: the same phase 1, the
+    same draws, and each draw's groups matched in turn until one falls
+    short, with no partner check to skip a draw.  It leaves out
+    `realize`'s checks of its input and of the realized tally."""
+    groups, patterns = block_cycles(a, s)
+    try:
+        long_cycles = embed_cycles(patterns, g, derive(seed, "phase1"))
+    except ConstructionError as err:
+        return RealizationOutcome(failure=err)
+    free = np.ones(g.n, dtype=bool)
+    free[[v for cyc in long_cycles for v in cyc]] = False
+    remaining = [np.flatnonzero(free & (g.blocks == b)) for b in range(s.node_count)]
+    rng = generator(derive(seed, "phase2"))
+    for _ in range(ATTEMPTS):
+        shuffled = [iter(rng.permutation(r).tolist()) for r in remaining]
+        pair_cycles = []
+        for (i, j), c in groups.items():
+            lset, rset = list(islice(shuffled[i], c)), list(islice(shuffled[j], c))
+            matched = max_bipartite_matching(g, lset, rset)
+            if len(matched) < c:
+                break
+            pair_cycles.extend(matched)
+        else:
+            break
+    else:
+        why = f"block pair ({i},{j}) matched {len(matched)} of {c} 2-cycles in the last of {ATTEMPTS} draws"
+        return RealizationOutcome(failure=ConstructionError("two-cycles", [why]))
+    return RealizationOutcome(HamDecomposition(g.n, list(long_cycles) + [tuple(p) for p in pair_cycles]))
+
+
+def realization_key(outcome: RealizationOutcome):
+    """What a realization outcome says: its cycles, in order, or its stop's
+    stage and text."""
+    if outcome.ok:
+        return outcome.decomposition.cycles
+    return outcome.failure.stage, str(outcome.failure)

@@ -467,3 +467,38 @@ class TestHamDecomposition:
         h = HamDecomposition(5, [[4, 0, 2], [3, 1]])
         assert h.successor is h.successor
         assert h == HamDecomposition(5, [[4, 0, 2], [3, 1]])  # the cache is no field
+
+    def test_agrees_with_the_node_by_node_check(self):
+        # the one-pass check and successor against a loop over the nodes,
+        # on random cycle lists: partitions, and ones that repeat, drop or
+        # overshoot a node or hold a 1-cycle
+        def loop_successor(n, cycles):
+            succ, seen = [-1] * n, [False] * n
+            for cycle in cycles:
+                if len(cycle) < 2:
+                    return "length"
+                for t, v in enumerate(cycle):
+                    if not 0 <= v < n or seen[v]:
+                        return "partition"
+                    seen[v] = True
+                    succ[v] = cycle[(t + 1) % len(cycle)]
+            return tuple(succ) if all(seen) else "cover"
+
+        rng = np.random.default_rng(5)
+        messages = {"length": "at least 2", "partition": "partition", "cover": "cover every node"}
+        for _ in range(300):
+            n = int(rng.integers(0, 12))
+            nodes = rng.integers(-1, n + 2, n).tolist() if rng.random() < 0.3 else rng.permutation(n).tolist()
+            cuts = sorted(rng.choice(np.arange(1, n), int(rng.integers(0, n)), replace=False).tolist()) if n > 1 else []
+            cycles = [nodes[a:b] for a, b in zip([0, *cuts], [*cuts, n]) if b > a]
+            if rng.random() < 0.3 and cycles:
+                cycles = cycles[:-1]
+            want = loop_successor(n, cycles)
+            if isinstance(want, str):
+                with pytest.raises(ValueError, match=messages[want]):
+                    HamDecomposition(n, cycles)
+                continue
+            for given in (cycles, [np.array(c) for c in cycles]):
+                h = HamDecomposition(n, given)
+                assert h.successor == want and h.cycles == tuple(map(tuple, cycles))
+                assert all(type(v) is int for c in h.cycles for v in c)

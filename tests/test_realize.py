@@ -1,10 +1,13 @@
 import importlib
+import sys
 from fractions import Fraction as F
 from itertools import combinations, product
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hamdec.driver
 import hamdec.polytope
 from hamdec.construct import BlockCycle, ConstructionError, HamDecomposition, block_cycles, canonical_blocks
 from hamdec.driver import analyze, plan, run_pipeline, run_trial
@@ -29,8 +32,16 @@ from helpers import (
     brute_max_matching,
     connected_skeletons,
     random_graphon,
+    realization_key,
+    realize_reference,
     tally,
 )
+
+ROOT = Path(__file__).resolve().parents[1]
+if str(ROOT) not in sys.path:
+    sys.path.insert(0, str(ROOT))
+
+from pipebench.graphons import interior_graphon  # noqa: E402
 
 # the package attribute `realize` is the function of that name
 realize_module = importlib.import_module("hamdec.realize")
@@ -504,3 +515,103 @@ class TestRealize:
             out = realize(a, g, s, seed=seed)
             wins += out.ok
         assert wins >= 95
+
+
+def _realize_inputs(monkeypatch, w, n, trials):
+    """The (tally, graph, skeleton, seed) each Monte Carlo trial on w hands
+    `realize`, refinement included."""
+    seen = []
+
+    def recording(a, g, s, seed):
+        seen.append((a, g, s, seed))
+        return realize(a, g, s, seed)
+
+    with monkeypatch.context() as m:
+        m.setattr(hamdec.driver, "realize", recording)
+        for trial in range(trials):
+            run_trial(w, n, 1, trial)
+    return seen
+
+
+def _partner_verdicts(monkeypatch):
+    """The partner check's verdicts from here on, in call order."""
+    verdicts, real = [], SampledGraph.all_have_partners
+
+    def recording(g, nodes, slots):
+        verdicts.append(real(g, nodes, slots))
+        return verdicts[-1]
+
+    monkeypatch.setattr(SampledGraph, "all_have_partners", recording)
+    return verdicts
+
+
+class TestPartnerCheck:
+    """Phase 2 skips a draw with a node that has no neighbour across its
+    group, and matches the rest as before: its outcome is the reference's,
+    the loop that matches every draw."""
+
+    def test_q8_outcomes_equal_the_reference(self, monkeypatch):
+        # analyze-sweep's Monte Carlo graphon: most trials run out of draws
+        inputs = _realize_inputs(monkeypatch, interior_graphon(8, 1).graphon, 200, 40)
+        verdicts = _partner_verdicts(monkeypatch)
+        keys = [realization_key(realize(*args)) for args in inputs]
+        assert keys == [realization_key(realize_reference(*args)) for args in inputs]
+        assert False in verdicts and True in verdicts  # the check skipped draws and passed some
+        stages = {key[0] for key in keys if key[0] in ("long-cycles", "two-cycles")}
+        assert "two-cycles" in stages and len(stages) < len(keys)  # failures and successes
+
+    @pytest.mark.parametrize("n", [30, 61, 201])
+    @pytest.mark.parametrize("w", [ER_HALF, TRI_HALF], ids=["er-half", "tri-half"])
+    def test_outcomes_equal_the_reference(self, monkeypatch, w, n):
+        inputs = _realize_inputs(monkeypatch, w, n, 12)
+        assert inputs
+        for args in inputs:
+            assert realization_key(realize(*args)) == realization_key(realize_reference(*args))
+
+    @pytest.mark.parametrize("n", [30, 61, 201])
+    def test_saturated_outcomes_equal_the_reference(self, n):
+        # ER-1/2's one looped block cannot pair off an odd n, so it is left out
+        for w in (TRI_HALF, step_graphon([0, F(1, 3), F(2, 3), 1], [[F(1, 2)] * 3] * 3)):
+            for seed in range(3):
+                a, g, s = _pipeline(w, n, seed, saturated=True)
+                out = realize(a, g, s, seed)
+                assert out.ok
+                assert realization_key(out) == realization_key(realize_reference(a, g, s, seed))
+
+    def test_the_last_draw_names_its_short_group(self, monkeypatch):
+        # no 2-cycle group can match in an empty graph: the check skips
+        # draws 2 to ATTEMPTS - 1, and the last draw is matched for its text
+        w = step_graphon([0, F(1, 3), F(2, 3), 1], [[F(1, 2)] * 3] * 3)
+        a, g, s = _pipeline(w, 60, 4, saturated=True)
+        empty = SampledGraph.from_edges(g.n, g.coords, g.blocks, [])
+        verdicts = _partner_verdicts(monkeypatch)
+        out = realize(a, empty, s, seed=5)
+        assert realization_key(out) == realization_key(realize_reference(a, empty, s, 5))
+        assert verdicts == [False] * (realize_module.ATTEMPTS - 2)
+        assert "in the last of" in str(out.failure)
+
+    def test_never_rejects_a_draw_that_matches(self):
+        # on random small graphs and groupings, a grouping whose groups all
+        # have perfect matchings passes the check
+        rng = np.random.default_rng(7)
+        matchable = 0
+        for trial in range(300):
+            n = int(rng.integers(2, 13))
+            g = sample_graph(step_graphon([0, 1], [[F(int(rng.integers(3, 10)), 10)]]), n, trial)
+            order = rng.permutation(n).tolist()
+            groups, slots, k = [], [], 0
+            while k + 2 <= n and len(groups) < 3:
+                c = int(rng.integers(1, min(4, (n - k) // 2) + 1))
+                groups.append((order[k:k + c], order[k + c:k + 2 * c]))
+                slots += [2 * len(groups) - 2] * c + [2 * len(groups) - 1] * c
+                k += 2 * c
+            perfect = all(
+                brute_max_matching(len(left), len(right), [
+                    (u, v) for u, x in enumerate(left) for v, y in enumerate(right) if g.has_edge(x, y)
+                ]) == len(left)
+                for left, right in groups
+            )
+            matchable += perfect
+            if perfect:
+                assert g.all_have_partners(order[:k], slots)
+        assert matchable >= 50

@@ -464,3 +464,49 @@ class TestSamplerInvariants:
                 zeros += np.count_nonzero((p == 0) & pairs)
                 ones += np.count_nonzero((p == 1) & pairs)
         assert zeros > 1000 and ones > 1000
+
+
+def _random_slots(rng, n):
+    """Distinct nodes of range(n) laid out in partner slots 2k, 2k + 1 of
+    random sizes (a slot may be empty), and each node's slot."""
+    nodes = rng.permutation(n)[:int(rng.integers(n + 1))]
+    slots = np.sort(rng.integers(0, 2 * int(rng.integers(1, 4)), nodes.size))
+    return nodes, slots
+
+
+class TestPartnerCheck:
+    def test_each_node_needs_a_neighbour_across(self):
+        # the path 0-1-2-3
+        g = SampledGraph.from_edges(4, np.zeros(4), np.zeros(4, dtype=int), [[0, 1], [1, 2], [2, 3]])
+        assert g.all_have_partners([0, 2, 1, 3], [0, 0, 1, 1])
+        assert g.all_have_partners([0, 1, 2, 3], [0, 1, 2, 3])
+        assert not g.all_have_partners([0, 1, 2, 3], [0, 0, 1, 1])  # 0 and 3 are not adjacent
+        assert not g.all_have_partners([1, 2, 0, 3], [0, 1, 3, 2])  # 0's partner slot is 3's
+        assert not g.all_have_partners([0], [4])  # the partner slot is empty
+        assert g.all_have_partners([], [])
+
+    def test_agrees_with_a_neighbour_scan(self):
+        rng = np.random.default_rng(11)
+        for trial in range(200):
+            g = sample_graph(er_graphon(F(int(rng.integers(1, 10)), 10)), int(rng.integers(1, 20)), trial)
+            pairs = _pair_set(g)
+            nodes, slots = _random_slots(rng, g.n)
+            slot_of = dict(zip(nodes.tolist(), slots.tolist()))
+            want = all(
+                any((v, u) in pairs for u, t in slot_of.items() if t == slot_of[v] ^ 1) for v in slot_of
+            )
+            assert g.all_have_partners(nodes, slots) == want
+            assert g.all_have_partners(nodes.tolist(), slots.tolist()) == want
+
+    def test_bad_nodes_and_slots_refused(self):
+        g = SampledGraph.from_edges(3, np.zeros(3), np.zeros(3, dtype=int), [[1, 2]])
+        for nodes in ([-1], [3]):
+            with pytest.raises(ValueError, match="nodes of the graph"):
+                g.all_have_partners(nodes, [0])
+        with pytest.raises(ValueError, match="distinct"):
+            g.all_have_partners([1, 1], [0, 1])
+        for slots in ([0], [0, -1], [[0, 1]]):
+            with pytest.raises(ValueError, match="one nonnegative slot per node"):
+                g.all_have_partners([1, 2], slots)
+        with pytest.raises(ValueError, match="slots: 1.0 is not an integer"):
+            g.all_have_partners([1, 2], [0, 1.0])
