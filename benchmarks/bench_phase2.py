@@ -10,7 +10,7 @@ trial's seed is derived from both, as `montecarlo` derives it):
 often run out of phase-2 draws, ER-1/2 and triangle-1/2 at n = 200, and
 triangle-1/2 at n = 1000.  A counting pass runs the trials once and
 records, per `realize` call, the `max_bipartite_matching` calls and the
-draws the partner check (`SampledGraph.all_have_partners`) rejected; these
+draws the partner check (`realize._all_have_partners`) rejected; these
 counts are the same on every host.  With `--check` the pass also hands
 every `realize` input to `tests/helpers.py:realize_reference`, which
 matches every draw, and exits 1, writing nothing, if an outcome (the
@@ -46,7 +46,6 @@ import numpy as np  # noqa: E402
 
 import hamdec.driver  # noqa: E402
 from hamdec.driver import run_trial  # noqa: E402
-from hamdec.sampling import SampledGraph  # noqa: E402
 from helpers import realization_key, realize_reference  # noqa: E402
 from pipebench.graphons import ER_HALF, TRI_HALF, interior_graphon  # noqa: E402
 from pipebench.yardstick import NOMINAL_S, Yardstick  # noqa: E402
@@ -67,7 +66,7 @@ def counting_pass(w, n: int, trials: int, check: bool) -> tuple[dict, str | None
     differs from the reference's (with `check`), or None."""
     realize = realize_module.realize
     matching = realize_module.max_bipartite_matching
-    partners = SampledGraph.all_have_partners
+    partners = realize_module._all_have_partners
     calls = {"realize": 0, "ok": 0, "matchings": 0, "checks": 0, "rejected": 0}
     differs = []
 
@@ -83,22 +82,22 @@ def counting_pass(w, n: int, trials: int, check: bool) -> tuple[dict, str | None
         calls["matchings"] += 1
         return matching(g, left, right)
 
-    def counting_partners(g, nodes, slots):
+    def counting_partners(rows, draw):
         calls["checks"] += 1
-        found = partners(g, nodes, slots)
+        found = partners(rows, draw)
         calls["rejected"] += not found
         return found
 
     hamdec.driver.realize = counting_realize
     realize_module.max_bipartite_matching = counting_matching
-    SampledGraph.all_have_partners = counting_partners
+    realize_module._all_have_partners = counting_partners
     try:
         for trial in range(trials):
             run_trial(w, n, MASTER_SEED, trial)
     finally:
         hamdec.driver.realize = realize
         realize_module.max_bipartite_matching = matching
-        SampledGraph.all_have_partners = partners
+        realize_module._all_have_partners = partners
     per = max(calls["realize"], 1)
     counts = {
         "realize_calls": calls["realize"],

@@ -9,7 +9,10 @@ Subcommands:
   refine FILE --block I --at T     insert a breakpoint, write the refined file
 
 Exit codes: 0 success, 1 a pipeline Failure outcome, 2 bad input (including
-an unreadable input, an unwritable output path or refused memory).
+an unreadable input, an unwritable output path or refused memory).  The
+input file and the command-line values are checked before anything runs,
+and only that step's `ValueError` is bad input: one raised later is a bug
+and ends in a traceback.
 """
 
 from __future__ import annotations
@@ -21,10 +24,10 @@ import sys
 from . import io
 from ._seeds import derive
 from .driver import Verdict, analyze, montecarlo, plan, run_pipeline
-from .model import saturate, skeleton
+from .model import check_count, saturate, skeleton
 from .polytope import Membership
 from .realize import graph_has_decomposition
-from .refine import refine_once
+from .refine import refine_once, split_point
 from .sampling import sample_graph
 
 _VERDICT_TEXT = {
@@ -34,8 +37,7 @@ _VERDICT_TEXT = {
 }
 
 
-def _cmd_analyze(args) -> int:
-    w = io.load_graphon(args.file)
+def _cmd_analyze(w, args) -> int:
     report = analyze(w)
     s = skeleton(w)
     print(
@@ -68,8 +70,7 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
-def _cmd_sample(args) -> int:
-    w = io.load_graphon(args.file)
+def _cmd_sample(w, args) -> int:
     g = sample_graph(w, args.n, args.seed)
     io.dump_graph(g, args.out)
     print(f"sampled n={g.n} graph with {g.edge_count} edges -> {args.out}")
@@ -91,8 +92,7 @@ def _print_decomposition(tally, decomposition) -> None:
         print(f"  {len(c)}-cycle: " + " -> ".join(str(v) for v in c) + f" -> {c[0]}")
 
 
-def _cmd_decompose(args) -> int:
-    w = io.load_graphon(args.file)
+def _cmd_decompose(w, args) -> int:
     # saturate(w): w's blocks and coordinates, every supported pair an edge
     g = sample_graph(saturate(w) if args.saturated else w, args.n, args.seed)
     out = run_pipeline(plan(w), g, derive(args.seed, "decompose"))
@@ -104,8 +104,7 @@ def _cmd_decompose(args) -> int:
     return 0
 
 
-def _cmd_montecarlo(args) -> int:
-    w = io.load_graphon(args.file)
+def _cmd_montecarlo(w, args) -> int:
     report = montecarlo(w, args.n, args.trials, args.seed, jobs=args.jobs)
     print(f"n={report.n} trials={report.trials} master_seed={report.master_seed}")
     print(
@@ -121,8 +120,7 @@ def _cmd_montecarlo(args) -> int:
     return 0
 
 
-def _cmd_refine(args) -> int:
-    w = io.load_graphon(args.file)
+def _cmd_refine(w, args) -> int:
     rec = refine_once(w, args.block, args.at)
     io.dump_graphon(rec.refined, args.out)
     print(f"split block {rec.split_block} at {rec.split_point} -> {args.out}")
@@ -174,12 +172,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _checked_graphon(args):
+    """The input graphon, with the command-line values checked against it."""
+    w = io.load_graphon(args.file)
+    for name in ("n", "trials", "jobs"):
+        if name in args:
+            check_count(getattr(args, name), name)
+    if "seed" in args:
+        derive(args.seed)  # raises unless the seed lies in [0, 2**64)
+    if args.command == "refine":
+        split_point(w, args.block, args.at)
+    return w
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    bad_input = (ValueError, OSError, MemoryError)  # while checking; FormatError is a ValueError
     try:
-        return args.func(args)
-    except (ValueError, OSError, MemoryError) as exc:  # FormatError is a ValueError
+        w = _checked_graphon(args)
+        bad_input = (io.FormatError, OSError, MemoryError)  # in the run, a ValueError is a bug
+        return args.func(w, args)
+    except bad_input as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -13,7 +13,8 @@ integer rows of 2Z are read off the edge order, never stored.
 All breakpoint and block-value arithmetic is exact (`fractions.Fraction`):
 whether a vector sits on the boundary of a polytope is a measure-zero
 distinction that floats would destroy.  Floats appear only in sampling
-(see `sampling`).  Blocks and skeleton nodes are 0-indexed.
+(see `sampling`), whose rule for the block of a float coordinate is
+`Partition.float_blocks`.  Blocks and skeleton nodes are 0-indexed.
 
 One integer rule holds for every integer a caller hands the package: a
 count, a node, a block label, a seed, a tally entry.  An int or a numpy
@@ -126,11 +127,25 @@ class Partition:
         return self.breakpoints[block], self.breakpoints[block + 1]
 
     def block_of(self, point) -> int:
-        """Block whose half-open interval [s_i, s_{i+1}) contains the point."""
+        """Block whose half-open interval [s_i, s_{i+1}) contains the point.
+
+        A rational is placed exactly, a float by the sampler's rule
+        (`float_blocks`): float(1/3) lies below a breakpoint 1/3 but equals
+        its float, so it goes right."""
         p = _as_fraction(point)
         if not 0 <= p < 1:
             raise ValueError("point must lie in [0, 1)")
+        if isinstance(point, float):
+            return int(self.float_blocks([point])[0])
         return bisect_right(self.breakpoints, p) - 1
+
+    def float_blocks(self, coords) -> np.ndarray:
+        """The block of each float coordinate, as int64: the sampler's rule.
+        A coordinate is compared with the breakpoints rounded to floats
+        (float(Fraction) rounds correctly), and one equal to a breakpoint's
+        float goes right."""
+        bounds = np.array([float(b) for b in self.breakpoints[1:-1]], dtype=np.float64)
+        return np.searchsorted(bounds, coords, side="right").astype(np.int64)
 
 
 @dataclass(frozen=True)

@@ -12,14 +12,17 @@ existence arguments; exhausting them is an expected stop, not an error: a
 `construct.ConstructionError` of stage "long-cycles" (phase 1) or
 "two-cycles" (phase 2), which `realize` reports in its outcome.
 
-Most phase-2 draws that fail leave some node with no neighbour on its
-group's other side, so once a draw has failed, each later draw but the
-last is first put to one partner check, `SampledGraph.all_have_partners`,
-and matched only if it passes.  The check is exact: a node with no partner
-candidate is a one-node Hall set, so its group cannot match in full and
-the draw would fail anyway.  It skips only draws that fail, and every draw
-still takes its shuffles, so the outcome is that of matching every draw;
-the last draw is always matched, so a failure names its short group.
+Phase 2 hands out each draw once, as one (left nodes, right nodes) pair
+per 2-cycle group, and both the partner check and the matchings read it.
+Most draws that fail leave some node with no neighbour on its group's
+other side, so once a draw has failed, each later draw but the last is
+first put to the partner check (`_all_have_partners`, on the graph's row
+masks) and matched only if it passes.  The check is exact: a node with no
+partner candidate is a one-node Hall set, so its group cannot match in
+full and the draw would fail anyway.  It skips only draws that fail, and
+every draw still takes its shuffles, so the outcome is that of matching
+every draw; the last draw is always matched, so a failure names its short
+group.
 
 The matching kernel, a word-parallel Hopcroft-Karp on Python-int row
 masks (`hopcroft_karp`), lives here with its two callers.
@@ -46,7 +49,7 @@ and raises if it does not hold.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, islice
+from itertools import islice
 
 import numpy as np
 
@@ -287,18 +290,17 @@ def embed_cycles(patterns, g: SampledGraph, seed: int):
     return cycles
 
 
-def _slots(groups, sizes) -> np.ndarray:
-    """The slot of each node of phase 2's draw, the blocks' shuffles laid
-    end to end: group k of `groups` takes its c left nodes (slot 2k) and
-    its c right nodes (slot 2k + 1) from the front of its blocks' shuffles,
-    in the order `realize` hands them out."""
-    slots = np.empty(sum(sizes), dtype=np.int64)
-    front = [0, *accumulate(sizes)][:-1]  # each block's next unassigned position
-    for k, ((i, j), c) in enumerate(groups.items()):
-        for side, b in enumerate((i, j)):
-            slots[front[b]:front[b] + c] = 2 * k + side
-            front[b] += c
-    return slots
+def _all_have_partners(rows, draw) -> bool:
+    """Whether every node of a phase-2 draw has a neighbour on its group's
+    other side: `draw` holds each group's (left, right) node lists and
+    `rows[v]` is node v's row mask.  A side's mask is the OR of its nodes'
+    bits, and each node's row must meet the other side's mask."""
+    for left, right in draw:
+        for nodes, across in ((left, right), (right, left)):
+            mask = sum(1 << v for v in across)  # the nodes are distinct
+            if not all(rows[v] & mask for v in nodes):
+                return False
+    return True
 
 
 def realize(a: BalancedMatrix, g: SampledGraph, s: SkeletonGraph, seed: int) -> RealizationOutcome:
@@ -309,6 +311,7 @@ def realize(a: BalancedMatrix, g: SampledGraph, s: SkeletonGraph, seed: int) -> 
     2-cycle counts and asks for perfect matchings within sampled edges
     (looped blocks: split the group into halves and match across); the
     whole grouping is re-randomized on failure, up to `ATTEMPTS` times.
+    Each draw is laid out once, as every group's (left, right) node lists.
     After the first failed draw, a draw other than the last in which some
     node has no neighbour on its group's other side is skipped unmatched:
     that node leaves its group short, so the draw cannot succeed.
@@ -338,18 +341,16 @@ def realize(a: BalancedMatrix, g: SampledGraph, s: SkeletonGraph, seed: int) -> 
         raise RuntimeError("tally 2-cycle counts do not match the leftover nodes")
 
     rng = generator(derive(seed, "phase2"))
-    slots = None  # built after the first failed draw: a draw that matches at once needs none
-    for draw in range(ATTEMPTS):
-        # each block's nodes in a fresh random order, handed out front to back
-        perms = [rng.permutation(r) for r in remaining]
-        checked = slots is not None and draw < ATTEMPTS - 1
-        if checked and not g.all_have_partners(np.concatenate(perms), slots):
+    for k in range(ATTEMPTS):
+        # each block's nodes in a fresh random order, handed out front to
+        # back; a looped block (i == j) hands its next c nodes, then the c after
+        shuffled = [iter(rng.permutation(r).tolist()) for r in remaining]
+        draw = [(list(islice(shuffled[i], c)), list(islice(shuffled[j], c))) for (i, j), c in groups.items()]
+        # a draw after a failed one, the last aside, must pass the partner check
+        if 0 < k < ATTEMPTS - 1 and not _all_have_partners(rows, draw):
             continue  # a node without a partner candidate leaves its group short
-        shuffled = [iter(p.tolist()) for p in perms]
         pair_cycles: list[tuple[int, int]] = []
-        for (i, j), c in groups.items():
-            # a looped block (i == j) hands its next c nodes, then the c after
-            lset, rset = list(islice(shuffled[i], c)), list(islice(shuffled[j], c))
+        for ((i, j), c), (lset, rset) in zip(groups.items(), draw):
             # its iteration order, stable (see its docstring), is the order `decompose` prints
             matched = max_bipartite_matching(g, lset, rset)
             if len(matched) < c:
@@ -357,8 +358,8 @@ def realize(a: BalancedMatrix, g: SampledGraph, s: SkeletonGraph, seed: int) -> 
             pair_cycles.extend(matched)
         else:  # every group matched
             break
-        if slots is None:
-            slots = _slots(groups, [len(r) for r in remaining])
+        if k == 0:  # read once a draw failed: a draw that matches at once needs none
+            rows = g.row_masks()
     else:  # no attempt matched every group; the last draw's short group
         why = f"block pair ({i},{j}) matched {len(matched)} of {c} 2-cycles in the last of {ATTEMPTS} draws"
         return RealizationOutcome(failure=ConstructionError("two-cycles", [why]))

@@ -54,6 +54,16 @@ class RefinementRecord:
         return (self.split_point - lo) / (hi - lo)
 
 
+def split_point(w: StepGraphon, block: int, t) -> Fraction:
+    """t as an exact rational strictly inside the given block's interval;
+    a block out of range or a point that is not inside raises ValueError."""
+    point = _as_fraction(t)
+    lo, hi = w.partition.interval(block)
+    if not lo < point < hi:
+        raise ValueError(f"split point {point} not strictly inside [{lo}, {hi})")
+    return point
+
+
 def refine_once(w: StepGraphon, block: int, t) -> RefinementRecord:
     """Insert breakpoint t strictly inside the given block's interval.
 
@@ -61,10 +71,7 @@ def refine_once(w: StepGraphon, block: int, t) -> RefinementRecord:
     copying the split node's adjacencies (plus loop and connecting edge if
     the split node had a loop).
     """
-    point = _as_fraction(t)
-    lo, hi = w.partition.interval(block)
-    if not lo < point < hi:
-        raise ValueError(f"split point {point} not strictly inside [{lo}, {hi})")
+    point = split_point(w, block, t)
     bps = list(w.partition.breakpoints)
     bps.insert(block + 1, point)
     rows = [list(row) for row in w.values]

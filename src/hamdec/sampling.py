@@ -22,8 +22,8 @@ the sampler draws straight into.  Step-graphon samples are dense (m ~ p
 n^2 / 2 edges at edge density p), so this is ~64p times smaller than
 adjacency lists of 2m int64 entries: 12.5 MB against ~267 MB at
 triangle-1/2 (p = 1/3), n=10^4.  Only `SampledGraph` reads its bytes: it
-gives the matching row masks, the Hall check a neighbour count and
-realization's phase 2 its partner check.
+gives the matchings and phase 2's partner check their row masks and the
+Hall check a neighbour count.
 """
 
 from __future__ import annotations
@@ -139,23 +139,6 @@ class SampledGraph:
         reached = np.bitwise_or.reduce(self.adjacency()[self._node_array(nodes, "nodes")], axis=0)
         return int(np.count_nonzero(np.unpackbits(reached)))
 
-    def all_have_partners(self, nodes, slots) -> bool:
-        """Whether every listed node has a neighbour among the listed nodes
-        of its partner slot: node `nodes[k]` sits in slot `slots[k]`, and
-        slots 2g and 2g + 1 are partners.  One AND of the nodes' rows with
-        their partner slots' packed masks.  The nodes must be distinct and
-        in range, the slots one nonnegative integer per node (else
-        ValueError)."""
-        nodes = self._node_array(nodes, "nodes")
-        slots = int_array(slots, "slots")
-        if slots.shape != nodes.shape or (slots.size and slots.min() < 0):
-            raise ValueError("need one nonnegative slot per node")
-        # a row per slot, up to the last slot's partner
-        members = np.zeros((int(slots.max(initial=0)) // 2 * 2 + 2, self.n), dtype=bool)
-        members[slots, nodes] = True
-        across = np.packbits(members, axis=1, bitorder="little")[slots ^ 1]
-        return bool((self.adjacency()[nodes] & across).any(axis=1).all())
-
     def _upper_bands(self):
         """(r0, band) for each band of rows from r0: the rows' upper-triangle
         cells, one byte each."""
@@ -246,15 +229,10 @@ class BalancedMatrix:
         return Fraction(min(vals), self.scale) if vals else None
 
 
-def _float_boundaries(w: StepGraphon) -> np.ndarray:
-    # interior breakpoints only; float(Fraction) rounds correctly
-    return np.array([float(b) for b in w.partition.breakpoints[1:-1]], dtype=np.float64)
-
-
 def assign_blocks(w: StepGraphon, coords: np.ndarray) -> np.ndarray:
-    """Block index per coordinate under the half-open interval convention."""
-    bounds = _float_boundaries(w)
-    return np.searchsorted(bounds, coords, side="right").astype(np.int64)
+    """Block index per coordinate, by the one rule for a float coordinate
+    (`Partition.float_blocks`)."""
+    return w.partition.float_blocks(coords)
 
 
 def sample_graph(w: StepGraphon, n: int, seed: int) -> SampledGraph:

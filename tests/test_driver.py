@@ -1066,3 +1066,29 @@ class TestCLI:
         assert cli.main(["refine", path, "--block", "0", "--at", "1/0", "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
+
+    def test_values_checked_before_the_run(self, tmp_path, capsys, monkeypatch):
+        def run(*args, **kwargs):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr(cli, "montecarlo", run)
+        path = self._write(tmp_path)
+        args = ["montecarlo", path, "--n", "20", "--trials", "2", "--seed", "1"]
+        for flag, message in (("--n", "n"), ("--trials", "trials"), ("--jobs", "jobs")):
+            assert cli.main(args + [flag, "0"]) == 2
+            assert capsys.readouterr().err == f"error: {message} must be positive, got 0\n"
+
+    def test_a_value_error_in_the_run_is_a_bug(self, tmp_path, monkeypatch):
+        # only the checked input reads as bad input: a ValueError raised
+        # inside the pipeline ends in a traceback, not in exit code 2
+        def broken(*args):
+            raise ValueError("boom")
+
+        monkeypatch.setattr(hamdec.refine, "refine_once", broken)
+        path = self._write(tmp_path)
+        plan.cache_clear()  # planning ER-1/2 afresh splits its looped block
+        try:
+            with pytest.raises(ValueError, match="boom"):
+                cli.main(["montecarlo", path, "--n", "60", "--trials", "2", "--seed", "1"])
+        finally:
+            plan.cache_clear()

@@ -535,13 +535,13 @@ def _realize_inputs(monkeypatch, w, n, trials):
 
 def _partner_verdicts(monkeypatch):
     """The partner check's verdicts from here on, in call order."""
-    verdicts, real = [], SampledGraph.all_have_partners
+    verdicts, real = [], realize_module._all_have_partners
 
-    def recording(g, nodes, slots):
-        verdicts.append(real(g, nodes, slots))
+    def recording(rows, draw):
+        verdicts.append(real(rows, draw))
         return verdicts[-1]
 
-    monkeypatch.setattr(SampledGraph, "all_have_partners", recording)
+    monkeypatch.setattr(realize_module, "_all_have_partners", recording)
     return verdicts
 
 
@@ -590,6 +590,22 @@ class TestPartnerCheck:
         assert verdicts == [False] * (realize_module.ATTEMPTS - 2)
         assert "in the last of" in str(out.failure)
 
+    def test_the_rows_are_read_once_after_the_first_failed_draw(self, monkeypatch):
+        full_reads, real = [], SampledGraph.row_masks
+
+        def counting(g, rows=None, cols=None):
+            full_reads.append(rows is None)
+            return real(g, rows, cols)
+
+        monkeypatch.setattr(SampledGraph, "row_masks", counting)
+        w = step_graphon([0, F(1, 3), F(2, 3), 1], [[F(1, 2)] * 3] * 3)
+        a, g, s = _pipeline(w, 60, 4, saturated=True)
+        assert realize(a, g, s, seed=5).ok  # the first draw matches
+        assert full_reads and not any(full_reads)  # only the groups' rows
+        full_reads.clear()
+        assert not realize(a, SampledGraph.from_edges(g.n, g.coords, g.blocks, []), s, seed=5).ok
+        assert full_reads.count(True) == 1
+
     def test_never_rejects_a_draw_that_matches(self):
         # on random small graphs and groupings, a grouping whose groups all
         # have perfect matchings passes the check
@@ -599,11 +615,10 @@ class TestPartnerCheck:
             n = int(rng.integers(2, 13))
             g = sample_graph(step_graphon([0, 1], [[F(int(rng.integers(3, 10)), 10)]]), n, trial)
             order = rng.permutation(n).tolist()
-            groups, slots, k = [], [], 0
+            groups, k = [], 0
             while k + 2 <= n and len(groups) < 3:
                 c = int(rng.integers(1, min(4, (n - k) // 2) + 1))
                 groups.append((order[k:k + c], order[k + c:k + 2 * c]))
-                slots += [2 * len(groups) - 2] * c + [2 * len(groups) - 1] * c
                 k += 2 * c
             perfect = all(
                 brute_max_matching(len(left), len(right), [
@@ -613,5 +628,5 @@ class TestPartnerCheck:
             )
             matchable += perfect
             if perfect:
-                assert g.all_have_partners(order[:k], slots)
+                assert realize_module._all_have_partners(g.row_masks(), groups)
         assert matchable >= 50

@@ -11,6 +11,7 @@ import pytest
 from hamdec import sampling
 from hamdec.construct import HamDecomposition
 from hamdec.model import SkeletonGraph, StepGraphon, saturate, skeleton, step_graphon
+from hamdec.realize import _all_have_partners
 from hamdec.sampling import (
     BalancedMatrix,
     SampledGraph,
@@ -79,6 +80,21 @@ class TestSampleGraph:
         w = step_graphon([0, F(1, 2), 1], [[F(1, 2)] * 2] * 2)
         blocks = assign_blocks(w, np.array([0.0, 0.5, 0.4999999, 0.9]))
         assert list(blocks) == [0, 1, 0, 1]
+
+    @pytest.mark.parametrize("sigma, x, right", [
+        ([0, F(1, 3), F(2, 3), 1], 1 / 3, 1),
+        ([0, F(1, 3), F(2, 3), 1], 2 / 3, 2),
+        ([0, F(3, 10), 1], 3 / 10, 1),
+    ])
+    def test_block_of_places_a_float_as_the_sampler_does(self, sigma, x, right):
+        # each float lies just below its breakpoint but equals the
+        # breakpoint's float, so the sampler puts it in the block to the right
+        q = len(sigma) - 1
+        w = step_graphon(sigma, [[F(i + j, 2 * q) for j in range(q)] for i in range(q)])
+        assert list(assign_blocks(w, np.array([x]))) == [right]
+        assert w.partition.block_of(x) == right
+        assert w.partition.block_of(F(x)) == right - 1  # the float's exact value is left of it
+        assert w.value_at(x, 0.0) == w.values[right][0]
 
     def test_sampler_bytes_pinned(self):
         # coords, blocks and edges of 90 samples: any change to the draws,
@@ -466,47 +482,41 @@ class TestSamplerInvariants:
         assert zeros > 1000 and ones > 1000
 
 
-def _random_slots(rng, n):
-    """Distinct nodes of range(n) laid out in partner slots 2k, 2k + 1 of
-    random sizes (a slot may be empty), and each node's slot."""
-    nodes = rng.permutation(n)[:int(rng.integers(n + 1))]
-    slots = np.sort(rng.integers(0, 2 * int(rng.integers(1, 4)), nodes.size))
-    return nodes, slots
+def _random_draw(rng, n):
+    """Distinct nodes of range(n) handed out to the (left, right) lists of
+    one to three groups, at random (a side may be empty)."""
+    k = int(rng.integers(1, 4))
+    nodes = rng.permutation(n)[:int(rng.integers(n + 1))].tolist()
+    sides = rng.integers(0, 2 * k, len(nodes)).tolist()
+    lists = [[v for v, t in zip(nodes, sides) if t == side] for side in range(2 * k)]
+    return list(zip(lists[::2], lists[1::2]))
 
 
 class TestPartnerCheck:
+    """Phase 2's partner check (`realize._all_have_partners`) on the graph's
+    row masks."""
+
     def test_each_node_needs_a_neighbour_across(self):
         # the path 0-1-2-3
         g = SampledGraph.from_edges(4, np.zeros(4), np.zeros(4, dtype=int), [[0, 1], [1, 2], [2, 3]])
-        assert g.all_have_partners([0, 2, 1, 3], [0, 0, 1, 1])
-        assert g.all_have_partners([0, 1, 2, 3], [0, 1, 2, 3])
-        assert not g.all_have_partners([0, 1, 2, 3], [0, 0, 1, 1])  # 0 and 3 are not adjacent
-        assert not g.all_have_partners([1, 2, 0, 3], [0, 1, 3, 2])  # 0's partner slot is 3's
-        assert not g.all_have_partners([0], [4])  # the partner slot is empty
-        assert g.all_have_partners([], [])
+        rows = g.row_masks()
+        assert _all_have_partners(rows, [([0, 2], [1, 3])])
+        assert _all_have_partners(rows, [([0], [1]), ([2], [3])])
+        assert not _all_have_partners(rows, [([0, 1], [2, 3])])  # 0 and 3 are not adjacent
+        assert not _all_have_partners(rows, [([1], [2]), ([3], [0])])  # 3's partner side is 0
+        assert not _all_have_partners(rows, [([0], [])])  # the other side is empty
+        assert _all_have_partners(rows, [])
 
     def test_agrees_with_a_neighbour_scan(self):
         rng = np.random.default_rng(11)
         for trial in range(200):
             g = sample_graph(er_graphon(F(int(rng.integers(1, 10)), 10)), int(rng.integers(1, 20)), trial)
             pairs = _pair_set(g)
-            nodes, slots = _random_slots(rng, g.n)
-            slot_of = dict(zip(nodes.tolist(), slots.tolist()))
+            draw = _random_draw(rng, g.n)
             want = all(
-                any((v, u) in pairs for u, t in slot_of.items() if t == slot_of[v] ^ 1) for v in slot_of
+                any((v, u) in pairs for u in across)
+                for left, right in draw
+                for nodes, across in ((left, right), (right, left))
+                for v in nodes
             )
-            assert g.all_have_partners(nodes, slots) == want
-            assert g.all_have_partners(nodes.tolist(), slots.tolist()) == want
-
-    def test_bad_nodes_and_slots_refused(self):
-        g = SampledGraph.from_edges(3, np.zeros(3), np.zeros(3, dtype=int), [[1, 2]])
-        for nodes in ([-1], [3]):
-            with pytest.raises(ValueError, match="nodes of the graph"):
-                g.all_have_partners(nodes, [0])
-        with pytest.raises(ValueError, match="distinct"):
-            g.all_have_partners([1, 1], [0, 1])
-        for slots in ([0], [0, -1], [[0, 1]]):
-            with pytest.raises(ValueError, match="one nonnegative slot per node"):
-                g.all_have_partners([1, 2], slots)
-        with pytest.raises(ValueError, match="slots: 1.0 is not an integer"):
-            g.all_have_partners([1, 2], [0, 1.0])
+            assert _all_have_partners(g.row_masks(), draw) == want

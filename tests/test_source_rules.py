@@ -20,7 +20,9 @@ coordinates, the block labels and the matrix, and nothing else, so no edge
 array or cache can come back beside the matrix.  The matrix's layout has
 one home: no package module but `sampling` calls `.adjacency()` or reads
 `.bits`, so the matching, the oracle and the Hall check take row masks and
-neighbour counts from `SampledGraph` methods.  Likewise an incidence
+neighbour counts from `SampledGraph` methods; and none but `sampling`
+calls `np.packbits` or `np.unpackbits`, so byte handling stays there and
+phase 2's partner check works on row masks.  Likewise an incidence
 matrix is a view of its skeleton: `IncidenceMatrix` holds the skeleton and
 nothing else, and no package module reads an `.entries` attribute, so a
 dense copy of Z cannot come back beside the edge order it is read from.
@@ -263,6 +265,37 @@ def test_only_sampling_reads_the_packed_matrix():
     reads = _attribute_reads("adjacency") + _attribute_reads("bits")
     assert [loc for loc in reads if not loc.startswith("sampling.py:")] == []
     assert reads  # the detection sees sampling's own reads
+
+
+BYTE_PACKERS = {"packbits", "unpackbits"}
+
+
+def _byte_packing_calls(tree) -> list[int]:
+    """Lines that call np.packbits or np.unpackbits, by any name."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and _name(node.func) in BYTE_PACKERS
+    ]
+
+
+def test_only_sampling_packs_bytes():
+    found = [f"{stem}.py:{line}" for stem, tree in _trees() for line in _byte_packing_calls(tree)]
+    assert [loc for loc in found if not loc.startswith("sampling.py:")] == []
+    assert found  # the detection sees sampling's own calls
+
+
+def test_byte_packing_detection():
+    src = """
+import numpy as np
+from numpy import unpackbits
+a = np.packbits(x, axis=1)
+b = unpackbits(y)
+c = numpy.unpackbits(z, bitorder="little")
+d = np.pack(x)
+e = x.view(np.uint8)
+"""
+    assert _byte_packing_calls(ast.parse(src)) == [4, 5, 6]
 
 
 def test_incidence_matrix_holds_only_its_skeleton():
