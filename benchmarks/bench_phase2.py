@@ -10,21 +10,27 @@ trial's seed is derived from both, as `montecarlo` derives it):
 often run out of phase-2 draws, ER-1/2 and triangle-1/2 at n = 200, and
 triangle-1/2 at n = 1000.  A counting pass runs the trials once and
 records, per `realize` call, the `max_bipartite_matching` calls and the
-draws the partner check (`realize._all_have_partners`) rejected; these
+draws the partner check (`realize._all_have_partners`) rejected, and per
+trial the existence oracle's full-graph matchings
+(`graph_has_decomposition(g, None)`, a trial no witness settles); these
 counts are the same on every host.  With `--check` the pass also hands
 every `realize` input to `tests/helpers.py:realize_reference`, which
 matches every draw, and exits 1, writing nothing, if an outcome (the
-cycles, or the failure text) differs.  A timed pass then runs the trials
-`--repeats` times and records the median wall time of a trial.  The JSON
-holds the counts, the times and the host, Python and numpy versions.  The
-package is imported from `src/` beside this directory.
+cycles, or the failure text) differs, or if a count differs from the one
+the committed `benchmarks/BENCH_phase2.json` records for the same trials.
+A timed pass then runs the trials `--repeats` times and records the
+median wall time of a trial, and times each oracle matching of the
+counting pass `--repeats` times for the median wall time of one.  The
+JSON holds the counts, the times and the host, Python and numpy versions.
+The package is imported from `src/` beside this directory.
 
 The raw medians follow the host's speed, which on a shared host drifts by
 up to ~1.9x within minutes, so they cannot compare two commits.  Each timed
-trial runs between `pipebench.yardstick.Yardstick.maybe()` calls, and
-`scaled_ms_per_trial` is the median of the trials' `Yardstick.scale`
-times: what a trial takes on a host where the yardstick takes its nominal
-time.  Compare two commits by their scaled medians.
+trial and oracle matching runs between `pipebench.yardstick.Yardstick.maybe()`
+calls, and `scaled_ms_per_trial` (`scaled_ms_per_oracle_matching`) is the
+median of their `Yardstick.scale` times: what one takes on a host where
+the yardstick takes its nominal time.  Compare two commits by their
+scaled medians.
 """
 
 from __future__ import annotations
@@ -51,6 +57,10 @@ from pipebench.graphons import ER_HALF, TRI_HALF, interior_graphon  # noqa: E402
 from pipebench.yardstick import NOMINAL_S, Yardstick  # noqa: E402
 
 realize_module = importlib.import_module("hamdec.realize")  # the package binds `realize` to the function
+COMMITTED = ROOT / "benchmarks" / "BENCH_phase2.json"
+# the counting pass's fields, which `--check` compares with the committed ones
+COUNTS = ("realize_calls", "realized", "matchings_per_realize", "checks_per_realize",
+          "rejected_draws_per_realize", "oracle_matchings_per_trial")
 
 MASTER_SEED = 1
 CASES = (
@@ -61,13 +71,16 @@ CASES = (
 )
 
 
-def counting_pass(w, n: int, trials: int, check: bool) -> tuple[dict, str | None]:
-    """Per-`realize` counts over the trials, and the first outcome that
-    differs from the reference's (with `check`), or None."""
+def counting_pass(w, n: int, trials: int, check: bool) -> tuple[dict, list, str | None]:
+    """Per-`realize` and per-trial counts over the trials, the graphs the
+    oracle matched in full, and the first outcome that differs from the
+    reference's (with `check`), or None."""
     realize = realize_module.realize
     matching = realize_module.max_bipartite_matching
     partners = realize_module._all_have_partners
+    oracle = hamdec.driver.graph_has_decomposition
     calls = {"realize": 0, "ok": 0, "matchings": 0, "checks": 0, "rejected": 0}
+    matched_graphs = []
     differs = []
 
     def counting_realize(a, g, s, seed):
@@ -88,7 +101,13 @@ def counting_pass(w, n: int, trials: int, check: bool) -> tuple[dict, str | None
         calls["rejected"] += not found
         return found
 
+    def counting_oracle(g, witness=None):
+        if witness is None:
+            matched_graphs.append(g)
+        return oracle(g, witness)
+
     hamdec.driver.realize = counting_realize
+    hamdec.driver.graph_has_decomposition = counting_oracle
     realize_module.max_bipartite_matching = counting_matching
     realize_module._all_have_partners = counting_partners
     try:
@@ -96,6 +115,7 @@ def counting_pass(w, n: int, trials: int, check: bool) -> tuple[dict, str | None
             run_trial(w, n, MASTER_SEED, trial)
     finally:
         hamdec.driver.realize = realize
+        hamdec.driver.graph_has_decomposition = oracle
         realize_module.max_bipartite_matching = matching
         realize_module._all_have_partners = partners
     per = max(calls["realize"], 1)
@@ -105,8 +125,38 @@ def counting_pass(w, n: int, trials: int, check: bool) -> tuple[dict, str | None
         "matchings_per_realize": round(calls["matchings"] / per, 3),
         "checks_per_realize": round(calls["checks"] / per, 3),
         "rejected_draws_per_realize": round(calls["rejected"] / per, 3),
+        "oracle_matchings_per_trial": round(len(matched_graphs) / trials, 3),
     }
-    return counts, (differs[0] if differs else None)
+    return counts, matched_graphs, (differs[0] if differs else None)
+
+
+def committed_counts() -> dict:
+    """The committed JSON's counts by (graphon, n, trials), each row's
+    fields of `COUNTS` that it records; none if the file is absent."""
+    if not COMMITTED.exists():
+        return {}
+    rows = json.loads(COMMITTED.read_text(encoding="utf-8"))["results"]
+    return {(r["graphon"], r["n"], r["trials"]): {k: r[k] for k in COUNTS if k in r} for r in rows}
+
+
+def timed(yardstick: Yardstick, run, repeats: int) -> list[tuple[float, float]]:
+    """The (start, end) of each of `repeats` passes over `run`'s calls."""
+    spans = []
+    for _ in range(repeats):
+        for call in run:
+            yardstick.maybe()
+            t0 = time.perf_counter()
+            call()
+            spans.append((t0, time.perf_counter()))
+    return spans
+
+
+def medians(yardstick: Yardstick, spans) -> tuple[float | None, float | None]:
+    """The median raw and scaled milliseconds of the spans, or None twice."""
+    if not spans:
+        return None, None
+    return (round(statistics.median(1e3 * (t1 - t0) for t0, t1 in spans), 3),
+            round(statistics.median(1e3 * yardstick.scale(t0, t1) for t0, t1 in spans), 3))
 
 
 def main() -> int:
@@ -119,39 +169,50 @@ def main() -> int:
     if args.trials < 1 or args.repeats < 1:
         parser.error("--trials and --repeats must be positive")
 
+    committed = committed_counts() if args.check else {}
     yardstick = Yardstick()
     rows = []
     for name, w, n in CASES:
-        counts, differs = counting_pass(w, n, args.trials, args.check)
+        counts, matched_graphs, differs = counting_pass(w, n, args.trials, args.check)
         if differs is not None:
             print(f"{name} n={n}: {differs}", file=sys.stderr)
             return 1
-        spans = []
-        for _ in range(args.repeats):
-            for trial in range(args.trials):
-                yardstick.maybe()
-                t0 = time.perf_counter()
-                run_trial(w, n, MASTER_SEED, trial)
-                spans.append((t0, time.perf_counter()))
-        rows.append((name, n, counts, spans))
-    yardstick.measure()  # one after the last trial, so every trial has one on each side
+        recorded = committed.get((name, n, args.trials))
+        if args.check and recorded is None:
+            print(f"{name} n={n}: counts not compared: {COMMITTED.name} records none "
+                  f"for {args.trials} trials", file=sys.stderr)
+        elif args.check and recorded != {k: counts[k] for k in recorded}:
+            print(f"{name} n={n}: counts {counts} differ from the committed {recorded}", file=sys.stderr)
+            return 1
+        trials = [lambda t=t: run_trial(w, n, MASTER_SEED, t) for t in range(args.trials)]
+        oracles = [lambda g=g: realize_module.graph_has_decomposition(g, None) for g in matched_graphs]
+        rows.append((name, n, counts,
+                     timed(yardstick, trials, args.repeats), timed(yardstick, oracles, args.repeats)))
+    yardstick.measure()  # one after the last span, so every span has one on each side
     results = []
-    for name, n, counts, spans in rows:
+    for name, n, counts, spans, oracle_spans in rows:
+        ms, scaled = medians(yardstick, spans)
+        oracle_ms, oracle_scaled = medians(yardstick, oracle_spans)
         row = {
             "graphon": name,
             "n": n,
             "trials": args.trials,
             **counts,
-            "ms_per_trial": round(statistics.median(1e3 * (t1 - t0) for t0, t1 in spans), 3),
-            "scaled_ms_per_trial": round(
-                statistics.median(1e3 * yardstick.scale(t0, t1) for t0, t1 in spans), 3),
+            "ms_per_trial": ms,
+            "scaled_ms_per_trial": scaled,
             "timed_trials": len(spans),
+            "ms_per_oracle_matching": oracle_ms,
+            "scaled_ms_per_oracle_matching": oracle_scaled,
         }
         results.append(row)
+        oracle_note = ""
+        if oracle_ms is not None:
+            oracle_note = f", {oracle_ms:.3f} ms (scaled {oracle_scaled:.3f}) per oracle matching"
         print(f"{name:12s} n={n:5d}  {row['realized']:3d}/{row['realize_calls']:3d} realized  "
               f"{row['matchings_per_realize']:7.2f} matchings and "
               f"{row['rejected_draws_per_realize']:6.2f} rejected draws per realize  "
-              f"{row['ms_per_trial']:7.3f} ms (scaled {row['scaled_ms_per_trial']:7.3f}) per trial",
+              f"{row['oracle_matchings_per_trial']:5.3f} oracle matchings per trial  "
+              f"{ms:7.3f} ms (scaled {scaled:7.3f}) per trial{oracle_note}",
               flush=True)
 
     report = {

@@ -402,8 +402,8 @@ def montecarlo(
     is killed.  Workers keep the package state they were forked with, so a
     monkeypatch made after the first pooled call does not reach them.
     """
-    check_count(n, "n and trials")
-    check_count(trials, "n and trials")
+    check_count(n, "n")
+    check_count(trials, "trials")
     check_count(jobs, "jobs")
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     workers = min(jobs, trials, cpus or 1)

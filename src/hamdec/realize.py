@@ -22,7 +22,10 @@ partner candidate is a one-node Hall set, so its group cannot match in
 full and the draw would fail anyway.  It skips only draws that fail, and
 every draw still takes its shuffles, so the outcome is that of matching
 every draw; the last draw is always matched, so a failure names its short
-group.
+group.  A draw's groups are slices of each block's shuffled node list at
+cuts fixed once per `realize`, and the check tries the smallest groups
+first: its verdict does not depend on the order, and a rejected draw
+mostly stops at a small group.
 
 The matching kernel, a word-parallel Hopcroft-Karp on Python-int row
 masks (`hopcroft_karp`), lives here with its two callers.
@@ -30,6 +33,9 @@ masks (`hopcroft_karp`), lives here with its two callers.
 runs it on the rows of a left node list over a right one
 (`SampledGraph.row_masks`), once per 2-cycle group; the existence oracle
 runs it on every row.  It returns each left node's partner as a list.
+Its first phase, on the empty matching, is a greedy pass (each row takes
+its lowest free column), the very traversal the layered phase would make
+there, without its BFS and stacks.
 
 Also here: the exact existence oracle.  A Hamiltonian decomposition of a
 digraph is exactly a permutation supported on its arcs, so existence is a
@@ -49,7 +55,6 @@ and raises if it does not hold.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
@@ -105,12 +110,25 @@ def hopcroft_karp(rows, nr):
     column, so the returned list match_l, left node x's partner or -1, is
     that of the same traversal walking ascending adjacency lists one edge
     at a time.
+
+    The first phase runs as a greedy pass: each row, in index order, takes
+    its lowest free column.  That is the layered phase's own traversal on
+    an empty matching: every left node is a root at distance 0, the next
+    layer is the free columns, and a root's DFS either takes its lowest
+    one still free or is a dead end; the BFS and the stacks add nothing.
     """
     nl = len(rows)
     inf = nl + 2
     match_l = [-1] * nl
     match_r = [-1] * nr
     free = (1 << nr) - 1  # right nodes without a partner
+    for x, row in enumerate(rows):  # the first phase
+        row &= free
+        if row:
+            v = (row & -row).bit_length() - 1
+            match_l[x] = v
+            match_r[v] = x
+            free ^= 1 << v
     while True:
         dist = [inf] * nl
         frontier = [s for s in range(nl) if match_l[s] == -1]
@@ -294,7 +312,12 @@ def _all_have_partners(rows, draw) -> bool:
     """Whether every node of a phase-2 draw has a neighbour on its group's
     other side: `draw` holds each group's (left, right) node lists and
     `rows[v]` is node v's row mask.  A side's mask is the OR of its nodes'
-    bits, and each node's row must meet the other side's mask."""
+    bits, and each node's row must meet the other side's mask.
+
+    The groups are checked in the order given and the first node without
+    a partner candidate ends the check; as the verdict is all-or-nothing,
+    it is the same in any order, and `realize` passes the smallest groups
+    first, where a short group is most often found."""
     for left, right in draw:
         for nodes, across in ((left, right), (right, left)):
             mask = sum(1 << v for v in across)  # the nodes are distinct
@@ -311,7 +334,8 @@ def realize(a: BalancedMatrix, g: SampledGraph, s: SkeletonGraph, seed: int) -> 
     2-cycle counts and asks for perfect matchings within sampled edges
     (looped blocks: split the group into halves and match across); the
     whole grouping is re-randomized on failure, up to `ATTEMPTS` times.
-    Each draw is laid out once, as every group's (left, right) node lists.
+    Each draw is laid out once, as every group's (left, right) node lists,
+    sliced from each block's shuffled nodes at cuts fixed per call.
     After the first failed draw, a draw other than the last in which some
     node has no neighbour on its group's other side is skipped unmatched:
     that node leaves its group short, so the draw cannot succeed.
@@ -333,21 +357,28 @@ def realize(a: BalancedMatrix, g: SampledGraph, s: SkeletonGraph, seed: int) -> 
     free = np.ones(g.n, dtype=bool)
     free[[v for cyc in long_cycles for v in cyc]] = False
     remaining = [np.flatnonzero(free & (g.blocks == b)) for b in range(q)]
-    need = [0] * q
-    for (i, j), c in groups.items():  # a looped block's key (i, i) counts twice
-        need[i] += c
-        need[j] += c
-    if need != [len(r) for r in remaining]:  # the block cycles use up the row sums
+    # each block's shuffled nodes are handed out front to back, in group
+    # order: a group's sides are (block, start, stop) cuts, and a looped
+    # block (i == j) hands its next c nodes, then the c after
+    taken = [0] * q
+    cuts = []
+    for (i, j), c in groups.items():
+        for b in (i, j):
+            cuts.append((b, taken[b], taken[b] + c))
+            taken[b] += c
+    if taken != [len(r) for r in remaining]:  # the block cycles use up the row sums
         raise RuntimeError("tally 2-cycle counts do not match the leftover nodes")
+    # the partner check's group order: smallest first, as a short group is
+    # most often a small one; the verdict is the same in any order
+    by_size = sorted(range(len(groups)), key=list(groups.values()).__getitem__)
 
     rng = generator(derive(seed, "phase2"))
     for k in range(ATTEMPTS):
-        # each block's nodes in a fresh random order, handed out front to
-        # back; a looped block (i == j) hands its next c nodes, then the c after
-        shuffled = [iter(rng.permutation(r).tolist()) for r in remaining]
-        draw = [(list(islice(shuffled[i], c)), list(islice(shuffled[j], c))) for (i, j), c in groups.items()]
+        shuffled = [rng.permutation(r).tolist() for r in remaining]  # a fresh order per block
+        sides = [shuffled[b][start:stop] for b, start, stop in cuts]
+        draw = list(zip(sides[::2], sides[1::2]))
         # a draw after a failed one, the last aside, must pass the partner check
-        if 0 < k < ATTEMPTS - 1 and not _all_have_partners(rows, draw):
+        if 0 < k < ATTEMPTS - 1 and not _all_have_partners(rows, [draw[t] for t in by_size]):
             continue  # a node without a partner candidate leaves its group short
         pair_cycles: list[tuple[int, int]] = []
         for ((i, j), c), (lset, rset) in zip(groups.items(), draw):

@@ -486,8 +486,8 @@ class TestWorkerPool:
     @pytest.mark.parametrize(
         "n, trials, master_seed, jobs, message",
         [
-            (20, True, 3, 1, "n and trials"),
-            (20.0, 2, 3, 1, "n and trials"),
+            (20, True, 3, 1, "^trials:"),
+            (20.0, 2, 3, 1, "^n:"),
             (20, 2, 3, True, "jobs"),
             (20, 2, 3, 1.5, "jobs"),
         ],

@@ -220,3 +220,33 @@ class TestRowScannedMatching:
         i, j = g.edges[:, 0], g.edges[:, 1]
         adj = adjacency_lists(n, np.concatenate([i, j]), np.concatenate([j, i]))
         assert hopcroft_karp(g.row_masks(), n) == hopcroft_karp_lists(n, n, adj)
+
+    @pytest.mark.parametrize("p", [0.5, 0.9, 1.0])
+    def test_dense_rows(self, p):
+        # a greedy first phase matches almost every row of a dense graph
+        rng = np.random.default_rng(103)
+        for nl, nr in [(1, 1), (7, 5), (5, 7), (64, 64), (160, 160), (200, 130)]:
+            rows, cols = np.nonzero(rng.random((nl, nr)) < p)
+            ml = self.assert_same(nl, nr, rows, cols)
+            if p == 1.0:  # row x takes column x, or nothing past the last column
+                assert ml == [x if x < nr else -1 for x in range(nl)]
+
+    @pytest.mark.parametrize(
+        "masks, nr, want",
+        [
+            # the greedy pass gives column 0 to row 0 and none to row 1; a
+            # length-3 augmenting path moves row 0 on to column 1
+            ([0b11, 0b01], 2, [1, 0]),
+            # rows 0 and 1 take columns 0 and 1 greedily, row 2 finds none;
+            # the length-5 path 2-0-0-1-1-2 moves both on
+            ([0b011, 0b110, 0b001], 3, [1, 2, 0]),
+            # as above, one link longer: a length-7 path
+            ([0b0011, 0b0110, 0b1100, 0b0001], 4, [1, 2, 3, 0]),
+            # no augmenting path from row 2: the greedy matching is maximum
+            ([0b01, 0b10, 0b01], 2, [0, 1, -1]),
+        ],
+    )
+    def test_later_phases_augment_the_greedy_matching(self, masks, nr, want):
+        assert hopcroft_karp(masks, nr) == want
+        adj = [[v for v in range(nr) if m >> v & 1] for m in masks]
+        assert hopcroft_karp_lists(len(masks), nr, adj) == want

@@ -578,6 +578,32 @@ class TestPartnerCheck:
                 assert out.ok
                 assert realization_key(out) == realization_key(realize_reference(a, g, s, seed))
 
+    def test_er_half_n60_failures_equal_the_reference(self, monkeypatch):
+        # montecarlo(ER-1/2, n=60, 40 trials, seed 1): six realizations run
+        # out of phase-2 draws, and their failure texts are the reference's
+        inputs = _realize_inputs(monkeypatch, ER_HALF, 60, 40)
+        keys = [realization_key(realize(*args)) for args in inputs]
+        assert keys == [realization_key(realize_reference(*args)) for args in inputs]
+        assert [key[0] for key in keys].count("two-cycles") == 6
+
+    def test_the_smallest_groups_are_checked_first(self, monkeypatch):
+        inputs = _realize_inputs(monkeypatch, interior_graphon(8, 1).graphon, 200, 10)
+        sizes = []
+
+        def rejecting(rows, draw):  # so every draw but the first and last is checked
+            sizes.append([len(left) for left, _ in draw])
+            return False
+
+        monkeypatch.setattr(realize_module, "_all_have_partners", rejecting)
+        checked = 0
+        for a, g, s, seed in inputs:
+            realize(a, g, s, seed)
+            want = sorted(block_cycles(a, s)[0].values())  # every group, smallest first
+            assert all(got == want for got in sizes)
+            checked += len(sizes)
+            sizes.clear()
+        assert checked
+
     def test_the_last_draw_names_its_short_group(self, monkeypatch):
         # no 2-cycle group can match in an empty graph: the check skips
         # draws 2 to ATTEMPTS - 1, and the last draw is matched for its text

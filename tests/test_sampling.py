@@ -3,7 +3,7 @@ import math
 import tracemalloc
 from copy import copy
 from fractions import Fraction as F
-from itertools import combinations
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
@@ -482,10 +482,10 @@ class TestSamplerInvariants:
         assert zeros > 1000 and ones > 1000
 
 
-def _random_draw(rng, n):
+def _random_draw(rng, n, most=3):
     """Distinct nodes of range(n) handed out to the (left, right) lists of
-    one to three groups, at random (a side may be empty)."""
-    k = int(rng.integers(1, 4))
+    one to `most` groups, at random (a side may be empty)."""
+    k = int(rng.integers(1, most + 1))
     nodes = rng.permutation(n)[:int(rng.integers(n + 1))].tolist()
     sides = rng.integers(0, 2 * k, len(nodes)).tolist()
     lists = [[v for v, t in zip(nodes, sides) if t == side] for side in range(2 * k)]
@@ -520,3 +520,17 @@ class TestPartnerCheck:
                 for v in nodes
             )
             assert _all_have_partners(g.row_masks(), draw) == want
+
+    def test_the_verdict_does_not_depend_on_the_group_order(self):
+        # `realize` checks the smallest groups first: every order of a
+        # draw's groups must give the verdict of the draw's own order
+        rng = np.random.default_rng(13)
+        verdicts = set()
+        for trial in range(150):
+            g = sample_graph(er_graphon(F(int(rng.integers(2, 10)), 10)), int(rng.integers(2, 16)), trial)
+            rows = g.row_masks()
+            draw = _random_draw(rng, g.n, most=4)
+            want = _all_have_partners(rows, draw)
+            verdicts.add(want)
+            assert all(_all_have_partners(rows, list(order)) == want for order in permutations(draw))
+        assert verdicts == {False, True}
