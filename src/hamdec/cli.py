@@ -23,6 +23,7 @@ import sys
 
 from . import io
 from ._seeds import derive
+from .construct import HEADINGS
 from .driver import Verdict, analyze, montecarlo, plan, run_pipeline
 from .model import check_count, saturate, skeleton
 from .polytope import Membership
@@ -97,7 +98,7 @@ def _cmd_decompose(w, args) -> int:
     g = sample_graph(saturate(w) if args.saturated else w, args.n, args.seed)
     out = run_pipeline(plan(w), g, derive(args.seed, "decompose"))
     if not out.ok:
-        print(out.failure, file=sys.stderr)
+        print(f"{HEADINGS[out.failure.stage]}: {out.failure}", file=sys.stderr)
         return 1
     graph_has_decomposition(g, out.decomposition)  # raises on an arc that is not an edge
     _print_decomposition(out.tally, out.decomposition)

@@ -20,8 +20,9 @@ All steps are exact.  What small n can cost (pair mass outside the
 loopless polytope, a skeleton entry rounded to zero) surfaces as
 `ConstructionError` naming its stage; a broken guaranteed property raises.
 `ConstructionError` is the package's one kind of expected stop, and
-`STAGES` lists, once, every stage that may stop: the pipeline's plan, the
-tally's four (here) and realization's two phases (`realize`).
+`HEADINGS` lists, once, every stage that may stop (`STAGES`) with its
+phase's heading: the pipeline's plan, the tally's four (here) and
+realization's two phases (`realize`).
 """
 
 from __future__ import annotations
@@ -55,20 +56,41 @@ ZERO = Fraction(0)
 HALF = Fraction(1, 2)
 
 
-# every stage that may stop, in pipeline order: the plan, the tally's, realization's phases
-STAGES = ("plan", "preconditions", "membership", "loopless-membership", "postconditions",
-          "long-cycles", "two-cycles")
+# every stage that may stop, in pipeline order, with its phase's heading:
+# the plan, the tally's four stages, realization's two phases
+HEADINGS = {
+    "plan": "cannot decompose",
+    **dict.fromkeys(("preconditions", "membership", "loopless-membership", "postconditions"),
+                    "tally construction failed"),
+    **dict.fromkeys(("long-cycles", "two-cycles"), "realization failed"),
+}
+STAGES = tuple(HEADINGS)
 
 
 class ConstructionError(Exception):
     """An expected stop of the constructive pipeline: a stage of `STAGES`
     could not meet its contract at this n, and `failures` says what failed.
-    It is never a broken invariant, which raises RuntimeError instead."""
+    It is never a broken invariant, which raises RuntimeError instead.
+
+    A stop is kept as a value, in outcomes and Monte Carlo rows, and sent
+    between processes: it pickles as its stage and failures, and is equal
+    to, and hashes like, any stop with the same two."""
 
     def __init__(self, stage: str, failures):
         self.stage = stage
         self.failures = tuple(failures)
         super().__init__(f"{stage}: " + "; ".join(self.failures))
+
+    def __reduce__(self):
+        return type(self), (self.stage, self.failures)
+
+    def __eq__(self, other):
+        if not isinstance(other, ConstructionError):
+            return NotImplemented
+        return (self.stage, self.failures) == (other.stage, other.failures)
+
+    def __hash__(self):
+        return hash((self.stage, self.failures))
 
 
 def not_interior(status: Membership) -> ConstructionError:

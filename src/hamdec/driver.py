@@ -32,7 +32,10 @@ neither witness.  So constructive successes never exceed oracle
 successes, and every oracle value is the one the matching would give.
 Trials are independent with derived seeds; reports are deterministic.  A
 `MonteCarloReport` holds the rows in trial order, and its counts, estimate
-and Wilson interval are computed from them.
+and Wilson interval are computed from them.  A row that did not construct
+keeps where its pipeline stopped as the stop itself, a
+`construct.ConstructionError` whose `stage` names it; only `hamdec
+decompose` formats a stop, under its phase's heading.
 """
 
 from __future__ import annotations
@@ -66,7 +69,7 @@ from .model import (
 )
 from .polytope import Membership, MembershipCertificate, positive_certificate
 from .realize import graph_has_decomposition, realize
-from .sampling import BalancedMatrix, SampledGraph, assign_blocks, empirical_concentration, sample_graph
+from .sampling import BalancedMatrix, SampledGraph, empirical_concentration, sample_graph
 from .refine import ensure_loopless_odd_cycle
 
 WILSON_Z = 1.959963984540054  # the standard normal's 0.975 quantile
@@ -160,7 +163,7 @@ class TrialResult:
     seed: int
     oracle: bool
     x_interior: bool
-    failure: str | None = None  # why the pipeline stopped; not in the CSV
+    failure: ConstructionError | None = None  # where the pipeline stopped; not in the CSV
 
     @property
     def constructive(self) -> bool:
@@ -252,12 +255,12 @@ def plan(w: StepGraphon) -> Plan:
 class PipelineOutcome:
     """The membership certificate of the sampled graph's empirical
     concentration vector on the graphon's skeleton, and the tally with its
-    realized decomposition, or why the pipeline stopped."""
+    realized decomposition, or the stop that ended the pipeline."""
 
     certificate: MembershipCertificate
     tally: BalancedMatrix | None = None
     decomposition: HamDecomposition | None = None
-    failure: str | None = None
+    failure: ConstructionError | None = None
 
     @property
     def status(self) -> Membership:
@@ -276,14 +279,14 @@ def run_pipeline(p: Plan, g: SampledGraph, seed: int) -> PipelineOutcome:
     """Decide the membership status of g's empirical vector, g sampled from
     the graphon `p` plans for; re-block g under its refinement, if any,
     build the tally and realize its block cycles with `seed`.  An expected
-    stop, a `ConstructionError` of the plan, the tally or realization,
-    comes back as the outcome's failure text, which names its stage;
-    anything else raises."""
+    stop, the `ConstructionError` of the plan, the tally or realization,
+    comes back as the outcome's failure, the stop itself with no traceback
+    (whose frames would keep g alive); anything else raises."""
     z = p.base
     x = empirical_concentration(g, z.shape[0])
     base = cert = positive_certificate(z, x)
     if p.failure is not None:
-        return PipelineOutcome(base, failure=f"cannot decompose: {p.failure}")
+        return PipelineOutcome(base, failure=p.failure)
     try:
         if p.refined is not None:
             if base.status is Membership.EXTERIOR:
@@ -293,22 +296,23 @@ def run_pipeline(p: Plan, g: SampledGraph, seed: int) -> PipelineOutcome:
                 # x(A) = x'(A').  The refined vector is exterior too.
                 raise not_interior(base.status)
             wn, z = p.refined
-            g = replace(g, blocks=assign_blocks(wn, g.coords))  # the sample's matrix, new blocks
+            g = replace(g, blocks=wn.partition.float_blocks(g.coords))  # the sample's matrix, new blocks
             x = empirical_concentration(g, z.shape[0])
             cert = positive_certificate(z, x)
         tally = build_balanced_matrix(x, g.n, z.skeleton, cert)
     except ConstructionError as exc:
-        return PipelineOutcome(base, failure=f"tally construction failed: {exc}")
+        return PipelineOutcome(base, failure=exc.with_traceback(None))
     outcome = realize(tally, g, z.skeleton, seed)
     if not outcome.ok:
-        return PipelineOutcome(base, failure=f"realization failed: {outcome.failure}")
+        return PipelineOutcome(base, failure=outcome.failure)
     return PipelineOutcome(base, tally, outcome.decomposition)
 
 
 def constructive_attempt(p: Plan, g: SampledGraph, seed: int) -> PipelineOutcome:
     """Run the constructive pipeline for the Monte Carlo trial with seed
     `seed`.  A refined skeleton's interior vector aggregates to an interior
-    one, so the pipeline succeeds only if the trial's vector is interior."""
+    one, so the pipeline succeeds only if the trial's vector is interior;
+    otherwise the outcome's failure is the stop that the trial's row keeps."""
     return run_pipeline(p, g, derive(seed, "realize"))
 
 

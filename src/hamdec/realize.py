@@ -352,7 +352,7 @@ def realize(a: BalancedMatrix, g: SampledGraph, s: SkeletonGraph, seed: int) -> 
     try:
         long_cycles = embed_cycles(patterns, g, derive(seed, "phase1"))
     except ConstructionError as err:
-        return RealizationOutcome(failure=err)
+        return RealizationOutcome(failure=err.with_traceback(None))  # its frames hold g
 
     free = np.ones(g.n, dtype=bool)
     free[[v for cyc in long_cycles for v in cyc]] = False

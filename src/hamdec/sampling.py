@@ -229,12 +229,6 @@ class BalancedMatrix:
         return Fraction(min(vals), self.scale) if vals else None
 
 
-def assign_blocks(w: StepGraphon, coords: np.ndarray) -> np.ndarray:
-    """Block index per coordinate, by the one rule for a float coordinate
-    (`Partition.float_blocks`)."""
-    return w.partition.float_blocks(coords)
-
-
 def sample_graph(w: StepGraphon, n: int, seed: int) -> SampledGraph:
     """Draw a graph on n nodes from the step-graphon, deterministically.
 
@@ -248,7 +242,7 @@ def sample_graph(w: StepGraphon, n: int, seed: int) -> SampledGraph:
     """
     check_count(n, "n")
     coords = generator(derive(seed, COORDS_STREAM)).random(n)
-    blocks = assign_blocks(w, coords)
+    blocks = w.partition.float_blocks(coords)
     probs = np.array([[float(v) for v in row] for row in w.values], dtype=np.float64)
     thresholds = probs[:, blocks]  # row a, column j: a block-a node's pair with j
     rng = generator(derive(seed, EDGES_STREAM))

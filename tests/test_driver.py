@@ -2,6 +2,7 @@ import importlib
 import json
 import multiprocessing.connection
 import os
+import pickle
 import signal
 import subprocess
 import sys
@@ -22,7 +23,7 @@ import hamdec.refine
 import hamdec.sampling
 from hamdec import cli, io
 from hamdec._seeds import derive
-from hamdec.construct import STAGES, ConstructionError, HamDecomposition, build_balanced_matrix
+from hamdec.construct import HEADINGS, STAGES, ConstructionError, HamDecomposition, build_balanced_matrix
 from hamdec.driver import (
     AnalysisReport,
     MonteCarloReport,
@@ -35,9 +36,9 @@ from hamdec.driver import (
     run_trial,
     wilson_interval,
 )
-from hamdec.model import SkeletonGraph, incidence, step_graphon
+from hamdec.model import Partition, SkeletonGraph, incidence, step_graphon
 from hamdec.polytope import Membership, MembershipCertificate
-from hamdec.sampling import assign_blocks, empirical_concentration, sample_graph
+from hamdec.sampling import empirical_concentration, sample_graph
 
 ER_HALF = step_graphon([0, 1], [[F(1, 2)]])
 BIP_UNEVEN = step_graphon([0, F(3, 10), 1], [[0, F(1, 2)], [F(1, 2), 0]])
@@ -164,8 +165,8 @@ class TestMonteCarloReport:
     def test_counts_are_read_off_the_rows(self):
         rows = (
             TrialResult(0, 10, True, True),
-            TrialResult(1, 11, True, False, "tally construction failed: x"),
-            TrialResult(2, 12, False, False, "realization failed: y"),
+            TrialResult(1, 11, True, False, ConstructionError("membership", ["x"])),
+            TrialResult(2, 12, False, False, ConstructionError("two-cycles", ["y"])),
             TrialResult(3, 13, True, True),
         )
         r = MonteCarloReport(7, 99, rows)
@@ -232,15 +233,18 @@ class TestMonteCarlo:
         assert r.successes_oracle == 0
 
     def test_parallel_jobs_match_sequential(self):
-        seq = montecarlo(ER_HALF, 20, 8, 31, jobs=1)
-        par = montecarlo(ER_HALF, 20, 8, 31, jobs=2)
-        assert seq == par
+        # pooled rows come back pickled: their stops must equal this process's
+        for w in (ER_HALF, BIP_UNEVEN):  # BIP_UNEVEN: every trial stops at its plan
+            seq = montecarlo(w, 20, 8, 31, jobs=1)
+            par = montecarlo(w, 20, 8, 31, jobs=2)
+            assert seq == par
+        assert {row.failure.stage for row in par.rows} == {"plan"}
 
     def test_failure_reason_is_kept(self):
         rows = montecarlo(ER_HALF, 20, 3, 3).rows
-        assert rows[0].failure.startswith("realization failed: ")
+        assert rows[0].failure.stage == "two-cycles"
         assert rows[1].constructive and rows[1].failure is None
-        assert rows[2].failure.startswith("tally construction failed: ")
+        assert rows[2].failure.stage == "postconditions"
         assert not rows[0].constructive and not rows[2].constructive
 
     def test_pool_is_bounded_by_trials_and_cpus(self, monkeypatch, no_kept_pool):
@@ -577,9 +581,10 @@ class TestPipeline:
             g = sample_graph(LOOP_EXTERIOR, 60, seed)
             out = run_pipeline(p, g, seed)
             assert out.status is Membership.EXTERIOR
-            assert out.failure == "tally construction failed: membership: x is exterior, not interior"
+            assert out.failure.stage == "membership"
+            assert str(out.failure) == "membership: x is exterior, not interior"
             # the refined vector is indeed exterior
-            refined = assign_blocks(wn, g.coords)
+            refined = wn.partition.float_blocks(g.coords)
             x = empirical_concentration(replace(g, blocks=refined), z.shape[0])
             status = hamdec.polytope.positive_certificate(z, x).status
             assert status is Membership.EXTERIOR
@@ -588,9 +593,9 @@ class TestPipeline:
     def test_expected_failures_are_outcomes(self):
         zero = step_graphon([0, 1], [[0]])
         out = run_pipeline(plan(zero), sample_graph(zero, 10, 1), 1)
-        assert not out.ok and out.failure.startswith("cannot decompose: ")
+        assert not out.ok and out.failure.stage == "plan"
         out = run_pipeline(plan(TRI_GRAPHON), sample_graph(TRI_GRAPHON, 7, 1), 1)
-        assert not out.ok and out.failure.startswith("tally construction failed: ")
+        assert not out.ok and out.failure.stage == "membership"
 
     @pytest.mark.parametrize(
         "module, name, break_it, message",
@@ -640,13 +645,14 @@ class TestPipeline:
             return
         assert p.failure.stage == "plan" and p.failure.failures == (why,)
         out = run_pipeline(p, sample_graph(w, 10, 1), 1)
-        assert out.failure == f"cannot decompose: plan: {why}"
+        assert out.failure is p.failure and str(out.failure) == f"plan: {why}"
 
     def test_reblocking_runs_the_graph_checks(self, monkeypatch):
         # the re-blocked sample is built by `SampledGraph`, which checks its labels
-        monkeypatch.setattr(hamdec.driver, "assign_blocks", lambda w, coords: -np.ones(len(coords), dtype=int))
+        g = sample_graph(ER_HALF, 60, 1)
+        monkeypatch.setattr(Partition, "float_blocks", lambda self, coords: -np.ones(len(coords), dtype=int))
         with pytest.raises(ValueError, match="block labels must be nonnegative"):
-            run_pipeline(plan(ER_HALF), sample_graph(ER_HALF, 60, 1), 1)
+            run_pipeline(plan(ER_HALF), g, 1)
 
     def test_jobs_must_be_positive(self, tmp_path):
         for jobs in (0, -3):
@@ -721,15 +727,49 @@ class TestStages:
         assert isinstance(err, ConstructionError) and err.stage == stage
         assert str(err) == f"{stage}: " + "; ".join(err.failures)
 
-    @pytest.mark.parametrize("seed, stage", [(2, "long-cycles"), (3, "two-cycles")])
+    @pytest.mark.parametrize("stage", STAGES)
+    def test_stop_survives_pickling(self, stage):
+        # a pooled Monte Carlo row comes back pickled, with its stop
+        err = STAGE_STOPS[stage]()
+        back = pickle.loads(pickle.dumps(err))
+        assert back is not err and type(back) is ConstructionError
+        assert (back.stage, back.failures, str(back)) == (err.stage, err.failures, str(err))
+        assert back == err and hash(back) == hash(err)
+        assert back != ConstructionError(stage, err.failures + ("another",))
+
+    def test_kept_stops_hold_no_traceback(self):
+        # a caught stop's traceback keeps the catching frames, and the sample
+        # in their locals, alive for as long as the stop is kept
+        kept = [
+            run_pipeline(plan(TRI_GRAPHON), sample_graph(TRI_GRAPHON, 7, 1), 1).failure,
+            run_pipeline(plan(TRI_GRAPHON), sample_graph(TRI_GRAPHON, 5, 2), derive(2, "decompose")).failure,
+            run_trial(TRI_GRAPHON, 7, 0, 0).failure,
+            run_trial(TRI_GRAPHON, 5, 0, 3).failure,
+            _realization_stop(5, 2),
+        ]
+        assert [err.stage for err in kept] == ["membership", "long-cycles"] * 2 + ["long-cycles"]
+        assert all(err.__traceback__ is None for err in kept)
+
+    @pytest.mark.parametrize(
+        "seed, stage", [(1, "plan"), (1, "membership"), (2, "long-cycles"), (3, "two-cycles")]
+    )
     def test_decompose_names_the_realization_stage(self, tmp_path, capsys, seed, stage):
-        path = tmp_path / "tri.json"
-        io.dump_graphon(TRI_GRAPHON, path)
-        assert cli.main(["decompose", str(path), "--n", "5", "--seed", str(seed)]) == 1
+        # a stop of each phase under its heading: a bipartite graphon stops at
+        # its plan, triangle-1/2 at n = 7 in its tally and at n = 5 in realization
+        w, n, heading = {
+            "plan": (BIP_UNEVEN, 10, "cannot decompose"),
+            "membership": (TRI_GRAPHON, 7, "tally construction failed"),
+        }.get(stage, (TRI_GRAPHON, 5, "realization failed"))
+        path = tmp_path / "w.json"
+        io.dump_graphon(w, path)
+        assert cli.main(["decompose", str(path), "--n", str(n), "--seed", str(seed)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"realization failed: {_realization_stop(5, seed)}\n"
-        assert captured.err.startswith(f"realization failed: {stage}: ")
+        stop = run_pipeline(plan(w), sample_graph(w, n, seed), derive(seed, "decompose")).failure
+        assert stop.stage == stage and HEADINGS[stage] == heading
+        assert captured.err == f"{heading}: {stop}\n"
+        if heading == "realization failed":
+            assert stop == _realization_stop(5, seed)
 
 
 def _shifted(real):

@@ -15,7 +15,6 @@ from hamdec.realize import _all_have_partners
 from hamdec.sampling import (
     BalancedMatrix,
     SampledGraph,
-    assign_blocks,
     count_block_edges,
     empirical_concentration,
     sample_graph,
@@ -74,11 +73,11 @@ class TestSampleGraph:
             [[F(1, 2)] * 3] * 3,
         )
         g = sample_graph(w, 300, 77)
-        assert np.array_equal(g.blocks, assign_blocks(w, g.coords))
+        assert np.array_equal(g.blocks, w.partition.float_blocks(g.coords))
 
     def test_coordinate_on_boundary_goes_right(self):
         w = step_graphon([0, F(1, 2), 1], [[F(1, 2)] * 2] * 2)
-        blocks = assign_blocks(w, np.array([0.0, 0.5, 0.4999999, 0.9]))
+        blocks = w.partition.float_blocks(np.array([0.0, 0.5, 0.4999999, 0.9]))
         assert list(blocks) == [0, 1, 0, 1]
 
     @pytest.mark.parametrize("sigma, x, right", [
@@ -91,7 +90,7 @@ class TestSampleGraph:
         # breakpoint's float, so the sampler puts it in the block to the right
         q = len(sigma) - 1
         w = step_graphon(sigma, [[F(i + j, 2 * q) for j in range(q)] for i in range(q)])
-        assert list(assign_blocks(w, np.array([x]))) == [right]
+        assert list(w.partition.float_blocks(np.array([x]))) == [right]
         assert w.partition.block_of(x) == right
         assert w.partition.block_of(F(x)) == right - 1  # the float's exact value is left of it
         assert w.value_at(x, 0.0) == w.values[right][0]
@@ -138,7 +137,7 @@ class TestSampleGraph:
 class TestEmpiricalConcentration:
     def test_counting(self):
         w = step_graphon([0, F(1, 2), 1], [[F(1, 2)] * 2] * 2)
-        g = SampledGraph.from_edges(3, np.array([0.1, 0.6, 0.7]), assign_blocks(w, np.array([0.1, 0.6, 0.7])), np.empty((0, 2)))
+        g = SampledGraph.from_edges(3, np.array([0.1, 0.6, 0.7]), w.partition.float_blocks(np.array([0.1, 0.6, 0.7])), np.empty((0, 2)))
         assert empirical_concentration(g, 2) == (F(1, 3), F(2, 3))
 
     def test_single(self):
