@@ -17,43 +17,29 @@ written.  The JSON holds, per q, the median wall time of a certificate and
 of the Hall flow on its own over all seeds and repeats, the per-seed
 medians, the Hall flow's BFS passes per certificate (a count, the same on
 every host), the reference's time for one call and the number of timed
-calls; with them the host, Python and numpy versions.  The package is
-imported from `src/` beside this directory.
-
-The raw medians follow the host's speed, which on a shared host drifts by
-up to ~1.9x within minutes, so they cannot compare two commits.  Each timed
-pair of calls therefore runs between `pipebench.yardstick.Yardstick.maybe()`
-calls, and `scaled_median_ms` (`hall_scaled_median_ms`) is the median of
-the calls' `Yardstick.scale` times: what a call takes on a host where the
-yardstick takes its nominal time.  Compare two commits by their scaled
-medians.
+calls; with them the host, Python and numpy versions.  Two commits
+compare by `scaled_median_ms` (`hall_scaled_median_ms`), the
+yardstick-scaled median of `benchmarks/harness.py`.
 """
 
 from __future__ import annotations
 
+from harness import ROOT, Yardstick, medians, timed, write_report  # first: it sets the import paths
+
 import argparse
-import json
 import math
-import os
-import platform
 import statistics
 import sys
 import time
 from fractions import Fraction
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT)]
-
-import numpy as np  # noqa: E402
-
-import hamdec.flow  # noqa: E402
-import hamdec.polytope  # noqa: E402
-from hamdec.model import concentration, incidence, skeleton  # noqa: E402
-from hamdec.polytope import Membership  # noqa: E402
-from helpers import reference_certificate  # noqa: E402
-from pipebench.graphons import interior_graphon  # noqa: E402
-from pipebench.yardstick import NOMINAL_S, Yardstick  # noqa: E402
+import hamdec.flow
+import hamdec.polytope
+from hamdec.model import concentration, incidence, skeleton
+from hamdec.polytope import Membership
+from helpers import reference_certificate
+from pipebench.graphons import interior_graphon
 
 QS = (8, 16, 24, 32)
 SEEDS = range(4)
@@ -111,7 +97,7 @@ def main() -> int:
     yardstick = Yardstick()
     rows = []
     for q in QS:
-        spans, hall_spans, per_seed, reference_ms, edges, passes = [], [], [], [], [], []
+        seed_spans, reference_ms, edges, passes = [], [], [], []
         for seed in SEEDS:
             w = interior_graphon(q, seed).graphon
             z, x = incidence(skeleton(w)), concentration(w.partition)
@@ -131,66 +117,40 @@ def main() -> int:
                 print(f"q={q} seed={seed}: exterior point: {failure}", file=sys.stderr)
                 return 1
             passes.append(bfs_passes(z, x))
-            runs = []
-            for _ in range(args.repeats):
-                yardstick.maybe()
-                t0 = time.perf_counter()
-                hamdec.polytope.positive_certificate(z, x)
-                t1 = time.perf_counter()
-                hamdec.polytope.hall_violator(z.skeleton, counts)
-                t2 = time.perf_counter()
-                spans.append((t0, t1))
-                hall_spans.append((t1, t2))
-                runs.append(1e3 * (t1 - t0))
-            per_seed.append(round(statistics.median(runs), 3))
-        rows.append((q, edges, spans, hall_spans, per_seed, reference_ms, passes))
+            # the certificate and the Hall flow alternate: even spans, odd spans
+            seed_spans.append(timed(yardstick, [
+                lambda: hamdec.polytope.positive_certificate(z, x),
+                lambda: hamdec.polytope.hall_violator(z.skeleton, counts),
+            ], args.repeats))
+        rows.append((q, edges, seed_spans, reference_ms, passes))
     yardstick.measure()  # one after the last call, so every call has one on each side
     results = []
-    for q, edges, spans, hall_spans, per_seed, reference_ms, passes in rows:
+    for q, edges, seed_spans, reference_ms, passes in rows:
+        spans = [span for s in seed_spans for span in s[::2]]
+        hall_spans = [span for s in seed_spans for span in s[1::2]]
+        ms, scaled = medians(yardstick, spans)
+        hall_ms, hall_scaled = medians(yardstick, hall_spans)
         row = {
             "q": q,
             "edges": edges,
-            "median_ms": round(statistics.median(1e3 * (t1 - t0) for t0, t1 in spans), 3),
-            "scaled_median_ms": round(
-                statistics.median(1e3 * yardstick.scale(t0, t1) for t0, t1 in spans), 3),
-            "seed_median_ms": per_seed,
-            "hall_median_ms": round(
-                statistics.median(1e3 * (t1 - t0) for t0, t1 in hall_spans), 3),
-            "hall_scaled_median_ms": round(
-                statistics.median(1e3 * yardstick.scale(t0, t1) for t0, t1 in hall_spans), 3),
+            "median_ms": ms,
+            "scaled_median_ms": scaled,
+            "seed_median_ms": [medians(yardstick, s[::2])[0] for s in seed_spans],
+            "hall_median_ms": hall_ms,
+            "hall_scaled_median_ms": hall_scaled,
             "hall_bfs_passes": passes,
             "reference_ms": [round(v, 1) for v in reference_ms],
             "timed_calls": len(spans),
         }
         results.append(row)
-        print(f"q={row['q']:2d}  median {row['median_ms']:8.3f} ms  "
-              f"scaled {row['scaled_median_ms']:8.3f} ms  "
-              f"Hall flow scaled {row['hall_scaled_median_ms']:7.3f} ms "
+        print(f"q={row['q']:2d}  median {ms:8.3f} ms  scaled {scaled:8.3f} ms  "
+              f"Hall flow scaled {hall_scaled:7.3f} ms "
               f"({statistics.mean(passes):4.1f} BFS passes)  "
               f"reference {statistics.median(row['reference_ms']):8.1f} ms", flush=True)
 
-    report = {
-        "benchmark": "membership",
-        "command": " ".join(["python3", "benchmarks/bench_membership.py", *sys.argv[1:]]),
-        "host": {
-            "platform": platform.platform(),
-            "machine": platform.machine(),
-            "cpu_count": os.cpu_count(),
-        },
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "repeats": args.repeats,
-        "seeds": list(SEEDS),
-        "timed_calls": sum(row["timed_calls"] for row in results),
-        "yardstick": {
-            "nominal_ms": 1e3 * NOMINAL_S,
-            "runs": len(yardstick.durations),
-            "median_ms": round(1e3 * statistics.median(yardstick.durations), 3),
-        },
-        "results": results,
-    }
-    args.out.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
-    print(f"wrote {args.out}")
+    write_report(args.out, "membership", yardstick, results,
+                 repeats=args.repeats, seeds=list(SEEDS),
+                 timed_calls=sum(row["timed_calls"] for row in results))
     return 0
 
 

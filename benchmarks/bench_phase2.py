@@ -22,39 +22,25 @@ A timed pass then runs the trials `--repeats` times and records the
 median wall time of a trial, and times each oracle matching of the
 counting pass `--repeats` times for the median wall time of one.  The
 JSON holds the counts, the times and the host, Python and numpy versions.
-The package is imported from `src/` beside this directory.
-
-The raw medians follow the host's speed, which on a shared host drifts by
-up to ~1.9x within minutes, so they cannot compare two commits.  Each timed
-trial and oracle matching runs between `pipebench.yardstick.Yardstick.maybe()`
-calls, and `scaled_ms_per_trial` (`scaled_ms_per_oracle_matching`) is the
-median of their `Yardstick.scale` times: what one takes on a host where
-the yardstick takes its nominal time.  Compare two commits by their
-scaled medians.
+Two commits compare by `scaled_ms_per_trial`
+(`scaled_ms_per_oracle_matching`), the yardstick-scaled median of
+`benchmarks/harness.py`.
 """
 
 from __future__ import annotations
 
+from harness import ROOT, Yardstick, medians, timed, write_report  # first: it sets the import paths
+
 import argparse
 import importlib
 import json
-import os
-import platform
-import statistics
 import sys
-import time
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT)]
-
-import numpy as np  # noqa: E402
-
-import hamdec.driver  # noqa: E402
-from hamdec.driver import run_trial  # noqa: E402
-from helpers import realization_key, realize_reference  # noqa: E402
-from pipebench.graphons import ER_HALF, TRI_HALF, interior_graphon  # noqa: E402
-from pipebench.yardstick import NOMINAL_S, Yardstick  # noqa: E402
+import hamdec.driver
+from hamdec.driver import run_trial
+from helpers import realization_key, realize_reference
+from pipebench.graphons import ER_HALF, TRI_HALF, interior_graphon
 
 realize_module = importlib.import_module("hamdec.realize")  # the package binds `realize` to the function
 COMMITTED = ROOT / "benchmarks" / "BENCH_phase2.json"
@@ -139,26 +125,6 @@ def committed_counts() -> dict:
     return {(r["graphon"], r["n"], r["trials"]): {k: r[k] for k in COUNTS if k in r} for r in rows}
 
 
-def timed(yardstick: Yardstick, run, repeats: int) -> list[tuple[float, float]]:
-    """The (start, end) of each of `repeats` passes over `run`'s calls."""
-    spans = []
-    for _ in range(repeats):
-        for call in run:
-            yardstick.maybe()
-            t0 = time.perf_counter()
-            call()
-            spans.append((t0, time.perf_counter()))
-    return spans
-
-
-def medians(yardstick: Yardstick, spans) -> tuple[float | None, float | None]:
-    """The median raw and scaled milliseconds of the spans, or None twice."""
-    if not spans:
-        return None, None
-    return (round(statistics.median(1e3 * (t1 - t0) for t0, t1 in spans), 3),
-            round(statistics.median(1e3 * yardstick.scale(t0, t1) for t0, t1 in spans), 3))
-
-
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--trials", type=int, default=40, help="trials per graphon")
@@ -215,28 +181,8 @@ def main() -> int:
               f"{ms:7.3f} ms (scaled {scaled:7.3f}) per trial{oracle_note}",
               flush=True)
 
-    report = {
-        "benchmark": "phase2",
-        "command": " ".join(["python3", "benchmarks/bench_phase2.py", *sys.argv[1:]]),
-        "host": {
-            "platform": platform.platform(),
-            "machine": platform.machine(),
-            "cpu_count": os.cpu_count(),
-        },
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "master_seed": MASTER_SEED,
-        "repeats": args.repeats,
-        "checked": args.check,
-        "yardstick": {
-            "nominal_ms": 1e3 * NOMINAL_S,
-            "runs": len(yardstick.durations),
-            "median_ms": round(1e3 * statistics.median(yardstick.durations), 3),
-        },
-        "results": results,
-    }
-    args.out.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
-    print(f"wrote {args.out}")
+    write_report(args.out, "phase2", yardstick, results,
+                 master_seed=MASTER_SEED, repeats=args.repeats, checked=args.check)
     return 0
 
 

@@ -10,15 +10,19 @@ Subcommands:
 
 Exit codes: 0 success, 1 a pipeline Failure outcome, 2 bad input (including
 an unreadable input, an unwritable output path or refused memory).  The
-input file and the command-line values are checked before anything runs,
-and only that step's `ValueError` is bad input: one raised later is a bug
-and ends in a traceback.
+input file and the command-line values, output paths included (one that is
+a directory or lies in a missing directory), are checked before anything
+runs, and only that step's `ValueError` is bad input: one raised later is a
+bug and ends in a traceback.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
+import stat
 import sys
 
 from . import io
@@ -173,6 +177,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_output(path: str) -> None:
+    """Raise, for a path that is a directory or whose parent directory does
+    not exist, the OSError that opening it for writing would raise."""
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    else:
+        try:
+            if stat.S_ISDIR(os.stat(os.path.dirname(path) or os.curdir).st_mode):
+                return
+            code = errno.ENOTDIR
+        except OSError as exc:
+            code = exc.errno
+    raise OSError(code, os.strerror(code), path)
+
+
 def _checked_graphon(args):
     """The input graphon, with the command-line values checked against it."""
     w = io.load_graphon(args.file)
@@ -183,6 +202,9 @@ def _checked_graphon(args):
         derive(args.seed)  # raises unless the seed lies in [0, 2**64)
     if args.command == "refine":
         split_point(w, args.block, args.at)
+    for name in ("csv", "json", "out"):
+        if getattr(args, name, None) is not None:
+            _check_output(getattr(args, name))
     return w
 
 

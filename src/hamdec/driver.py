@@ -19,12 +19,13 @@ trial it samples a graph, runs the constructive pipeline (`run_pipeline`,
 also behind `hamdec decompose`), then the exact existence oracle.  The
 pipeline passes each object on once: one membership query on the sampled
 graph's empirical concentration vector gives its certificate, kept in the
-outcome, from which the status and the tally's input are read (a refined
-graphon adds the query on its normalized blocks); the tally gives the
-block cycles realized in the graph.  The oracle takes a witness where the
-trial has one.  A realized decomposition, checked arc by arc against the
-sample, answers yes.  An exterior empirical vector's certificate is a
-block set A whose neighbour blocks hold fewer nodes than A (Gale's
+outcome, from which the status and the tally's input are read (an
+interior vector on a refined graphon adds the query on its normalized
+blocks); the tally gives the block cycles realized in the graph.  The
+oracle takes a witness where the trial has one.  A realized
+decomposition, checked arc by arc against the sample, answers yes.  An
+exterior empirical vector's certificate is a block set A whose
+neighbour blocks hold fewer nodes than A (Gale's
 theorem); sampled edges join only skeleton neighbours, so the nodes of A's
 blocks have fewer neighbours than members, and that Hall set, counted on
 the sample, answers no.  A perfect matching decides every trial with
@@ -277,24 +278,29 @@ class PipelineOutcome:
 
 def run_pipeline(p: Plan, g: SampledGraph, seed: int) -> PipelineOutcome:
     """Decide the membership status of g's empirical vector, g sampled from
-    the graphon `p` plans for; re-block g under its refinement, if any,
-    build the tally and realize its block cycles with `seed`.  An expected
-    stop, the `ConstructionError` of the plan, the tally or realization,
-    comes back as the outcome's failure, the stop itself with no traceback
-    (whose frames would keep g alive); anything else raises."""
+    the graphon `p` plans for; unless it is interior, stop at `membership`,
+    whatever the plan.  Then re-block g under the plan's refinement, if
+    any, build the tally and realize its block cycles with `seed`.  An
+    expected stop, the `ConstructionError` of the plan, membership, the
+    tally or realization, comes back as the outcome's failure, the stop
+    itself with no traceback (whose frames would keep g alive); anything
+    else raises.
+
+    The membership stop is the one the refined tally would make, as a
+    refined vector keeps a non-interior vector's status: a Hall violator
+    lifts to its refined copies, which inherit every adjacency; a boundary
+    vector's certificate, pushed with the empirical split, keeps the refined
+    vector in the polytope; and by `refine.pull_certificate` an interior
+    refined vector aggregates to an interior one."""
     z = p.base
     x = empirical_concentration(g, z.shape[0])
     base = cert = positive_certificate(z, x)
     if p.failure is not None:
         return PipelineOutcome(base, failure=p.failure)
+    if base.status is not Membership.INTERIOR:
+        return PipelineOutcome(base, failure=not_interior(base.status))
     try:
         if p.refined is not None:
-            if base.status is Membership.EXTERIOR:
-                # A Hall violator A of x lifts to its refined copies A': they
-                # inherit every adjacency, and a split looped block gives
-                # looped copies joined by an edge, so x'(N(A')) = x(N(A)) <
-                # x(A) = x'(A').  The refined vector is exterior too.
-                raise not_interior(base.status)
             wn, z = p.refined
             g = replace(g, blocks=wn.partition.float_blocks(g.coords))  # the sample's matrix, new blocks
             x = empirical_concentration(g, z.shape[0])
@@ -310,9 +316,9 @@ def run_pipeline(p: Plan, g: SampledGraph, seed: int) -> PipelineOutcome:
 
 def constructive_attempt(p: Plan, g: SampledGraph, seed: int) -> PipelineOutcome:
     """Run the constructive pipeline for the Monte Carlo trial with seed
-    `seed`.  A refined skeleton's interior vector aggregates to an interior
-    one, so the pipeline succeeds only if the trial's vector is interior;
-    otherwise the outcome's failure is the stop that the trial's row keeps."""
+    `seed`.  It stops at `membership` unless the trial's empirical vector is
+    interior, so it succeeds only on an interior vector; the outcome's
+    failure is the stop that the trial's row keeps."""
     return run_pipeline(p, g, derive(seed, "realize"))
 
 

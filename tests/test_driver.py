@@ -37,7 +37,7 @@ from hamdec.driver import (
     wilson_interval,
 )
 from hamdec.model import Partition, SkeletonGraph, incidence, step_graphon
-from hamdec.polytope import Membership, MembershipCertificate
+from hamdec.polytope import Membership, MembershipCertificate, positive_certificate
 from hamdec.sampling import empirical_concentration, sample_graph
 
 ER_HALF = step_graphon([0, 1], [[F(1, 2)]])
@@ -54,6 +54,22 @@ TRI_EXTERIOR = step_graphon(
 DISCONNECTED = step_graphon([0, F(1, 2), 1], [[F(1, 2), 0], [0, F(1, 2)]])
 # a looped block joined only to a loopless one three times its length
 LOOP_EXTERIOR = step_graphon([0, F(1, 4), 1], [[F(1, 2), F(1, 2)], [F(1, 2), 0]])
+
+
+def _half_on(q, pairs):
+    """q blocks of equal length, 1/2 on each block pair of `pairs`."""
+    values = [[0] * q for _ in range(q)]
+    for i, j in pairs:
+        values[i][j] = values[j][i] = F(1, 2)
+    return step_graphon([F(k, q) for k in range(q + 1)], values)
+
+
+# boundary graphons whose loopless part has no odd cycle, so each is refined
+BOUNDARY_A = _half_on(2, [(0, 1), (1, 1)])
+BOUNDARY_B = _half_on(4, [(0, 1), (2, 3), (1, 3), (1, 1), (3, 3)])
+BOUNDARY_C = _half_on(4, [(0, 1), (1, 2), (2, 3), (1, 1), (3, 3)])
+# an interior one, refined too: a looped block twice its loopless neighbour
+LOOP_EDGE = step_graphon([0, F(2, 3), 1], [[F(1, 4), F(1, 2)], [F(1, 2), 0]])
 
 REALIZE_MODULE = importlib.import_module("hamdec.realize")  # `hamdec.realize` is the function
 
@@ -570,25 +586,42 @@ class TestPipeline:
         assert reblocked.blocks.max() > g.blocks.max() == 0
 
     def test_exterior_sample_skips_the_refined_lp(self, monkeypatch):
-        # an exterior x lifts to an exterior refined vector: one LP per trial,
-        # and the failure the refined tally would have reported
+        # a vector that is not interior stops before re-blocking, refined
+        # plan or not: one LP per trial, and the failure the refined tally
+        # would have reported
         lps = _counting(monkeypatch, hamdec.driver, "positive_certificate")
         lps_tally = _counting(monkeypatch, hamdec.construct, "positive_certificate")
         tallies = _counting(monkeypatch, hamdec.driver, "build_balanced_matrix")
-        p = plan(LOOP_EXTERIOR)
+        cases = [(LOOP_EXTERIOR, seed, Membership.EXTERIOR) for seed in range(4)]
+        cases += [(BOUNDARY_A, seed, Membership.BOUNDARY) for seed in (1, 4)]
+        for w, seed, status in cases:
+            p = plan(w)
+            assert p.refined is not None
+            out = run_pipeline(p, sample_graph(w, 60, seed), seed)
+            assert out.status is status
+            assert str(out.failure) == f"membership: x is {status.value}, not interior"
+        assert len(lps) == len(cases) and lps_tally == [] and tallies == []
+
+    @pytest.mark.parametrize(
+        "w", [BOUNDARY_A, BOUNDARY_B, BOUNDARY_C, LOOP_EDGE], ids=["A", "B", "C", "loop-edge"]
+    )
+    def test_refinement_keeps_a_non_interior_status(self, w):
+        # what the membership stop before re-blocking rests on: a sample's
+        # refined vector has the status of its vector when that is not interior
+        p = plan(w)
         wn, z = p.refined
-        for seed in range(4):
-            g = sample_graph(LOOP_EXTERIOR, 60, seed)
-            out = run_pipeline(p, g, seed)
-            assert out.status is Membership.EXTERIOR
-            assert out.failure.stage == "membership"
-            assert str(out.failure) == "membership: x is exterior, not interior"
-            # the refined vector is indeed exterior
-            refined = wn.partition.float_blocks(g.coords)
-            x = empirical_concentration(replace(g, blocks=refined), z.shape[0])
-            status = hamdec.polytope.positive_certificate(z, x).status
-            assert status is Membership.EXTERIOR
-        assert len(lps) == 4 and lps_tally == [] and tallies == []
+        seen = set()
+        for n in range(3, 201):
+            for seed in range(4):
+                g = sample_graph(w, n, seed)
+                status = positive_certificate(p.base, empirical_concentration(g, w.q)).status
+                if status is Membership.INTERIOR:
+                    continue
+                refined = replace(g, blocks=wn.partition.float_blocks(g.coords))
+                x = empirical_concentration(refined, z.shape[0])
+                assert positive_certificate(z, x).status is status, (n, seed)
+                seen.add(status)
+        assert seen == {Membership.BOUNDARY, Membership.EXTERIOR}
 
     def test_expected_failures_are_outcomes(self):
         zero = step_graphon([0, 1], [[0]])
@@ -1111,12 +1144,26 @@ class TestCLI:
         def run(*args, **kwargs):
             raise AssertionError("the run started")
 
-        monkeypatch.setattr(cli, "montecarlo", run)
+        for name in ("montecarlo", "analyze", "sample_graph", "refine_once"):
+            monkeypatch.setattr(cli, name, run)
         path = self._write(tmp_path)
         args = ["montecarlo", path, "--n", "20", "--trials", "2", "--seed", "1"]
         for flag, message in (("--n", "n"), ("--trials", "trials"), ("--jobs", "jobs")):
             assert cli.main(args + [flag, "0"]) == 2
             assert capsys.readouterr().err == f"error: {message} must be positive, got 0\n"
+        # an output path that is a directory or lies in a missing one (or in a
+        # file) fails as the write would, but before the run and with no output
+        for out in (str(tmp_path), str(tmp_path / "no" / "x.json"), path + "/x.json"):
+            with pytest.raises(OSError) as write:
+                open(out, "w")
+            for argv in (
+                args + ["--csv", out],
+                ["analyze", path, "--json", out],
+                ["sample", path, "--n", "5", "--seed", "1", "--out", out],
+                ["refine", path, "--block", "0", "--at", "1/2", "--out", out],
+            ):
+                assert cli.main(argv) == 2
+                assert capsys.readouterr() == ("", f"error: {write.value}\n")
 
     def test_a_value_error_in_the_run_is_a_bug(self, tmp_path, monkeypatch):
         # only the checked input reads as bad input: a ValueError raised
