@@ -16,9 +16,15 @@ cycles off it:
      (`block_cycles`); `realize` embeds these in a sampled graph, and
      `build_decomposition` instantiates them with canonical nodes.
 
-All steps are exact.  What small n can cost (pair mass outside the
-loopless polytope, a skeleton entry rounded to zero) surfaces as
-`ConstructionError` naming its stage; a broken guaranteed property raises.
+All steps are exact.  The tally computes on integer counts over n: the
+block counts n x, a certificate's coefficients as numerators over their
+common denominator, and in `matrix_round` the entries as numerators over
+the matrix's.  `Fraction`s remain in the lemma's public inputs and
+outputs: x and the certificates, `split_mass`'s parts, `round_even`'s
+vector (each entry 2j / n) and the pair matrix `matrix_round` rounds.
+What small n can cost (pair mass outside the loopless polytope, a
+skeleton entry rounded to zero) surfaces as `ConstructionError` naming
+its stage; a broken guaranteed property raises.
 `ConstructionError` is the package's one kind of expected stop, and
 `HEADINGS` lists, once, every stage that may stop (`STAGES`) with its
 phase's heading: the pipeline's plan, the tally's four (here) and
@@ -43,7 +49,7 @@ from .model import (
     check_count,
     connected_components,
     edge_order,
-    edge_sum,
+    doubled_edge_sum,
     incidence,
     int_array,
     is_connected,
@@ -53,7 +59,6 @@ from .polytope import Membership, MembershipCertificate, positive_certificate
 from .sampling import BalancedMatrix
 
 ZERO = Fraction(0)
-HALF = Fraction(1, 2)
 
 
 # every stage that may stop, in pipeline order, with its phase's heading:
@@ -191,11 +196,17 @@ def round_even(vec, n: int) -> tuple[Fraction, ...]:
     """The vector with even entries (over denominator n) closest to n*vec,
     halves rounding down: entry i becomes (2/n) * [n*vec_i / 2]."""
     check_count(n, "n")
-    out = []
-    for v in vec:
-        k = math.ceil(_as_fraction(v) * n / 2 - HALF)
-        out.append(Fraction(2 * k, n))
-    return tuple(out)
+    # for v = a / b: [n v / 2], halves down, is ceil((n a - b) / 2b) = (n a + b - 1) // 2b
+    return tuple([Fraction(2 * ((n * v.numerator + v.denominator - 1) // (2 * v.denominator)), n)
+                  for v in map(_as_fraction, vec)])
+
+
+def _over_one_denominator(values) -> tuple[list[int], int]:
+    """Exact rationals as integer numerators over their least common
+    denominator, and that denominator."""
+    fs = [_as_fraction(v) for v in values]
+    d = math.lcm(*[v.denominator for v in fs])
+    return [v.numerator * (d // v.denominator) for v in fs], d
 
 
 # ---------------------------------------------------------------------------
@@ -226,21 +237,22 @@ def matrix_round(matrix, support: SkeletonGraph) -> tuple[tuple[int, ...], ...]:
     q = len(rows)
     if any(len(r) != q for r in rows):
         raise ValueError("matrix must be square")
-    if any(v < 0 for row in rows for v in row):
+    # the entries as integer numerators over the matrix's common denominator d
+    flat, d = _over_one_denominator(v for row in rows for v in row)
+    rows = [flat[i * q:(i + 1) * q] for i in range(q)]
+    if any(v < 0 for v in flat):
         raise ValueError("matrix entries must be nonnegative")
     _check_support(rows, support, "matrix")
     row_sums = [sum(r) for r in rows]
-    col_sums = [sum(rows[i][j] for i in range(q)) for j in range(q)]
-    for i, v in enumerate(row_sums):
-        if v.denominator != 1:
-            raise ValueError(f"row {i} sum {v} is not an integer")
-    for j, v in enumerate(col_sums):
-        if v.denominator != 1:
-            raise ValueError(f"column {j} sum {v} is not an integer")
+    col_sums = [sum(col) for col in zip(*rows)]
+    for what, sums in (("row", row_sums), ("column", col_sums)):
+        for i, v in enumerate(sums):
+            if v % d:
+                raise ValueError(f"{what} {i} sum {Fraction(v, d)} is not an integer")
 
-    floors = [[math.floor(v) for v in row] for row in rows]
-    rdef = [int(row_sums[i]) - sum(floors[i]) for i in range(q)]
-    cdef = [int(col_sums[j]) - sum(floors[i][j] for i in range(q)) for j in range(q)]
+    floors = [[v // d for v in row] for row in rows]
+    rdef = [row_sums[i] // d - sum(floors[i]) for i in range(q)]
+    cdef = [col_sums[j] // d - sum(floors[i][j] for i in range(q)) for j in range(q)]
     need = sum(rdef)
 
     src, dst = 2 * q, 2 * q + 1
@@ -251,7 +263,7 @@ def matrix_round(matrix, support: SkeletonGraph) -> tuple[tuple[int, ...], ...]:
     cell_edges = {}
     for i in range(q):
         for j in range(q):
-            if rows[i][j].denominator != 1:
+            if rows[i][j] % d:
                 cell_edges[(i, j)] = net.add(i, q + j, 1)
     for j in range(q):
         if cdef[j]:
@@ -303,59 +315,65 @@ def build_balanced_matrix(
     q = s.node_count
     if len(xs) != q:
         raise ValueError("x must have one entry per block")
-    if sum(xs) != 1:
+    nums, den = _over_one_denominator(xs)
+    if sum(nums) != den:
         raise ValueError("x must sum to 1")
     check_count(n, "n")
-    bad = [i for i, v in enumerate(xs) if (v * n).denominator != 1]
+    bad = [i for i, v in enumerate(xs) if n % v.denominator]  # v = a / b in lowest terms
     if bad:
         raise ConstructionError("preconditions", [f"n*x not integral at {bad}"])
     if not is_connected(s):
         raise DisconnectedSkeletonError(connected_components(s))
+    k = [v.numerator * (n // v.denominator) for v in xs]  # the block counts n x
 
     if cert.status is not Membership.INTERIOR:
         raise not_interior(cert.status)
-    if edge_sum(q, edge_order(s), cert.coefficients) != xs:
+    c, d = _over_one_denominator(cert.coefficients)
+    order = edge_order(s)
+    if len(c) != len(order):
+        raise ValueError(f"{len(c)} coefficients for {len(order)} edges")
+    if [n * v for v in doubled_edge_sum(q, order, c)] != [2 * d * v for v in k]:  # 2d Z c = 2d x
         raise ValueError("the certificate's coefficients do not solve Z c = x")
 
     split = split_mass(xs, cert, s)
-    tau0p = round_even(split.loop_part, n)
-    tau1p = tuple(xi - t for xi, t in zip(xs, tau0p))
-    if any(t < 0 for t in tau1p):  # n l rounds to an even number <= n x, as l <= x
+    # round_even's entries are 2j / n: n times them are the even loop counts
+    loops = [t.numerator * (n // t.denominator) for t in round_even(split.loop_part, n)]
+    rest = [ki - t for ki, t in zip(k, loops)]  # the pair counts n x - loops
+    if any(v < 0 for v in rest):  # n l rounds to an even number <= n x, as l <= x
         raise RuntimeError("even rounding exceeded x on some block")
-    n1 = n - int(n * sum(tau0p))
+    n1 = n - sum(loops)
 
     counts = [[0] * q for _ in range(q)]
     if n1 > 0:
-        target = tuple(t * n / n1 for t in tau1p)
         s1 = loopless(s)
         order1 = edge_order(s1)
         if not order1:
             raise ConstructionError(
                 "loopless-membership", ["pair mass left but the skeleton has no pair edges"]
             )
-        # without loops the target is x and s1 is s: that LP is already solved
-        cert1 = positive_certificate(incidence(s1), target) if s.loops else cert
+        # the target is rest / n1; without loops it is x and s1 is s: that LP is already solved
+        cert1 = positive_certificate(incidence(s1), [Fraction(v, n1) for v in rest]) if s.loops else cert
         if cert1.status is Membership.EXTERIOR:
             raise ConstructionError(
                 "loopless-membership",
                 ["normalized pair mass fell outside the loopless polytope; n too small"],
             )
+        c1, d1 = _over_one_denominator(cert1.coefficients)
         scaled = [[ZERO] * q for _ in range(q)]
-        for idx, (i, j) in enumerate(order1):
-            v = n1 * cert1.coefficients[idx] / 2
-            scaled[i][j] = v
-            scaled[j][i] = v
+        for (i, j), v in zip(order1, c1):
+            scaled[i][j] = scaled[j][i] = Fraction(n1 * v, 2 * d1)
         # the pair matrix has a zero diagonal, and so has its rounding
         counts = [list(row) for row in matrix_round(scaled, s1)]
     for i in range(q):
-        counts[i][i] = int(n * tau0p[i])
+        counts[i][i] = loops[i]
 
     # guaranteed by construction, whatever n: a break is a bug
+    lnum, ld = _over_one_denominator(split.loop_part)
     for i, row in enumerate(counts):
         if (
-            sum(row) != n * xs[i]
+            sum(row) != k[i]
             or row[i] % 2
-            or abs(row[i] - n * split.loop_part[i]) > 1
+            or abs(ld * row[i] - n * lnum[i]) > ld
             or any(abs(v - counts[j][i]) > 1 for j, v in enumerate(row))
         ):
             raise RuntimeError(f"balanced tally row {i} breaks a guaranteed property")

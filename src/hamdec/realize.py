@@ -27,6 +27,11 @@ cuts fixed once per `realize`, and the check tries the smallest groups
 first: its verdict does not depend on the order, and a rejected draw
 mostly stops at a small group.
 
+A draw shuffles, for each block, a copy of its leftover nodes in ascending
+order, in place with `Generator.shuffle`: that is the Fisher-Yates pass
+`Generator.permutation` runs on a copy of the nodes as an array, so the
+draws are those of `permutation`, without the array's round trip.
+
 The matching kernel, a word-parallel Hopcroft-Karp on Python-int row
 masks (`hopcroft_karp`), lives here with its two callers.
 `max_bipartite_matching`, the one matching front end on a sampled graph,
@@ -335,7 +340,9 @@ def realize(a: BalancedMatrix, g: SampledGraph, s: SkeletonGraph, seed: int) -> 
     (looped blocks: split the group into halves and match across); the
     whole grouping is re-randomized on failure, up to `ATTEMPTS` times.
     Each draw is laid out once, as every group's (left, right) node lists,
-    sliced from each block's shuffled nodes at cuts fixed per call.
+    sliced from each block's shuffled nodes at cuts fixed per call; a
+    block's nodes are shuffled by `rng.shuffle` on a fresh copy of their
+    ascending list, the draws `rng.permutation` makes of them.
     After the first failed draw, a draw other than the last in which some
     node has no neighbour on its group's other side is skipped unmatched:
     that node leaves its group short, so the draw cannot succeed.
@@ -356,7 +363,7 @@ def realize(a: BalancedMatrix, g: SampledGraph, s: SkeletonGraph, seed: int) -> 
 
     free = np.ones(g.n, dtype=bool)
     free[[v for cyc in long_cycles for v in cyc]] = False
-    remaining = [np.flatnonzero(free & (g.blocks == b)) for b in range(q)]
+    remaining = [np.flatnonzero(free & (g.blocks == b)).tolist() for b in range(q)]  # ascending
     # each block's shuffled nodes are handed out front to back, in group
     # order: a group's sides are (block, start, stop) cuts, and a looped
     # block (i == j) hands its next c nodes, then the c after
@@ -374,7 +381,9 @@ def realize(a: BalancedMatrix, g: SampledGraph, s: SkeletonGraph, seed: int) -> 
 
     rng = generator(derive(seed, "phase2"))
     for k in range(ATTEMPTS):
-        shuffled = [rng.permutation(r).tolist() for r in remaining]  # a fresh order per block
+        shuffled = [r.copy() for r in remaining]  # each draw shuffles the ascending order
+        for r in shuffled:
+            rng.shuffle(r)  # the draws of rng.permutation(r): one Fisher-Yates pass
         sides = [shuffled[b][start:stop] for b, start, stop in cuts]
         draw = list(zip(sides[::2], sides[1::2]))
         # a draw after a failed one, the last aside, must pass the partner check

@@ -14,25 +14,46 @@ it is the reference the flow is checked against; `hall_status` classifies
 it by enumerating Hall sets, with no LP and no flow, over the skeletons
 `connected_skeletons` lists.  `dense_rows` lays out
 the incidence matrix's entries from its edge order, independently of the
-library, which stores none.  `realize_reference` is `realize` with the
+library, which stores none.  `tally_reference` is `build_balanced_matrix`
+as it was computed in `Fraction` arithmetic throughout, with its
+`round_even` and `matrix_round`: the reference the integer tally is held
+to, as `tally_key` compares them.  `realize_reference` is `realize` with the
 phase-2 loop that matches every draw, group by group, with no partner
 check first: the reference the check is held to.
 """
 
+import math
 from fractions import Fraction
 from itertools import combinations, islice, permutations
 
 import numpy as np
 
 from hamdec._seeds import derive, generator
-from hamdec.construct import ConstructionError, HamDecomposition, block_cycles, build_balanced_matrix
+from hamdec.construct import (
+    ConstructionError,
+    HamDecomposition,
+    _check_support,
+    _support_failures,
+    block_cycles,
+    build_balanced_matrix,
+    not_interior,
+    split_mass,
+)
+from hamdec.flow import MaxFlow
 from hamdec.model import (
+    DisconnectedSkeletonError,
     Partition,
     SkeletonGraph,
     StepGraphon,
+    _as_fraction,
+    check_count,
     concentration,
+    connected_components,
     edge_order,
+    edge_sum,
     incidence,
+    is_connected,
+    loopless,
     skeleton,
 )
 from hamdec.polytope import Membership, positive_certificate
@@ -471,6 +492,139 @@ def lp_status(z, x) -> Membership:
 def tally(x, n: int, s: SkeletonGraph):
     """`build_balanced_matrix` given x's membership certificate on s."""
     return build_balanced_matrix(x, n, s, positive_certificate(incidence(s), x))
+
+
+def _round_even_reference(vec, n: int) -> tuple[Fraction, ...]:
+    """`construct.round_even` in `Fraction` arithmetic."""
+    check_count(n, "n")
+    out = []
+    for v in vec:
+        k = math.ceil(_as_fraction(v) * n / 2 - Fraction(1, 2))
+        out.append(Fraction(2 * k, n))
+    return tuple(out)
+
+
+def _matrix_round_reference(matrix, support: SkeletonGraph) -> tuple[tuple[int, ...], ...]:
+    """`construct.matrix_round` in `Fraction` arithmetic."""
+    rows = [[_as_fraction(v) for v in row] for row in matrix]
+    q = len(rows)
+    if any(len(r) != q for r in rows):
+        raise ValueError("matrix must be square")
+    if any(v < 0 for row in rows for v in row):
+        raise ValueError("matrix entries must be nonnegative")
+    _check_support(rows, support, "matrix")
+    row_sums = [sum(r) for r in rows]
+    col_sums = [sum(rows[i][j] for i in range(q)) for j in range(q)]
+    for i, v in enumerate(row_sums):
+        if v.denominator != 1:
+            raise ValueError(f"row {i} sum {v} is not an integer")
+    for j, v in enumerate(col_sums):
+        if v.denominator != 1:
+            raise ValueError(f"column {j} sum {v} is not an integer")
+
+    floors = [[math.floor(v) for v in row] for row in rows]
+    rdef = [int(row_sums[i]) - sum(floors[i]) for i in range(q)]
+    cdef = [int(col_sums[j]) - sum(floors[i][j] for i in range(q)) for j in range(q)]
+    need = sum(rdef)
+
+    src, dst = 2 * q, 2 * q + 1
+    net = MaxFlow(2 * q + 2)
+    for i in range(q):
+        if rdef[i]:
+            net.add(src, i, rdef[i])
+    cell_edges = {}
+    for i in range(q):
+        for j in range(q):
+            if rows[i][j].denominator != 1:
+                cell_edges[(i, j)] = net.add(i, q + j, 1)
+    for j in range(q):
+        if cdef[j]:
+            net.add(q + j, dst, cdef[j])
+    pushed = net.run(src, dst)
+    if pushed != need:
+        raise RuntimeError("rounding flow did not saturate; sums were inconsistent")
+    for (i, j), ei in cell_edges.items():
+        if net.cap[ei] == 0:
+            floors[i][j] += 1
+    return tuple(tuple(row) for row in floors)
+
+
+def tally_reference(x, n: int, s: SkeletonGraph, cert) -> BalancedMatrix:
+    """`construct.build_balanced_matrix` in `Fraction` arithmetic: the same
+    steps, checks and stops, on exact rationals instead of integer counts."""
+    xs = tuple([_as_fraction(v) for v in x])
+    q = s.node_count
+    if len(xs) != q:
+        raise ValueError("x must have one entry per block")
+    if sum(xs) != 1:
+        raise ValueError("x must sum to 1")
+    check_count(n, "n")
+    bad = [i for i, v in enumerate(xs) if (v * n).denominator != 1]
+    if bad:
+        raise ConstructionError("preconditions", [f"n*x not integral at {bad}"])
+    if not is_connected(s):
+        raise DisconnectedSkeletonError(connected_components(s))
+
+    if cert.status is not Membership.INTERIOR:
+        raise not_interior(cert.status)
+    if edge_sum(q, edge_order(s), cert.coefficients) != xs:
+        raise ValueError("the certificate's coefficients do not solve Z c = x")
+
+    split = split_mass(xs, cert, s)
+    tau0p = _round_even_reference(split.loop_part, n)
+    tau1p = tuple(xi - t for xi, t in zip(xs, tau0p))
+    if any(t < 0 for t in tau1p):  # n l rounds to an even number <= n x, as l <= x
+        raise RuntimeError("even rounding exceeded x on some block")
+    n1 = n - int(n * sum(tau0p))
+
+    counts = [[0] * q for _ in range(q)]
+    if n1 > 0:
+        target = tuple(t * n / n1 for t in tau1p)
+        s1 = loopless(s)
+        order1 = edge_order(s1)
+        if not order1:
+            raise ConstructionError(
+                "loopless-membership", ["pair mass left but the skeleton has no pair edges"]
+            )
+        # without loops the target is x and s1 is s: that LP is already solved
+        cert1 = positive_certificate(incidence(s1), target) if s.loops else cert
+        if cert1.status is Membership.EXTERIOR:
+            raise ConstructionError(
+                "loopless-membership",
+                ["normalized pair mass fell outside the loopless polytope; n too small"],
+            )
+        scaled = [[Fraction(0)] * q for _ in range(q)]
+        for idx, (i, j) in enumerate(order1):
+            v = n1 * cert1.coefficients[idx] / 2
+            scaled[i][j] = v
+            scaled[j][i] = v
+        # the pair matrix has a zero diagonal, and so has its rounding
+        counts = [list(row) for row in _matrix_round_reference(scaled, s1)]
+    for i in range(q):
+        counts[i][i] = int(n * tau0p[i])
+
+    # guaranteed by construction, whatever n: a break is a bug
+    for i, row in enumerate(counts):
+        if (
+            sum(row) != n * xs[i]
+            or row[i] % 2
+            or abs(row[i] - n * split.loop_part[i]) > 1
+            or any(abs(v - counts[j][i]) > 1 for j, v in enumerate(row))
+        ):
+            raise RuntimeError(f"balanced tally row {i} breaks a guaranteed property")
+    fails = _support_failures(counts, s)
+    if fails:
+        raise ConstructionError("postconditions", fails)
+    return BalancedMatrix(tuple(tuple(row) for row in counts))
+
+
+def tally_key(build, x, n: int, s: SkeletonGraph, cert):
+    """What a tally builder says of an instance: its counts, or its stop's
+    stage and text."""
+    try:
+        return build(x, n, s, cert).counts
+    except ConstructionError as exc:
+        return exc.stage, str(exc)
 
 
 def closure_components(s: SkeletonGraph) -> list[frozenset[int]]:

@@ -1,6 +1,8 @@
+import sys
 from collections import Counter
 from fractions import Fraction as F
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,11 +21,24 @@ from hamdec.construct import (
     round_even,
     split_mass,
 )
-from hamdec.model import DisconnectedSkeletonError, SkeletonGraph, incidence
+from hamdec.model import DisconnectedSkeletonError, SkeletonGraph, incidence, skeleton
 from hamdec.polytope import Membership, MembershipCertificate, positive_certificate
-from hamdec.sampling import BalancedMatrix, count_block_edges
+from hamdec.sampling import BalancedMatrix, count_block_edges, empirical_concentration, sample_graph
 
-from helpers import connected_skeletons, random_connected_skeleton, random_interior_instance, tally
+from helpers import (
+    connected_skeletons,
+    random_connected_skeleton,
+    random_interior_instance,
+    tally,
+    tally_key,
+    tally_reference,
+)
+
+ROOT = Path(__file__).resolve().parents[1]
+if str(ROOT) not in sys.path:
+    sys.path.insert(0, str(ROOT))
+
+from pipebench.graphons import TRI_HALF, interior_graphon  # noqa: E402
 
 TRIANGLE = SkeletonGraph(3, frozenset(), frozenset({(0, 1), (0, 2), (1, 2)}))
 LOOP_EDGE = SkeletonGraph(2, frozenset({0}), frozenset({(0, 1)}))
@@ -268,6 +283,48 @@ class TestPaperTally:
                         wrong.append((s, counts))
                     seen["built"] += 1
         assert (dict(seen), wrong) == (outcomes, [])
+
+
+def _enumerated_instances(q, totals):
+    """TestPaperTally's instances: (x, n, s, certificate) for every interior
+    x = k / n of a connected skeleton on q blocks, n in totals."""
+    for s in connected_skeletons(q):
+        z = incidence(s)
+        for n in totals:
+            for counts in product(range(n + 1), repeat=q):
+                if sum(counts) != n:
+                    continue
+                x = [F(k, n) for k in counts]
+                cert = positive_certificate(z, x)
+                if cert.status is Membership.INTERIOR:
+                    yield x, n, s, cert
+
+
+class TestTallyReference:
+    """The tally on integer counts says what the `Fraction` tally said: the
+    same counts, or the same stop with the same text, on the paper-tally
+    enumeration and on sampled empirical vectors."""
+
+    @pytest.mark.parametrize("q, totals", [(2, range(2, 25)), (3, range(3, 11))])
+    def test_enumeration(self, q, totals):
+        for args in _enumerated_instances(q, totals):
+            assert tally_key(build_balanced_matrix, *args) == tally_key(tally_reference, *args), args
+
+    @pytest.mark.parametrize("w, n", [
+        (interior_graphon(8, 1).graphon, 60),
+        (interior_graphon(8, 1).graphon, 200),
+        (TRI_HALF, 30),
+    ], ids=["q8-n60", "q8-n200", "tri-half-n30"])
+    def test_sampled_vectors(self, w, n):
+        s = skeleton(w)
+        z = incidence(s)
+        keys = []
+        for seed in range(40):
+            x = empirical_concentration(sample_graph(w, n, seed), w.q)
+            cert = positive_certificate(z, x)
+            keys.append(tally_key(build_balanced_matrix, x, n, s, cert))
+            assert keys[-1] == tally_key(tally_reference, x, n, s, cert), seed
+        assert any(isinstance(key[0], tuple) for key in keys)  # some tally was built
 
 
 class TestPeel:

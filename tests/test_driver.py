@@ -90,6 +90,16 @@ def _row_sums_lost(real):
     return lambda m, s: tuple((0,) * len(row) for row in real(m, s))
 
 
+def _loop_mass_below_zero(real):
+    # block 0's loop mass less 1: its loop count rounds to -n, and its row
+    # of the tally no longer sums to n x_0
+    def shifted(x, cert, s):
+        split = real(x, cert, s)
+        return replace(split, loop_part=(split.loop_part[0] - 1,) + split.loop_part[1:])
+
+    return shifted
+
+
 def _one_two_cycle_more(real):
     def skewed(a, s):
         pairs, longer = real(a, s)
@@ -635,6 +645,7 @@ class TestPipeline:
         [
             (hamdec.construct, "round_even", _above_x, "even rounding"),
             (hamdec.construct, "matrix_round", _row_sums_lost, "guaranteed property"),
+            (hamdec.construct, "split_mass", _loop_mass_below_zero, "guaranteed property"),
             (REALIZE_MODULE, "block_cycles", _one_two_cycle_more, "leftover nodes"),
         ],
     )

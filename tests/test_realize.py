@@ -545,6 +545,26 @@ def _partner_verdicts(monkeypatch):
     return verdicts
 
 
+class TestDrawShuffle:
+    """A phase-2 draw shuffles a copy of each block's ascending node list in
+    place.  numpy's `Generator.shuffle` runs the same Fisher-Yates pass on a
+    list as on a 1-D array, and `Generator.permutation` of an array is a
+    copy shuffled by it, so the draws are those of `permutation`; a numpy
+    that changes either fails here before any digest."""
+
+    def test_list_shuffle_is_the_array_permutation(self):
+        lengths = [0, 1, 2, 3, 7, 64, 199, 300, 1, 0, 2]
+        for seed in range(3):
+            by_list, by_array = np.random.default_rng(seed), np.random.default_rng(seed)
+            nodes = np.flatnonzero(np.random.default_rng(seed + 10).random(900) < 0.4).tolist()
+            for _ in range(3):  # successive draws, each from the ascending order
+                for k in lengths:
+                    shuffled = nodes[:k]  # a copy
+                    by_list.shuffle(shuffled)
+                    assert shuffled == by_array.permutation(np.asarray(nodes[:k])).tolist(), (seed, k)
+            assert by_list.integers(1 << 62) == by_array.integers(1 << 62)  # the streams kept pace
+
+
 class TestPartnerCheck:
     """Phase 2 skips a draw with a node that has no neighbour across its
     group, and matches the rest as before: its outcome is the reference's,
